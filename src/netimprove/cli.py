@@ -4,9 +4,6 @@ Subcommands: solve, equilibrium, sweep, gadget, verify.  Reports go to
 stdout as a single JSON object (deterministic for fixed inputs and seeds;
 wall time is logged to stderr so stdout stays byte-stable).  Exit codes:
 0 success, 2 invalid input, 3 algorithm not applicable to the instance.
-
-NETIMPROVE_THREADS is honored as an upper bound on parallelism; the
-current implementations are sequential, which is always within the bound.
 """
 
 from __future__ import annotations

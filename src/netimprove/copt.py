@@ -23,6 +23,11 @@ carries the standard price-of-anarchy guarantee for the equilibrium played
 under it: factor 4/3 when every delay is affine, O(p / log p) for maximum
 exponent p otherwise (reported as metadata, not numerically certified).
 
+One kernel, built once per solve from the instance's edge arrays, gives the
+value, gradient and dense Hessian of the summed edge terms to every phase:
+the Frank-Wolfe loop and its linearized lower bound, the polish and the KKT
+refinement.
+
 Exponents below one break the relaxation's smoothness at zero flow; such
 instances are solved with Frank-Wolfe only, after a warning.
 """
@@ -35,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Allocation, Edge, FlowState, Instance, edge_delay
+from .core import Allocation, FlowState, Instance, edge_delay
 from .equilibrium import _shortest_path
 from .errors import Infeasible, ValidationError
 
@@ -48,6 +53,9 @@ __all__ = [
 ]
 
 _G_PAD = 1e-300  # keeps 1/g**n finite during line search at the g=0 corner
+# The C library's pow, as Python's ** on floats; numpy's ** may take a
+# vectorized pow that differs from it in the last bit.
+_pow = np.float_power
 
 
 @dataclass(frozen=True)
@@ -81,20 +89,107 @@ def relaxed_total_delay(inst: Instance, flow: FlowState | dict,
     return total
 
 
-def _term_grad(e: Edge, x: float, g: float) -> tuple[float, float, float]:
-    """(value, d/dx, d/dbeta) of one edge term at flow x, conductance g."""
-    if e.rigid:
-        return e.b * x, e.b, 0.0
-    if x == 0.0:
-        return 0.0, e.b, 0.0
-    gp = max(g, _G_PAD)
-    ratio = x / gp
-    val = x * ratio ** e.n + e.b * x
-    dx = (e.n + 1.0) * ratio ** e.n + e.b
-    dbeta = -e.n * e.mu * ratio ** e.n * x / gp
-    return val, dx, dbeta
+class _Relaxation:
+    """Edge arrays and constraint rows of one instance, built once per solve.
+
+    The stacked variable vector of the polish and the KKT refinement holds
+    the per-commodity edge flows x (ncom, m) row by row, then the budget
+    beta (p,) over the improvable edges.  A rigid edge gets infinite
+    conductance, which reduces its term to b * x.
+    """
+
+    def __init__(self, inst: Instance):
+        edges = inst.edges
+        self.m = m = len(edges)
+        self.ncom = len(inst.commodities)
+        self.ids = [e.id for e in edges]
+        self.col = {e.id: t for t, e in enumerate(edges)}
+        self.imp = np.array([t for t, e in enumerate(edges) if e.improvable],
+                            dtype=np.intp)
+        self.p = len(self.imp)
+        self.nm = self.ncom * m
+        self.dim = self.nm + self.p
+        self.budget = inst.budget
+        self.demands = np.array([k.demand for k in inst.commodities])
+        self.c = np.array([math.inf if e.rigid else e.c for e in edges])
+        self.b = np.array([e.b for e in edges])
+        self.n = np.array([e.n for e in edges])
+        self.mu = np.array([edges[t].mu for t in self.imp])
+        self.n1 = self.n + 1.0
+        self.dbeta = -self.n[self.imp] * self.mu
+
+        rows, rhs = [], []
+        for i, k in enumerate(inst.commodities):
+            for u in inst.nodes:
+                if u == k.sink:
+                    continue
+                row = np.zeros(self.dim)
+                for e in inst.out_edges[u]:
+                    row[i * m + self.col[e.id]] += 1.0
+                for e in inst.in_edges[u]:
+                    row[i * m + self.col[e.id]] -= 1.0
+                rows.append(row)
+                rhs.append(k.demand if u == k.source else 0.0)
+        self.conservation = np.array(rows)
+        self.conservation_rhs = np.array(rhs)
+        self.budget_row = np.zeros(self.dim)
+        self.budget_row[self.nm:] = 1.0
+
+    def conductance(self, beta: np.ndarray) -> np.ndarray:
+        g = self.c.copy()
+        g[self.imp] += self.mu * beta
+        return g
+
+    def split(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return z[:self.nm].reshape(self.ncom, self.m), z[self.nm:]
+
+    def value_grad(self, x: np.ndarray, beta: np.ndarray):
+        """Objective, its gradient in each edge's total flow (m,) and its
+        gradient in beta (p,)."""
+        xt = x[0] if self.ncom == 1 else np.add.reduce(x, 0)
+        g = self.conductance(beta)
+        np.maximum(g, _G_PAD, out=g)
+        rn = _pow(xt / g, self.n)
+        val = sum((xt * rn + self.b * xt).tolist())
+        gx = self.n1 * rn + self.b
+        i = self.imp
+        gb = self.dbeta * rn[i] * xt[i] / g[i]
+        return val, gx, gb
+
+    def stacked_value_grad(self, z: np.ndarray):
+        """Objective and gradient in the stacked variables."""
+        val, gx, gb = self.value_grad(*self.split(z))
+        return val, np.concatenate([np.tile(gx, self.ncom), gb])
+
+    def hessian(self, x: np.ndarray, beta: np.ndarray) -> np.ndarray:
+        """Dense Hessian in the stacked variables, from its blocks.
+
+        Flows are clipped at zero and conductances padded to 1e-12; an edge
+        with zero flow and n > 1 has no curvature.
+        """
+        xt = np.maximum(np.add.reduce(x, 0), 0.0)
+        g = np.maximum(self.conductance(beta), 1e-12)
+        n, i, mu = self.n, self.imp, self.mu
+        nn1 = n * self.n1
+        hxx = np.where((xt == 0.0) & (n > 1.0), 0.0,
+                       nn1 * _pow(xt, np.maximum(n - 1.0, 0.0)) / _pow(g, n))
+        xi, gi, ni = xt[i], g[i], n[i]
+        hbb = nn1[i] * _pow(mu, 2.0) * _pow(xi, ni + 1.0) / _pow(gi, ni + 2.0)
+        hxb = -nn1[i] * mu * _pow(xi, ni) / _pow(gi, ni + 1.0)
+        cross = np.zeros((self.m, self.p))
+        cross[i, np.arange(self.p)] = hxb
+        nm = self.nm
+        H = np.zeros((self.dim, self.dim))
+        H[:nm, :nm] = np.tile(np.diag(hxx), (self.ncom, self.ncom))
+        H[:nm, nm:] = np.tile(cross, (self.ncom, 1))
+        H[nm:, :nm] = H[:nm, nm:].T
+        H[nm:, nm:] = np.diag(hbb)
+        return H
 
 
+# At the zero-conductance corner the 1e-300 pad can make the edge terms
+# overflow; inf is the intended value there, so the warning is silenced.
+@np.errstate(over="ignore")
 def solve_copt(inst: Instance, tol: float = 1e-8, fw_iters: int = 2000,
                polish: bool = True) -> CoptResult:
     """Solve the relaxation to relative duality gap ``tol``.
@@ -115,33 +210,14 @@ def solve_copt(inst: Instance, tol: float = 1e-8, fw_iters: int = 2000,
         fw_iters = max(fw_iters, 20000)
 
     edges = inst.edges
-    m = len(edges)
-    ncom = len(inst.commodities)
-    improvable = [e for e in edges if e.improvable]
-    p = len(improvable)
-    beta_col = {e.id: j for j, e in enumerate(improvable)}
-
-    def conductance(e: Edge, beta: np.ndarray) -> float:
-        j = beta_col.get(e.id)
-        return e.c + (e.mu * beta[j] if j is not None else 0.0)
-
-    def objective(x: np.ndarray, beta: np.ndarray):
-        xt = x.sum(axis=0)
-        val = 0.0
-        gx = np.zeros(m)
-        gb = np.zeros(p)
-        for t, e in enumerate(edges):
-            v, dx, db = _term_grad(e, float(xt[t]), conductance(e, beta))
-            val += v
-            gx[t] = dx
-            j = beta_col.get(e.id)
-            if j is not None:
-                gb[j] = db
-        return val, gx, gb
+    kern = _Relaxation(inst)
+    m, ncom, p = kern.m, kern.ncom, kern.p
+    improvable = [edges[t] for t in kern.imp]
 
     def aon(gx: np.ndarray, beta: np.ndarray):
-        delays = {e.id: float(gx[t]) for t, e in enumerate(edges)
-                  if e.rigid or conductance(e, beta) > 0.0}
+        usable = (kern.conductance(beta) > 0.0).tolist()
+        delays = {eid: d for eid, d, ok in zip(kern.ids, gx.tolist(), usable)
+                  if ok}
         y = np.zeros((ncom, m))
         lower = 0.0
         for i, k in enumerate(inst.commodities):
@@ -151,42 +227,41 @@ def solve_copt(inst: Instance, tol: float = 1e-8, fw_iters: int = 2000,
                     f"commodity {k.source}->{k.sink} is disconnected")
             lower += k.demand * dist
             for eid in path:
-                t = next(tt for tt, e in enumerate(edges) if e.id == eid)
-                y[i, t] += k.demand
+                y[i, kern.col[eid]] += k.demand
         return y, lower
+
+    def linearize(x: np.ndarray, beta: np.ndarray):
+        """Objective, gradient, best vertex and the linearized value there,
+        which bounds the optimum from below."""
+        val, gx, gb = kern.value_grad(x, beta)
+        y, sp_lower = aon(gx, beta)
+        bvert = np.zeros(p)
+        if p and gb.min() < 0.0:
+            bvert[int(np.argmin(gb))] = inst.budget
+        lower = sp_lower + float(gb @ bvert) + (val - float(gx @ x.sum(axis=0))
+                                                - float(gb @ beta))
+        return val, y, bvert, lower
 
     # Interior budget start keeps zero-conductance improvable edges usable.
     beta = np.full(p, inst.budget / p) if p else np.zeros(0)
-    eidx = {e.id: t for t, e in enumerate(edges)}
-    x = np.zeros((ncom, m))
-    _, gx0, _ = objective(x, beta)
-    y0, _ = aon(gx0, beta)
-    x = y0
+    x = linearize(np.zeros((ncom, m)), beta)[1]
 
     best_lower = -math.inf
     gap_rel = math.inf
     iterations = 0
     for iterations in range(1, fw_iters + 1):
-        val, gx, gb = objective(x, beta)
-        y, sp_lower = aon(gx, beta)
-        bvert = np.zeros(p)
-        if p and gb.min() < 0.0:
-            bvert[int(np.argmin(gb))] = inst.budget
-        # Linearized value at the best vertex bounds the optimum from below.
-        lower = sp_lower + float(gb @ bvert) + (val - float(gx @ x.sum(axis=0))
-                                                - float(gb @ beta))
+        val, y, bvert, lower = linearize(x, beta)
         best_lower = max(best_lower, lower)
         gap_rel = (val - best_lower) / max(abs(val), 1e-300)
         if gap_rel <= tol:
             break
         dx = y - x
+        dxt = dx.sum(axis=0)
         dbeta = bvert - beta
 
         def slope(gamma: float) -> float:
-            xv = x + gamma * dx
-            bv = beta + gamma * dbeta
-            _, gxs, gbs = objective(xv, bv)
-            return float(gxs @ dx.sum(axis=0)) + float(gbs @ dbeta)
+            _, gxs, gbs = kern.value_grad(x + gamma * dx, beta + gamma * dbeta)
+            return float(gxs @ dxt) + float(gbs @ dbeta)
 
         if slope(1.0) <= 0.0:
             gamma = 1.0
@@ -202,22 +277,12 @@ def solve_copt(inst: Instance, tol: float = 1e-8, fw_iters: int = 2000,
         x = x + gamma * dx
         beta = beta + gamma * dbeta
 
-    def certify(xx, bb):
-        val, gx, gb = objective(xx, bb)
-        _, sp_lower = aon(gx, bb)
-        bvert = np.zeros(p)
-        if p and gb.min() < 0.0:
-            bvert[int(np.argmin(gb))] = inst.budget
-        lower = sp_lower + float(gb @ bvert) + (
-            val - float(gx @ xx.sum(axis=0)) - float(gb @ bb))
-        return val, lower
-
     if polish and gap_rel > tol:
         # A single polish can settle into a near-optimal face; restart it
         # from a few budget configurations and keep the best point.  Every
         # start contributes a valid linearization lower bound, so the
         # certificate tightens even when the point does not move.
-        best_val, lower = certify(x, beta)
+        best_val, *_, lower = linearize(x, beta)
         best_lower = max(best_lower, lower)
         starts = [(x, beta)]
         if p:
@@ -228,15 +293,14 @@ def solve_copt(inst: Instance, tol: float = 1e-8, fw_iters: int = 2000,
         for sx, sb in starts:
             if gap_rel <= tol:
                 break
-            xx, bb = _polish(inst, edges, improvable, sx, sb)
+            xx, bb = _polish(kern, sx, sb)
             for freeze in (1e-7, 1e-5, 1e-3):
-                refined = _kkt_refine(inst, edges, improvable, xx, bb,
-                                      freeze=freeze)
+                refined = _kkt_refine(kern, xx, bb, freeze=freeze)
                 if refined is not None:
                     rx, rb = refined
-                    if objective(rx, rb)[0] <= objective(xx, bb)[0]:
+                    if kern.value_grad(rx, rb)[0] <= kern.value_grad(xx, bb)[0]:
                         xx, bb = rx, rb
-            val2, lower2 = certify(xx, bb)
+            val2, *_, lower2 = linearize(xx, bb)
             best_lower = max(best_lower, lower2)
             if val2 < best_val:
                 best_val = val2
@@ -272,93 +336,26 @@ def solve_copt(inst: Instance, tol: float = 1e-8, fw_iters: int = 2000,
     )
 
 
-def _polish(inst: Instance, edges, improvable, x0: np.ndarray,
-            beta0: np.ndarray):
+def _polish(kern: _Relaxation, x0: np.ndarray, beta0: np.ndarray):
     """Tighten the Frank-Wolfe point: trust-region, then active-set."""
     from scipy import optimize
 
-    m = len(edges)
-    ncom = len(inst.commodities)
-    p = len(improvable)
-    beta_col = {e.id: j for j, e in enumerate(improvable)}
-    col = {e.id: t for t, e in enumerate(edges)}
-    dim = ncom * m + p
-
-    def unpack(z):
-        return z[:ncom * m].reshape(ncom, m), z[ncom * m:]
-
-    def fun(z):
-        x, beta = unpack(z)
-        xt = x.sum(axis=0)
-        val = 0.0
-        gx = np.zeros(m)
-        gb = np.zeros(p)
-        for t, e in enumerate(edges):
-            j = beta_col.get(e.id)
-            g = e.c + (e.mu * beta[j] if j is not None else 0.0)
-            v, dxv, dbv = _term_grad(e, float(xt[t]), g)
-            val += v
-            gx[t] = dxv
-            if j is not None:
-                gb[j] = dbv
-        grad = np.concatenate([np.tile(gx, ncom), gb])
-        return val, grad
-
-    def hess(z):
-        x, beta = unpack(z)
-        xt = x.sum(axis=0)
-        H = np.zeros((dim, dim))
-        for t, e in enumerate(edges):
-            if e.rigid:
-                continue
-            j = beta_col.get(e.id)
-            g = e.c + (e.mu * beta[j] if j is not None else 0.0)
-            g = max(g, 1e-12)
-            xv = max(float(xt[t]), 0.0)
-            n = e.n
-            if xv == 0.0 and n > 1.0:
-                hxx = 0.0
-            else:
-                hxx = n * (n + 1.0) * xv ** max(n - 1.0, 0.0) / g ** n
-            rows = [i * m + t for i in range(ncom)]
-            for r in rows:
-                for s in rows:
-                    H[r, s] += hxx
-            if j is not None:
-                hbb = n * (n + 1.0) * e.mu ** 2 * xv ** (n + 1.0) / g ** (n + 2.0)
-                hxb = -n * (n + 1.0) * e.mu * xv ** n / g ** (n + 1.0)
-                cidx = ncom * m + j
-                H[cidx, cidx] += hbb
-                for r in rows:
-                    H[r, cidx] += hxb
-                    H[cidx, r] += hxb
-        return H
-
-    eq_rows: list[tuple[np.ndarray, float]] = []
-    for i, k in enumerate(inst.commodities):
-        for u in inst.nodes:
-            if u == k.sink:
-                continue
-            row = np.zeros(dim)
-            for e in inst.out_edges[u]:
-                row[i * m + col[e.id]] += 1.0
-            for e in inst.in_edges[u]:
-                row[i * m + col[e.id]] -= 1.0
-            eq_rows.append((row, k.demand if u == k.source else 0.0))
-    budget_row = np.zeros(dim)
-    budget_row[ncom * m:] = 1.0
+    fun = kern.stacked_value_grad
+    eq_rows = list(zip(kern.conservation, kern.conservation_rhs))
+    budget_row = kern.budget_row
+    budget = kern.budget
 
     tc_cons = [optimize.LinearConstraint(row, rhs, rhs) for row, rhs in eq_rows]
-    if p:
-        tc_cons.append(optimize.LinearConstraint(budget_row, 0.0, inst.budget))
-    ub = np.concatenate([
-        np.repeat([k.demand for k in inst.commodities], m),
-        np.full(p, inst.budget)])
+    if kern.p:
+        tc_cons.append(optimize.LinearConstraint(budget_row, 0.0, budget))
+    ub = np.concatenate([np.repeat(kern.demands, kern.m),
+                         np.full(kern.p, budget)])
     z0 = np.concatenate([np.clip(x0.ravel(), 0.0, None),
                          np.clip(beta0, 0.0, None)])
     res = optimize.minimize(
-        fun, z0, jac=True, hess=hess, method="trust-constr",
-        bounds=optimize.Bounds(np.zeros(dim), ub), constraints=tc_cons,
+        fun, z0, jac=True, hess=lambda z: kern.hessian(*kern.split(z)),
+        method="trust-constr",
+        bounds=optimize.Bounds(np.zeros(kern.dim), ub), constraints=tc_cons,
         options={"gtol": 1e-12, "xtol": 1e-16, "barrier_tol": 1e-14,
                  "maxiter": 3000})
     z = np.asarray(res.x)
@@ -369,9 +366,9 @@ def _polish(inst: Instance, edges, improvable, x0: np.ndarray,
                 "fun": lambda zz, row=row, rhs=rhs: float(row @ zz - rhs),
                 "jac": lambda zz, row=row: row}
                for row, rhs in eq_rows]
-    if p:
+    if kern.p:
         sq_cons.append({"type": "ineq",
-                        "fun": lambda zz: inst.budget - float(budget_row @ zz),
+                        "fun": lambda zz: budget - float(budget_row @ zz),
                         "jac": lambda zz: -budget_row})
     res2 = optimize.minimize(
         fun, z, jac=True, method="SLSQP",
@@ -379,12 +376,12 @@ def _polish(inst: Instance, edges, improvable, x0: np.ndarray,
         options={"ftol": 1e-16, "maxiter": 500})
     if res2.success and fun(np.asarray(res2.x))[0] <= fun(z)[0]:
         z = np.asarray(res2.x)
-    x, beta = unpack(z)
+    x, beta = kern.split(z)
     return np.clip(x, 0.0, None), np.clip(beta, 0.0, None)
 
 
-def _kkt_refine(inst: Instance, edges, improvable, x0: np.ndarray,
-                beta0: np.ndarray, iters: int = 6, freeze: float = 1e-7):
+def _kkt_refine(kern: _Relaxation, x0: np.ndarray, beta0: np.ndarray,
+                iters: int = 6, freeze: float = 1e-7):
     """Newton on the equality-constrained problem at the guessed active set.
 
     Variables below ``freeze`` (relative to their scale) are pinned at
@@ -392,83 +389,28 @@ def _kkt_refine(inst: Instance, edges, improvable, x0: np.ndarray,
     precision.  Returns None when the guess proves inconsistent (a free
     variable wants to move negative).
     """
-    m = len(edges)
-    ncom = len(inst.commodities)
-    p = len(improvable)
-    beta_col = {e.id: j for j, e in enumerate(improvable)}
-    col = {e.id: t for t, e in enumerate(edges)}
-    dim = ncom * m + p
-    dscale = max(k.demand for k in inst.commodities)
+    nm, p, dim, budget = kern.nm, kern.p, kern.dim, kern.budget
+    dscale = float(kern.demands.max())
 
     z = np.concatenate([x0.ravel(), beta0])
     frozen = np.zeros(dim, dtype=bool)
-    frozen[:ncom * m] = z[:ncom * m] < freeze * dscale
+    frozen[:nm] = z[:nm] < freeze * dscale
     if p:
-        frozen[ncom * m:] = z[ncom * m:] < freeze * max(1.0, inst.budget)
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-    for i, k in enumerate(inst.commodities):
-        for u in inst.nodes:
-            if u == k.sink:
-                continue
-            row = np.zeros(dim)
-            for e in inst.out_edges[u]:
-                row[i * m + col[e.id]] += 1.0
-            for e in inst.in_edges[u]:
-                row[i * m + col[e.id]] -= 1.0
-            rows.append(row)
-            rhs.append(k.demand if u == k.source else 0.0)
-    if p and z[ncom * m:].sum() > inst.budget * (1.0 - 1e-7):
-        row = np.zeros(dim)
-        row[ncom * m:] = 1.0
-        rows.append(row)
-        rhs.append(inst.budget)
-    for t in np.flatnonzero(frozen):
-        row = np.zeros(dim)
-        row[t] = 1.0
-        rows.append(row)
-        rhs.append(0.0)
+        frozen[nm:] = z[nm:] < freeze * max(1.0, budget)
+    rows = [kern.conservation]
+    rhs = [kern.conservation_rhs]
+    if p and z[nm:].sum() > budget * (1.0 - 1e-7):
+        rows.append(kern.budget_row[None, :])
+        rhs.append([budget])
+    rows.append(np.eye(dim)[frozen])
+    rhs.append(np.zeros(int(frozen.sum())))
     A = np.vstack(rows)
-    b = np.array(rhs)
+    b = np.concatenate(rhs)
 
-    def grad_hess(zz):
-        xx = zz[:ncom * m].reshape(ncom, m)
-        bb = zz[ncom * m:]
-        xt = xx.sum(axis=0)
-        g = np.zeros(dim)
-        H = np.zeros((dim, dim))
-        for t, e in enumerate(edges):
-            j = beta_col.get(e.id)
-            gg = e.c + (e.mu * bb[j] if j is not None else 0.0)
-            _, dx, db = _term_grad(e, float(xt[t]), gg)
-            for i in range(ncom):
-                g[i * m + t] = dx
-            if j is not None:
-                g[ncom * m + j] = db
-            if e.rigid:
-                continue
-            gg = max(gg, 1e-12)
-            xv = max(float(xt[t]), 0.0)
-            n = e.n
-            hxx = (0.0 if (xv == 0.0 and n > 1.0)
-                   else n * (n + 1.0) * xv ** max(n - 1.0, 0.0) / gg ** n)
-            idxs = [i * m + t for i in range(ncom)]
-            for r in idxs:
-                for s in idxs:
-                    H[r, s] += hxx
-            if j is not None:
-                cidx = ncom * m + j
-                H[cidx, cidx] += n * (n + 1.0) * e.mu ** 2 * xv ** (n + 1.0) \
-                    / gg ** (n + 2.0)
-                hxb = -n * (n + 1.0) * e.mu * xv ** n / gg ** (n + 1.0)
-                for r in idxs:
-                    H[r, cidx] += hxb
-                    H[cidx, r] += hxb
-        return g, H
-
-    nrows = len(rows)
+    nrows = len(A)
     for _ in range(iters):
-        g, H = grad_hess(z)
+        _, g = kern.stacked_value_grad(z)
+        H = kern.hessian(*kern.split(z))
         if not np.isfinite(g).all() or not np.isfinite(H).all():
             return None
         kkt = np.zeros((dim + nrows, dim + nrows))
@@ -487,12 +429,12 @@ def _kkt_refine(inst: Instance, edges, improvable, x0: np.ndarray,
         if np.max(np.abs(step)) < 1e-14 * max(1.0, np.max(np.abs(z))):
             break
     if not np.isfinite(z).all() or \
-            (z < -1e-9 * max(1.0, dscale, inst.budget)).any():
+            (z < -1e-9 * max(1.0, dscale, budget)).any():
         return None
     z = np.clip(z, 0.0, None)
-    if p and z[ncom * m:].sum() > inst.budget * (1.0 + 1e-12):
+    if p and z[nm:].sum() > budget * (1.0 + 1e-12):
         return None
-    return z[:ncom * m].reshape(ncom, m), z[ncom * m:]
+    return kern.split(z)
 
 
 # ---------------------------------------------------------------------------

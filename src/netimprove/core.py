@@ -60,12 +60,13 @@ class Edge:
             raise ValidationError(f"edge {self.id!r} is a self-loop")
         if not (self.c >= 0.0) or math.isinf(self.c):
             raise ValidationError(f"edge {self.id!r}: conductance must be finite and >= 0")
-        if not (self.b >= 0.0):
-            raise ValidationError(f"edge {self.id!r}: length must be >= 0")
-        if not (self.n > 0.0):
-            raise ValidationError(f"edge {self.id!r}: exponent must be positive")
-        if not (self.mu >= 0.0):
-            raise ValidationError(f"edge {self.id!r}: improvement rate must be >= 0")
+        if not (self.b >= 0.0) or math.isinf(self.b):
+            raise ValidationError(f"edge {self.id!r}: length must be >= 0 and finite")
+        if not (self.n > 0.0) or math.isinf(self.n):
+            raise ValidationError(f"edge {self.id!r}: exponent must be positive and finite")
+        if not (self.mu >= 0.0) or math.isinf(self.mu):
+            raise ValidationError(
+                f"edge {self.id!r}: improvement rate must be >= 0 and finite")
         if self.rigid and self.mu != 0.0:
             raise ValidationError(f"edge {self.id!r}: rigid edge must have mu = 0")
 
@@ -277,6 +278,8 @@ class Allocation:
         clean: dict[str, float] = {}
         for eid, v in dict(self.beta).items():
             v = float(v)
+            if not math.isfinite(v):
+                raise ValidationError(f"allocation on {eid!r} is not finite")
             if v < 0.0:
                 if v < -1e-12:
                     raise ValidationError(f"allocation on {eid!r} is negative")

@@ -30,7 +30,11 @@ additionally get an exact closed form: with effective conductances g_e the
 common delay over a used set S is (d + sum_S g_e b_e) / sum_S g_e, and the
 used set grows along links sorted by length until the delay fits under the
 next link's length.  Rigid links cap the delay at their length and absorb
-the residual flow.
+the residual flow.  The used-set scan is written once, in
+``parallel_links_delay_batch`` over rows of allocations, and a single
+allocation is a batch of one row.  ``dipole_delay_rows`` lays out links,
+or whole paths, for it: the parallel-paths optimizer and the grid oracle
+use the same scan.
 """
 
 from __future__ import annotations
@@ -58,8 +62,8 @@ __all__ = [
     "beckmann_potential",
     "solve_equilibrium",
     "solve_parallel_links_equilibrium",
-    "parallel_links_delay",
     "parallel_links_delay_batch",
+    "dipole_delay_rows",
     "dipole_links",
 ]
 
@@ -475,7 +479,6 @@ def _frank_wolfe(inst: Instance, beta: Allocation, tol: float,
     eidx = {e.id: t for t, e in enumerate(edges)}
     m = len(edges)
     ncom = len(inst.commodities)
-    g = np.array([effective_conductance(e, beta.get(e.id)) for e in edges])
 
     def delays_of(f):
         return {e.id: edge_delay(e, float(f[eidx[e.id]]), beta.get(e.id))
@@ -593,68 +596,45 @@ def dipole_links(inst: Instance) -> tuple[Edge, ...] | None:
     return None
 
 
-def parallel_links_delay(links, c_eff, d: float):
-    """Common delay and per-link flows for affine parallel links.
-
-    ``links`` is the edge sequence, ``c_eff`` the effective conductance per
-    link (ignored for rigid links).  Returns (L, flows list).
-    """
-    order = sorted(range(len(links)), key=lambda t: (links[t].b, links[t].id))
-    rigid_caps = [links[t].b for t in order if links[t].rigid]
-    cap = min(rigid_caps) if rigid_caps else math.inf
-    usable = [t for t in order if not links[t].rigid and c_eff[t] > 0.0]
-
-    flows = [0.0] * len(links)
-    if not usable:
-        if not rigid_caps:
-            raise Infeasible("no usable link")
-        L = cap
-    else:
-        num = d
-        den = 0.0
-        L = math.inf
-        for pos, t in enumerate(usable):
-            num += c_eff[t] * links[t].b
-            den += c_eff[t]
-            M = num / den
-            nxt = links[usable[pos + 1]].b if pos + 1 < len(usable) else math.inf
-            if M <= nxt + _BOUNDARY_TOL * max(1.0, abs(M)):
-                L = M
-                break
-        if L > cap:
-            L = cap
-    residual = d
-    for t in usable:
-        if links[t].b < L:
-            flows[t] = c_eff[t] * (L - links[t].b)
-            residual -= flows[t]
-    if residual > 1e-12 * max(1.0, d):
-        rigid_min = [t for t in order
-                     if links[t].rigid and links[t].b == cap]
-        if not rigid_min:
-            raise Infeasible("flow residual without a rigid link to absorb it")
-        share = residual / len(rigid_min)
-        for t in rigid_min:
-            flows[t] = share
-    return L, flows
-
-
 def parallel_links_delay_batch(c_eff: np.ndarray, b: np.ndarray, d: float,
                                cap: float = math.inf) -> np.ndarray:
-    """Vectorized dipole delay over allocation batches.
+    """Common delay of affine parallel links, one row per allocation.
 
     ``c_eff`` has shape (N, m) with columns sorted by ``b`` ascending and
-    rigid links removed; ``cap`` is the smallest rigid length if any.
+    rigid links removed; ``cap`` is the smallest rigid length if any.  The
+    used set grows along the columns until its delay fits under the next
+    length; zero-conductance columns carry no flow.  A row with no usable
+    column gets ``cap``, which is inf without rigid links.  A single
+    allocation is a batch of one row.
     """
+    if c_eff.shape[1] == 0:
+        return np.full(c_eff.shape[0], cap)
+    den = np.cumsum(c_eff, axis=1)
+    used = den > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        num = d + np.cumsum(c_eff * b, axis=1)
-        den = np.cumsum(c_eff, axis=1)
-        M = np.where(den > 0.0, num / den, np.inf)
+        M = np.where(used, (d + np.cumsum(c_eff * b, axis=1)) / den, np.inf)
     b_next = np.append(b[1:], np.inf)
-    ok = M <= b_next + _BOUNDARY_TOL * np.maximum(1.0, np.abs(M))
+    ok = used & (M <= b_next + _BOUNDARY_TOL * np.maximum(1.0, np.abs(M)))
     idx = np.argmax(ok, axis=1)
     L = M[np.arange(M.shape[0]), idx]
     return np.minimum(L, cap)
+
+
+def dipole_delay_rows(lengths, rigid, c_eff: np.ndarray, d: float) -> np.ndarray:
+    """Common delay of parallel affine links for each row of ``c_eff``.
+
+    ``lengths`` and ``rigid`` describe the links in any order; ``c_eff`` has
+    shape (N, links), and its entries for rigid links are ignored.  Puts the
+    links in the column layout of ``parallel_links_delay_batch``: rigid
+    links removed, the rest sorted by length (ties keep their order), and
+    the delay capped at the shortest rigid length.
+    """
+    order = sorted((t for t, r in enumerate(rigid) if not r),
+                   key=lambda t: lengths[t])
+    cap = min((b for b, r in zip(lengths, rigid) if r), default=math.inf)
+    return parallel_links_delay_batch(
+        c_eff[:, order], np.array([lengths[t] for t in order], dtype=float),
+        d, cap)
 
 
 def solve_parallel_links_equilibrium(links, beta: Allocation | None,
@@ -671,7 +651,23 @@ def solve_parallel_links_equilibrium(links, beta: Allocation | None,
             raise UnsupportedDelay(f"link {e.id!r} has exponent {e.n} != 1")
     beta = beta or Allocation()
     c_eff = [effective_conductance(e, beta.get(e.id)) for e in links]
-    L, flows = parallel_links_delay(links, c_eff, d)
+    L = float(dipole_delay_rows([e.b for e in links], [e.rigid for e in links],
+                                np.array([c_eff]), d)[0])
+    if math.isinf(L):
+        raise Infeasible("no usable link")
+    flows = [0.0] * len(links)
+    residual = d
+    for t, e in enumerate(links):
+        if not e.rigid and c_eff[t] > 0.0 and e.b < L:
+            flows[t] = c_eff[t] * (L - e.b)
+            residual -= flows[t]
+    if residual > 1e-12 * max(1.0, d):
+        # Flow is left over only when the shortest rigid length caps L.
+        rigid_min = [t for t, e in enumerate(links) if e.rigid and e.b == L]
+        if not rigid_min:
+            raise Infeasible("flow residual without a rigid link to absorb it")
+        for t in rigid_min:
+            flows[t] = residual / len(rigid_min)
     fmap = {e.id: flows[t] for t, e in enumerate(links) if flows[t] > 0.0}
     paths = tuple(((e.id,), flows[t]) for t, e in enumerate(links)
                   if flows[t] > 0.0)

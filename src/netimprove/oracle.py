@@ -20,18 +20,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from math import comb
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .core import Allocation, Instance
-from .equilibrium import (
-    dipole_links,
-    parallel_links_delay_batch,
-    solve_equilibrium,
-    solve_parallel_links_equilibrium,
-)
+from .equilibrium import dipole_delay_rows, dipole_links, solve_equilibrium
 from .errors import GridTooLarge, Infeasible, NotParallelPaths, UnsupportedDelay, ValidationError
 from .parallelpaths import as_parallel_paths
 
@@ -122,88 +118,62 @@ def _improvable_edges(inst: Instance, spec: GridSpec):
     return [e for e in inst.edges if e.improvable]
 
 
+def _closed_form(inst: Instance):
+    """The vectorized exact delay ``batch(improvable, betas)`` for affine
+    dipoles and affine parallel-path graphs, or None for anything else."""
+    if not all(e.affine for e in inst.edges):
+        return None
+    if dipole_links(inst) is not None:
+        return partial(_batch_dipole, inst)
+    if inst.single_commodity:
+        try:
+            return partial(_batch_paths, as_parallel_paths(inst))
+        except (NotParallelPaths, UnsupportedDelay):
+            pass
+    return None
+
+
 def evaluate_delay(inst: Instance, alloc: Allocation, tol: float = 1e-8) -> float:
     """Equilibrium average delay under ``alloc`` via the cheapest exact route."""
-    links = dipole_links(inst)
-    if links is not None and all(e.affine for e in links):
-        res = solve_parallel_links_equilibrium(
-            links, alloc, inst.commodities[0].demand)
-        return res.average_delay
-    if inst.single_commodity and all(e.affine for e in inst.edges):
-        try:
-            ppi = as_parallel_paths(inst)
-        except (NotParallelPaths, UnsupportedDelay):
-            ppi = None
-        if ppi is not None:
-            return _paths_delay_edge_level(ppi, alloc)
-    return solve_equilibrium(inst, alloc, tol=tol).average_delay
-
-
-def _paths_delay_edge_level(ppi, alloc: Allocation) -> float:
-    from .core import Edge
-    from .equilibrium import parallel_links_delay
-
-    links, c_eff = [], []
-    for t, p in enumerate(ppi.paths):
-        r = 0.0
-        for e in p.edges:
-            if e.rigid:
-                continue
-            g = e.c + e.mu * alloc.get(e.id)
-            r = math.inf if g == 0.0 else r + 1.0 / g
-        if r == 0.0:  # all edges rigid: constant-delay path
-            links.append(Edge(f"p{t}", ppi.source, ppi.sink, b=p.length, rigid=True))
-            c_eff.append(0.0)
-        else:
-            links.append(Edge(f"p{t}", ppi.source, ppi.sink, c=1.0, b=p.length))
-            c_eff.append(0.0 if math.isinf(r) else 1.0 / r)
-    L, _ = parallel_links_delay(links, c_eff, ppi.demand)
+    batch = _closed_form(inst)
+    if batch is None:
+        return solve_equilibrium(inst, alloc, tol=tol).average_delay
+    improvable = inst.improvable_edges()
+    L = float(batch(improvable,
+                    np.array([[alloc.get(e.id) for e in improvable]]))[0])
+    if math.isinf(L):
+        raise Infeasible("no usable path")
     return L
 
 
 def _batch_dipole(inst: Instance, improvable, betas: np.ndarray) -> np.ndarray:
     links = inst.edges
-    order = sorted((t for t, e in enumerate(links) if not e.rigid),
-                   key=lambda t: (links[t].b, links[t].id))
-    rigid = [e.b for e in links if e.rigid]
-    cap = min(rigid) if rigid else math.inf
-    b = np.array([links[t].b for t in order])
-    base = np.array([links[t].c for t in order])
-    c_eff = np.broadcast_to(base, (betas.shape[0], len(order))).copy()
-    col_of = {links[t].id: j for j, t in enumerate(order)}
+    pos = {e.id: t for t, e in enumerate(links)}
+    c_eff = np.tile([e.c for e in links], (betas.shape[0], 1))
     for j, e in enumerate(improvable):
-        c_eff[:, col_of[e.id]] += e.mu * betas[:, j]
-    return parallel_links_delay_batch(c_eff, b, inst.commodities[0].demand, cap)
+        c_eff[:, pos[e.id]] += e.mu * betas[:, j]
+    return dipole_delay_rows([e.b for e in links], [e.rigid for e in links],
+                             c_eff, inst.commodities[0].demand)
 
 
 def _batch_paths(ppi, improvable, betas: np.ndarray) -> np.ndarray:
-    n = betas.shape[0]
     beta_of = {e.id: betas[:, j] for j, e in enumerate(improvable)}
-    cps = []
-    caps = math.inf
-    lengths = []
-    for p in ppi.paths:
-        r = np.zeros(n)
-        rigid_only = True
+    # Dropped (permanently unusable) paths carry no flow at any grid point.
+    c_mat = np.zeros((betas.shape[0], len(ppi.paths)))
+    for col, p in enumerate(ppi.paths):
+        r = 0.0
         for e in p.edges:
             if e.rigid:
                 continue
-            rigid_only = False
             g = e.c + e.mu * beta_of.get(e.id, 0.0)
             with np.errstate(divide="ignore"):
                 r = r + np.where(g > 0.0, 1.0 / np.maximum(g, 1e-300), np.inf)
-        if rigid_only:
-            caps = min(caps, p.length)
-            continue
         with np.errstate(divide="ignore"):
-            cps.append(np.where(np.isfinite(r), 1.0 / np.maximum(r, 1e-300), 0.0))
-        lengths.append(p.length)
-    # Dropped (permanently unusable) paths carry no flow at any grid point.
-    if not cps:
-        return np.full(n, caps)
-    c_mat = np.column_stack(cps)
-    return parallel_links_delay_batch(c_mat, np.array(lengths),
-                                      ppi.demand, caps)
+            c_mat[:, col] = np.where(np.isfinite(r),
+                                     1.0 / np.maximum(r, 1e-300), 0.0)
+    return dipole_delay_rows([p.length for p in ppi.paths],
+                             [p.profile.all_rigid for p in ppi.paths],
+                             c_mat, ppi.demand)
 
 
 def grid_search(inst: Instance, spec: GridSpec, tol: float = 1e-8,
@@ -224,18 +194,7 @@ def grid_search(inst: Instance, spec: GridSpec, tol: float = 1e-8,
             f"grid needs {n_evals} evaluations (cap {spec.max_evals}); "
             f"try resolution <= {r_ok}")
 
-    affine = all(e.affine for e in inst.edges)
-    mode = "general"
-    ppi = None
-    if affine and dipole_links(inst) is not None:
-        mode = "dipole"
-    elif affine and inst.single_commodity:
-        try:
-            ppi = as_parallel_paths(inst)
-            mode = "paths"
-        except (NotParallelPaths, UnsupportedDelay):
-            pass
-
+    batch = _closed_form(inst)
     unit = inst.budget / R
     best_L = math.inf
     best_row: np.ndarray | None = None
@@ -243,10 +202,8 @@ def grid_search(inst: Instance, spec: GridSpec, tol: float = 1e-8,
     seen = 0
     for block in compositions(R, parts):
         betas = block[:, :-1].astype(np.float64) * unit
-        if mode == "dipole":
-            ls = _batch_dipole(inst, improvable, betas)
-        elif mode == "paths":
-            ls = _batch_paths(ppi, improvable, betas)
+        if batch is not None:
+            ls = batch(improvable, betas)
         else:
             ls = np.empty(len(betas))
             for r in range(len(betas)):

@@ -46,9 +46,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
+import numpy as np
+
 from .core import Allocation, Edge, Instance
-from .errors import NotParallelPaths, UnsupportedDelay, ValidationError
-from .equilibrium import parallel_links_delay
+from .errors import Infeasible, NotParallelPaths, UnsupportedDelay, ValidationError
+from .equilibrium import dipole_delay_rows
 
 __all__ = [
     "PathSpec",
@@ -550,17 +552,13 @@ def _group_ends(ppi: ParallelPathsInstance):
 
 def paths_delay(ppi: ParallelPathsInstance, path_budgets: Sequence[float]) -> float:
     """Equilibrium delay for given path budgets (used set by window scan)."""
-    links = []
-    c_eff = []
-    for t, p in enumerate(ppi.paths):
-        if p.profile.all_rigid:
-            links.append(Edge(f"p{t}", ppi.source, ppi.sink, c=0.0,
-                              b=p.length, rigid=True))
-            c_eff.append(0.0)
-        else:
-            links.append(Edge(f"p{t}", ppi.source, ppi.sink, c=1.0, b=p.length))
-            c_eff.append(p.profile.conductance(path_budgets[t]))
-    L, _ = parallel_links_delay(links, c_eff, ppi.demand)
+    paths = ppi.paths
+    c_eff = [p.profile.conductance(pb) for p, pb in zip(paths, path_budgets)]
+    L = float(dipole_delay_rows([p.length for p in paths],
+                                [p.profile.all_rigid for p in paths],
+                                np.array([c_eff]), ppi.demand)[0])
+    if math.isinf(L):
+        raise Infeasible("no usable path")
     return L
 
 
@@ -581,20 +579,19 @@ def best_single_edge_allocation(links: Sequence[Edge], budget: float,
     for e in links:
         if not e.affine:
             raise UnsupportedDelay(f"link {e.id!r} has exponent {e.n} != 1")
-    base = [e.c for e in links]
-    best_id = None
-    best_L = math.inf
-    for t, e in enumerate(links):
-        if e.rigid:
-            continue
-        c_eff = list(base)
-        c_eff[t] = e.c + e.mu * budget
-        L, _ = parallel_links_delay(links, c_eff, demand)
+    picks = [t for t, e in enumerate(links) if not e.rigid]
+    # Row r spends the budget on link picks[r]; with every link rigid, the
+    # single row spends nothing.
+    c_eff = np.tile([e.c for e in links], (max(len(picks), 1), 1))
+    for r, t in enumerate(picks):
+        c_eff[r, t] += links[t].mu * budget
+    ls = dipole_delay_rows([e.b for e in links], [e.rigid for e in links],
+                           c_eff, demand).tolist()
+    best_id, best_L = None, ls[0]
+    for L, t in zip(ls, picks):
         if best_id is None or L < best_L - 1e-15 * max(1.0, abs(best_L)):
-            best_L = L
-            best_id = e.id
-    if best_id is None:
-        L, _ = parallel_links_delay(links, base, demand)
-        return SingleEdgeResult(None, L, Allocation())
-    return SingleEdgeResult(best_id, best_L,
-                            Allocation({best_id: budget} if budget > 0 else {}))
+            best_id, best_L = links[t].id, L
+    if math.isinf(best_L):
+        raise Infeasible("no usable link")
+    spent = {best_id: budget} if best_id is not None and budget > 0 else {}
+    return SingleEdgeResult(best_id, best_L, Allocation(spent))

@@ -103,6 +103,16 @@ class TestSolve:
         assert proc.returncode == 2
         assert "error" in proc.stderr
 
+    def test_infinite_parameter_exit_2(self, tmp_path):
+        doc = json.loads(json.dumps(FIG2))
+        doc["edges"][0]["b"] = float("inf")
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(doc))  # written as the JSON literal Infinity
+        assert "Infinity" in path.read_text()
+        proc = run_cli("solve", "--alg", "copt", str(path), check=False)
+        assert proc.returncode == 2
+        assert "length" in proc.stderr
+
     def test_deterministic_stdout(self, fig2_file):
         a = run_cli("solve", "--alg", "oracle", "--resolution", "12", fig2_file)
         b = run_cli("solve", "--alg", "oracle", "--resolution", "12", fig2_file)

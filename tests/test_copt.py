@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from netimprove.core import Allocation, Commodity, Edge, Instance
@@ -166,3 +167,49 @@ class TestSolveCopt:
             eq = evaluate_delay(inst, res.allocation)
             oracle = grid_search(inst, GridSpec(resolution=60))
             assert eq <= (4.0 / 3.0) * oracle.delay + 1e-6
+
+
+def test_kernel_matches_central_differences(rng):
+    # Two commodities share the edges into t; "at1" is rigid, "sa" and
+    # "at2" have n = 2 and "at3" cannot be improved.
+    from netimprove.copt import _Relaxation
+
+    for _ in range(8):
+        u = lambda lo, hi: float(rng.uniform(lo, hi))  # noqa: E731
+        edges = (
+            Edge("sa", "s", "a", c=u(0.3, 2), b=u(0, 1), n=2.0, mu=u(0.2, 2)),
+            Edge("st", "s", "t", c=u(0.3, 2), b=u(0, 1), n=1.0, mu=u(0.2, 2)),
+            Edge("at1", "a", "t", b=u(0, 2), rigid=True),
+            Edge("at2", "a", "t", c=u(0.3, 2), b=u(0, 1), n=2.0, mu=u(0.2, 2)),
+            Edge("at3", "a", "t", c=u(0.3, 2), b=u(0, 1), n=1.0),
+        )
+        inst = Instance(nodes=("s", "a", "t"), edges=edges,
+                        commodities=(Commodity("s", "t", 1.0),
+                                     Commodity("a", "t", 2.0)),
+                        budget=2.0)
+        kern = _Relaxation(inst)
+        assert (kern.ncom, kern.m, kern.p) == (2, 5, 3)
+        funded = [edges[t].id for t in kern.imp]
+
+        def f(z):
+            x, beta = kern.split(z)
+            return relaxed_total_delay(inst, dict(zip(kern.ids, x.sum(axis=0))),
+                                       Allocation(dict(zip(funded, beta))))
+
+        z = np.concatenate([rng.uniform(0.2, 1.5, size=kern.nm),
+                            rng.uniform(0.2, 1.0, size=kern.p)])
+        val, grad = kern.stacked_value_grad(z)
+        assert val == pytest.approx(f(z), rel=1e-12)
+        h = 1e-6
+        fd_grad = [(f(z + h * e) - f(z - h * e)) / (2 * h)
+                   for e in np.eye(kern.dim)]
+        np.testing.assert_allclose(grad, fd_grad, rtol=1e-6, atol=1e-7)
+
+        H = kern.hessian(*kern.split(z))
+        h = 1e-4
+        steps = h * np.eye(kern.dim)
+        fd_hess = np.array([[(f(z + a + b) - f(z + a - b) - f(z - a + b)
+                              + f(z - a - b)) / (4 * h * h)
+                             for b in steps] for a in steps])
+        np.testing.assert_allclose(H, fd_hess, rtol=1e-5,
+                                   atol=1e-5 * np.abs(H).max())

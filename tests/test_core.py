@@ -87,6 +87,15 @@ class TestParseInstance:
             with pytest.raises(ValidationError):
                 Edge("e", "s", "t", **kw)
 
+    def test_non_finite_parameters_rejected(self):
+        hints = {"c": "conductance", "b": "length", "n": "exponent",
+                 "mu": "improvement rate"}
+        for name, hint in hints.items():
+            for bad in (math.inf, math.nan):
+                kw = {"c": 1.0, "b": 0.0, "n": 1.0, "mu": 1.0, name: bad}
+                with pytest.raises(ValidationError, match=hint):
+                    Edge("e", "s", "t", **kw)
+
     def test_dead_end_edge_rejected(self):
         with pytest.raises(ValidationError, match="not on any source-sink"):
             Instance(
@@ -246,3 +255,8 @@ class TestAllocation:
     def test_unknown_edge_rejected(self, fig2):
         with pytest.raises(ValidationError, match="unknown edge"):
             Allocation({"zz": 0.5}).validate_for(fig2)
+
+    def test_non_finite_rejected(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValidationError, match="not finite"):
+                Allocation({"e1": bad})

@@ -10,6 +10,7 @@ from netimprove.equilibrium import (
     solve_parallel_links_equilibrium,
 )
 from netimprove.errors import Infeasible, UnsupportedDelay
+from netimprove.oracle import evaluate_delay
 
 from conftest import make_dipole
 
@@ -275,3 +276,61 @@ def test_wardrop_pairwise_condition(rng):
             if res.flow.get(e.id) > 1e-9:
                 assert d_e <= L + 1e-8 * max(1.0, L)
             assert d_e >= L - 1e-8 * max(1.0, L) or res.flow.get(e.id) <= 1e-9
+
+
+def _closed_forms(inst, alloc):
+    """Dipole delay from the closed form's three entry points."""
+    d = inst.commodities[0].demand
+    links = inst.edges
+    order = sorted((t for t, e in enumerate(links) if not e.rigid),
+                   key=lambda t: links[t].b)
+    cap = min((e.b for e in links if e.rigid), default=np.inf)
+    row = [[links[t].c + links[t].mu * alloc.get(links[t].id) for t in order]]
+    batch = parallel_links_delay_batch(
+        np.array(row), np.array([links[t].b for t in order]), d, cap)[0]
+    closed = solve_parallel_links_equilibrium(links, alloc, d)
+    assert sum(closed.flow.edge_flow.values()) == pytest.approx(d, rel=1e-12)
+    return closed.average_delay, evaluate_delay(inst, alloc), batch
+
+
+@pytest.mark.parametrize("with_rigid", [False, True])
+def test_zero_conductance_links_between_usable_links(rng, with_rigid):
+    # Links with no conductance carry no flow wherever they fall in length
+    # order, including first; the used-set scan must step over them.
+    for _ in range(40):
+        m = int(rng.integers(3, 7))
+        params = []
+        for t in range(m):
+            dead = t % 2 == 0 or rng.random() < 0.3
+            params.append((0.0 if dead else rng.uniform(0.1, 3),
+                           rng.uniform(0, 3), rng.uniform(0.5, 2)))
+        if with_rigid:
+            params.append((0.0, rng.uniform(0.5, 4), 0.0, True))
+        if all(p[0] == 0.0 for p in params if len(p) == 3) and not with_rigid:
+            params[1] = (1.0,) + params[1][1:]
+        inst = make_dipole(params, demand=float(rng.uniform(0.5, 8)),
+                           budget=1.0)
+        # Budget only on links that already conduct, so the dead ones stay
+        # dead; every few cases one dead link is revived instead.
+        beta = {e.id: 0.5 for e in inst.edges if e.c > 0.0 and e.improvable}
+        if rng.random() < 0.25:
+            dead = [e.id for e in inst.edges if e.c == 0.0 and not e.rigid]
+            beta = {dead[0]: 0.5}
+        alloc = Allocation({k: v / len(beta) for k, v in beta.items()})
+        general = solve_equilibrium(inst, alloc, tol=1e-10).average_delay
+        for value in _closed_forms(inst, alloc):
+            assert value == pytest.approx(general, rel=1e-8, abs=1e-10)
+
+
+def test_dipole_without_usable_or_rigid_link_is_infeasible():
+    inst = make_dipole([(0.0, 1.0, 1.0), (0.0, 0.5, 0.0)], demand=1.0,
+                       budget=1.0)
+    d = inst.commodities[0].demand
+    with pytest.raises(Infeasible):
+        solve_parallel_links_equilibrium(inst.edges, None, d)
+    with pytest.raises(Infeasible):
+        evaluate_delay(inst, Allocation())
+    with pytest.raises(Infeasible):
+        solve_equilibrium(inst, Allocation())
+    ls = parallel_links_delay_batch(np.zeros((1, 2)), np.array([0.5, 1.0]), d)
+    assert ls[0] == np.inf
