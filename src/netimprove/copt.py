@@ -15,18 +15,21 @@ with a linear-minimization oracle applies:
 * budget block: the gradient in beta is nonpositive, so the best vertex
   drops the entire budget on the steepest edge (or spends nothing).
 
-Frank-Wolfe with bisection line search drives the relative duality gap
-down, and a trust-region polish over the same constraints finishes the job
-when very tight gaps are requested; the reported certificate is always the
-exact Frank-Wolfe gap at the returned point.  The returned allocation
+Frank-Wolfe with the exact step drives the relative duality gap down: the
+objective along a Frank-Wolfe segment is a sum of one-dimensional convex
+edge terms, whose first and second derivatives in the step size come in
+closed form, and a safeguarded Newton iteration finds the step's root.  A
+trust-region polish over the same constraints finishes the job when very
+tight gaps are requested; the reported certificate is always the exact
+Frank-Wolfe gap at the returned point.  The returned allocation
 carries the standard price-of-anarchy guarantee for the equilibrium played
 under it: factor 4/3 when every delay is affine, O(p / log p) for maximum
 exponent p otherwise (reported as metadata, not numerically certified).
 
 One kernel, built once per solve from the instance's edge arrays, gives the
 value, gradient and dense Hessian of the summed edge terms to every phase:
-the Frank-Wolfe loop and its linearized lower bound, the polish and the KKT
-refinement.
+the Frank-Wolfe loop, its step and its linearized lower bound, the polish
+and the KKT refinement.
 
 Exponents below one break the relaxation's smoothness at zero flow; such
 instances are solved with Frank-Wolfe only, after a warning.
@@ -41,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Allocation, FlowState, Instance, edge_delay
-from .equilibrium import _shortest_path
+from .equilibrium import _exact_step, _shortest_path
 from .errors import Infeasible, ValidationError
 
 __all__ = [
@@ -161,6 +164,38 @@ class _Relaxation:
         val, gx, gb = self.value_grad(*self.split(z))
         return val, np.concatenate([np.tile(gx, self.ncom), gb])
 
+    def segment(self, x: np.ndarray, beta: np.ndarray, dx: np.ndarray,
+                dbeta: np.ndarray):
+        """Derivatives in gamma of the objective at (x + gamma dx,
+        beta + gamma dbeta), as a function of gamma.
+
+        With r = x / g on an edge, the term's first derivative is
+        ((n+1) r^n + b) dx - n r^(n+1) dg and its second the perfect square
+        n (n+1) r^(n-1) (dx - r dg)^2 / g.  Rigid edges, and edges whose
+        flow and conductance do not move, add only the constant b dx.
+        """
+        xt = x.sum(axis=0)
+        dxt = dx.sum(axis=0)
+        g = self.conductance(beta)
+        dg = np.zeros(self.m)
+        dg[self.imp] = self.mu * dbeta
+        lin = float(self.b @ dxt)
+        s = np.flatnonzero(np.isfinite(g) & ((dxt != 0.0) | (dg != 0.0)))
+        xs, dxs, gs, dgs, n = xt[s], dxt[s], g[s], dg[s], self.n[s]
+        n1dx = (n + 1.0) * dxs
+        nn1 = n * (n + 1.0)
+        nm1 = n - 1.0
+
+        def derivs(gamma: float) -> tuple[float, float]:
+            gg = np.maximum(gs + gamma * dgs, _G_PAD)
+            r = (xs + gamma * dxs) / gg
+            rdg = r * dgs
+            d1 = lin + float(_pow(r, n) @ (n1dx - n * rdg))
+            w = dxs - rdg
+            d2 = float((nn1 * _pow(r, nm1) / gg) @ (w * w))
+            return d1, d2
+        return derivs
+
     def hessian(self, x: np.ndarray, beta: np.ndarray) -> np.ndarray:
         """Dense Hessian in the stacked variables, from its blocks.
 
@@ -189,7 +224,9 @@ class _Relaxation:
 
 # At the zero-conductance corner the 1e-300 pad can make the edge terms
 # overflow; inf is the intended value there, so the warning is silenced.
-@np.errstate(over="ignore")
+# The step's curvature is inf (0 ** negative) at zero flow when n < 1, and
+# nan where such an edge meets a zero direction; the step then bisects.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def solve_copt(inst: Instance, tol: float = 1e-8, fw_iters: int = 2000,
                polish: bool = True) -> CoptResult:
     """Solve the relaxation to relative duality gap ``tol``.
@@ -256,24 +293,8 @@ def solve_copt(inst: Instance, tol: float = 1e-8, fw_iters: int = 2000,
         if gap_rel <= tol:
             break
         dx = y - x
-        dxt = dx.sum(axis=0)
         dbeta = bvert - beta
-
-        def slope(gamma: float) -> float:
-            _, gxs, gbs = kern.value_grad(x + gamma * dx, beta + gamma * dbeta)
-            return float(gxs @ dxt) + float(gbs @ dbeta)
-
-        if slope(1.0) <= 0.0:
-            gamma = 1.0
-        else:
-            lo, hi = 0.0, 1.0
-            for _ in range(70):
-                mid = 0.5 * (lo + hi)
-                if slope(mid) > 0.0:
-                    hi = mid
-                else:
-                    lo = mid
-            gamma = 0.5 * (lo + hi)
+        gamma = _exact_step(kern.segment(x, beta, dx, dbeta))
         x = x + gamma * dx
         beta = beta + gamma * dbeta
 
@@ -298,7 +319,12 @@ def solve_copt(inst: Instance, tol: float = 1e-8, fw_iters: int = 2000,
                 refined = _kkt_refine(kern, xx, bb, freeze=freeze)
                 if refined is not None:
                     rx, rb = refined
-                    if kern.value_grad(rx, rb)[0] <= kern.value_grad(xx, bb)[0]:
+                    # The objective is a sum of nonnegative terms, so its
+                    # rounding error is a few ulps of its value: a refined
+                    # point that ties within that is kept, rather than
+                    # letting the last bit pick between the two.
+                    held = kern.value_grad(xx, bb)[0]
+                    if kern.value_grad(rx, rb)[0] <= held + 1e-15 * held:
                         xx, bb = rx, rb
             val2, *_, lower2 = linearize(xx, bb)
             best_lower = max(best_lower, lower2)

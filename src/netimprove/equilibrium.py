@@ -16,10 +16,11 @@ the minimization:
 
 * Frank-Wolfe on edge flows, used when path enumeration exceeds its cap.
   The linear subproblem is a nonnegative-delay shortest path per commodity
-  and the step size comes from bisection on the univariate convex step
-  objective.  Its duality gap converges like O(1/k), so very tight
-  tolerances are out of reach; a warning is issued if the iteration cap is
-  hit first.
+  and the step size is the exact minimizer of the univariate convex step
+  objective, found by safeguarded Newton on its derivative
+  (``_exact_step``, which the relaxation in ``copt`` shares).  Its duality
+  gap converges like O(1/k), so very tight tolerances are out of reach; a
+  warning is issued if the iteration cap is hit first.
 
 Either way the returned certificate is the relative duality gap
 (Phi(f) - linearized lower bound) / Phi(f), and used-path delays per
@@ -93,11 +94,16 @@ def beckmann_potential(flow: FlowState | dict, beta: Allocation | None,
     beta = beta or Allocation()
     fmap = flow.edge_flow if isinstance(flow, FlowState) else flow
     total = 0.0
-    for e in inst.edges:
-        x = fmap.get(e.id, 0.0)
-        if x < 0:
-            raise ValidationError(f"negative flow on edge {e.id!r}")
-        total += edge_delay_integral(e, x, beta.get(e.id))
+    try:
+        for e in inst.edges:
+            x = fmap.get(e.id, 0.0)
+            if x < 0:
+                raise ValidationError(f"negative flow on edge {e.id!r}")
+            total += edge_delay_integral(e, x, beta.get(e.id))
+    except OverflowError:
+        raise ValidationError(
+            f"potential overflows on edge {e.id!r}: flow {x:.3e} is too "
+            "large") from None
     return total
 
 
@@ -473,6 +479,51 @@ def _finish(inst: Instance, prob: _PathProblem, x: np.ndarray,
 # Frank-Wolfe engine
 
 
+_STEP_EVALS = 70  # as many derivative evaluations as bisection to 2^-70
+
+
+def _exact_step(derivs) -> float:
+    """Minimizer over [0, 1] of a convex step objective phi.
+
+    ``derivs(gamma)`` returns (phi'(gamma), phi''(gamma)).  phi'(1) <= 0
+    gives the full step.  Otherwise a bracket [lo, hi] with phi'(lo) < 0 <
+    phi'(hi) is kept from gamma = 0 on; Newton's step is taken when it lands
+    inside the bracket and phi'' is finite and positive, and the bracket is
+    bisected when not (an exponent below one at zero flow has infinite
+    curvature).  It stops at a step below 1e-15 relative, a bracket below
+    1e-15 relative plus 1e-18 (where rounding noise in phi' would only make
+    Newton chatter), or after ``_STEP_EVALS`` evaluations in all.
+    """
+    if derivs(1.0)[0] <= 0.0:
+        return 1.0
+    lo, hi, gamma = 0.0, 1.0, 0.0
+    for _ in range(_STEP_EVALS - 1):
+        d1, d2 = derivs(gamma)
+        if d1 > 0.0:
+            hi = gamma
+        else:
+            lo = gamma
+        step = -d1 / d2 if 0.0 < d2 < math.inf else math.nan
+        if abs(step) <= 1e-15 * gamma:
+            return gamma + step
+        if hi - lo <= 1e-15 * hi + 1e-18:
+            return gamma
+        gamma += step
+        if not lo < gamma < hi:
+            gamma = 0.5 * (lo + hi)
+    return gamma
+
+
+def _delay_derivative(e: Edge, x: float, beta: float) -> float:
+    """d delay / dx of a usable edge at flow ``x`` >= 0."""
+    if e.rigid:
+        return 0.0
+    if x == 0.0 and e.n < 1.0:
+        return math.inf
+    g = effective_conductance(e, beta)
+    return e.n * (x / g) ** (e.n - 1.0) / g
+
+
 def _frank_wolfe(inst: Instance, beta: Allocation, tol: float,
                  max_iters: int) -> EquilibriumResult:
     edges = inst.edges
@@ -514,24 +565,19 @@ def _frank_wolfe(inst: Instance, beta: Allocation, tol: float,
         if rel_gap <= tol:
             break
         delta = ytot - f
-        lo, hi = 0.0, 1.0
+        moving = [(t, e, beta.get(e.id)) for t, e in enumerate(edges)
+                  if delta[t] != 0.0]
 
-        def slope(gamma):
+        def derivs(gamma):
             fg = f + gamma * delta
-            return float(sum(
-                edge_delay(e, max(fg[t], 0.0), beta.get(e.id)) * delta[t]
-                for t, e in enumerate(edges) if delta[t] != 0.0))
+            d1 = d2 = 0.0
+            for t, e, be in moving:
+                x = max(float(fg[t]), 0.0)
+                d1 += edge_delay(e, x, be) * delta[t]
+                d2 += _delay_derivative(e, x, be) * delta[t] ** 2
+            return d1, d2
 
-        if slope(1.0) <= 0.0:
-            gamma = 1.0
-        else:
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if slope(mid) > 0.0:
-                    hi = mid
-                else:
-                    lo = mid
-            gamma = 0.5 * (lo + hi)
+        gamma = _exact_step(derivs)
         fi = fi + gamma * (y - fi)
         f = fi.sum(axis=0)
     else:

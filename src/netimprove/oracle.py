@@ -138,6 +138,9 @@ def evaluate_delay(inst: Instance, alloc: Allocation, tol: float = 1e-8) -> floa
     batch = _closed_form(inst)
     if batch is None:
         return solve_equilibrium(inst, alloc, tol=tol).average_delay
+    # The closed forms are defined past the budget, and a slope bound may
+    # probe one grid step beyond it, so only the edges are checked here.
+    alloc.validate_for(inst, tol=math.inf)
     improvable = inst.improvable_edges()
     L = float(batch(improvable,
                     np.array([[alloc.get(e.id) for e in improvable]]))[0])
@@ -210,7 +213,8 @@ def grid_search(inst: Instance, spec: GridSpec, tol: float = 1e-8,
                 alloc = Allocation({e.id: betas[r, j]
                                     for j, e in enumerate(improvable)})
                 try:
-                    ls[r] = evaluate_delay(inst, alloc, tol)
+                    ls[r] = solve_equilibrium(inst, alloc,
+                                              tol=tol).average_delay
                 except Infeasible:
                     ls[r] = math.inf
         seen += len(betas)

@@ -113,6 +113,17 @@ class TestSolve:
         assert proc.returncode == 2
         assert "length" in proc.stderr
 
+    @pytest.mark.parametrize("alg", ["copt", "fptas"])
+    def test_huge_demand_exit_2(self, tmp_path, alg):
+        doc = json.loads(json.dumps(FIG2))
+        doc["commodities"][0]["demand"] = 1e300
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        proc = run_cli("solve", "--alg", alg, str(path), check=False)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "'e2'" in proc.stderr
+
     def test_deterministic_stdout(self, fig2_file):
         a = run_cli("solve", "--alg", "oracle", "--resolution", "12", fig2_file)
         b = run_cli("solve", "--alg", "oracle", "--resolution", "12", fig2_file)

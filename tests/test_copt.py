@@ -213,3 +213,74 @@ def test_kernel_matches_central_differences(rng):
                              for b in steps] for a in steps])
         np.testing.assert_allclose(H, fd_hess, rtol=1e-5,
                                    atol=1e-5 * np.abs(H).max())
+
+
+def test_exact_step_matches_bisection(rng):
+    # Segments of a two-commodity instance with a rigid edge ("at1"), n = 2
+    # edges ("sa", "at2"), an n = 0.5 edge ("st", infinite curvature at zero
+    # flow, where the step bisects) and an improvable edge with c = 0
+    # ("at4"), whose conductance reaches zero at gamma = 1 when the budget
+    # vertex funds another edge.
+    from netimprove.copt import _Relaxation
+    from netimprove.equilibrium import _exact_step
+
+    u = lambda lo, hi: float(rng.uniform(lo, hi))  # noqa: E731
+    edges = (
+        Edge("sa", "s", "a", c=u(0.3, 2), b=u(0, 1), n=2.0, mu=u(0.2, 2)),
+        Edge("st", "s", "t", c=u(0.3, 2), b=u(0, 1), n=0.5, mu=u(0.2, 2)),
+        Edge("at1", "a", "t", b=u(0, 2), rigid=True),
+        Edge("at2", "a", "t", c=u(0.3, 2), b=u(0, 1), n=2.0, mu=u(0.2, 2)),
+        Edge("at4", "a", "t", c=0.0, b=u(0, 1), n=1.0, mu=u(0.2, 2)),
+    )
+    inst = Instance(nodes=("s", "a", "t"), edges=edges,
+                    commodities=(Commodity("s", "t", 1.0),
+                                 Commodity("a", "t", 2.0)),
+                    budget=2.0)
+    kern = _Relaxation(inst)
+    st, at4 = kern.col["st"], kern.col["at4"]
+    at4_funded = list(kern.imp).index(at4)
+
+    def bisect(slope):
+        if slope(1.0) <= 0.0:
+            return 1.0
+        lo, hi = 0.0, 1.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if slope(mid) > 0.0:
+                hi = mid
+            else:
+                lo = mid
+        return 0.5 * (lo + hi)
+
+    fallback = corner = 0
+    for trial in range(60):
+        x = rng.uniform(0.0, 1.5, (2, 5)) * (rng.random((2, 5)) < 0.7)
+        if trial % 3 == 0:
+            x[:, st] = 0.0
+        y = rng.uniform(0.0, 1.5, (2, 5)) * (rng.random((2, 5)) < 0.7)
+        beta = rng.uniform(0.1, 0.6, kern.p)
+        bvert = np.zeros(kern.p)
+        bvert[rng.integers(kern.p)] = inst.budget
+        dx, dbeta = y - x, bvert - beta
+
+        def slope(gamma):
+            _, gx, gb = kern.value_grad(x + gamma * dx, beta + gamma * dbeta)
+            return float(gx @ dx.sum(axis=0)) + float(gb @ dbeta)
+
+        derivs = kern.segment(x, beta, dx, dbeta)
+        calls = []
+
+        def counted(gamma):
+            calls.append(gamma)
+            return derivs(gamma)
+
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            gamma = _exact_step(counted)
+            expected = bisect(slope)
+            fallback += (x[:, st].sum() == 0.0 < y[:, st].sum()
+                         and derivs(0.0)[1] == np.inf and 0.0 < expected < 1.0)
+            corner += (bvert[at4_funded] == 0.0 < y[:, at4].sum()
+                       and 0.0 < expected < 1.0)
+        assert abs(gamma - expected) <= 1e-12
+        assert len(calls) <= 70
+    assert fallback and corner

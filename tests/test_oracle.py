@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from netimprove.core import Allocation, Commodity, Edge, Instance
-from netimprove.errors import GridTooLarge
+from netimprove.equilibrium import solve_equilibrium
+from netimprove.errors import GridTooLarge, ValidationError
 from netimprove.oracle import (
     GridSpec,
     compositions,
@@ -91,6 +92,25 @@ class TestGridSearch:
         res = grid_search(wheatstone, GridSpec(resolution=20))
         assert res.delay == pytest.approx(1.5, abs=1e-9)
         assert res.allocation.total() == 0.0
+
+
+class TestEvaluateDelay:
+    def test_closed_form_routes_validate_the_edges(self, fig2, pigou):
+        # fig2 and pigou take the dipole closed form, the chain the
+        # parallel-paths one; each rejects what the general solver rejects.
+        chain = Instance(
+            nodes=("s", "m", "t"),
+            edges=(Edge("e1a", "s", "m", c=0.1, b=45.0, mu=1.0),
+                   Edge("e1b", "m", "t", c=0.1, b=45.0, mu=1.0),
+                   Edge("e2", "s", "t", c=0.2, b=0.0, mu=0.1)),
+            commodities=fig2.commodities, budget=3.0)
+        unknown = Allocation({"e2": 1.0, "zz": 1.0})
+        for inst, alloc in ((fig2, unknown), (chain, unknown),
+                            (pigou, Allocation({"e2": 0.5}))):
+            with pytest.raises(ValidationError):
+                solve_equilibrium(inst, alloc)
+            with pytest.raises(ValidationError):
+                evaluate_delay(inst, alloc)
 
 
 class TestSweep:
