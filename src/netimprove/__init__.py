@@ -37,6 +37,7 @@ from .errors import (
     NetimproveError,
     NotParallelPaths,
     NotSeriesParallel,
+    PathCapExceeded,
     UnsupportedDelay,
     ValidationError,
 )

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
 
-from .errors import ValidationError
+from .errors import PathCapExceeded, ValidationError
 
 __all__ = [
     "Edge",
@@ -175,14 +175,20 @@ class Instance:
     def simple_paths(self, source: str, sink: str, cap: int | None = None) -> tuple[tuple[str, ...], ...]:
         """All simple source-sink paths as tuples of edge ids, sorted.
 
-        Returns at most ``cap`` paths; raises ValidationError if the cap is
-        exceeded (callers that tolerate truncation should catch it).
+        Returns at most ``cap`` paths; raises PathCapExceeded (a
+        ValidationError) if the cap is exceeded (callers that tolerate
+        truncation should catch it).
         """
         key = (source, sink)
         cache = self._path_cache
         if key not in cache:
             cache[key] = _enumerate_simple_paths(self, source, sink, cap)
-        return cache[key]
+        paths = cache[key]
+        if cap is not None and len(paths) > cap:
+            # Cached by an earlier call with a larger cap or none.
+            raise PathCapExceeded(
+                f"more than {cap} simple {source}-{sink} paths")
+        return paths
 
     @cached_property
     def _path_cache(self) -> dict:
@@ -198,7 +204,7 @@ def _enumerate_simple_paths(inst, source, sink, cap):
         if u == sink:
             paths.append(tuple(stack))
             if cap is not None and len(paths) > cap:
-                raise ValidationError(
+                raise PathCapExceeded(
                     f"more than {cap} simple {source}-{sink} paths")
             return
         for e in inst.out_edges[u]:

@@ -56,7 +56,8 @@ from .core import (
     edge_delay_integral,
     effective_conductance,
 )
-from .errors import Infeasible, UnsupportedDelay, ValidationError
+from .errors import (Infeasible, PathCapExceeded, UnsupportedDelay,
+                     ValidationError)
 
 __all__ = [
     "EquilibriumResult",
@@ -94,16 +95,19 @@ def beckmann_potential(flow: FlowState | dict, beta: Allocation | None,
     beta = beta or Allocation()
     fmap = flow.edge_flow if isinstance(flow, FlowState) else flow
     total = 0.0
-    try:
-        for e in inst.edges:
-            x = fmap.get(e.id, 0.0)
-            if x < 0:
-                raise ValidationError(f"negative flow on edge {e.id!r}")
+    overflows = []
+    for e in inst.edges:
+        x = fmap.get(e.id, 0.0)
+        if x < 0:
+            raise ValidationError(f"negative flow on edge {e.id!r}")
+        try:
             total += edge_delay_integral(e, x, beta.get(e.id))
-    except OverflowError:
+        except OverflowError:
+            overflows.append(f"{e.id!r} (flow {x:.3e})")
+    if overflows:
         raise ValidationError(
-            f"potential overflows on edge {e.id!r}: flow {x:.3e} is too "
-            "large") from None
+            f"potential overflows on edge {', '.join(overflows)}: flow is "
+            "too large")
     return total
 
 
@@ -622,7 +626,7 @@ def solve_equilibrium(inst: Instance, beta: Allocation | None = None,
     if method in ("auto", "paths"):
         try:
             return _solve_paths(inst, beta, tol, path_cap, start)
-        except ValidationError:
+        except PathCapExceeded:
             if method == "paths":
                 raise
     return _frank_wolfe(inst, beta, tol, max_iters)

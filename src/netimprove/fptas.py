@@ -14,15 +14,24 @@ reconstructed allocation, because on series-parallel graphs the equilibrium
 minimizes the maximum used-path delay among flows of the same value.  That
 inequality is the certificate reported with every solve.
 
+Every row D(H, k, .) starts at 0 and is nondecreasing in flow (leaf rows
+are made so explicitly; both combines preserve it).  For two such rows a
+and b, min_v max(a[v], b[l-v]) is entry l+1 (0-based) of the sorted union
+of a and b.  The parallel combine therefore sorts, for each budget k, the
+k+1 merged row pairs (A[u], B[k-u]) in one numpy pass and takes the least
+entry per column: O(K^3 log K) per parallel node in K+1 passes, with the
+literal recursion's first-(u, v) tie-break and the same floats.  The
+series combine is one (k+1, K+1) sum and argmin per budget k.
+
 Grid sizing follows eps = eps' / (6 * nu) with nu the largest delay
-exponent (floored at 1) and K = ceil(m^2 / eps^2); K is capped, since the
-literal parallel recursion costs O(K^2) per table entry.  When the cap
-binds, the solve can either fail with the smallest feasible eps' or clamp K
-and report the weaker factor implied by the coarser grid.  The certified
-factor is always the assumption-free squared bound (1 + eps'_eff)^2; the
-plain (1 + eps'_eff) bound would additionally require every edge of the
-optimal allocation to exceed a grid-unit floor, which is unverifiable, so
-it is surfaced as metadata only.
+exponent (floored at 1) and K = ceil(m^2 / eps^2); K is capped, since
+tables take O(K^2) memory per node and the combines grow with K^3.  When
+the cap binds, the solve can either fail with the smallest feasible eps' or
+clamp K and report the weaker factor implied by the coarser grid.  The
+certified factor is always the assumption-free squared bound
+(1 + eps'_eff)^2; the plain (1 + eps'_eff) bound would additionally require
+every edge of the optimal allocation to exceed a grid-unit floor, which is
+unverifiable, so it is surfaced as metadata only.
 
 Tables for the root node are skipped when only its (K, K) entry is needed
 and the grid is large; leaf children are then evaluated row by row, which
@@ -140,45 +149,63 @@ def _leaf_values(edge: Edge, k_budget: np.ndarray, flows: np.ndarray) -> np.ndar
                              np.inf)
             out = ratio ** edge.n + edge.b
     out[:, 0] = 0.0
-    return out
+    # The parallel combine needs rows nondecreasing in flow; this guards
+    # against a last-bit dip of the power and is a no-op otherwise.
+    return np.maximum.accumulate(out, axis=1)
 
 
 def _series_combine(A: np.ndarray, B: np.ndarray):
+    """D[k, l] = min_u A[u, l] + B[k-u, l], first u on ties."""
     K = A.shape[0] - 1
     values = np.empty_like(A)
-    arg_u = np.zeros(A.shape, dtype=np.int32)
-    for l in range(K + 1):
-        a = A[:, l]
-        b = B[:, l]
-        for k in range(K + 1):
-            cand = a[:k + 1] + b[k::-1]
-            u = int(np.argmin(cand))
-            values[k, l] = cand[u]
-            arg_u[k, l] = u
+    arg_u = np.empty(A.shape, dtype=np.int32)
+    cols = np.arange(K + 1)
+    cand = np.empty_like(A)
+    for k in range(K + 1):
+        c = np.add(A[:k + 1], B[k::-1], out=cand[:k + 1])
+        u = np.argmin(c, axis=0)
+        values[k] = c[u, cols]
+        arg_u[k] = u
     values[:, 0] = 0.0
     return values, arg_u
 
 
 def _parallel_combine(A: np.ndarray, B: np.ndarray):
+    """D[k, l] = min_{u,v} max(A[u, v], B[k-u, l-v]), first (u, v) on ties.
+
+    Rows of both tables are nondecreasing in flow and start at 0, so for
+    fixed u the inner min over v is entry l+1 of the sorted union of A[u]
+    and B[k-u]; the first v attaining it is l+1 minus the count of B[k-u]
+    entries at or below the value, floored at 0.
+    """
     K = A.shape[0] - 1
     values = np.empty_like(A)
-    arg_u = np.zeros(A.shape, dtype=np.int32)
-    arg_v = np.zeros(A.shape, dtype=np.int32)
+    arg_u = np.empty(A.shape, dtype=np.int32)
+    arg_v = np.empty(A.shape, dtype=np.int32)
+    rank = np.arange(1, K + 2)            # sorted-union entry l+1 for flow l
+    merged = np.empty((K + 1, 2 * K + 2), dtype=A.dtype)
     for k in range(K + 1):
-        a = A[:k + 1]
-        b_rev = B[k::-1]
-        for l in range(K + 1):
-            cand = np.maximum(a[:, :l + 1], b_rev[:, l::-1])
-            flat = int(np.argmin(cand))
-            u, v = divmod(flat, l + 1)
-            values[k, l] = cand[u, v]
-            arg_u[k, l] = u
-            arg_v[k, l] = v
+        block = merged[:k + 1]
+        block[:, :K + 1] = A[:k + 1]
+        block[:, K + 1:] = B[k::-1]
+        block.sort(axis=1)
+        u = np.argmin(block[:, 1:K + 2], axis=0)
+        val = block[u, rank]
+        q = np.count_nonzero(B[k - u] <= val[:, None], axis=1)
+        values[k] = val
+        arg_u[k] = u
+        arg_v[k] = np.maximum(0, rank - q)
     values[:, 0] = 0.0
     return values, arg_u, arg_v
 
 
 def _dp_ops_estimate(tree: DecompositionTree, K: int, lazy_root: bool) -> float:
+    """Entry operations of the literal recursion: K^4/4 per parallel node.
+
+    The merged-row combine does far less work than this count, but the
+    count and the ``ops_cap`` it is held to still decide which grids
+    ``run_dp`` refuses, unchanged, so the refusal limit stays where it was.
+    """
     total = 0.0
     nodes = postorder(tree)
     for node in nodes:

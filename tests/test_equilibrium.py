@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,7 @@ from netimprove.equilibrium import (
     solve_equilibrium,
     solve_parallel_links_equilibrium,
 )
-from netimprove.errors import Infeasible, UnsupportedDelay
+from netimprove.errors import Infeasible, UnsupportedDelay, ValidationError
 from netimprove.oracle import evaluate_delay
 
 from conftest import make_dipole
@@ -38,6 +41,15 @@ class TestPotential:
                         edges=(Edge("e", "s", "t", b=3.0, rigid=True),),
                         commodities=(Commodity("s", "t", 1.0),), budget=0.0)
         assert beckmann_potential({"e": 2.0}, None, inst) == 6.0
+
+    def test_overflow_names_every_overflowing_edge(self, fig2):
+        flows = {"e1": 1e200, "e2": 1e100}
+        with pytest.raises(ValidationError, match="'e1'") as info:
+            beckmann_potential(flows, None, fig2)
+        assert "'e2'" not in str(info.value)
+        flows["e2"] = 1e200
+        with pytest.raises(ValidationError, match="'e1'.*'e2'"):
+            beckmann_potential(flows, None, fig2)
 
 
 class TestSolveEquilibrium:
@@ -334,3 +346,23 @@ def test_dipole_without_usable_or_rigid_link_is_infeasible():
         solve_equilibrium(inst, Allocation())
     ls = parallel_links_delay_batch(np.zeros((1, 2)), np.array([0.5, 1.0]), d)
     assert ls[0] == np.inf
+
+
+def test_auto_does_not_retry_frank_wolfe_on_bad_input(fig2):
+    # Only the path cap sends "auto" to Frank-Wolfe; an overflow in the
+    # path engine is reported as it is, without a Frank-Wolfe warning.
+    huge = dataclasses.replace(fig2, commodities=(Commodity("s", "t", 1e300),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError):
+            solve_equilibrium(huge)
+
+
+def test_auto_takes_frank_wolfe_past_the_path_cap(fig2):
+    # The exact solve runs first, so the cap must hold for cached paths too.
+    alloc = Allocation({"e1": 1.0, "e2": 1.0})
+    exact = solve_equilibrium(fig2, alloc)
+    fw = solve_equilibrium(fig2, alloc, path_cap=1, tol=1e-10)
+    assert fw.flow.paths is None
+    assert exact.flow.paths is not None
+    assert fw.average_delay == pytest.approx(exact.average_delay, rel=1e-6)

@@ -4,6 +4,9 @@ import pytest
 from netimprove.core import Commodity, Edge, Instance
 from netimprove.errors import DiscretizationError, NotSeriesParallel
 from netimprove.fptas import (
+    _leaf_values,
+    _parallel_combine,
+    _series_combine,
     choose_discretization,
     reconstruct,
     run_dp,
@@ -130,6 +133,94 @@ class TestRunDp:
         beta_units, flow_units = reconstruct(dpt, tree)
         assert sum(beta_units.values()) == 6
         assert sum(flow_units.values()) == 6
+
+
+def _series_reference(A, B):
+    # The literal recursion: first u on ties.
+    K = A.shape[0] - 1
+    values = np.empty_like(A)
+    arg_u = np.zeros(A.shape, dtype=np.int32)
+    for l in range(K + 1):
+        a = A[:, l]
+        b = B[:, l]
+        for k in range(K + 1):
+            cand = a[:k + 1] + b[k::-1]
+            u = int(np.argmin(cand))
+            values[k, l] = cand[u]
+            arg_u[k, l] = u
+    values[:, 0] = 0.0
+    return values, arg_u
+
+
+def _parallel_reference(A, B):
+    # The literal recursion: first (u, v) in row-major order on ties.
+    K = A.shape[0] - 1
+    values = np.empty_like(A)
+    arg_u = np.zeros(A.shape, dtype=np.int32)
+    arg_v = np.zeros(A.shape, dtype=np.int32)
+    for k in range(K + 1):
+        a = A[:k + 1]
+        b_rev = B[k::-1]
+        for l in range(K + 1):
+            cand = np.maximum(a[:, :l + 1], b_rev[:, l::-1])
+            flat = int(np.argmin(cand))
+            u, v = divmod(flat, l + 1)
+            values[k, l] = cand[u, v]
+            arg_u[k, l] = u
+            arg_v[k, l] = v
+    values[:, 0] = 0.0
+    return values, arg_u, arg_v
+
+
+def _random_monotone_table(rng, K):
+    # Rows start at 0 and never decrease in flow.  Small integer steps make
+    # exact ties and plateaus common; an inf block mimics budgets too small
+    # to carry some flows.
+    if rng.random() < 0.5:
+        steps = rng.integers(0, 3, size=(K + 1, K + 1)).astype(float)
+    else:
+        steps = rng.random((K + 1, K + 1)).round(int(rng.integers(0, 3)))
+    table = np.cumsum(steps, axis=1)
+    if rng.random() < 0.4:
+        rows = int(rng.integers(0, K + 1))
+        col = int(rng.integers(1, K + 2))
+        table[:rows + 1, col:] = np.inf
+    table[:, 0] = 0.0
+    return table
+
+
+def test_combines_match_literal_recursion(rng):
+    for _ in range(200):
+        K = int(rng.integers(0, 14))
+        A = _random_monotone_table(rng, K)
+        B = _random_monotone_table(rng, K)
+        for got, want in zip(_series_combine(A, B), _series_reference(A, B)):
+            assert np.array_equal(got, want)
+        for got, want in zip(_parallel_combine(A, B),
+                             _parallel_reference(A, B)):
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [0.5, 1.0, 2.0, 3.0, 4.0, None])
+def test_leaf_rows_are_the_raw_formula_and_nondecreasing(rng, n):
+    K = 60
+    for _ in range(30):
+        exponent = float(rng.uniform(0.2, 5.0)) if n is None else n
+        c = 0.0 if rng.random() < 0.2 else float(rng.uniform(0.01, 3.0))
+        edge = Edge("e", "s", "t", c=c, b=float(rng.uniform(0.0, 2.0)),
+                    n=exponent, mu=float(rng.uniform(0.1, 2.0)))
+        budgets = np.arange(K + 1) * float(rng.uniform(0.01, 1.0))
+        flows = np.arange(K + 1) * float(rng.uniform(0.01, 10.0))
+        got = _leaf_values(edge, budgets, flows)
+        g = edge.c + edge.mu * budgets
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(g[:, None] > 0.0,
+                             flows[None, :] / np.maximum(g[:, None], 1e-300),
+                             np.inf)
+            raw = ratio ** edge.n + edge.b
+        raw[:, 0] = 0.0
+        assert np.array_equal(got, raw)
+        assert (got[:, 1:] >= got[:, :-1]).all()
 
 
 class TestSolveFptas:
