@@ -13,6 +13,9 @@ the minimization:
   the affine case or damped Newton otherwise, and exchanges paths in and
   out of the set until the Wardrop condition holds.  This reaches machine
   precision, which the tolerance contracts downstream rely on.
+  ``path_delay_rows`` runs the same loop on many allocations at once,
+  grouping them by active set, for the grid oracle; the rows it cannot
+  settle are left to ``solve_equilibrium``.
 
 * Frank-Wolfe on edge flows, used when path enumeration exceeds its cap.
   The linear subproblem is a nonnegative-delay shortest path per commodity
@@ -65,11 +68,14 @@ __all__ = [
     "solve_equilibrium",
     "solve_parallel_links_equilibrium",
     "parallel_links_delay_batch",
+    "path_delay_rows",
     "dipole_delay_rows",
     "dipole_links",
 ]
 
 _BOUNDARY_TOL = 1e-12  # used-set inclusion tolerance at delay == length ties
+_PATH_CAP = 200  # simple paths per commodity the path engines enumerate
+_BATCH_ROWS = 4096  # allocations per pass of the batched path engine
 
 
 @dataclass(frozen=True)
@@ -608,7 +614,7 @@ def _frank_wolfe(inst: Instance, beta: Allocation, tol: float,
 
 def solve_equilibrium(inst: Instance, beta: Allocation | None = None,
                       tol: float = 1e-8, method: str = "auto",
-                      path_cap: int = 200, start: str = "shortest",
+                      path_cap: int = _PATH_CAP, start: str = "shortest",
                       max_iters: int = 50000) -> EquilibriumResult:
     """Equilibrium flow and common path delays under allocation ``beta``.
 
@@ -630,6 +636,328 @@ def solve_equilibrium(inst: Instance, beta: Allocation | None = None,
             if method == "paths":
                 raise
     return _frank_wolfe(inst, beta, tol, max_iters)
+
+
+# ---------------------------------------------------------------------------
+# Batched path engine
+
+
+def path_delay_rows(inst: Instance, edges, betas: np.ndarray) -> np.ndarray:
+    """Equilibrium average delay of ``inst`` for each row of allocations.
+
+    ``betas`` has shape (N, len(edges)); column j is the amount on
+    ``edges[j]`` and every other edge gets zero.  This is the path engine
+    of ``solve_equilibrium`` run on all rows at once: the same start,
+    equalization, drop and add rules and constants, with sums taken in the
+    scalar code's order, so an accepted row carries the scalar solver's
+    floats.  A row with a commodity that has no usable path gets inf.  A
+    row the batch does not settle gets nan, and the caller solves it with
+    ``solve_equilibrium``: a singular system, a failed Newton solve, a
+    value that is not finite (where the scalar code may raise), or no
+    Wardrop point within 400 rounds.  Raises PathCapExceeded when a
+    commodity has more than 200 simple paths.  Rows go through in slices of
+    ``_BATCH_ROWS``, which bounds the working arrays whatever the batch size.
+    """
+    betas = np.asarray(betas, dtype=float)
+    batch = _PathBatch(inst)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.concatenate(
+            [batch.delays(edges, betas[lo:lo + _BATCH_ROWS])
+             for lo in range(0, len(betas), _BATCH_ROWS)])
+
+
+class _ActiveSet:
+    """Equalization system layout of one active path set (sorted indices)."""
+
+    def __init__(self, batch: "_PathBatch", S: np.ndarray):
+        a, ncom = len(S), len(batch.demands)
+        com = batch.com[S]
+        self.S, self.a, self.com = S, a, com
+        self.size = a + ncom
+        self.by_com = [np.flatnonzero(com == i) for i in range(ncom)]
+        self.many = np.array([len(ts) > 1 for ts in self.by_com])
+        counts = np.zeros(ncom)
+        np.add.at(counts, com, 1.0)
+        self.z0 = np.array(batch.demands)[com] / counts[com]
+        self.active_edges = np.flatnonzero(batch.inc[S].any(axis=0))
+        # Edge flows: the active paths through each edge in index order.
+        self.flow_layers = _layers([np.flatnonzero(col)
+                                    for col in batch.inc[S].T])
+        # Entry (t, t2) sums the shared non-rigid edges of paths t and t2 in
+        # the order of path t, as _equalize_affine does; layer l holds the
+        # l-th term of every entry, so one fancy-indexed add per layer
+        # keeps that order.
+        loc = {int(j): t for t, j in enumerate(S)}
+        seen: dict[tuple[int, int], int] = {}
+        layers: list[list[tuple[int, int, int]]] = []
+        for t, j in enumerate(S):
+            for e in batch.path_edges[j]:
+                if batch.rigid[e]:
+                    continue
+                for j2 in batch.on_edge[e]:
+                    t2 = loc.get(int(j2))
+                    if t2 is None:
+                        continue
+                    depth = seen.get((t, t2), 0)
+                    seen[(t, t2)] = depth + 1
+                    if depth == len(layers):
+                        layers.append([])
+                    layers[depth].append((t, t2, e))
+        self.layers = [tuple(np.array(v) for v in zip(*layer))
+                       for layer in layers]
+        self.rhs = np.concatenate([-batch.free_flow[S], batch.demands])
+        rows = np.arange(a)
+        self.unit = (np.concatenate([rows, a + com]),
+                     np.concatenate([a + com, rows]),
+                     np.concatenate([np.full(a, -1.0), np.ones(a)]))
+
+    def matrices(self, weights: np.ndarray) -> np.ndarray:
+        """The (N, a + I, a + I) system with per-row edge weights."""
+        M = np.zeros((len(weights), self.size, self.size))
+        for ts, t2s, es in self.layers:
+            M[:, ts, t2s] += weights[:, es]
+        rows, cols, vals = self.unit
+        M[:, rows, cols] = vals
+        return M
+
+
+class _PathBatch:
+    """Edge arrays and path-edge structure of one instance for
+    ``path_delay_rows``."""
+
+    def __init__(self, inst: Instance):
+        edges = inst.edges
+        self.pos = {e.id: t for t, e in enumerate(edges)}
+        self.c = np.array([e.c for e in edges])
+        self.b = np.array([e.b for e in edges])
+        self.n = np.array([e.n for e in edges])
+        self.mu = np.array([e.mu for e in edges])
+        self.rigid = np.array([e.rigid for e in edges])
+        self.affine = all(e.affine for e in edges)
+        self.demands = [k.demand for k in inst.commodities]
+        self.total = sum(self.demands)
+        self.dscale = max(1.0, max(self.demands))
+        com, self.path_edges = [], []
+        for i, k in enumerate(inst.commodities):
+            for p in inst.simple_paths(k.source, k.sink, cap=_PATH_CAP):
+                com.append(i)
+                self.path_edges.append([self.pos[eid] for eid in p])
+        self.com = np.array(com)
+        self.free_flow = np.array([sum(edges[t].b for t in p)
+                                   for p in self.path_edges])
+        self.inc = np.zeros((len(com), len(edges)), dtype=bool)
+        for j, p in enumerate(self.path_edges):
+            self.inc[j, p] = True
+        self.on_edge = [np.flatnonzero(col) for col in self.inc.T]
+        self.delay_layers = _layers(self.path_edges)
+        self.sets: dict[bytes, _ActiveSet] = {}
+
+    def delays(self, edges, betas: np.ndarray) -> np.ndarray:
+        N = len(betas)
+        G = np.tile(self.c, (N, 1))
+        for j, e in enumerate(edges):
+            t = self.pos[e.id]
+            G[:, t] = self.c[t] + self.mu[t] * betas[:, j]
+        usable = ~(((G == 0.0) & ~self.rigid) @ self.inc.T)
+        out = np.full(N, np.nan)
+        feasible = np.ones(N, dtype=bool)
+        active = np.zeros(usable.shape, dtype=bool)
+        for i in range(len(self.demands)):
+            mine = np.flatnonzero(self.com == i)
+            order = mine[np.lexsort((mine, self.free_flow[mine]))]
+            ok = usable[:, order]
+            feasible &= ok.any(axis=1)
+            active[np.arange(N), order[np.argmax(ok, axis=1)]] = True
+        out[~feasible] = np.inf
+        scale = (1.0 + float(np.max(np.abs(self.demands)))
+                 + np.max(np.where(usable, self.free_flow, -np.inf), axis=1))
+        rows = np.flatnonzero(feasible)
+        for _ in range(400):
+            if not rows.size:
+                break
+            # Group the open rows by active set: sort their packed masks.
+            codes = np.packbits(active[rows], axis=1)
+            order = np.lexsort(codes.T[::-1])
+            codes = codes[order]
+            starts = np.flatnonzero(
+                (codes[1:] != codes[:-1]).any(axis=1)) + 1
+            rows = np.concatenate([
+                self._round(self._set(active[grp[0]]), grp, G, usable,
+                            active, scale, out)
+                for grp in np.split(rows[order], starts)])
+        return out
+
+    def _set(self, mask: np.ndarray) -> _ActiveSet:
+        key = mask.tobytes()
+        if key not in self.sets:
+            self.sets[key] = _ActiveSet(self, np.flatnonzero(mask))
+        return self.sets[key]
+
+    def _round(self, aset: _ActiveSet, grp, G, usable, active, scale, out):
+        """One equalize-and-exchange round of ``_active_set_loop`` for the
+        rows ``grp`` sharing ``aset``; returns the rows left open."""
+        if self.affine:
+            z, ok = _solve_rows(aset.matrices(1.0 / G[grp]),
+                                np.tile(aset.rhs, (len(grp), 1)))
+        else:
+            z, ok = self._newton(aset, G[grp], scale[grp])
+        ok &= np.isfinite(z).all(axis=1)
+        grp, z = grp[ok], z[ok]
+        a = aset.a
+        xs = z[:, :a]
+        worst = np.argmin(xs, axis=1)
+        drop = ((xs[np.arange(len(grp)), worst] < -1e-12 * self.dscale)
+                & aset.many[aset.com[worst]])
+        active[grp[drop], aset.S[worst[drop]]] = False
+        dropped = grp[drop]
+        grp, z = grp[~drop], z[~drop]
+
+        Gg = G[grp]
+        F, D, settled = self._flows(aset, z, Gg)
+        L = z[:, a:]
+        added = np.zeros(len(grp), dtype=bool)
+        for i in range(len(self.demands)):
+            best_d = np.full(len(grp), np.inf)
+            best_j = np.full(len(grp), -1)
+            for j in np.flatnonzero(self.com == i):
+                better = usable[grp, j] & (D[:, j] < best_d - 1e-15)
+                best_d = np.where(better, D[:, j], best_d)
+                best_j[better] = j
+            Li = L[:, i]
+            add = ((best_j >= 0) & ~active[grp, best_j]
+                   & (best_d < Li - 1e-10 * (1.0 + np.abs(Li))) & settled)
+            active[grp[add], best_j[add]] = True
+            added |= add
+        done = settled & ~added
+        done &= ~self._potential_overflows(F, Gg, done)
+        avg = self.demands[0] * L[done, 0]
+        for i in range(1, len(self.demands)):
+            avg = avg + self.demands[i] * L[done, i]
+        out[grp[done]] = avg / self.total
+        return np.concatenate([dropped, grp[added]])
+
+    def _flows(self, aset: _ActiveSet, z: np.ndarray, G: np.ndarray):
+        """Edge flows and path delays at the active flows, and the rows
+        whose edge delays are all finite."""
+        x = np.maximum(z[:, :aset.a], 0.0)
+        F = np.zeros(G.shape)
+        for es, ts in aset.flow_layers:
+            F[:, es] += x[:, ts]
+        De = F / G
+        np.float_power(De, self.n, out=De)
+        De += self.b
+        np.copyto(De, self.b, where=self.rigid | (F == 0.0))
+        D = np.zeros((len(z), len(self.com)))
+        for js, es in self.delay_layers:
+            D[:, js] += De[:, es]
+        return F, D, np.isfinite(De).all(axis=1)
+
+    def _potential_overflows(self, F: np.ndarray, G: np.ndarray,
+                             rows: np.ndarray) -> np.ndarray:
+        """Which of ``rows`` make ``_finish``'s potential raise: F**(n+1)
+        or G**n overflows on a flowing non-rigid edge.  Both powers grow
+        with their base, so the largest bases on each edge clear most
+        blocks at once."""
+        def top(A):
+            return np.max(A, axis=0, where=rows[:, None], initial=0.0)
+        if not (np.isinf(np.float_power(top(F), self.n + 1.0))
+                | np.isinf(np.float_power(top(G), self.n))).any():
+            return np.zeros(len(F), dtype=bool)
+        over = (np.isinf(np.float_power(F, self.n + 1.0))
+                | np.isinf(np.float_power(G, self.n)))
+        return (over & (F != 0.0) & ~self.rigid).any(axis=1)
+
+    def _residual(self, aset: _ActiveSet, z: np.ndarray, G: np.ndarray):
+        """``_equalize_newton``'s residual; rows whose delays are not
+        finite are marked not ok."""
+        F, D, ok = self._flows(aset, z, G)
+        a = aset.a
+        r = np.empty(z.shape)
+        r[:, :a] = D[:, aset.S] - z[:, a + aset.com]
+        for i, ts in enumerate(aset.by_com):
+            acc = z[:, ts[0]]
+            for t in ts[1:]:
+                acc = acc + z[:, t]
+            r[:, a + i] = acc - self.demands[i]
+        return r, F, ok & np.isfinite(r).all(axis=1)
+
+    def _slopes(self, F: np.ndarray, G: np.ndarray) -> np.ndarray:
+        """``_PathProblem._delay_slope`` of every edge."""
+        s = self.n * np.float_power(F, self.n - 1.0) / np.float_power(G, self.n)
+        s = np.where(F == 0.0, np.where(self.n > 1.0, 0.0, 1e18), s)
+        s = np.where(self.n == 1.0, 1.0 / G, s)
+        return np.where(self.rigid, 0.0, s)
+
+    def _newton(self, aset: _ActiveSet, G: np.ndarray, scale: np.ndarray):
+        """``_equalize_newton`` on every row: damped Newton, 120 steps of at
+        most 40 halvings.  Returns z and the rows that converged."""
+        z = np.zeros((len(G), aset.size))
+        z[:, :aset.a] = aset.z0
+        r, F, live = self._residual(aset, z, G)
+        converged = np.zeros(len(G), dtype=bool)
+        for _ in range(120):
+            hit = live & (np.max(np.abs(r), axis=1) <= 1e-12 * scale)
+            converged |= hit
+            live &= ~hit
+            idx = np.flatnonzero(live)
+            if not idx.size:
+                break
+            s = self._slopes(F[idx], G[idx])
+            step, ok = _solve_rows(aset.matrices(s), -r[idx])
+            ok &= np.isfinite(s[:, aset.active_edges]).all(axis=1)
+            live[idx[~ok]] = False
+            idx, step = idx[ok], step[ok]
+            base = _norms(r[idx])
+            alpha = np.ones(len(idx))
+            for _ in range(40):
+                if not idx.size:
+                    break
+                z_new = z[idx] + alpha[:, None] * step
+                r_new, F_new, ok = self._residual(aset, z_new, G[idx])
+                better = ok & (
+                    (_norms(r_new) < base * (1.0 - 1e-4 * alpha))
+                    | (np.max(np.abs(r_new), axis=1) <= 1e-12 * scale[idx]))
+                took = idx[better]
+                z[took], r[took], F[took] = (z_new[better], r_new[better],
+                                             F_new[better])
+                live[idx[~ok]] = False
+                wait = ok & ~better
+                idx, step = idx[wait], step[wait]
+                base, alpha = base[wait], 0.5 * alpha[wait]
+            live[idx] = False  # no halving improved the residual
+        converged |= live & (np.max(np.abs(r), axis=1) <= 1e-9 * scale)
+        return z, converged
+
+
+def _layers(groups) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Layer l pairs each group having an l-th member with that member."""
+    depth = max((len(g) for g in groups), default=0)
+    out = []
+    for l in range(depth):
+        owners = [o for o, g in enumerate(groups) if len(g) > l]
+        out.append((np.array(owners), np.array([groups[o][l] for o in owners])))
+    return out
+
+
+def _norms(r: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row, with its dot product's rounding."""
+    return np.sqrt((r[:, None, :] @ r[:, :, None])[:, 0, 0])
+
+
+def _solve_rows(M: np.ndarray, rhs: np.ndarray):
+    """Solve each row's system; returns the solutions and the rows whose
+    matrix was not singular."""
+    ok = np.ones(len(M), dtype=bool)
+    try:
+        return np.linalg.solve(M, rhs[..., None])[..., 0], ok
+    except np.linalg.LinAlgError:
+        z = np.zeros(rhs.shape)
+        for r in range(len(M)):
+            try:
+                z[r] = np.linalg.solve(M[r], rhs[r])
+            except np.linalg.LinAlgError:
+                ok[r] = False
+        return z, ok
 
 
 # ---------------------------------------------------------------------------

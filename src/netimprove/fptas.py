@@ -200,11 +200,12 @@ def _parallel_combine(A: np.ndarray, B: np.ndarray):
 
 
 def _dp_ops_estimate(tree: DecompositionTree, K: int, lazy_root: bool) -> float:
-    """Entry operations of the literal recursion: K^4/4 per parallel node.
+    """Table entries the dynamic program touches, held to ``ops_cap``.
 
-    The merged-row combine does far less work than this count, but the
-    count and the ``ops_cap`` it is held to still decide which grids
-    ``run_dp`` refuses, unchanged, so the refusal limit stays where it was.
+    A leaf fills (K+1)^2 entries and a series combine sums about
+    (K+1)^3/2.  A parallel combine is charged as its merged-row passes run:
+    K+1 budget rows, each sorting at most (K+1)(2K+2) entries.  A lazy root
+    computes one entry per budget split.
     """
     total = 0.0
     nodes = postorder(tree)
@@ -216,7 +217,7 @@ def _dp_ops_estimate(tree: DecompositionTree, K: int, lazy_root: bool) -> float:
             total += (K + 1) if (is_root and lazy_root) else (K + 1) ** 3 / 2
         else:
             total += ((K + 1) ** 2 if (is_root and lazy_root)
-                      else (K + 1) ** 4 / 4)
+                      else (K + 1) * (K + 1) * (2 * K + 2))
     return total
 
 

@@ -3,13 +3,16 @@
 The oracle enumerates allocations beta_e = k_e * B / R with sum k_e <= R
 (an explicit slack coordinate keeps under-spending reachable, since delay
 monotonicity in the budget is not assumed globally), evaluates the exact
-equilibrium delay at every grid point and keeps the best.  Evaluation
-dispatches to closed forms where they exist:
+equilibrium delay at every grid point and keeps the best.  Each block of
+compositions is evaluated in one batch call, by the first route that
+applies:
 
 * affine dipoles: vectorized used-set scan over whole composition batches;
 * affine parallel-path graphs: per-path conductances from the edge-level
   allocation, then the same vectorized scan at path level;
-* anything else: one equilibrium solve per grid point.
+* anything else: the batched path engine (``path_delay_rows``), which runs
+  the scalar solver's active-set loop on all rows at once and gives its
+  floats; the rows it leaves open are solved by ``solve_equilibrium``.
 
 Ties break toward the lexicographically smallest composition because the
 generator emits compositions in lexicographic order and only strict
@@ -27,8 +30,10 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .core import Allocation, Instance
-from .equilibrium import dipole_delay_rows, dipole_links, solve_equilibrium
-from .errors import GridTooLarge, Infeasible, NotParallelPaths, UnsupportedDelay, ValidationError
+from .equilibrium import (dipole_delay_rows, dipole_links, path_delay_rows,
+                          solve_equilibrium)
+from .errors import (GridTooLarge, Infeasible, NotParallelPaths, PathCapExceeded,
+                     UnsupportedDelay, ValidationError)
 from .parallelpaths import as_parallel_paths
 
 __all__ = [
@@ -119,7 +124,7 @@ def _improvable_edges(inst: Instance, spec: GridSpec):
 
 
 def _closed_form(inst: Instance):
-    """The vectorized exact delay ``batch(improvable, betas)`` for affine
+    """The vectorized exact delay ``batch(edges, betas)`` for affine
     dipoles and affine parallel-path graphs, or None for anything else."""
     if not all(e.affine for e in inst.edges):
         return None
@@ -147,6 +152,47 @@ def evaluate_delay(inst: Instance, alloc: Allocation, tol: float = 1e-8) -> floa
     if math.isinf(L):
         raise Infeasible("no usable path")
     return L
+
+
+def _batch_route(inst: Instance, tol: float):
+    """``batch(edges, betas)``: the exact delay of each row of ``betas``,
+    column j being the amount on ``edges[j]``, by a closed form or the
+    batched path engine."""
+    return _closed_form(inst) or partial(_batch_general, inst, tol)
+
+
+def _batch_general(inst: Instance, tol: float, edges, betas: np.ndarray
+                   ) -> np.ndarray:
+    """Exact delay of each row by the batched path engine.
+
+    The rows it leaves open, and every row when a commodity has more simple
+    paths than the engine's cap, are solved one by one by
+    ``solve_equilibrium``, whose errors pass through.  ``tol`` and the
+    budget are checked first for the whole block, as ``solve_equilibrium``
+    checks them per allocation; the callers have checked the edges."""
+    if tol <= 0:
+        raise ValidationError("tol must be positive")
+    total = np.zeros(len(betas))
+    for j in range(betas.shape[1]):  # Allocation.total's order
+        total += betas[:, j]
+    over = np.flatnonzero(total > inst.budget + 1e-9 * max(1.0, inst.budget))
+    if over.size:
+        _allocation(edges, betas[over[0]]).validate_for(inst)
+    try:
+        ls = path_delay_rows(inst, edges, betas)
+    except PathCapExceeded:
+        ls = np.full(len(betas), np.nan)
+    for r in np.flatnonzero(np.isnan(ls)):
+        try:
+            ls[r] = solve_equilibrium(inst, _allocation(edges, betas[r]),
+                                      tol=tol).average_delay
+        except Infeasible:
+            ls[r] = math.inf
+    return ls
+
+
+def _allocation(edges, row: np.ndarray) -> Allocation:
+    return Allocation({e.id: row[j] for j, e in enumerate(edges)})
 
 
 def _batch_dipole(inst: Instance, improvable, betas: np.ndarray) -> np.ndarray:
@@ -197,7 +243,7 @@ def grid_search(inst: Instance, spec: GridSpec, tol: float = 1e-8,
             f"grid needs {n_evals} evaluations (cap {spec.max_evals}); "
             f"try resolution <= {r_ok}")
 
-    batch = _closed_form(inst)
+    batch = _batch_route(inst, tol)
     unit = inst.budget / R
     best_L = math.inf
     best_row: np.ndarray | None = None
@@ -205,18 +251,7 @@ def grid_search(inst: Instance, spec: GridSpec, tol: float = 1e-8,
     seen = 0
     for block in compositions(R, parts):
         betas = block[:, :-1].astype(np.float64) * unit
-        if batch is not None:
-            ls = batch(improvable, betas)
-        else:
-            ls = np.empty(len(betas))
-            for r in range(len(betas)):
-                alloc = Allocation({e.id: betas[r, j]
-                                    for j, e in enumerate(improvable)})
-                try:
-                    ls[r] = solve_equilibrium(inst, alloc,
-                                              tol=tol).average_delay
-                except Infeasible:
-                    ls[r] = math.inf
+        ls = batch(improvable, betas)
         seen += len(betas)
         if trace is not None:
             for r in range(len(betas)):
@@ -241,13 +276,13 @@ def sweep_segment(inst: Instance, beta_from: Allocation, beta_to: Allocation,
     beta_from.validate_for(inst)
     beta_to.validate_for(inst)
     keys = sorted(set(beta_from.beta) | set(beta_to.beta))
-    out = []
-    for i in range(steps + 1):
-        lam = i / steps
-        alloc = Allocation({k: (1.0 - lam) * beta_from.get(k) + lam * beta_to.get(k)
-                            for k in keys})
-        out.append((lam, evaluate_delay(inst, alloc, tol)))
-    return out
+    lams = [i / steps for i in range(steps + 1)]
+    betas = np.array([[(1.0 - lam) * beta_from.get(k) + lam * beta_to.get(k)
+                       for k in keys] for lam in lams]).reshape(len(lams), len(keys))
+    ls = _batch_route(inst, tol)([inst.edge_index[k] for k in keys], betas)
+    if np.isinf(ls).any():
+        raise Infeasible("no usable path")
+    return list(zip(lams, ls.tolist()))
 
 
 # ---------------------------------------------------------------------------

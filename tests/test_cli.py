@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from netimprove.core import parse_instance
+from netimprove.core import Allocation, parse_instance
+from netimprove.oracle import evaluate_delay
 
 FIG2 = {
     "nodes": ["s", "t"],
@@ -161,6 +162,31 @@ class TestSweep:
         last = rows[-1].split(",")
         assert float(first[1]) == pytest.approx(80.0, abs=1e-9)
         assert float(last[1]) == pytest.approx(319 / 3.3, abs=1e-9)
+
+    @pytest.mark.parametrize("doc, start, end", [
+        (FIG2, {"e1": 0.0, "e2": 3.0}, {"e1": 3.0, "e2": 0.0}),
+        (BRAESS, {}, {"ab": 1.0}),
+    ])
+    def test_stdout_matches_pointwise_evaluation(self, doc, start, end,
+                                                 tmp_path):
+        # The sweep evaluates all steps in one batch; the reference is one
+        # evaluate_delay per step, printed in the CLI's format.
+        inst = parse_instance(json.dumps(doc))
+        keys = sorted(set(start) | set(end))
+        want = "lambda,L\n"
+        for i in range(41):
+            lam = i / 40
+            alloc = Allocation({k: (1.0 - lam) * start.get(k, 0.0)
+                                + lam * end.get(k, 0.0) for k in keys})
+            want += f"{lam:.10g},{evaluate_delay(inst, alloc):.12g}\n"
+        paths = []
+        for name, content in (("inst.json", doc), ("a.json", {"beta": start}),
+                              ("b.json", {"beta": end})):
+            paths.append(tmp_path / name)
+            paths[-1].write_text(json.dumps(content))
+        proc = run_cli("sweep", "--from", str(paths[1]), "--to", str(paths[2]),
+                       "--steps", "40", str(paths[0]))
+        assert proc.stdout == want
 
 
 class TestGadget:

@@ -4,6 +4,7 @@ import pytest
 from netimprove.core import Commodity, Edge, Instance
 from netimprove.errors import DiscretizationError, NotSeriesParallel
 from netimprove.fptas import (
+    _dp_ops_estimate,
     _leaf_values,
     _parallel_combine,
     _series_combine,
@@ -124,6 +125,27 @@ class TestRunDp:
         full = run_dp(series, tree, 10, lazy_root=False)
         lazy = run_dp(series, tree, 10, lazy_root=True)
         assert lazy.root_value == pytest.approx(full.root_value, abs=1e-15)
+
+    def test_ops_estimate_charges_the_merged_combine(self):
+        # S(P(a, b), c): three leaves, one parallel combine of K+1 passes
+        # each sorting (K+1)(2K+2) entries, and a lazy series root.
+        tree = decompose_series_parallel(
+            [("a", "s", "m"), ("b", "s", "m"), ("c", "m", "t")], "s", "t")
+        K = 700
+        assert _dp_ops_estimate(tree, K, lazy_root=True) == \
+            3 * 701 ** 2 + 701 * 701 * 1402 + 701
+        assert _dp_ops_estimate(tree, K, lazy_root=False) == \
+            3 * 701 ** 2 + 701 * 701 * 1402 + 701 ** 3 / 2
+        # The literal (K+1)^4/4 count refused this grid under the default
+        # cap; the merged combine's count is far below it.
+        assert _dp_ops_estimate(tree, K, lazy_root=True) < 5e10 < 701 ** 4 / 4
+
+    def test_tiny_ops_cap_refuses(self):
+        inst = make_dipole([(1, 0, 1), (0.5, 1, 2)], 1.0, 1.0)
+        tree = decompose_series_parallel(inst)
+        with pytest.raises(DiscretizationError, match="too large at K=8"):
+            run_dp(inst, tree, 8, ops_cap=100.0)
+        run_dp(inst, tree, 8)
 
     def test_reconstruction_realizes_root_value(self, rng):
         inst = make_dipole([(1, 0.2, 1), (0.5, 0, 2), (0.2, 0.5, 0.5)],

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from netimprove import equilibrium, oracle
 from netimprove.core import Allocation, Commodity, Edge, Instance
 from netimprove.equilibrium import solve_equilibrium
-from netimprove.errors import GridTooLarge, ValidationError
+from netimprove.errors import GridTooLarge, Infeasible, ValidationError
+from netimprove.gadgets import build_2ddp_instance
 from netimprove.oracle import (
     GridSpec,
     compositions,
@@ -132,6 +134,26 @@ class TestSweep:
         vals = {v for _, v in out}
         assert len(vals) == 1
 
+    def test_general_route_matches_pointwise_and_raises_when_infeasible(self):
+        # Every path needs budget on sa or sb; the bridge ab keeps the graph
+        # off the closed-form routes.
+        bridge = Instance(
+            nodes=("s", "a", "b", "t"),
+            edges=(Edge("sa", "s", "a", c=0.0, mu=1.0),
+                   Edge("sb", "s", "b", c=0.0, b=0.2, mu=1.0),
+                   Edge("ab", "a", "b", c=1.0),
+                   Edge("at", "a", "t", c=1.0, b=0.5),
+                   Edge("bt", "b", "t", c=2.0)),
+            commodities=(Commodity("s", "t", 1.0),), budget=1.0)
+        start, end = Allocation({"sb": 1.0}), Allocation({"sa": 1.0})
+        out = sweep_segment(bridge, start, end, steps=8)
+        for lam, val in out:
+            alloc = Allocation({k: (1.0 - lam) * start.get(k) + lam * end.get(k)
+                                for k in ("sa", "sb")})
+            assert val == evaluate_delay(bridge, alloc)
+        with pytest.raises(Infeasible):
+            sweep_segment(bridge, Allocation(), end, steps=2)
+
 
 class TestDiscretizedMinmax:
     def test_single_edge_table(self):
@@ -155,3 +177,219 @@ class TestDiscretizedMinmax:
         table = enumerate_discretized_minmax(inst, K=2)
         # Split flow and budget evenly across the twins.
         assert table[2, 2] == pytest.approx((0.5) / 1.5)
+
+
+# ---------------------------------------------------------------------------
+# Batched path engine against the scalar solver
+
+
+def _grid_betas(inst, R):
+    improvable = [e for e in inst.edges if e.improvable]
+    block = np.vstack(list(compositions(R, len(improvable) + 1)))
+    return improvable, block[:, :-1].astype(np.float64) * (inst.budget / R)
+
+
+def _scalar_delays(inst, edges, betas):
+    """One solve_equilibrium per row, as grid_search did per point."""
+    out = np.empty(len(betas))
+    for r, row in enumerate(betas):
+        alloc = Allocation({e.id: row[j] for j, e in enumerate(edges)})
+        try:
+            out[r] = solve_equilibrium(inst, alloc).average_delay
+        except Infeasible:
+            out[r] = np.inf
+    return out
+
+
+def _quadratic_dipole():
+    # Link e3 is long: it carries flow only once the budget on e1 and e2
+    # is small, so the used links change across the grid.
+    return Instance(
+        nodes=("s", "t"),
+        edges=(Edge("e1", "s", "t", c=1.0, b=0.0, n=2.0, mu=1.5),
+               Edge("e2", "s", "t", c=0.5, b=0.3, n=2.0, mu=1.0),
+               Edge("e3", "s", "t", c=0.8, b=1.2, n=2.0, mu=0.5)),
+        commodities=(Commodity("s", "t", 2.0),), budget=2.0)
+
+
+def _root_edge_at_zero_flow(b=5.0):
+    # At b = 5 the n = 0.5 link is longer than the equilibrium delay at
+    # every grid point, so it stays at zero flow, where its slope is
+    # infinite.  At b = 0.6 it routes flow at 9 of the 35 points of R = 4.
+    return Instance(
+        nodes=("s", "t"),
+        edges=(Edge("a", "s", "t", c=1.0, b=0.0, n=1.0, mu=1.0),
+               Edge("h", "s", "t", c=2.0, b=b, n=0.5, mu=1.0),
+               Edge("q", "s", "t", c=0.5, b=0.2, n=2.0, mu=0.5)),
+        commodities=(Commodity("s", "t", 1.0),), budget=1.0)
+
+
+def _two_commodities():
+    # Commodity s2 has no usable path where b and f are both unfunded.
+    return Instance(
+        nodes=("s1", "s2", "m", "t"),
+        edges=(Edge("a", "s1", "m", c=1.0, b=0.1, mu=1.0),
+               Edge("b", "s2", "m", c=0.0, b=0.0, mu=0.5),
+               Edge("c", "m", "t", c=1.0, b=0.2, mu=1.0),
+               Edge("d", "s1", "t", c=0.7, b=0.9, mu=0.0),
+               Edge("f", "s2", "t", c=0.0, b=0.4, mu=2.0)),
+        commodities=(Commodity("s1", "t", 1.5), Commodity("s2", "t", 1.0)),
+        budget=1.5)
+
+
+def _braess_rigid():
+    return Instance(
+        nodes=("s", "a", "b", "t"),
+        edges=(Edge("sa", "s", "a", c=1.3, b=0.0),
+               Edge("sb", "s", "b", c=0.0, b=0.8, rigid=True),
+               Edge("ab", "a", "b", c=0.0, b=0.0, mu=1.2),
+               Edge("at", "a", "t", c=0.0, b=1.1, rigid=True),
+               Edge("bt", "b", "t", c=0.9, b=0.0)),
+        commodities=(Commodity("s", "t", 1.4),), budget=2.0)
+
+
+def _shared_vertex_2ddp():
+    return build_2ddp_instance(
+        ["s1", "s2", "v", "t1", "t2"],
+        [("s1", "v"), ("v", "t1"), ("s2", "v"), ("v", "t2")],
+        "s1", "s2", "t1", "t2", big_budget=1e5)
+
+
+BATCH_CASES = [(_quadratic_dipole, 12, False),
+               (_root_edge_at_zero_flow, 10, False),
+               (_two_commodities, 6, True),
+               (_braess_rigid, 40, True),
+               (_shared_vertex_2ddp, 3, True)]
+
+
+class TestBatchedEngine:
+    @pytest.mark.parametrize("build, R, affine", BATCH_CASES)
+    def test_rows_match_the_scalar_solver(self, build, R, affine,
+                                          monkeypatch):
+        inst = build()
+        assert oracle._closed_form(inst) is None
+        edges, betas = _grid_betas(inst, R)
+        want = _scalar_delays(inst, edges, betas)
+        calls = []
+        monkeypatch.setattr(oracle, "solve_equilibrium",
+                            lambda *a, **k: calls.append(a) or
+                            solve_equilibrium(*a, **k))
+        got = oracle._batch_general(inst, 1e-8, edges, betas)
+        assert not calls  # no row needed the scalar fallback
+        assert np.array_equal(np.isinf(got), np.isinf(want))
+        assert np.isfinite(want).any()
+        fin = np.isfinite(want)
+        if affine:
+            assert np.array_equal(got, want)
+        else:
+            assert np.allclose(got[fin], want[fin], rtol=1e-12, atol=0.0)
+        res = grid_search(inst, GridSpec(resolution=R))
+        best = int(np.argmin(want))
+        assert res.delay == want[best]
+        assert res.allocation == Allocation(
+            {e.id: betas[best, j] for j, e in enumerate(edges)})
+
+    def test_used_links_change_across_the_grid(self):
+        # The exponent-2 dipole case exercises drops and adds: the long
+        # link carries flow at some grid points and none at others.
+        inst = _quadratic_dipole()
+        edges, betas = _grid_betas(inst, 12)
+        used = set()
+        for row in betas:
+            alloc = Allocation({e.id: row[j] for j, e in enumerate(edges)})
+            eq = solve_equilibrium(inst, alloc)
+            used.add(eq.flow.get("e3") > 0.0)
+        assert used == {True, False}
+
+    def test_failed_newton_rows_fall_back_to_the_scalar_solver(self):
+        # Where the n = 0.5 link starts to carry flow, the scalar Newton
+        # equalization stalls and solve_equilibrium finishes through its
+        # scipy fallback; the batch leaves exactly those rows open.
+        inst = _root_edge_at_zero_flow(b=0.6)
+        edges, betas = _grid_betas(inst, 4)
+        stalled = []
+        for row in betas:
+            prob = equilibrium._PathProblem(
+                inst, Allocation({e.id: row[j] for j, e in enumerate(edges)}),
+                200)
+            start = min(prob.by_commodity[0],
+                        key=lambda j: (prob.free_flow[j], j))
+            stalled.append(
+                equilibrium._active_set_loop(prob, [start], False) is None)
+        open_rows = np.isnan(equilibrium.path_delay_rows(inst, edges, betas))
+        assert open_rows.tolist() == stalled and any(stalled)
+        got = oracle._batch_general(inst, 1e-8, edges, betas)
+        want = _scalar_delays(inst, edges, betas)
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_singular_rows_fall_back_to_the_scalar_solver(self, monkeypatch):
+        M = np.array([[[2.0, 1.0], [1.0, 3.0]],
+                      [[1.0, 2.0], [2.0, 4.0]],
+                      [[4.0, 0.0], [1.0, 1.0]]])
+        rhs = np.array([[1.0, 2.0], [1.0, 1.0], [3.0, 5.0]])
+        z, ok = equilibrium._solve_rows(M, rhs)
+        assert ok.tolist() == [True, False, True]
+        for r in (0, 2):
+            assert np.array_equal(z[r], np.linalg.solve(M[r], rhs[r]))
+
+        # Force every second system of a Braess grid singular: exactly
+        # those rows reach solve_equilibrium, and every value still
+        # matches the scalar solver.
+        inst = _braess_rigid()
+        edges, betas = _grid_betas(inst, 20)
+        want = _scalar_delays(inst, edges, betas)
+        real = equilibrium._solve_rows
+        forced = []
+
+        def singular_every_other(M, rhs):
+            z, ok = real(M, rhs)
+            ok[::2] = False
+            forced.append(int(ok.size - ok.sum()))
+            return z, ok
+
+        calls = []
+        monkeypatch.setattr(equilibrium, "_solve_rows", singular_every_other)
+        monkeypatch.setattr(oracle, "solve_equilibrium",
+                            lambda *a, **k: calls.append(a) or
+                            solve_equilibrium(*a, **k))
+        got = oracle._batch_general(inst, 1e-8, edges, betas)
+        assert np.array_equal(got, want)
+        assert 0 < len(calls) == sum(forced) < len(betas)
+
+    def test_potential_overflow_raises_as_the_scalar_solver(self):
+        # At demand 1e200 the potential's flow**2 overflows, which
+        # solve_equilibrium reports; the grid must not return a value.
+        base = _braess_rigid()
+        inst = Instance(nodes=base.nodes, edges=base.edges,
+                        commodities=(Commodity("s", "t", 1e200),),
+                        budget=base.budget)
+        edges, betas = _grid_betas(inst, 4)
+        with pytest.raises(ValidationError) as scalar:
+            _scalar_delays(inst, edges, betas)
+        with pytest.raises(ValidationError) as batch:
+            grid_search(inst, GridSpec(resolution=4))
+        assert "potential overflows" in str(scalar.value)
+        assert str(batch.value) == str(scalar.value)
+
+    def test_path_cap_sends_every_row_to_the_scalar_solver(self,
+                                                           monkeypatch):
+        # Eight stages of two parallel links: 256 simple paths, over the
+        # path engine's cap of 200, so solve_equilibrium takes Frank-Wolfe.
+        nodes = [f"v{i}" for i in range(9)]
+        edges = []
+        for i in range(8):
+            edges.append(Edge(f"a{i}", nodes[i], nodes[i + 1], c=1.0, b=0.1,
+                              mu=1.0 if i == 0 else 0.0))
+            edges.append(Edge(f"b{i}", nodes[i], nodes[i + 1], c=2.0, b=0.3))
+        inst = Instance(nodes=tuple(nodes), edges=tuple(edges),
+                        commodities=(Commodity("v0", "v8", 1.0),), budget=1.0)
+        edges, betas = _grid_betas(inst, 2)
+        calls = []
+        monkeypatch.setattr(oracle, "solve_equilibrium",
+                            lambda *a, **k: calls.append(a) or
+                            solve_equilibrium(*a, **k))
+        got = oracle._batch_general(inst, 1e-6, edges, betas)
+        assert len(calls) == len(betas) == 3
+        for r, (inst_r, alloc) in enumerate(calls):
+            assert got[r] == solve_equilibrium(inst, alloc,
+                                               tol=1e-6).average_delay
