@@ -76,37 +76,38 @@ def compositions(total: int, parts: int, chunk: int = 200_000
                  ) -> Iterator[np.ndarray]:
     """Nonnegative integer vectors summing to ``total``, lexicographically.
 
-    Yields int32 arrays of shape (N, parts); the final coordinate is
-    implied by the prefix, so inner loops vectorize over it.
+    Yields int32 arrays of shape (N, parts), each at most ``chunk`` rows of
+    whole first coordinates (a first coordinate with more rows comes split
+    the same way by the second).  A row with remainder r expands into r + 1
+    rows, one coordinate at a time.
     """
     if parts == 1:
         yield np.array([[total]], dtype=np.int32)
         return
-    buf: list[np.ndarray] = []
-    buf_rows = 0
-
-    def outer(prefix: list[int], remaining: int, depth: int):
-        nonlocal buf, buf_rows
-        if depth == parts - 1:
-            last = np.arange(remaining + 1, dtype=np.int32)
-            block = np.empty((remaining + 1, parts), dtype=np.int32)
-            if prefix:
-                block[:, :depth - 1] = np.array(prefix, dtype=np.int32)
-            block[:, depth - 1] = last
-            block[:, depth] = remaining - last
-            buf.append(block)
-            buf_rows += len(block)
-            if buf_rows >= chunk:
-                out = np.vstack(buf)
-                buf, buf_rows = [], 0
-                yield out
-            return
-        for v in range(remaining + 1):
-            yield from outer(prefix + [v], remaining - v, depth + 1)
-
-    yield from outer([], total, 1)
-    if buf:
-        yield np.vstack(buf)
+    sizes = [count_compositions(total - v, parts - 1) for v in range(total + 1)]
+    v = 0
+    while v <= total:
+        if sizes[v] > chunk:
+            for block in compositions(total - v, parts - 1, chunk):
+                yield np.hstack([np.full((len(block), 1), v, np.int32), block])
+            v += 1
+            continue
+        end, rows = v, 0
+        while end <= total and rows + sizes[end] <= chunk:
+            rows += sizes[end]
+            end += 1
+        block = np.zeros((end - v, parts), dtype=np.int32)
+        block[:, 0] = np.arange(v, end)
+        rest = total - block[:, 0]
+        for j in range(1, parts - 1):
+            counts = rest + 1
+            block = np.repeat(block, counts, axis=0)
+            starts = np.repeat(np.cumsum(counts) - counts, counts)
+            block[:, j] = np.arange(len(block)) - starts
+            rest = np.repeat(rest, counts) - block[:, j]
+        block[:, -1] = rest
+        yield block
+        v = end
 
 
 def _improvable_edges(inst: Instance, spec: GridSpec):

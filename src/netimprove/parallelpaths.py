@@ -24,12 +24,13 @@ edge resistances).  The optimizer works at three levels:
     profile turns linear (zero residual resistance) act as flat sinks that
     absorb leftover budget at their constant marginal.
 
-3.  The outer optimum does bisection on the target delay Lbar: the inner
-    program is solved with growing budgets until the prefix delay M hits
-    Lbar, and the spent budget is compared with the available one.  The
-    used-path prefix follows the standard window rule: stop at the first
-    prefix (paths sorted by length) whose minimized delay does not exceed
-    the next path's length.
+3.  For a fixed used prefix the optimum minimizes L over allocations of
+    the whole budget.  Dinkelbach's iteration (Management Science 13(7),
+    1967) sets Lbar to the prefix delay with no budget, solves the inner
+    program at Lbar and moves Lbar to the delay it gives, until Lbar stops
+    falling.  The used-path prefix follows the standard window rule: stop
+    at the first prefix (paths sorted by length) whose minimized delay does
+    not exceed the next path's length.
 
 Only affine (n = 1) congestible edges are supported; rigid edges inside a
 path contribute length but no resistance.  Paths that are permanently
@@ -138,8 +139,8 @@ class _Profile:
         budget = max(budget, 0.0)
         seg = self._segment(budget)
         u = budget + seg.C
-        denom = u * seg.R + seg.S * seg.S
-        return seg.S * seg.S / (denom * denom)
+        q = seg.S / (u * seg.R + seg.S * seg.S)
+        return q * q
 
     def budget_for_marginal(self, level: float) -> float:
         """Largest budget whose marginal still exceeds ``level``.
@@ -442,7 +443,8 @@ def inner_allocate(ppi: ParallelPathsInstance, l_target: float, count: int,
 
     Returns (path budgets, spent).  ``spent`` is inf when the target is
     unreachable below the cap.  Budgets are found by bisection on the total
-    handed to the weighted water-filling, warm-started monotonically.
+    handed to the weighted water-filling, warm-started monotonically; the
+    solver itself does not need this inverse of the inner program.
     """
     paths = ppi.paths[:count]
     weights = [max(0.0, l_target - p.length) for p in paths]
@@ -487,42 +489,38 @@ class ParallelPathsResult(NamedTuple):
 
 def solve_parallel_paths(arg: Instance | ParallelPathsInstance,
                          tol: float = 1e-9) -> ParallelPathsResult:
-    """Optimal allocation on parallel paths by target-delay bisection."""
+    """Optimal allocation on parallel paths by Dinkelbach's iteration.
+
+    On each prefix the iteration stops once Lbar falls by no more than
+    ``tol`` times the gap between its start and the prefix's longest path.
+    """
+    if not tol > 0:
+        raise ValidationError("tol must be positive")
     ppi = arg if isinstance(arg, ParallelPathsInstance) else as_parallel_paths(arg)
     for p in ppi.paths:
         if p.profile.all_rigid:
             raise UnsupportedDelay(
                 "constant-delay path; optimizer needs congestible paths")
     budget = ppi.budget
-    best_budgets: list[float] | None = None
-    for group_end in _group_ends(ppi):
-        count = group_end
+    for count in _group_ends(ppi):
+        paths = ppi.paths[:count]
         nxt = (ppi.paths[count].length if count < len(ppi.paths) else math.inf)
         m0 = prefix_delay(ppi, [0.0] * count, count)
-        prefix_has_budget = budget > 0.0 and any(
-            p.profile.segments for p in ppi.paths[:count])
-        if not prefix_has_budget:
-            m_star = m0
-            budgets = [0.0] * count
-        else:
-            b_i = ppi.paths[count - 1].length
-            lo, hi = b_i, m0
-            scale = max(m0 - b_i, 1e-12 * max(1.0, m0))
-            while hi - lo > tol * scale:
-                mid = 0.5 * (lo + hi)
-                _, spent = inner_allocate(ppi, mid, count)
-                if spent > budget:
-                    lo = mid
-                else:
-                    hi = mid
-            weights = [max(0.0, hi - p.length) for p in ppi.paths[:count]]
-            budgets = _allocate_weighted(ppi.paths[:count], weights, budget)
-            m_star = prefix_delay(ppi, budgets, count)
+        budgets, m_star = [0.0] * count, m0
+        if budget > 0.0 and any(p.profile.segments for p in paths):
+            scale = max(m0 - paths[-1].length, 1e-12 * max(1.0, m0))
+            lam = m0
+            while True:
+                weights = [max(0.0, lam - p.length) for p in paths]
+                budgets = _allocate_weighted(paths, weights, budget)
+                m_star = prefix_delay(ppi, budgets, count)
+                if not lam - m_star > tol * scale:
+                    break
+                lam = m_star
             if m_star > m0:
                 budgets, m_star = [0.0] * count, m0
         if m_star <= nxt + 1e-12 * max(1.0, abs(m_star)):
             best_budgets = budgets + [0.0] * (len(ppi.paths) - count)
-            delay = m_star
             used = count
             break
     else:  # pragma: no cover - the last group always satisfies the window
@@ -573,7 +571,7 @@ def best_single_edge_allocation(links: Sequence[Edge], budget: float,
     """Best way to spend the whole budget on one link of a dipole.
 
     Evaluates the closed-form delay for each non-rigid link in id order and
-    keeps the first minimum (ties break toward the lowest id).
+    keeps the first minimum (ties within 1e-15 relative go to the lowest id).
     """
     links = sorted(links, key=lambda e: e.id)
     for e in links:
@@ -589,7 +587,7 @@ def best_single_edge_allocation(links: Sequence[Edge], budget: float,
                            c_eff, demand).tolist()
     best_id, best_L = None, ls[0]
     for L, t in zip(ls, picks):
-        if best_id is None or L < best_L - 1e-15 * max(1.0, abs(best_L)):
+        if best_id is None or L < best_L * (1.0 - 1e-15):
             best_id, best_L = links[t].id, L
     if math.isinf(best_L):
         raise Infeasible("no usable link")

@@ -125,6 +125,35 @@ class TestSolve:
         assert "Traceback" not in proc.stderr
         assert "'e2'" in proc.stderr
 
+    def test_huge_improvement_rate_exit_0(self, tmp_path):
+        doc = json.loads(json.dumps(FIG2))
+        doc["edges"][1]["mu"] = 1e300
+        path = tmp_path / "huge_mu.json"
+        path.write_text(json.dumps(doc))
+        proc = run_cli("solve", "--alg", "parallel-paths", str(path),
+                       check=False)
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr
+        paths = json.loads(proc.stdout)
+        links = json.loads(run_cli("solve", "--alg", "parallel-links",
+                                   str(path)).stdout)
+        assert paths["L"] == pytest.approx(40.0 / 3e300, rel=1e-12)
+        assert paths["L"] == pytest.approx(links["L"], rel=1e-12)
+
+    def test_tiny_demand_links_agree_with_paths(self, tmp_path):
+        doc = json.loads(json.dumps(FIG2))
+        doc["commodities"][0]["demand"] = 1e-300
+        path = tmp_path / "tiny_demand.json"
+        path.write_text(json.dumps(doc))
+        links = json.loads(run_cli("solve", "--alg", "parallel-links",
+                                   str(path)).stdout)
+        paths = json.loads(run_cli("solve", "--alg", "parallel-paths",
+                                   str(path)).stdout)
+        assert links["certificate"]["edge"] == "e2"
+        assert links["allocation"] == paths["allocation"] == {"e2": 3.0}
+        assert links["L"] == pytest.approx(paths["L"], rel=1e-12)
+        assert links["L"] == pytest.approx(2e-300, rel=1e-12)
+
     def test_deterministic_stdout(self, fig2_file):
         a = run_cli("solve", "--alg", "oracle", "--resolution", "12", fig2_file)
         b = run_cli("solve", "--alg", "oracle", "--resolution", "12", fig2_file)

@@ -38,6 +38,69 @@ class TestCompositions:
         assert (whole == chunked).all()
 
 
+def _recursive_compositions(total, parts):
+    """Reference stream: one block of last-two coordinates per prefix, the
+    prefixes visited depth first in lexicographic order."""
+    if parts == 1:
+        return np.array([[total]], dtype=np.int32)
+    blocks = []
+
+    def outer(prefix, remaining):
+        if len(prefix) == parts - 2:
+            last = np.arange(remaining + 1)
+            block = np.empty((remaining + 1, parts), dtype=np.int32)
+            block[:, :parts - 2] = prefix
+            block[:, parts - 2] = last
+            block[:, parts - 1] = remaining - last
+            blocks.append(block)
+            return
+        for v in range(remaining + 1):
+            outer(prefix + [v], remaining - v)
+
+    outer([], total)
+    return np.vstack(blocks)
+
+
+# Every (total, parts) that the test suite and the benchmark's workloads
+# (seeds 1 and 9001) enumerate, by parts.
+GRIDS = {
+    1: [5],
+    2: [0, 1, 2, 3, 4, 5, 6, 20, 24, 40, 100, 200, 300, 400],
+    3: [0, 1, 2, 3, 4, 5, 6, 7, 8, 12, 16, 30, 40, 60, 100, 200],
+    4: [0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 16, 20, 24, 30, 60, 100, 120],
+    5: [6, 40, 48],
+    6: [28],
+    7: [3, 8, 10, 20],
+}
+
+
+class TestCompositionStream:
+    @pytest.mark.parametrize("parts", sorted(GRIDS))
+    def test_matches_recursive_reference(self, parts):
+        for total in GRIDS[parts]:
+            blocks = list(compositions(total, parts))
+            rows = np.vstack(blocks)
+            assert rows.dtype == np.int32
+            assert np.array_equal(rows, _recursive_compositions(total, parts))
+            assert all(len(b) <= 200_000 for b in blocks)
+
+    def test_large_grid_comes_in_bounded_blocks(self):
+        blocks = list(compositions(48, 5))
+        assert len(blocks) > 1
+        assert all(len(b) <= 200_000 for b in blocks)
+        assert sum(len(b) for b in blocks) == count_compositions(48, 5) == 270_725
+
+    @pytest.mark.parametrize("chunk", [1, 2, 5, 17, 54, 55, 56, 200])
+    def test_small_chunks_keep_the_stream(self, chunk):
+        # (9, 4) has 55 rows with first coordinate 0, so chunks below that
+        # split a first coordinate by the second one.
+        for total, parts in [(9, 4), (6, 5), (12, 2), (0, 3)]:
+            blocks = list(compositions(total, parts, chunk=chunk))
+            assert all(1 <= len(b) <= chunk for b in blocks)
+            assert np.array_equal(np.vstack(blocks),
+                                  _recursive_compositions(total, parts))
+
+
 class TestGridSearch:
     def test_fig2_finds_the_short_link(self, fig2):
         res = grid_search(fig2, GridSpec(resolution=30))

@@ -5,7 +5,7 @@ import pytest
 
 from netimprove.core import Allocation, Commodity, Edge, Instance
 from netimprove.equilibrium import solve_equilibrium
-from netimprove.errors import NotParallelPaths, UnsupportedDelay
+from netimprove.errors import NotParallelPaths, UnsupportedDelay, ValidationError
 from netimprove.parallelpaths import (
     ParallelPathsInstance,
     _allocate_weighted,
@@ -341,3 +341,121 @@ def test_prefix_delay_vanishing_demand_limit(fig2):
     m2 = prefix_delay(tiny, [0.0, 0.0], 2)
     weighted = (0.2 * 0.0 + 0.1 * 90.0) / 0.3
     assert m2 == pytest.approx(weighted, abs=1e-9)
+
+
+def _bisection_reference(ppi, tol):
+    """Nested bisection on the target delay, each step asking
+    ``inner_allocate`` for the budget that reaches it; returns the delay
+    and the used path count."""
+    budget = ppi.budget
+    count = 0
+    for group in ppi.groups:
+        count += len(group)
+        nxt = ppi.paths[count].length if count < len(ppi.paths) else math.inf
+        m0 = prefix_delay(ppi, [0.0] * count, count)
+        budgets, m_star = [0.0] * count, m0
+        if budget > 0.0 and any(p.profile.segments for p in ppi.paths[:count]):
+            b_i = ppi.paths[count - 1].length
+            lo, hi = b_i, m0
+            scale = max(m0 - b_i, 1e-12 * max(1.0, m0))
+            while hi - lo > tol * scale:
+                mid = 0.5 * (lo + hi)
+                if inner_allocate(ppi, mid, count)[1] > budget:
+                    lo = mid
+                else:
+                    hi = mid
+            weights = [max(0.0, hi - p.length) for p in ppi.paths[:count]]
+            trial = _allocate_weighted(ppi.paths[:count], weights, budget)
+            if prefix_delay(ppi, trial, count) <= m0:
+                budgets = trial
+                m_star = prefix_delay(ppi, trial, count)
+        if m_star <= nxt + 1e-12 * max(1.0, abs(m_star)):
+            full = budgets + [0.0] * (len(ppi.paths) - count)
+            return paths_delay(ppi, full), count
+    raise AssertionError("no prefix passed the window test")
+
+
+def _random_paths_instance(rng):
+    """Parallel paths of one to three edges: some share one length, some
+    carry a rigid edge, some are dead (c = mu = 0), and one in ten has no
+    budget."""
+    shared = float(rng.uniform(0.0, 1.5))
+    edges = []
+    for p in range(int(rng.integers(1, 6))):
+        k = int(rng.integers(1, 4))
+        dead = p > 0 and rng.random() < 0.15
+        for j in range(k):
+            tail = "s" if j == 0 else f"p{p}m{j}"
+            head = "t" if j == k - 1 else f"p{p}m{j + 1}"
+            b = shared / k if rng.random() < 0.4 else float(rng.uniform(0.0, 1.5))
+            if dead and j == 0:
+                edges.append(Edge(f"p{p}e{j}", tail, head, c=0.0, b=b))
+            elif k > 1 and j == 0 and rng.random() < 0.2:
+                edges.append(Edge(f"p{p}e{j}", tail, head, b=b, rigid=True))
+            else:
+                mu = float(rng.uniform(0.1, 2.0)) if rng.random() < 0.75 else 0.0
+                edges.append(Edge(f"p{p}e{j}", tail, head,
+                                  c=float(rng.uniform(0.1, 2.0)), b=b, mu=mu))
+    nodes = sorted({e.tail for e in edges} | {e.head for e in edges})
+    budget = 0.0 if rng.random() < 0.1 else float(rng.uniform(0.1, 5.0))
+    return Instance(nodes=tuple(nodes), edges=tuple(edges),
+                    commodities=(Commodity("s", "t", float(rng.uniform(0.2, 8.0))),),
+                    budget=budget)
+
+
+class TestDinkelbachAgainstBisection:
+    def test_matches_nested_bisection_on_random_instances(self, rng):
+        seen = {"multi-edge": 0, "dropped": 0, "flat tail": 0,
+                "equal lengths": 0, "zero budget": 0, "several used": 0}
+        for _ in range(30):
+            inst = _random_paths_instance(rng)
+            ppi = as_parallel_paths(inst)
+            ref_delay, ref_used = _bisection_reference(ppi, tol=1e-11)
+            res = solve_parallel_paths(ppi, tol=1e-11)
+            assert res.delay == pytest.approx(ref_delay, rel=1e-12)
+            assert res.used_paths == ref_used
+            assert all(b >= 0.0 for b in res.allocation.path_budgets)
+            assert res.allocation.total() <= inst.budget * (1.0 + 1e-12)
+            res.allocation.to_allocation().validate_for(inst)
+            assert paths_delay(ppi, res.allocation.path_budgets) == res.delay
+            seen["multi-edge"] += any(len(p.edges) > 1 for p in ppi.paths)
+            seen["dropped"] += bool(ppi.dropped)
+            seen["flat tail"] += any(p.profile.flat_level() is not None
+                                     for p in ppi.paths[:res.used_paths])
+            seen["equal lengths"] += any(len(g) > 1 for g in ppi.groups)
+            seen["zero budget"] += inst.budget == 0.0
+            seen["several used"] += res.used_paths > 1
+        assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_nonpositive_tol_rejected(self, fig2, tol):
+        with pytest.raises(ValidationError, match="tol"):
+            solve_parallel_paths(fig2, tol=tol)
+
+    def test_huge_improvement_rate(self, fig2):
+        edges = (fig2.edges[0], Edge("e2", "s", "t", c=0.2, b=0.0, mu=1e300))
+        inst = Instance(nodes=fig2.nodes, edges=edges,
+                        commodities=fig2.commodities, budget=3.0)
+        res = solve_parallel_paths(inst)
+        links = best_single_edge_allocation(edges, 3.0, 40.0)
+        assert res.delay == pytest.approx(40.0 / 3e300, rel=1e-12)
+        assert links.edge_id == "e2"
+        assert links.delay == pytest.approx(res.delay, rel=1e-12)
+
+
+class TestSingleEdgeTies:
+    def test_tie_floor_is_relative(self, fig2):
+        res = best_single_edge_allocation(fig2.edges, 3.0, 1e-300)
+        ppi = as_parallel_paths(Instance(
+            nodes=fig2.nodes, edges=fig2.edges,
+            commodities=(Commodity("s", "t", 1e-300),), budget=3.0))
+        assert res.edge_id == "e2"
+        assert res.delay == pytest.approx(2e-300, rel=1e-12)
+        assert res.delay == pytest.approx(solve_parallel_paths(ppi).delay,
+                                          rel=1e-12)
+
+    def test_unusable_first_link_does_not_block_the_rest(self):
+        links = [_edge(1, 0.0, 0.0), _edge(2, 0.0, 1.0)]
+        res = best_single_edge_allocation(links, 2.0, 1.0)
+        assert res.edge_id == "e2"
+        assert res.delay == pytest.approx(0.5, rel=1e-15)
