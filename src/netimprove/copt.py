@@ -7,30 +7,24 @@ polytope and the budget simplex.  Each edge term
     T(x, beta) = x^(n+1) / (c + mu * beta)^n + b * x
 
 has a positive semidefinite Hessian (its quadratic form collapses to a
-perfect square), so the whole objective is convex and a first-order method
-with a linear-minimization oracle applies:
+perfect square), so the whole objective is convex.  Its gradient in x is a
+nonnegative edge cost and in beta nonpositive, so the best vertex routes
+each commodity on a shortest path and drops the entire budget on the
+steepest edge (or spends nothing).
 
-* flow block: the gradient in x is a nonnegative edge cost, so the best
-  vertex is a shortest-path all-or-nothing assignment per commodity;
-* budget block: the gradient in beta is nonpositive, so the best vertex
-  drops the entire budget on the steepest edge (or spends nothing).
-
-Frank-Wolfe with the exact step drives the relative duality gap down: the
-objective along a Frank-Wolfe segment is a sum of one-dimensional convex
-edge terms, whose first and second derivatives in the step size come in
-closed form, and a safeguarded Newton iteration finds the step's root.  A
-trust-region polish over the same constraints finishes the job when very
-tight gaps are requested; the reported certificate is always the exact
-Frank-Wolfe gap at the returned point.  The returned allocation
-carries the standard price-of-anarchy guarantee for the equilibrium played
-under it: factor 4/3 when every delay is affine, O(p / log p) for maximum
-exponent p otherwise (reported as metadata, not numerically certified).
+Frank-Wolfe with the exact step drives the relative duality gap down: along
+a segment the objective is a sum of one-dimensional convex edge terms whose
+first two derivatives come in closed form, and a safeguarded Newton
+iteration finds the step's root.  A primal active-set Newton method, warm
+started at the Frank-Wolfe point, finishes the job when tight gaps are
+requested; the reported certificate is always the exact Frank-Wolfe gap at
+the returned point.  The returned allocation carries the standard
+price-of-anarchy guarantee for the equilibrium played under it: factor 4/3
+when every delay is affine, O(p / log p) for maximum exponent p otherwise
+(reported as metadata, not numerically certified).
 
 One kernel, built once per solve from the instance's edge arrays, gives the
-value, gradient and dense Hessian of the summed edge terms to every phase:
-the Frank-Wolfe loop, its step and its linearized lower bound, the polish
-and the KKT refinement.
-
+value, gradient and dense Hessian of the summed edge terms to every phase.
 Exponents below one break the relaxation's smoothness at zero flow; such
 instances are solved with Frank-Wolfe only, after a warning.
 """
@@ -56,6 +50,7 @@ __all__ = [
 ]
 
 _G_PAD = 1e-300  # keeps 1/g**n finite during line search at the g=0 corner
+_EPS_ACTIVE = 1e-13  # relative distance to a bound at which the polish pins
 # The C library's pow, as Python's ** on floats; numpy's ** may take a
 # vectorized pow that differs from it in the last bit.
 _pow = np.float_power
@@ -95,13 +90,15 @@ def relaxed_total_delay(inst: Instance, flow: FlowState | dict,
 class _Relaxation:
     """Edge arrays and constraint rows of one instance, built once per solve.
 
-    The stacked variable vector of the polish and the KKT refinement holds
-    the per-commodity edge flows x (ncom, m) row by row, then the budget
-    beta (p,) over the improvable edges.  A rigid edge gets infinite
-    conductance, which reduces its term to b * x.
+    The stacked variable vector of the polish holds the per-commodity edge
+    flows x (ncom, m) row by row, then the budget beta (p,) over the
+    improvable edges.  A rigid edge gets infinite conductance, which
+    reduces its term to b * x.  As T(x; c, mu) / s = T(x / s; c / s, mu / s)
+    for every n, demands, c and mu are held divided by ``scale``, and so
+    are the kernel's flows and objective (exactly, for a power of two).
     """
 
-    def __init__(self, inst: Instance):
+    def __init__(self, inst: Instance, scale: float = 1.0):
         edges = inst.edges
         self.m = m = len(edges)
         self.ncom = len(inst.commodities)
@@ -113,12 +110,14 @@ class _Relaxation:
         self.nm = self.ncom * m
         self.dim = self.nm + self.p
         self.budget = inst.budget
-        self.demands = np.array([k.demand for k in inst.commodities])
-        self.c = np.array([math.inf if e.rigid else e.c for e in edges])
+        self.scale = s = scale
+        self.demands = np.array([k.demand for k in inst.commodities]) / s
+        self.c = np.array([math.inf if e.rigid else e.c for e in edges]) / s
         self.b = np.array([e.b for e in edges])
         self.n = np.array([e.n for e in edges])
-        self.mu = np.array([edges[t].mu for t in self.imp])
+        self.mu = np.array([edges[t].mu for t in self.imp]) / s
         self.n1 = self.n + 1.0
+        self.gates = self.c[self.imp] == 0.0
         self.dbeta = -self.n[self.imp] * self.mu
 
         rows, rhs = [], []
@@ -132,7 +131,7 @@ class _Relaxation:
                 for e in inst.in_edges[u]:
                     row[i * m + self.col[e.id]] -= 1.0
                 rows.append(row)
-                rhs.append(k.demand if u == k.source else 0.0)
+                rhs.append(self.demands[i] if u == k.source else 0.0)
         self.conservation = np.array(rows)
         self.conservation_rhs = np.array(rhs)
         self.budget_row = np.zeros(self.dim)
@@ -231,9 +230,11 @@ def solve_copt(inst: Instance, tol: float = 1e-8, fw_iters: int = 2000,
                polish: bool = True) -> CoptResult:
     """Solve the relaxation to relative duality gap ``tol``.
 
-    Returns the relaxed flow, the allocation to play, the relaxed objective
-    (a lower bound on the total delay of the equilibrium under any valid
-    allocation) and the achieved certificate.
+    At most ``fw_iters`` Frank-Wolfe steps run; if the gap is still above
+    ``tol``, the active-set Newton method polishes their point (unless
+    ``polish`` is false).  Returns the relaxed flow, the allocation to
+    play, the relaxed objective (a lower bound on the total delay of the
+    equilibrium under any valid allocation) and the achieved certificate.
     """
     if tol <= 0:
         raise ValidationError("tol must be positive")
@@ -247,98 +248,96 @@ def solve_copt(inst: Instance, tol: float = 1e-8, fw_iters: int = 2000,
         fw_iters = max(fw_iters, 20000)
 
     edges = inst.edges
-    kern = _Relaxation(inst)
-    m, ncom, p = kern.m, kern.ncom, kern.p
-    improvable = [edges[t] for t in kern.imp]
+    # Flows in units of a power of two within a factor two of the total
+    # demand, so that no demand takes them out of floating-point range, unless
+    # a conductance would overflow in those units.
+    top = max((e.c + e.mu * inst.budget for e in edges if not e.rigid), default=1.0)
+    unit = max(math.frexp(inst.total_demand)[1] - 1, math.frexp(top)[1] - 1023)
+    kern = _Relaxation(inst, math.ldexp(1.0, unit))
+    m, ncom, p, imp = kern.m, kern.ncom, kern.p, kern.imp
+    # A gate (improvable, zero conductance) with no flow is closed: zeroing
+    # its budget changes no term, and there its 1-homogeneous term has as
+    # subgradient its gradient on any ray (x, beta) = t (rho, 1).  The bound
+    # takes the ray whose budget slope is m0, the steepest one elsewhere,
+    # which makes it exact at an optimum that keeps the gate closed; a step
+    # through the gate opens it along that ray.
+    gated = kern.gates & (inst.budget > 0.0)
+    gates, demands = imp[gated], kern.demands.tolist()
 
-    def aon(gx: np.ndarray, beta: np.ndarray):
-        usable = (kern.conductance(beta) > 0.0).tolist()
-        delays = {eid: d for eid, d, ok in zip(kern.ids, gx.tolist(), usable)
-                  if ok}
+    def linearize(x: np.ndarray, beta: np.ndarray):
+        """Objective, the point to step towards and the linearized value
+        at the best vertex, which bounds the optimum from below."""
+        val, gx, gb = kern.value_grad(x, beta)
+        xt = x.sum(axis=0)
+        usable = kern.conductance(beta) > 0.0
+        if gates.size:
+            m0 = min(0.0, float(gb.min()))
+            closed = gated & (xt[imp] == 0.0)
+            n, mu = kern.n[imp][closed], kern.mu[closed]
+            rho = _pow(-m0 * _pow(mu, n) / n, 1.0 / (n + 1.0))
+            gx = gx.copy()
+            gx[imp[closed]] += (n + 1.0) * _pow(rho / mu, n)
+            usable[gates] = True
+        delays = {eid: d for eid, d, ok
+                  in zip(kern.ids, gx.tolist(), usable.tolist()) if ok}
         y = np.zeros((ncom, m))
         lower = 0.0
-        for i, k in enumerate(inst.commodities):
+        for i, (k, d) in enumerate(zip(inst.commodities, demands)):
             dist, path = _shortest_path(inst, delays, k.source, k.sink)
             if path is None:
                 raise Infeasible(
                     f"commodity {k.source}->{k.sink} is disconnected")
-            lower += k.demand * dist
+            lower += d * dist
             for eid in path:
-                y[i, kern.col[eid]] += k.demand
-        return y, lower
-
-    def linearize(x: np.ndarray, beta: np.ndarray):
-        """Objective, gradient, best vertex and the linearized value there,
-        which bounds the optimum from below."""
-        val, gx, gb = kern.value_grad(x, beta)
-        y, sp_lower = aon(gx, beta)
+                y[i, kern.col[eid]] += d
         bvert = np.zeros(p)
         if p and gb.min() < 0.0:
             bvert[int(np.argmin(gb))] = inst.budget
-        lower = sp_lower + float(gb @ bvert) + (val - float(gx @ x.sum(axis=0))
-                                                - float(gb @ beta))
+        lower = lower + float(gb @ bvert) + (val - float(gx @ xt)
+                                             - float(gb @ beta))
+        routed = closed & (y.sum(axis=0)[imp] > 0.0) if gates.size else None
+        if routed is not None and routed.any():
+            # Budget for the routed gates, taken from the other edges in
+            # proportion; a free budget (m0 = 0) all goes to the gates.
+            flow = y.sum(axis=0)[imp][routed]
+            need = (flow / rho[routed[closed]] if m0 < 0.0
+                    else flow * (inst.budget / flow.sum()))
+            shrink = min(1.0, inst.budget / need.sum())
+            rest = inst.budget - shrink * need.sum()
+            bvert = beta * min(1.0, rest / max(beta.sum(), 1e-300))
+            bvert[routed] = shrink * need
+            y = x + shrink * (y - x)
         return val, y, bvert, lower
 
-    # Interior budget start keeps zero-conductance improvable edges usable.
+    # Interior budget start keeps the gates open.
     beta = np.full(p, inst.budget / p) if p else np.zeros(0)
     x = linearize(np.zeros((ncom, m)), beta)[1]
-
+    # Frank-Wolfe steps, then up to four polishes, each after one more step:
+    # the Newton method stops at a closed gate, and a step through the gate
+    # opens it.
     best_lower = -math.inf
-    gap_rel = math.inf
-    iterations = 0
-    for iterations in range(1, fw_iters + 1):
+    for it in range(1, fw_iters + 5):
         val, y, bvert, lower = linearize(x, beta)
         best_lower = max(best_lower, lower)
         gap_rel = (val - best_lower) / max(abs(val), 1e-300)
-        if gap_rel <= tol:
+        if gap_rel <= tol or it > fw_iters + 3:
             break
-        dx = y - x
-        dbeta = bvert - beta
+        dx, dbeta = y - x, bvert - beta
         gamma = _exact_step(kern.segment(x, beta, dx, dbeta))
-        x = x + gamma * dx
-        beta = beta + gamma * dbeta
-
-    if polish and gap_rel > tol:
-        # A single polish can settle into a near-optimal face; restart it
-        # from a few budget configurations and keep the best point.  Every
-        # start contributes a valid linearization lower bound, so the
-        # certificate tightens even when the point does not move.
-        best_val, *_, lower = linearize(x, beta)
-        best_lower = max(best_lower, lower)
-        starts = [(x, beta)]
-        if p:
-            vertex = np.zeros(p)
-            vertex[int(np.argmax(beta)) if beta.size else 0] = inst.budget
-            starts.append((x, vertex))
-            starts.append((x, np.full(p, inst.budget / p)))
-        for sx, sb in starts:
-            if gap_rel <= tol:
+        x, beta = x + gamma * dx, beta + gamma * dbeta
+        if it >= fw_iters:
+            if not polish:
                 break
-            xx, bb = _polish(kern, sx, sb)
-            for freeze in (1e-7, 1e-5, 1e-3):
-                refined = _kkt_refine(kern, xx, bb, freeze=freeze)
-                if refined is not None:
-                    rx, rb = refined
-                    # The objective is a sum of nonnegative terms, so its
-                    # rounding error is a few ulps of its value: a refined
-                    # point that ties within that is kept, rather than
-                    # letting the last bit pick between the two.
-                    held = kern.value_grad(xx, bb)[0]
-                    if kern.value_grad(rx, rb)[0] <= held + 1e-15 * held:
-                        xx, bb = rx, rb
-            val2, *_, lower2 = linearize(xx, bb)
-            best_lower = max(best_lower, lower2)
-            if val2 < best_val:
-                best_val = val2
-                x, beta = xx, bb
-            gap_rel = (best_val - best_lower) / max(abs(best_val), 1e-300)
+            x, beta = _newton_polish(kern, x, beta)
     if gap_rel > tol:
         warnings.warn(f"relaxation gap {gap_rel:.3e} above tol {tol:.3e}",
                       RuntimeWarning)
 
+    s = kern.scale
     xt = x.sum(axis=0)
-    fmap = {e.id: float(xt[t]) for t, e in enumerate(edges) if xt[t] > 1e-15}
-    per_comm = tuple({e.id: float(x[i, t]) for t, e in enumerate(edges)
+    fmap = {e.id: float(s * xt[t]) for t, e in enumerate(edges)
+            if xt[t] > 1e-15}
+    per_comm = tuple({e.id: float(s * x[i, t]) for t, e in enumerate(edges)
                       if x[i, t] > 1e-15} for i in range(ncom))
     flow = FlowState(edge_flow=fmap,
                      commodity_flows=per_comm if ncom > 1 else None)
@@ -346,8 +345,8 @@ def solve_copt(inst: Instance, tol: float = 1e-8, fw_iters: int = 2000,
     vals = np.maximum(beta, 0.0)
     if vals.sum() > total > 0.0:
         vals = vals * (total / vals.sum())
-    alloc = Allocation({e.id: float(vals[j]) for j, e in enumerate(improvable)
-                        if vals[j] > 1e-15})
+    alloc = Allocation({kern.ids[t]: float(v) for t, v in zip(imp, vals)
+                        if v > 1e-15})
     objective_value = relaxed_total_delay(inst, fmap, alloc)
     affine = all(e.affine for e in edges)
     return CoptResult(
@@ -358,109 +357,109 @@ def solve_copt(inst: Instance, tol: float = 1e-8, fw_iters: int = 2000,
         guarantee_factor=4.0 / 3.0 if affine else None,
         max_exponent=max_n,
         duality_gap=gap_rel,
-        iterations=iterations,
+        iterations=min(it, fw_iters),
     )
 
 
-def _polish(kern: _Relaxation, x0: np.ndarray, beta0: np.ndarray):
-    """Tighten the Frank-Wolfe point: trust-region, then active-set."""
-    from scipy import optimize
+def _newton_polish(kern: _Relaxation, x: np.ndarray, beta: np.ndarray):
+    """Primal active-set Newton method from a feasible point.
 
-    fun = kern.stacked_value_grad
-    eq_rows = list(zip(kern.conservation, kern.conservation_rhs))
-    budget_row = kern.budget_row
-    budget = kern.budget
-
-    tc_cons = [optimize.LinearConstraint(row, rhs, rhs) for row, rhs in eq_rows]
-    if kern.p:
-        tc_cons.append(optimize.LinearConstraint(budget_row, 0.0, budget))
-    ub = np.concatenate([np.repeat(kern.demands, kern.m),
-                         np.full(kern.p, budget)])
-    z0 = np.concatenate([np.clip(x0.ravel(), 0.0, None),
-                         np.clip(beta0, 0.0, None)])
-    res = optimize.minimize(
-        fun, z0, jac=True, hess=lambda z: kern.hessian(*kern.split(z)),
-        method="trust-constr",
-        bounds=optimize.Bounds(np.zeros(kern.dim), ub), constraints=tc_cons,
-        options={"gtol": 1e-12, "xtol": 1e-16, "barrier_tol": 1e-14,
-                 "maxiter": 3000})
-    z = np.asarray(res.x)
-
-    # The interior-point loop stalls around 1e-7 relative; an active-set
-    # refinement from its output reaches much tighter gaps.
-    sq_cons = [{"type": "eq",
-                "fun": lambda zz, row=row, rhs=rhs: float(row @ zz - rhs),
-                "jac": lambda zz, row=row: row}
-               for row, rhs in eq_rows]
-    if kern.p:
-        sq_cons.append({"type": "ineq",
-                        "fun": lambda zz: budget - float(budget_row @ zz),
-                        "jac": lambda zz: -budget_row})
-    res2 = optimize.minimize(
-        fun, z, jac=True, method="SLSQP",
-        bounds=[(0.0, float(u)) for u in ub], constraints=sq_cons,
-        options={"ftol": 1e-16, "maxiter": 500})
-    if res2.success and fun(np.asarray(res2.x))[0] <= fun(z)[0]:
-        z = np.asarray(res2.x)
-    x, beta = kern.split(z)
-    return np.clip(x, 0.0, None), np.clip(beta, 0.0, None)
-
-
-def _kkt_refine(kern: _Relaxation, x0: np.ndarray, beta0: np.ndarray,
-                iters: int = 6, freeze: float = 1e-7):
-    """Newton on the equality-constrained problem at the guessed active set.
-
-    Variables below ``freeze`` (relative to their scale) are pinned at
-    zero; the smooth KKT system then drives the remainder to machine
-    precision.  Returns None when the guess proves inconsistent (a free
-    variable wants to move negative).
+    The working set holds the pinned zero bounds and, while it binds, the
+    budget row.  A step solves the KKT system of the Newton step on the free
+    variables, conservation residual included, is cut at the first free
+    bound or the budget it would cross, and backtracks on the convex
+    objective.  A blocking constraint joins the set, as does a bound within
+    ``_EPS_ACTIVE`` (relative) of zero: a nearly closed gate, whose
+    curvature grows as 1 / beta, would ruin the step's conditioning.  With
+    no decrease left, the constraint whose multiplier has the wrong sign by
+    the widest margin, outside closed gates, leaves; when none has, it stops.
     """
-    nm, p, dim, budget = kern.nm, kern.p, kern.dim, kern.budget
-    dscale = float(kern.demands.max())
+    nm, dim, budget = kern.nm, kern.dim, kern.budget
+    gate_b = nm + np.flatnonzero(kern.gates)
+    gate_x = (np.arange(kern.ncom)[:, None] * kern.m + kern.imp[kern.gates]).T
+    eps = _EPS_ACTIVE * np.repeat([kern.demands.sum(), budget], [nm, kern.p])
+    z = np.maximum(np.concatenate([x.ravel(), beta]), 0.0)
+    # Entry dim of the working set stands for the budget row.
+    pinned = np.zeros(dim + 1, dtype=bool)
+    pinned[dim] = kern.p > 0 and z[nm:].sum() >= budget
 
-    z = np.concatenate([x0.ravel(), beta0])
-    frozen = np.zeros(dim, dtype=bool)
-    frozen[:nm] = z[:nm] < freeze * dscale
-    if p:
-        frozen[nm:] = z[nm:] < freeze * max(1.0, budget)
-    rows = [kern.conservation]
-    rhs = [kern.conservation_rhs]
-    if p and z[nm:].sum() > budget * (1.0 - 1e-7):
-        rows.append(kern.budget_row[None, :])
-        rhs.append([budget])
-    rows.append(np.eye(dim)[frozen])
-    rhs.append(np.zeros(int(frozen.sum())))
-    A = np.vstack(rows)
-    b = np.concatenate(rhs)
+    def settle(falling):  # a gate's budget closes only with its flow
+        low = ~pinned[:dim] & falling & (z <= eps)
+        z[:nm][low[:nm]] = 0.0
+        low[gate_b[(z[gate_x] > 0.0).any(axis=1)]] = False
+        z[low] = 0.0
+        pinned[:dim] |= low
 
-    nrows = len(A)
-    for _ in range(iters):
-        _, g = kern.stacked_value_grad(z)
+    settle(True)
+    f, g = kern.stacked_value_grad(z)
+    for _ in range(200):
+        free = ~pinned[:dim]
+        rows, rhs = kern.conservation, kern.conservation_rhs
+        if pinned[dim]:
+            rows = np.vstack([rows, kern.budget_row])
+            rhs = np.append(rhs, budget)
+        # Eliminating the pinned variables can leave the rows dependent (a
+        # node whose edges are all pinned); their SVD gives an equivalent
+        # independent set.
+        U, S, Vt = np.linalg.svd(rows[:, free], full_matrices=False)
+        keep = S > 1e-9 * S.max(initial=0.0)
+        Ur, Q = U[:, keep], S[keep, None] * Vt[keep]
         H = kern.hessian(*kern.split(z))
-        if not np.isfinite(g).all() or not np.isfinite(H).all():
-            return None
-        kkt = np.zeros((dim + nrows, dim + nrows))
-        kkt[:dim, :dim] = H + 1e-12 * np.eye(dim)
-        kkt[:dim, dim:] = A.T
-        kkt[dim:, :dim] = A
-        resid = np.concatenate([-g, b - A @ z])
+        kkt = np.block([[H[np.ix_(free, free)] + 1e-12 * np.eye(free.sum()),
+                         Q.T], [Q, np.zeros((len(Q), len(Q)))]])
+        resid = np.concatenate([-g[free], Ur.T @ (rhs - rows @ z)])
         try:
             sol = np.linalg.solve(kkt, resid)
         except np.linalg.LinAlgError:
             sol = np.linalg.lstsq(kkt, resid, rcond=None)[0]
-        step = sol[:dim]
-        if not np.isfinite(step).all():
-            return None
-        z = z + step
-        if np.max(np.abs(step)) < 1e-14 * max(1.0, np.max(np.abs(z))):
+        if not np.isfinite(sol).all():
             break
-    if not np.isfinite(z).all() or \
-            (z < -1e-9 * max(1.0, dscale, budget)).any():
-        return None
-    z = np.clip(z, 0.0, None)
-    if p and z[nm:].sum() > budget * (1.0 + 1e-12):
-        return None
-    return kern.split(z)
+        d = np.zeros(dim)
+        d[free] = sol[:free.sum()]
+        w = Ur @ sol[free.sum():]
+
+        # Ratio test.  A bound that only rounding would cross is left to the
+        # clip, as pinning it at a zero step would undo the release that
+        # freed it.
+        ratio = np.full(dim + 1, np.inf)
+        fall = free & (d < -1e-13 * max(1.0, z.max()))
+        ratio[:dim][fall] = z[fall] / -d[fall]
+        rise = float(d[nm:].sum())
+        if kern.p and not pinned[dim] and rise > 0.0:
+            ratio[dim] = max(budget - z[nm:].sum(), 0.0) / rise
+        block = int(np.argmin(ratio))
+        t = min(1.0, ratio[block])
+        g0, pred, slack = g, -float(g @ d), 1e-15 * abs(f)
+        for _ in range(60):
+            trial = z + t * d
+            if ratio[block] <= t and block < dim:
+                trial[block] = 0.0
+            trial[free] = np.maximum(trial[free], 0.0)
+            f_new, g_new = kern.stacked_value_grad(trial)
+            if f_new <= f + slack:
+                break
+            t *= 0.5
+        else:
+            trial = None
+        if trial is not None:
+            z, f, g = trial, f_new, g_new
+            blocked = ratio[block] <= t
+            pinned[block] |= blocked
+            settle(fall)
+            if blocked or pred > slack:
+                continue
+
+        lam = np.zeros(dim + 1)
+        lam[:dim] = np.where(pinned[:dim], g0 + H @ d + rows.T @ w, 0.0)
+        lam[dim] = w[-1] if pinned[dim] else 0.0
+        shut = pinned[gate_b]
+        lam[gate_b[shut]] = lam[gate_x[shut]] = 0.0
+        worst = int(np.argmin(lam))
+        if lam[worst] >= -1e-12 * max(1.0, float(np.abs(g0).max())):
+            break
+        pinned[worst] = False
+    x, beta = kern.split(z)
+    return x.copy(), beta.copy()
 
 
 # ---------------------------------------------------------------------------

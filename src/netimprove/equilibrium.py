@@ -476,7 +476,7 @@ def _finish(inst: Instance, prob: _PathProblem, x: np.ndarray,
                     cmap[eid] = cmap.get(eid, 0.0) + w
         per_comm.append(cmap)
     total = sum(k.demand for k in inst.commodities)
-    avg = sum(k.demand * L[i] for i, k in enumerate(inst.commodities)) / total
+    avg = sum(k.demand / total * L[i] for i, k in enumerate(inst.commodities))
     flow = FlowState(edge_flow=f,
                      commodity_flows=tuple(per_comm) if len(per_comm) > 1 else None,
                      paths=tuple(paths_out))
@@ -602,7 +602,7 @@ def _frank_wolfe(inst: Instance, beta: Allocation, tol: float,
         dist, _ = _shortest_path(inst, delays, k.source, k.sink)
         L.append(dist)
     total = sum(k.demand for k in inst.commodities)
-    avg = sum(k.demand * L[i] for i, k in enumerate(inst.commodities)) / total
+    avg = sum(k.demand / total * L[i] for i, k in enumerate(inst.commodities))
     per_comm = tuple({e.id: float(fi[i, t]) for t, e in enumerate(edges)
                       if fi[i, t] > 1e-15} for i in range(ncom))
     flow = FlowState(edge_flow=fmap,
@@ -830,10 +830,10 @@ class _PathBatch:
             added |= add
         done = settled & ~added
         done &= ~self._potential_overflows(F, Gg, done)
-        avg = self.demands[0] * L[done, 0]
+        avg = self.demands[0] / self.total * L[done, 0]
         for i in range(1, len(self.demands)):
-            avg = avg + self.demands[i] * L[done, i]
-        out[grp[done]] = avg / self.total
+            avg = avg + self.demands[i] / self.total * L[done, i]
+        out[grp[done]] = avg
         return np.concatenate([dropped, grp[added]])
 
     def _flows(self, aset: _ActiveSet, z: np.ndarray, G: np.ndarray):

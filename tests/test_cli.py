@@ -154,6 +154,23 @@ class TestSolve:
         assert links["L"] == pytest.approx(paths["L"], rel=1e-12)
         assert links["L"] == pytest.approx(2e-300, rel=1e-12)
 
+    @pytest.mark.parametrize("alg", ["copt", "fptas"])
+    def test_tiny_demand_delay_is_the_common_delay(self, tmp_path, alg):
+        doc = json.loads(json.dumps(FIG2))
+        doc["commodities"][0]["demand"] = 1e-300
+        path = tmp_path / "tiny_demand.json"
+        path.write_text(json.dumps(doc))
+        solved = json.loads(run_cli("solve", "--alg", alg, str(path)).stdout)
+        beta = tmp_path / "beta.json"
+        beta.write_text(json.dumps({"beta": solved["allocation"]}))
+        eq = json.loads(run_cli("equilibrium", "--beta", str(beta),
+                                str(path)).stdout)
+        assert solved["allocation"] == {"e2": 3.0}
+        assert solved["L"] > 0.0
+        assert eq["L"] == eq["common_delay"][0]
+        assert solved["L"] == pytest.approx(eq["L"], rel=1e-12)
+        assert eq["L"] == pytest.approx(2e-300, rel=1e-12)
+
     def test_deterministic_stdout(self, fig2_file):
         a = run_cli("solve", "--alg", "oracle", "--resolution", "12", fig2_file)
         b = run_cli("solve", "--alg", "oracle", "--resolution", "12", fig2_file)

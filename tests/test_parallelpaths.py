@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from netimprove.core import Allocation, Commodity, Edge, Instance
-from netimprove.equilibrium import solve_equilibrium
+from netimprove.equilibrium import dipole_delay_rows, solve_equilibrium
 from netimprove.errors import NotParallelPaths, UnsupportedDelay, ValidationError
 from netimprove.parallelpaths import (
     ParallelPathsInstance,
@@ -239,17 +239,29 @@ class TestSolveParallelPaths:
             inst = make_dipole(params, demand, budget)
             res = solve_parallel_paths(inst, tol=1e-10)
             ppi = as_parallel_paths(inst)
-            # Path-budget grid oracle at resolution 200.
-            best = math.inf
+            # Path-budget grid oracle at resolution 200, one batched
+            # closed-form evaluation over the whole grid.
             R = 200
+            grid = []
             for i in range(R + 1):
                 for j in range(R + 1 - i):
                     budgets = [i * budget / R, j * budget / R]
                     if npaths == 3:
-                        budgets.append(budget - budgets[0] - budgets[1])
                         k = int((budget - i * budget / R - j * budget / R) / budget * R)
-                        budgets[2] = max(0.0, k * budget / R)
-                    best = min(best, paths_delay(ppi, budgets))
+                        budgets.append(max(0.0, k * budget / R))
+                    grid.append(budgets)
+            c_eff = np.array([[p.profile.conductance(pb)
+                               for p, pb in zip(ppi.paths, budgets)]
+                              for budgets in grid])
+            delays = dipole_delay_rows([p.length for p in ppi.paths],
+                                       [p.profile.all_rigid for p in ppi.paths],
+                                       c_eff, ppi.demand)
+            assert np.isfinite(delays).all()
+            sample = np.random.default_rng(trial).choice(len(grid), 20,
+                                                         replace=False)
+            for r in sample:
+                assert paths_delay(ppi, grid[r]) == delays[r]
+            best = float(delays.min())
             assert res.delay <= best + 1e-6
             assert res.delay >= best - 0.2  # grid resolution slack
 
