@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 
@@ -183,6 +184,15 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+def positive_float(text: str) -> float:
+    """Option type for tolerances: zero, negatives, inf and nan exit 2."""
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be positive and finite, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="netimprove",
@@ -191,9 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="allocate the instance's budget")
     solve.add_argument("--alg", choices=ALGORITHMS, required=True)
-    solve.add_argument("--eps", type=float, default=0.25,
+    solve.add_argument("--eps", type=positive_float, default=0.25,
                        help="target factor for the approximation scheme")
-    solve.add_argument("--tol", type=float, default=1e-8)
+    solve.add_argument("--tol", type=positive_float, default=1e-8)
     solve.add_argument("--resolution", type=int, default=50,
                        help="grid steps per budget for the oracle")
     solve.add_argument("--kcap", type=int, default=5000,
@@ -205,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     eq = sub.add_parser("equilibrium", help="equilibrium under an allocation")
     eq.add_argument("--beta", help="allocation JSON file (default: zero)")
-    eq.add_argument("--tol", type=float, default=1e-8)
+    eq.add_argument("--tol", type=positive_float, default=1e-8)
     eq.add_argument("instance")
     eq.set_defaults(func=cmd_equilibrium)
 
@@ -215,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--to", dest="beta_to", required=True,
                        help="allocation JSON at lambda=1")
     sweep.add_argument("--steps", type=int, default=100)
-    sweep.add_argument("--tol", type=float, default=1e-8)
+    sweep.add_argument("--tol", type=positive_float, default=1e-8)
     sweep.add_argument("--csv", help="write CSV here instead of stdout")
     sweep.add_argument("instance")
     sweep.set_defaults(func=cmd_sweep)

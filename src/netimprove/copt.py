@@ -15,9 +15,9 @@ steepest edge (or spends nothing).
 Frank-Wolfe with the exact step drives the relative duality gap down: along
 a segment the objective is a sum of one-dimensional convex edge terms whose
 first two derivatives come in closed form, and a safeguarded Newton
-iteration finds the step's root.  A primal active-set Newton method, warm
-started at the Frank-Wolfe point, finishes the job when tight gaps are
-requested; the reported certificate is always the exact Frank-Wolfe gap at
+iteration finds the step's root.  A primal active-set Newton method polishes
+the point after Frank-Wolfe steps 1, 2, 4, ... until the gap is within the
+tolerance; the reported certificate is always the exact Frank-Wolfe gap at
 the returned point.  The returned allocation carries the standard
 price-of-anarchy guarantee for the equilibrium played under it: factor 4/3
 when every delay is affine, O(p / log p) for maximum exponent p otherwise
@@ -230,14 +230,16 @@ def solve_copt(inst: Instance, tol: float = 1e-8, fw_iters: int = 2000,
                polish: bool = True) -> CoptResult:
     """Solve the relaxation to relative duality gap ``tol``.
 
-    At most ``fw_iters`` Frank-Wolfe steps run; if the gap is still above
-    ``tol``, the active-set Newton method polishes their point (unless
-    ``polish`` is false).  Returns the relaxed flow, the allocation to
-    play, the relaxed objective (a lower bound on the total delay of the
-    equilibrium under any valid allocation) and the achieved certificate.
+    Until the gap is at most ``tol``, the active-set Newton method polishes
+    after Frank-Wolfe steps 1, 2, 4, ... < ``fw_iters`` and after each of up
+    to four more (Frank-Wolfe only if ``polish`` is false).  Returns the
+    relaxed flow, the allocation to play, the relaxed objective (a lower
+    bound on any valid allocation's equilibrium total delay) and the gap.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValidationError("tol must be positive")
+    if fw_iters < 0:
+        raise ValidationError("fw_iters must be nonnegative")
     exponents = [e.n for e in inst.edges if not e.rigid]
     max_n = max(exponents, default=1.0)
     if any(n < 1.0 for n in exponents):
@@ -312,9 +314,7 @@ def solve_copt(inst: Instance, tol: float = 1e-8, fw_iters: int = 2000,
     # Interior budget start keeps the gates open.
     beta = np.full(p, inst.budget / p) if p else np.zeros(0)
     x = linearize(np.zeros((ncom, m)), beta)[1]
-    # Frank-Wolfe steps, then up to four polishes, each after one more step:
-    # the Newton method stops at a closed gate, and a step through the gate
-    # opens it.
+    # The Newton method stops at a closed gate; a step through it opens it.
     best_lower = -math.inf
     for it in range(1, fw_iters + 5):
         val, y, bvert, lower = linearize(x, beta)
@@ -325,7 +325,7 @@ def solve_copt(inst: Instance, tol: float = 1e-8, fw_iters: int = 2000,
         dx, dbeta = y - x, bvert - beta
         gamma = _exact_step(kern.segment(x, beta, dx, dbeta))
         x, beta = x + gamma * dx, beta + gamma * dbeta
-        if it >= fw_iters:
+        if it >= fw_iters or polish and not it & (it - 1):
             if not polish:
                 break
             x, beta = _newton_polish(kern, x, beta)

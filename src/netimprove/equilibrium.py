@@ -67,6 +67,7 @@ __all__ = [
     "beckmann_potential",
     "solve_equilibrium",
     "solve_parallel_links_equilibrium",
+    "length_unit",
     "parallel_links_delay_batch",
     "path_delay_rows",
     "dipole_delay_rows",
@@ -623,7 +624,7 @@ def solve_equilibrium(inst: Instance, beta: Allocation | None = None,
     ``start`` seeds the active set ("shortest", "longest" or "all") and only
     affects the iteration trajectory, not the result.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValidationError("tol must be positive")
     beta = beta or Allocation()
     beta.validate_for(inst)
@@ -974,6 +975,14 @@ def dipole_links(inst: Instance) -> tuple[Edge, ...] | None:
     return None
 
 
+def length_unit(c_max: float, b_max: float, count: int) -> float:
+    """Power of two to measure lengths in, so that a sum of ``count`` terms
+    c * b stays finite; 1 unless that sum could overflow.  Dividing by it is
+    exact short of underflow, so a delay computed in it is the same float."""
+    k = math.frexp(c_max)[1] + math.frexp(b_max)[1] + count.bit_length()
+    return math.ldexp(1.0, max(k - 1022, 0))
+
+
 def parallel_links_delay_batch(c_eff: np.ndarray, b: np.ndarray, d: float,
                                cap: float = math.inf) -> np.ndarray:
     """Common delay of affine parallel links, one row per allocation.
@@ -989,8 +998,12 @@ def parallel_links_delay_batch(c_eff: np.ndarray, b: np.ndarray, d: float,
         return np.full(c_eff.shape[0], cap)
     den = np.cumsum(c_eff, axis=1)
     used = den > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        M = np.where(used, (d + np.cumsum(c_eff * b, axis=1)) / den, np.inf)
+    u = length_unit(float(c_eff.max(initial=0.0)), float(b[-1]), b.size)
+    # A prefix whose delay is out of range gets inf, which fails its test.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        M = np.where(used,
+                     (d / u + np.cumsum(c_eff * (b / u), axis=1)) / den * u,
+                     np.inf)
     b_next = np.append(b[1:], np.inf)
     ok = used & (M <= b_next + _BOUNDARY_TOL * np.maximum(1.0, np.abs(M)))
     idx = np.argmax(ok, axis=1)

@@ -88,7 +88,7 @@ def choose_discretization(inst: Instance, eps_prime: float,
                           clamp: bool = False) -> DiscretizationPlan:
     """Grid parameters for a target factor, or an error naming the least
     eps' the cap admits (unless ``clamp`` trades accuracy for the cap)."""
-    if eps_prime <= 0.0:
+    if not eps_prime > 0.0:
         raise ValidationError("eps must be positive")
     m = len(inst.edges)
     nu = max(1.0, max((e.n for e in inst.edges if not e.rigid), default=1.0))

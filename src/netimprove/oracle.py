@@ -171,7 +171,7 @@ def _batch_general(inst: Instance, tol: float, edges, betas: np.ndarray
     ``solve_equilibrium``, whose errors pass through.  ``tol`` and the
     budget are checked first for the whole block, as ``solve_equilibrium``
     checks them per allocation; the callers have checked the edges."""
-    if tol <= 0:
+    if not tol > 0:
         raise ValidationError("tol must be positive")
     total = np.zeros(len(betas))
     for j in range(betas.shape[1]):  # Allocation.total's order

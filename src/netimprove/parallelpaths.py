@@ -51,7 +51,7 @@ import numpy as np
 
 from .core import Allocation, Edge, Instance
 from .errors import Infeasible, NotParallelPaths, UnsupportedDelay, ValidationError
-from .equilibrium import dipole_delay_rows
+from .equilibrium import dipole_delay_rows, length_unit
 
 __all__ = [
     "PathSpec",
@@ -277,6 +277,9 @@ def as_parallel_paths(inst: Instance) -> ParallelPathsInstance:
             chain.append(nxt)
             node = nxt.head
         raw_paths.append(PathSpec(tuple(chain)))
+        if math.isinf(raw_paths[-1].length):
+            raise ValidationError(f"length of the path from {first.id!r} "
+                                  "overflows")
         consumed.update(e.id for e in chain)
     if len(consumed) != len(inst.edges):
         extra = sorted(set(inst.edge_index) - consumed)
@@ -426,13 +429,15 @@ def prefix_delay(ppi: ParallelPathsInstance, path_budgets: Sequence[float],
     """Common delay if exactly the ``count`` shortest paths carry flow."""
     if not (1 <= count <= len(ppi.paths)):
         raise ValidationError("path count out of range")
-    num = ppi.demand
+    paths = ppi.paths[:count]
+    cs = [p.profile.conductance(beta) for p, beta in zip(paths, path_budgets)]
+    u = length_unit(max(cs, default=0.0), paths[-1].length, count)
+    num = ppi.demand / u
     den = 0.0
-    for p, beta in zip(ppi.paths[:count], path_budgets):
-        c = p.profile.conductance(beta)
-        num += c * p.length
+    for c, p in zip(cs, paths):
+        num += c * (p.length / u)
         den += c
-    return num / den if den > 0.0 else math.inf
+    return num / den * u if den > 0.0 else math.inf
 
 
 def inner_allocate(ppi: ParallelPathsInstance, l_target: float, count: int,
@@ -523,8 +528,8 @@ def solve_parallel_paths(arg: Instance | ParallelPathsInstance,
             best_budgets = budgets + [0.0] * (len(ppi.paths) - count)
             used = count
             break
-    else:  # pragma: no cover - the last group always satisfies the window
-        raise AssertionError("used-set iteration did not terminate")
+    else:  # the last group's window is open, so its delay is nan here
+        raise ValidationError("a delay is out of floating-point range")
 
     split: dict[str, float] = {}
     for p, pb in zip(ppi.paths, best_budgets):

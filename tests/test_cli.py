@@ -140,6 +140,38 @@ class TestSolve:
         assert paths["L"] == pytest.approx(40.0 / 3e300, rel=1e-12)
         assert paths["L"] == pytest.approx(links["L"], rel=1e-12)
 
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--alg", "copt", "--tol", "nan"),
+        ("solve", "--alg", "copt", "--tol", "-1"),
+        ("solve", "--alg", "oracle", "--tol", "0"),
+        ("solve", "--alg", "fptas", "--eps", "nan"),
+        ("solve", "--alg", "fptas", "--eps", "-0.5"),
+        ("solve", "--alg", "fptas", "--eps", "inf"),
+        ("equilibrium", "--tol", "nan"),
+    ])
+    def test_nan_infinite_or_nonpositive_tolerance_exit_2(self, fig2_file, argv):
+        proc = run_cli(*argv, fig2_file, check=False)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "must be positive" in proc.stderr
+
+    @pytest.mark.parametrize("alg", ["parallel-links", "parallel-paths",
+                                     "oracle", "copt"])
+    def test_lengths_whose_products_overflow_exit_0(self, tmp_path, alg):
+        doc = json.loads(json.dumps(FIG2))
+        doc["edges"] = [
+            {"id": "a", "tail": "s", "head": "t", "c": 10, "b": 1e308, "mu": 1},
+            {"id": "b", "tail": "s", "head": "t", "c": 10, "b": 1.5e308,
+             "mu": 1}]
+        doc["commodities"][0]["demand"] = 1
+        doc["budget"] = 1
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc))
+        proc = run_cli("solve", "--alg", alg, str(path), check=False)
+        assert proc.returncode == 0, proc.stderr
+        assert "Warning" not in proc.stderr
+        assert json.loads(proc.stdout)["L"] == 1e308
+
     def test_tiny_demand_links_agree_with_paths(self, tmp_path):
         doc = json.loads(json.dumps(FIG2))
         doc["commodities"][0]["demand"] = 1e-300
