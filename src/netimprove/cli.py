@@ -34,18 +34,10 @@ from .verify import run_suites
 ALGORITHMS = ("copt", "parallel-links", "parallel-paths", "fptas", "oracle")
 
 
-def _read_instance(path: str) -> Instance:
+def _read(path: str, parse=parse_instance):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_instance(fh.read())
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
-
-
-def _read_allocation(path: str) -> Allocation:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_allocation(fh.read())
+            return parse(fh.read())
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
 
@@ -55,13 +47,16 @@ def _digest(inst: Instance) -> str:
 
 
 def _emit(doc: dict, started: float) -> None:
-    print(json.dumps(doc, sort_keys=True))
+    try:  # inf and nan are not JSON
+        print(json.dumps(doc, sort_keys=True, allow_nan=False))
+    except ValueError as exc:
+        raise ValidationError("a delay is out of floating-point range") from exc
     print(f"wall_time_s={time.perf_counter() - started:.3f}", file=sys.stderr)
 
 
 def cmd_solve(args) -> int:
     started = time.perf_counter()
-    inst = _read_instance(args.instance)
+    inst = _read(args.instance)
     params: dict = {"tol": args.tol}
     certificate: dict = {}
     if args.alg == "copt":
@@ -109,8 +104,8 @@ def cmd_solve(args) -> int:
 
 def cmd_equilibrium(args) -> int:
     started = time.perf_counter()
-    inst = _read_instance(args.instance)
-    alloc = _read_allocation(args.beta) if args.beta else Allocation()
+    inst = _read(args.instance)
+    alloc = _read(args.beta, parse_allocation) if args.beta else Allocation()
     res = solve_equilibrium(inst, alloc, tol=args.tol)
     _emit(res.to_json_dict(), started)
     return 0
@@ -118,9 +113,9 @@ def cmd_equilibrium(args) -> int:
 
 def cmd_sweep(args) -> int:
     started = time.perf_counter()
-    inst = _read_instance(args.instance)
-    rows = sweep_segment(inst, _read_allocation(args.beta_from),
-                         _read_allocation(args.beta_to), args.steps,
+    inst = _read(args.instance)
+    rows = sweep_segment(inst, _read(args.beta_from, parse_allocation),
+                         _read(args.beta_to, parse_allocation), args.steps,
                          tol=args.tol)
     csv = "lambda,L\n" + "".join(f"{lam:.10g},{val:.12g}\n"
                                  for lam, val in rows)

@@ -993,21 +993,36 @@ def parallel_links_delay_batch(c_eff: np.ndarray, b: np.ndarray, d: float,
     length; zero-conductance columns carry no flow.  A row with no usable
     column gets ``cap``, which is inf without rigid links.  A single
     allocation is a batch of one row.
+
+    The scan walks the columns, contiguous when ``c_eff`` is F-ordered as
+    the grid oracle builds it, with running sums over the rows that add as
+    a row-wise ``cumsum`` would, until every row has taken its used set.
     """
     if c_eff.shape[1] == 0:
         return np.full(c_eff.shape[0], cap)
-    den = np.cumsum(c_eff, axis=1)
-    used = den > 0.0
     u = length_unit(float(c_eff.max(initial=0.0)), float(b[-1]), b.size)
-    # A prefix whose delay is out of range gets inf, which fails its test.
+    L = np.full(c_eff.shape[0], math.inf)
+    den, num, M, t = np.zeros((4, len(L)))
+    open_ = np.ones(len(L), dtype=bool)
+    # A prefix whose delay is out of range gets inf, which passes its test.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        M = np.where(used,
-                     (d / u + np.cumsum(c_eff * (b / u), axis=1)) / den * u,
-                     np.inf)
-    b_next = np.append(b[1:], np.inf)
-    ok = used & (M <= b_next + _BOUNDARY_TOL * np.maximum(1.0, np.abs(M)))
-    idx = np.argmax(ok, axis=1)
-    L = M[np.arange(M.shape[0]), idx]
+        for k, col in enumerate(c_eff.T):
+            den += col
+            num += np.multiply(col, b[k] / u, out=t)
+            np.divide(np.add(num, d / u, out=M), den, out=M)
+            if u != 1.0:
+                M *= u
+            if k + 1 < b.size:
+                np.maximum(np.abs(M, out=t), 1.0, out=t)
+                t *= _BOUNDARY_TOL
+                ok = M <= np.add(t, b[k + 1], out=t)
+            else:  # the next length is inf: only a nan delay fails
+                ok = M <= math.inf
+            ok &= (den > 0.0) & open_
+            np.copyto(L, M, where=ok)
+            open_ ^= ok
+            if not open_.any():
+                break
     return np.minimum(L, cap)
 
 
@@ -1023,9 +1038,10 @@ def dipole_delay_rows(lengths, rigid, c_eff: np.ndarray, d: float) -> np.ndarray
     order = sorted((t for t, r in enumerate(rigid) if not r),
                    key=lambda t: lengths[t])
     cap = min((b for b, r in zip(lengths, rigid) if r), default=math.inf)
+    if order != list(range(c_eff.shape[1])):  # a gather copies c_eff
+        c_eff = c_eff[:, order]
     return parallel_links_delay_batch(
-        c_eff[:, order], np.array([lengths[t] for t in order], dtype=float),
-        d, cap)
+        c_eff, np.array([lengths[t] for t in order], dtype=float), d, cap)
 
 
 def solve_parallel_links_equilibrium(links, beta: Allocation | None,
@@ -1034,8 +1050,7 @@ def solve_parallel_links_equilibrium(links, beta: Allocation | None,
     links = list(links)
     if not links:
         raise ValidationError("no links")
-    ends = {(e.tail, e.head) for e in links}
-    if len(ends) != 1:
+    if len({(e.tail, e.head) for e in links}) != 1:
         raise ValidationError("links do not share endpoints")
     for e in links:
         if not e.affine:
@@ -1045,6 +1060,8 @@ def solve_parallel_links_equilibrium(links, beta: Allocation | None,
     L = float(dipole_delay_rows([e.b for e in links], [e.rigid for e in links],
                                 np.array([c_eff]), d)[0])
     if math.isinf(L):
+        if max(c_eff) > 0.0:  # a usable link, so the delay overflowed
+            raise ValidationError("a delay is out of floating-point range")
         raise Infeasible("no usable link")
     flows = [0.0] * len(links)
     residual = d

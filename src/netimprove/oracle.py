@@ -3,13 +3,14 @@
 The oracle enumerates allocations beta_e = k_e * B / R with sum k_e <= R
 (an explicit slack coordinate keeps under-spending reachable, since delay
 monotonicity in the budget is not assumed globally), evaluates the exact
-equilibrium delay at every grid point and keeps the best.  Each block of
-compositions is evaluated in one batch call, by the first route that
-applies:
+equilibrium delay at every grid point and keeps the best.  Compositions
+come in blocks of ``_GRID_ROWS`` rows, few enough that the closed form's
+running sums stay in cache, and each block is evaluated in one batch call,
+by the first route that applies:
 
-* affine dipoles: vectorized used-set scan over whole composition batches;
+* affine dipoles: the link-major used-set scan, one column per link;
 * affine parallel-path graphs: per-path conductances from the edge-level
-  allocation, then the same vectorized scan at path level;
+  allocation, then the same scan at path level;
 * anything else: the batched path engine (``path_delay_rows``), which runs
   the scalar solver's active-set loop on all rows at once and gives its
   floats; the rows it leaves open are solved by ``solve_equilibrium``.
@@ -35,6 +36,8 @@ from .equilibrium import (dipole_delay_rows, dipole_links, path_delay_rows,
 from .errors import (GridTooLarge, Infeasible, NotParallelPaths, PathCapExceeded,
                      UnsupportedDelay, ValidationError)
 from .parallelpaths import as_parallel_paths
+
+_GRID_ROWS = 16_384  # grid rows per batch, so the scan's sums stay in cache
 
 __all__ = [
     "GridSpec",
@@ -76,10 +79,10 @@ def compositions(total: int, parts: int, chunk: int = 200_000
                  ) -> Iterator[np.ndarray]:
     """Nonnegative integer vectors summing to ``total``, lexicographically.
 
-    Yields int32 arrays of shape (N, parts), each at most ``chunk`` rows of
-    whole first coordinates (a first coordinate with more rows comes split
-    the same way by the second).  A row with remainder r expands into r + 1
-    rows, one coordinate at a time.
+    Yields int32 arrays of shape (N, parts), at most ``chunk`` rows each and
+    the same rows in the same order at any ``chunk``: whole first coordinates,
+    a first coordinate with more rows split the same way by the second.  A
+    row with remainder r expands into r + 1 rows, one column at a time.
     """
     if parts == 1:
         yield np.array([[total]], dtype=np.int32)
@@ -96,17 +99,15 @@ def compositions(total: int, parts: int, chunk: int = 200_000
         while end <= total and rows + sizes[end] <= chunk:
             rows += sizes[end]
             end += 1
-        block = np.zeros((end - v, parts), dtype=np.int32)
-        block[:, 0] = np.arange(v, end)
-        rest = total - block[:, 0]
-        for j in range(1, parts - 1):
+        cols = [np.arange(v, end)]
+        rest = total - cols[0]
+        for _ in range(parts - 2):
             counts = rest + 1
-            block = np.repeat(block, counts, axis=0)
-            starts = np.repeat(np.cumsum(counts) - counts, counts)
-            block[:, j] = np.arange(len(block)) - starts
-            rest = np.repeat(rest, counts) - block[:, j]
-        block[:, -1] = rest
-        yield block
+            cols = [np.repeat(c, counts) for c in cols]
+            cols.append(np.arange(len(cols[0]))
+                        - np.repeat(np.cumsum(counts) - counts, counts))
+            rest = np.repeat(rest, counts) - cols[-1]
+        yield np.array(cols + [rest], dtype=np.int32).T
         v = end
 
 
@@ -198,10 +199,9 @@ def _allocation(edges, row: np.ndarray) -> Allocation:
 
 def _batch_dipole(inst: Instance, improvable, betas: np.ndarray) -> np.ndarray:
     links = inst.edges
-    pos = {e.id: t for t, e in enumerate(links)}
-    c_eff = np.tile([e.c for e in links], (betas.shape[0], 1))
+    c_eff = np.tile([[e.c] for e in links], len(betas)).T  # F-ordered
     for j, e in enumerate(improvable):
-        c_eff[:, pos[e.id]] += e.mu * betas[:, j]
+        c_eff[:, links.index(e)] += e.mu * betas[:, j]
     return dipole_delay_rows([e.b for e in links], [e.rigid for e in links],
                              c_eff, inst.commodities[0].demand)
 
@@ -209,16 +209,15 @@ def _batch_dipole(inst: Instance, improvable, betas: np.ndarray) -> np.ndarray:
 def _batch_paths(ppi, improvable, betas: np.ndarray) -> np.ndarray:
     beta_of = {e.id: betas[:, j] for j, e in enumerate(improvable)}
     # Dropped (permanently unusable) paths carry no flow at any grid point.
-    c_mat = np.zeros((betas.shape[0], len(ppi.paths)))
-    for col, p in enumerate(ppi.paths):
-        r = 0.0
-        for e in p.edges:
-            if e.rigid:
-                continue
-            g = e.c + e.mu * beta_of.get(e.id, 0.0)
-            with np.errstate(divide="ignore"):
-                r = r + np.where(g > 0.0, 1.0 / np.maximum(g, 1e-300), np.inf)
-        with np.errstate(divide="ignore"):
+    c_mat = np.zeros((betas.shape[0], len(ppi.paths)), order="F")
+    with np.errstate(divide="ignore"):
+        for col, p in enumerate(ppi.paths):
+            r = 0.0
+            for e in p.edges:
+                if not e.rigid:
+                    g = e.c + e.mu * beta_of.get(e.id, 0.0)
+                    r = r + np.where(g > 0.0, 1.0 / np.maximum(g, 1e-300),
+                                     np.inf)
             c_mat[:, col] = np.where(np.isfinite(r),
                                      1.0 / np.maximum(r, 1e-300), 0.0)
     return dipole_delay_rows([p.length for p in ppi.paths],
@@ -245,23 +244,18 @@ def grid_search(inst: Instance, spec: GridSpec, tol: float = 1e-8,
             f"try resolution <= {r_ok}")
 
     batch = _batch_route(inst, tol)
-    unit = inst.budget / R
-    best_L = math.inf
-    best_row: np.ndarray | None = None
+    best_L, best_row, seen = math.inf, None, 0
     trace: list[tuple[dict, float]] | None = [] if keep_trace else None
-    seen = 0
-    for block in compositions(R, parts):
-        betas = block[:, :-1].astype(np.float64) * unit
+    for block in compositions(R, parts, _GRID_ROWS):
+        betas = np.multiply(block[:, :-1], inst.budget / R, order="F")
         ls = batch(improvable, betas)
         seen += len(betas)
         if trace is not None:
-            for r in range(len(betas)):
-                trace.append(({e.id: float(betas[r, j])
-                               for j, e in enumerate(improvable)}, float(ls[r])))
+            trace += [({e.id: float(v) for e, v in zip(improvable, row)},
+                       float(L)) for row, L in zip(betas, ls)]
         idx = int(np.argmin(ls))
         if ls[idx] < best_L:
-            best_L = float(ls[idx])
-            best_row = betas[idx].copy()
+            best_L, best_row = float(ls[idx]), betas[idx].copy()
     if best_row is None or not math.isfinite(best_L):
         raise Infeasible("no grid allocation admits a feasible routing")
     alloc = Allocation({e.id: float(best_row[j])
@@ -311,13 +305,9 @@ def enumerate_discretized_minmax(inst: Instance, K: int) -> np.ndarray:
     b_unit = inst.budget / K
 
     table = np.zeros((K + 1, K + 1))
-    alloc_rows = {k: np.vstack(list(compositions(k, m))) if m > 1 else
-                  np.array([[k]], dtype=np.int32) for k in range(K + 1)}
-    flow_rows = {}
-    for l in range(K + 1):
-        rows = (np.vstack(list(compositions(l, len(paths))))
-                if len(paths) > 1 else np.array([[l]], dtype=np.int32))
-        flow_rows[l] = rows
+    alloc_rows = {k: np.vstack(list(compositions(k, m))) for k in range(K + 1)}
+    flow_rows = {l: np.vstack(list(compositions(l, len(paths))))
+                 for l in range(K + 1)}
 
     for k in range(K + 1):
         for l in range(K + 1):

@@ -595,6 +595,8 @@ def best_single_edge_allocation(links: Sequence[Edge], budget: float,
         if best_id is None or L < best_L * (1.0 - 1e-15):
             best_id, best_L = links[t].id, L
     if math.isinf(best_L):
+        if c_eff.max() > 0.0:  # a usable link, so the delay overflowed
+            raise ValidationError("a delay is out of floating-point range")
         raise Infeasible("no usable link")
     spent = {best_id: budget} if best_id is not None and budget > 0 else {}
     return SingleEdgeResult(best_id, best_L, Allocation(spent))

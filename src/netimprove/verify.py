@@ -78,6 +78,16 @@ def _random_sp_instance(rng, max_edges=6, exponents=(1.0, 1.0, 2.0)):
                     budget=float(rng.uniform(0.5, 2.0)))
 
 
+def _random_allocation(inst, rng, p):
+    """Random amounts, within budget, on improvable edges drawn with odds p."""
+    beta, left = {}, inst.budget
+    for e in inst.edges:
+        if e.improvable and rng.random() < p:
+            beta[e.id] = float(rng.uniform(0, left))
+            left -= beta[e.id]
+    return Allocation(beta)
+
+
 def _random_path_flow(inst, rng, value):
     k = inst.commodities[0]
     paths = inst.simple_paths(k.source, k.sink, cap=64)
@@ -247,14 +257,7 @@ def check_equilibrium_uniqueness(rng, cases=40, tol=1e-8) -> CheckResult:
 def check_parallel_consistency(rng, cases=100) -> CheckResult:
     for i in range(cases):
         inst = _random_dipole(rng, allow_rigid=True)
-        beta = {}
-        left = inst.budget
-        for e in inst.edges:
-            if e.improvable and rng.random() < 0.7:
-                amt = float(rng.uniform(0, left))
-                beta[e.id] = amt
-                left -= amt
-        alloc = Allocation(beta)
+        alloc = _random_allocation(inst, rng, 0.7)
         closed = solve_parallel_links_equilibrium(
             inst.edges, alloc, inst.commodities[0].demand)
         general = solve_equilibrium(inst, alloc, tol=1e-10)
@@ -331,14 +334,7 @@ def check_minmax_domination(rng, cases=150) -> CheckResult:
     # flow of the same value on a series-parallel graph.
     for i in range(cases):
         inst = _random_sp_instance(rng, max_edges=5)
-        beta = {}
-        left = inst.budget
-        for e in inst.edges:
-            if e.improvable and rng.random() < 0.5:
-                amt = float(rng.uniform(0, left))
-                beta[e.id] = amt
-                left -= amt
-        alloc = Allocation(beta)
+        alloc = _random_allocation(inst, rng, 0.5)
         eq = solve_equilibrium(inst, alloc, tol=1e-10)
         k = inst.commodities[0]
         g = _random_path_flow(inst, rng, k.demand)

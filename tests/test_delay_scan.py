@@ -1,0 +1,197 @@
+"""The link-major used-set scan and the grid blocks that feed it.
+
+``parallel_links_delay_batch`` walks the sorted links one column at a time.
+It must give the floats of the row-wise cumulative-sum scan it replaced,
+kept below as the reference, and the grid oracle must not depend on how
+many rows it hands the scan at once.
+"""
+
+import json
+import math
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+from netimprove import oracle
+from netimprove.core import Commodity, Edge, Instance, parse_instance
+from netimprove.equilibrium import (_BOUNDARY_TOL, length_unit,
+                                    parallel_links_delay_batch,
+                                    solve_parallel_links_equilibrium)
+from netimprove.errors import Infeasible, ValidationError
+from netimprove.oracle import GridSpec, grid_search
+
+from conftest import make_dipole
+
+
+def reference_scan(c_eff, b, d, cap=math.inf):
+    """The row-wise scan: cumulative sums, then the first passing column."""
+    if c_eff.shape[1] == 0:
+        return np.full(c_eff.shape[0], cap)
+    den = np.cumsum(c_eff, axis=1)
+    used = den > 0.0
+    u = length_unit(float(c_eff.max(initial=0.0)), float(b[-1]), b.size)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        M = np.where(used,
+                     (d / u + np.cumsum(c_eff * (b / u), axis=1)) / den * u,
+                     np.inf)
+    b_next = np.append(b[1:], np.inf)
+    ok = used & (M <= b_next + _BOUNDARY_TOL * np.maximum(1.0, np.abs(M)))
+    idx = np.argmax(ok, axis=1)
+    L = M[np.arange(M.shape[0]), idx]
+    return np.minimum(L, cap)
+
+
+def _tie_rows(rng, b, d, rows):
+    """Rows whose delay over the first k + 1 columns is exactly b[k + 1]:
+    conductances are small integers, and the one of column k is chosen so
+    that d = sum_j c_j (b[k + 1] - b_j), which the lengths and d keep exact.
+    Every other row has its first conductance scaled by 1 + eps, for eps of
+    both signs from 1e-16 to 1e-10, to land on either side of the
+    tolerance."""
+    m = len(b)
+    out = []
+    while len(out) < rows:
+        k = int(rng.integers(0, m - 1))
+        c = rng.integers(0, 3, m).astype(float)
+        c[k] = 0.0
+        rest = d - sum(c[j] * (b[k + 1] - b[j]) for j in range(k))
+        if rest <= 0.0 or (rest / (b[k + 1] - b[k])) % 1.0:
+            continue
+        c[k] = rest / (b[k + 1] - b[k])
+        out.append(c)
+    out = np.array(out)
+    eps = [s * 10.0 ** (-e / 2) for e in range(20, 33) for s in (1, -1)]
+    out[1::2, 0] *= 1.0 + np.resize(eps, len(out[1::2]))
+    return out
+
+
+def _cases(rng):
+    """(c_eff, b, d, cap) batches covering every branch of the scan."""
+    for _ in range(40):
+        m = int(rng.integers(1, 7))
+        b = np.sort(rng.uniform(0.0, 5.0, m))
+        if rng.random() < 0.3:
+            b[1:] = b[:-1]  # equal lengths
+            b = np.sort(b)
+        c = rng.uniform(0.0, 3.0, (200, m))
+        c[rng.random((200, m)) < 0.3] = 0.0  # zero conductance anywhere
+        c[:20, 0] = 0.0  # a zero first column
+        c[20:30] = 0.0  # rows with no usable column
+        d = float(rng.uniform(0.1, 20.0))
+        cap = float(rng.uniform(0.0, 6.0)) if rng.random() < 0.5 else math.inf
+        yield c, b, d, cap
+    b = np.array([0.0, 1.0, 3.0, 4.0, 7.0])
+    for scale, d in ((1.0, 2.0), (1.0, 6.0), (1.0, 12.0), (0.125, 0.25),
+                     (0.125, 0.75)):  # delays above and below 1
+        yield _tie_rows(rng, b * scale, d, 200), b * scale, d, math.inf
+    # Lengths whose products with the conductances overflow.
+    b = np.sort(rng.uniform(1.0, 1.7, 4)) * 1e308
+    yield rng.uniform(1.0, 1e10, (50, 4)), b, 1e300, math.inf
+    # A delay above the float range in the first column.
+    yield np.full((5, 2), 1e-300), np.array([0.0, 1.0]), 1e10, math.inf
+    yield np.zeros((7, 0)), np.zeros(0), 3.0, 2.5
+    yield np.zeros((7, 0)), np.zeros(0), 3.0, math.inf
+
+
+def test_scan_matches_the_cumsum_reference(rng):
+    ties = overflow = 0
+    for c, b, d, cap in _cases(rng):
+        want = reference_scan(c, b, d, cap)
+        for layout in (np.ascontiguousarray(c), np.asfortranarray(c)):
+            got = parallel_links_delay_batch(layout, b, d, cap)
+            assert np.array_equal(got, want)
+        if c.shape[1] > 1:
+            ties += int(np.isin(want, b[1:]).sum())
+        overflow += int(c.size and length_unit(c.max(), b[-1], b.size) > 1.0)
+    assert ties > 100 and overflow
+
+
+def test_scan_ties_take_the_shorter_used_set():
+    # (1 + 1 * 0) / 1 = 1 is exactly the next length: the first link alone.
+    got = parallel_links_delay_batch(np.array([[1.0, 5.0]]),
+                                     np.array([0.0, 1.0]), 1.0)
+    assert got[0] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# Grid blocks
+
+
+def _twin_dipole():
+    """Two identical integer links, whose delay depends only on the sum of
+    their budgets (so every full split ties exactly), and a long link that
+    no budget brings into use."""
+    return make_dipole([(1.0, 0.0, 1.0), (1.0, 0.0, 1.0), (1.0, 1e6, 1.0)],
+                       demand=5.0, budget=9.0)
+
+
+def _twin_paths():
+    """Two identical two-edge paths (the splits k, R - k tie exactly) and a
+    long third path that no budget brings into use."""
+    edges = []
+    for p, length in (("p", 0.0), ("q", 0.0), ("z", 1e6)):
+        edges += [Edge(f"{p}1", "s", f"{p}m", c=1.0, b=length, mu=1.0),
+                  Edge(f"{p}2", f"{p}m", "t", c=2.0, b=0.0)]
+    nodes = ("s", "t", "pm", "qm", "zm")
+    return Instance(nodes=nodes, edges=tuple(edges),
+                    commodities=(Commodity("s", "t", 4.0),), budget=3.0)
+
+
+@pytest.mark.parametrize("make, R", [(_twin_dipole, 9), (_twin_paths, 11)])
+def test_grid_does_not_depend_on_block_size(monkeypatch, make, R):
+    inst = make()
+    runs = []
+    for rows in (None, 7, 10**9):
+        if rows is not None:
+            monkeypatch.setattr(oracle, "_GRID_ROWS", rows)
+        runs.append(grid_search(inst, GridSpec(resolution=R), keep_trace=True))
+    base = runs[0]
+    delays = [L for _, L in base.trace]
+    best = [r for r, L in enumerate(delays) if L == base.delay]
+    assert len(best) > 1 and best[-1] - best[0] > 7  # ties across blocks
+    first = {eid: v for eid, v in base.trace[best[0]][0].items() if v > 0.0}
+    assert base.allocation.beta == first  # ties go to the first row
+    for res in runs[1:]:
+        assert res.delay == base.delay
+        assert res.allocation == base.allocation
+        assert res.evaluations == base.evaluations == len(base.trace)
+        assert res.trace == base.trace
+
+
+# ---------------------------------------------------------------------------
+# A common delay above the float range
+
+FAR = {
+    "nodes": ["s", "t"],
+    "edges": [
+        {"id": "a", "tail": "s", "head": "t", "c": 1e-300, "b": 0, "mu": 1e-300},
+        {"id": "b", "tail": "s", "head": "t", "c": 1e-300, "b": 1, "mu": 0},
+    ],
+    "commodities": [{"source": "s", "sink": "t", "demand": 1e10}],
+    "budget": 1,
+}
+
+
+def test_closed_form_rejects_a_delay_out_of_range():
+    inst = parse_instance(json.dumps(FAR))
+    with pytest.raises(ValidationError, match="floating-point range"):
+        solve_parallel_links_equilibrium(inst.edges, None, 1e10)
+    dead = [Edge("a", "s", "t", c=0.0, b=0.0, mu=1.0)]
+    with pytest.raises(Infeasible, match="no usable link"):
+        solve_parallel_links_equilibrium(dead, None, 1.0)
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--alg", "copt"], ["solve", "--alg", "parallel-links"],
+    ["solve", "--alg", "fptas"], ["equilibrium"]])
+def test_cli_exits_2_on_a_delay_out_of_range(tmp_path, argv):
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(FAR))
+    proc = subprocess.run([sys.executable, "-m", "netimprove", *argv,
+                           str(path)], capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.stdout == ""
+    assert "out of floating-point range" in proc.stderr
+    assert "Traceback" not in proc.stderr
