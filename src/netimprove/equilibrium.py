@@ -7,15 +7,18 @@ The equilibrium flow is the unique minimizer of the potential
 over the product of per-commodity flow polytopes.  Two engines implement
 the minimization:
 
-* A path-based active-set solver.  All simple paths per commodity are
-  enumerated (graphs here are desk scale); the solver maintains the set of
-  flow-carrying paths, equalizes their delays by a direct linear solve in
-  the affine case or damped Newton otherwise, and exchanges paths in and
-  out of the set until the Wardrop condition holds.  This reaches machine
-  precision, which the tolerance contracts downstream rely on.
-  ``path_delay_rows`` runs the same loop on many allocations at once,
-  grouping them by active set, for the grid oracle; the rows it cannot
-  settle are left to ``solve_equilibrium``.
+* A path-based active-set engine, ``_PathBatch``, the only one that
+  reaches machine precision, which the tolerance contracts downstream rely
+  on.  It enumerates all simple paths per commodity once per instance
+  (graphs here are desk scale) and keeps itself with the instance.  Each
+  round equalizes the delays of the flow-carrying paths, by a direct linear
+  solve in the affine case and damped Newton otherwise, and exchanges paths
+  in and out of that set until the Wardrop condition holds.  It runs on
+  rows of allocations at once, grouped by active set: ``path_delay_rows``
+  feeds it a grid block, and ``solve_equilibrium`` a single row, which
+  ``_finish`` turns into a flow with its certificate.  When Newton stalls,
+  ``solve_equilibrium`` locates the support by scipy's trust-constr and
+  finishes on it with the same engine.
 
 * Frank-Wolfe on edge flows, used when path enumeration exceeds its cap.
   The linear subproblem is a nonnegative-delay shortest path per commodity
@@ -23,7 +26,9 @@ the minimization:
   objective, found by safeguarded Newton on its derivative
   (``_exact_step``, which the relaxation in ``copt`` shares).  Its duality
   gap converges like O(1/k), so very tight tolerances are out of reach; a
-  warning is issued if the iteration cap is hit first.
+  warning is issued if the iteration cap is hit first.  It shares only the
+  edge delays, the shortest path and the potential with the path engine,
+  so it serves the tests as an independent reference for it.
 
 Either way the returned certificate is the relative duality gap
 (Phi(f) - linearized lower bound) / Phi(f), and used-path delays per
@@ -47,6 +52,7 @@ import heapq
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -161,329 +167,499 @@ def _shortest_path(inst: Instance, delays: dict[str, float], source: str,
 # Path-based active-set engine
 
 
-class _PathProblem:
-    def __init__(self, inst: Instance, beta: Allocation, path_cap: int):
-        self.inst = inst
-        self.beta = beta
-        self.g = {e.id: effective_conductance(e, beta.get(e.id)) for e in inst.edges}
-        self.paths: list[tuple[int, tuple[str, ...]]] = []  # (commodity, edges)
-        self.by_commodity: list[list[int]] = []
-        for i, k in enumerate(inst.commodities):
-            all_paths = inst.simple_paths(k.source, k.sink, cap=path_cap)
-            usable = [p for p in all_paths
-                      if all(_usable(inst.edge_index[eid], beta) for eid in p)]
-            if not usable:
-                raise Infeasible(
-                    f"commodity {k.source}->{k.sink} has no usable path")
-            idx = []
-            for p in usable:
-                idx.append(len(self.paths))
-                self.paths.append((i, p))
-            self.by_commodity.append(idx)
-        self.free_flow = [sum(inst.edge_index[eid].b for eid in p)
-                          for _, p in self.paths]
-        # Shared-edge structure for delay and Jacobian assembly.
-        self.edge_paths: dict[str, list[int]] = {}
-        for j, (_, p) in enumerate(self.paths):
-            for eid in p:
-                self.edge_paths.setdefault(eid, []).append(j)
+def path_delay_rows(inst: Instance, edges, betas: np.ndarray) -> np.ndarray:
+    """Equilibrium average delay of ``inst`` for each row of allocations.
 
-    def edge_flows(self, x: np.ndarray) -> dict[str, float]:
-        f = {}
-        for eid, js in self.edge_paths.items():
-            v = float(sum(x[j] for j in js))
-            if v != 0.0:
-                f[eid] = max(v, 0.0)
-        return f
-
-    def path_delay(self, p: tuple[str, ...], f: dict[str, float]) -> float:
-        return sum(edge_delay(self.inst.edge_index[eid], f.get(eid, 0.0),
-                              self.beta.get(eid)) for eid in p)
-
-    def _delay_slope(self, e: Edge, x: float) -> float:
-        if e.rigid:
-            return 0.0
-        g = self.g[e.id]
-        x = max(x, 0.0)
-        if e.n == 1.0:
-            return 1.0 / g
-        if x == 0.0:
-            return 0.0 if e.n > 1.0 else 1e18
-        return e.n * x ** (e.n - 1.0) / g ** e.n
-
-
-def _equalize_affine(prob: _PathProblem, active: list[int]) -> np.ndarray:
-    """Solve the delay-equalization linear system on the active path set.
-
-    Returns the stacked vector [x_active, L_1..L_I]; x entries may be
-    negative (the caller prunes).
+    ``betas`` has shape (N, len(edges)); column j is the amount on
+    ``edges[j]`` and every other edge gets zero.  This is the path engine
+    of ``solve_equilibrium`` run on all rows at once, from the same start.
+    A row with a commodity that has no usable path gets inf.  A row gets
+    nan, and the caller solves it with ``solve_equilibrium``, where the
+    engine leaves it open (a failed Newton solve, or no Wardrop point
+    within 400 rounds) or where ``_finish`` may raise or report a value
+    that is not finite.  Raises PathCapExceeded when a commodity has more
+    than 200 simple paths.  Rows go through in slices of ``_BATCH_ROWS``,
+    which bounds the working arrays whatever the batch size.
     """
-    inst = prob.inst
-    na = len(active)
-    ncom = len(inst.commodities)
-    pos = {j: t for t, j in enumerate(active)}
-    A = np.zeros((na + ncom, na + ncom))
-    rhs = np.zeros(na + ncom)
-    for t, j in enumerate(active):
-        i, p = prob.paths[j]
-        rhs[t] = -prob.free_flow[j]
-        A[t, na + i] = -1.0
-        for eid in p:
-            e = inst.edge_index[eid]
-            if e.rigid:
-                continue
-            w = 1.0 / prob.g[eid]
-            for j2 in prob.edge_paths[eid]:
-                t2 = pos.get(j2)
-                if t2 is not None:
-                    A[t, t2] += w
-    for i in range(ncom):
-        row = na + i
-        for t, j in enumerate(active):
-            if prob.paths[j][0] == i:
-                A[row, t] = 1.0
-        rhs[row] = inst.commodities[i].demand
-    try:
-        return np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError:
-        return np.linalg.lstsq(A, rhs, rcond=None)[0]
+    betas = np.asarray(betas, dtype=float)
+    batch = _path_batch(inst, _PATH_CAP)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.concatenate(
+            [batch.delays(edges, betas[lo:lo + _BATCH_ROWS])
+             for lo in range(0, len(betas), _BATCH_ROWS)])
 
 
-def _equalize_newton(prob: _PathProblem, active: list[int]) -> np.ndarray | None:
-    """Damped Newton on delay equalization for nonlinear delays."""
-    inst = prob.inst
-    na = len(active)
-    ncom = len(inst.commodities)
-    pos = {j: t for t, j in enumerate(active)}
-    demands = np.array([k.demand for k in inst.commodities])
+def _path_batch(inst: Instance, path_cap: int) -> "_PathBatch":
+    """The instance's path engine for ``path_cap``, built once and kept with
+    its simple paths, so that every solve shares the active sets met."""
+    key = (_PathBatch, path_cap)  # never a (source, sink) key
+    if key not in inst._path_cache:
+        inst._path_cache[key] = _PathBatch(inst, path_cap)
+    return inst._path_cache[key]
 
-    z = np.zeros(na + ncom)
-    counts = np.zeros(ncom)
-    for j in active:
-        counts[prob.paths[j][0]] += 1
-    for t, j in enumerate(active):
-        i = prob.paths[j][0]
-        z[t] = demands[i] / counts[i]
 
-    def residual(z):
-        x = np.maximum(z[:na], 0.0)
-        full = np.zeros(len(prob.paths))
-        for t, j in enumerate(active):
-            full[j] = x[t]
-        f = prob.edge_flows(full)
-        r = np.zeros(na + ncom)
-        for t, j in enumerate(active):
-            i, p = prob.paths[j]
-            r[t] = prob.path_delay(p, f) - z[na + i]
-        for i in range(ncom):
-            r[na + i] = sum(z[t] for t, j in enumerate(active)
-                            if prob.paths[j][0] == i) - demands[i]
-        return r, f
+class _Rows(NamedTuple):
+    """What ``_PathBatch.solve`` leaves for each row."""
+    done: np.ndarray    # settled: no path left to add
+    L: np.ndarray       # (N, commodities) common delays of settled rows
+    X: np.ndarray | None  # (N, paths) path flows of settled rows
+    rounds: np.ndarray  # equalizations, drop rounds included
 
-    r, f = residual(z)
-    scale = 1.0 + float(np.max(np.abs(demands))) + max(prob.free_flow, default=0.0)
-    for _ in range(120):
-        if np.max(np.abs(r)) <= 1e-12 * scale:
-            return z
-        J = np.zeros((na + ncom, na + ncom))
-        slopes = {eid: prob._delay_slope(prob.inst.edge_index[eid], f.get(eid, 0.0))
-                  for eid in prob.edge_paths}
-        for t, j in enumerate(active):
-            i, p = prob.paths[j]
-            J[t, na + i] = -1.0
-            for eid in p:
-                s = slopes[eid]
-                if s == 0.0:
+
+class _ActiveSet:
+    """Equalization system layout of one active path set (sorted indices)."""
+
+    def __init__(self, batch: "_PathBatch", S: np.ndarray):
+        a, ncom = len(S), len(batch.demands)
+        com = batch.com[S]
+        self.S, self.a, self.com = S, a, com
+        self.size = a + ncom
+        self.by_com = [np.flatnonzero(com == i) for i in range(ncom)]
+        self.many = np.array([len(ts) > 1 for ts in self.by_com])
+        self.z0 = np.array(batch.demands)[com] / np.bincount(com)[com]
+        self.active_edges = np.flatnonzero(batch.inc[S].any(axis=0))
+        # Edge flows: the active paths through each edge in index order.
+        self.flow_layers = _layers([np.flatnonzero(col)
+                                    for col in batch.inc[S].T])
+        # Entry (t, t2) sums the shared non-rigid edges of paths t and t2 in
+        # the order of path t; layer l holds the l-th term of every entry,
+        # so one fancy-indexed add per layer keeps that order.
+        loc = {int(j): t for t, j in enumerate(S)}
+        terms: dict[tuple[int, int], list[int]] = {}
+        for t, j in enumerate(S):
+            for e in batch.path_edges[j]:
+                if batch.rigid[e]:
                     continue
-                for j2 in prob.edge_paths[eid]:
-                    t2 = pos.get(j2)
-                    if t2 is not None:
-                        J[t, t2] += s
-        for i in range(ncom):
-            for t, j in enumerate(active):
-                if prob.paths[j][0] == i:
-                    J[na + i, t] = 1.0
-        try:
-            step = np.linalg.solve(J, -r)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(J, -r, rcond=None)[0]
-        alpha = 1.0
-        base = np.linalg.norm(r)
-        improved = False
-        for _ in range(40):
-            z_new = z + alpha * step
-            r_new, f_new = residual(z_new)
-            if np.linalg.norm(r_new) < base * (1.0 - 1e-4 * alpha) or \
-               np.max(np.abs(r_new)) <= 1e-12 * scale:
-                z, r, f = z_new, r_new, f_new
-                improved = True
-                break
-            alpha *= 0.5
-        if not improved:
-            return None
-    if np.max(np.abs(r)) <= 1e-9 * scale:
-        return z
-    return None
+                for j2 in batch.on_edge[e]:
+                    if int(j2) in loc:
+                        terms.setdefault((t, loc[int(j2)]), []).append(e)
+        pairs = np.array(list(terms), dtype=int).reshape(-1, 2)
+        self.layers = [(pairs[o, 0], pairs[o, 1], es)
+                       for o, es in _layers(list(terms.values()))]
+        self.rhs = np.concatenate([-batch.free_flow[S], batch.demands])
+        rows = np.arange(a)
+        self.unit = (np.concatenate([rows, a + com]),
+                     np.concatenate([a + com, rows]),
+                     np.concatenate([np.full(a, -1.0), np.ones(a)]))
+
+    def matrices(self, weights: np.ndarray) -> np.ndarray:
+        """The (N, a + I, a + I) system with per-row edge weights."""
+        M = np.zeros((len(weights), self.size, self.size))
+        for ts, t2s, es in self.layers:
+            M[:, ts, t2s] += weights[:, es]
+        rows, cols, vals = self.unit
+        M[:, rows, cols] = vals
+        return M
 
 
-def _active_set_loop(prob: _PathProblem, active: list[int], affine: bool):
-    """Exchange paths in and out of the flow-carrying set until Wardrop
-    holds; returns (path flows, common delays, iterations) or None when the
-    nonlinear equalization cannot be driven to convergence."""
-    inst = prob.inst
-    ncom = len(inst.commodities)
-    demands = [k.demand for k in inst.commodities]
-    dscale = max(1.0, max(demands))
+class _PathBatch:
+    """The path engine of one instance: its edge arrays, every simple path
+    and its edges, and the active sets met so far."""
 
-    iterations = 0
-    x_full = np.zeros(len(prob.paths))
-    L = [math.inf] * ncom
-    for _ in range(400):
-        iterations += 1
-        if affine:
-            z = _equalize_affine(prob, active)
-        else:
-            z = _equalize_newton(prob, active)
-            if z is None:
-                return None
-        na = len(active)
-        xs = z[:na]
-        worst = int(np.argmin(xs))
-        if xs[worst] < -1e-12 * dscale and na > ncom:
-            i_worst = prob.paths[active[worst]][0]
-            if sum(1 for j in active if prob.paths[j][0] == i_worst) > 1:
-                del active[worst]
-                continue
-        x_full[:] = 0.0
-        for t, j in enumerate(active):
-            x_full[j] = max(xs[t], 0.0)
-        L = [float(z[na + i]) for i in range(ncom)]
-        f = prob.edge_flows(x_full)
-        added = False
-        for i in range(ncom):
-            best_j, best_d = None, math.inf
-            for j in prob.by_commodity[i]:
-                dlt = prob.path_delay(prob.paths[j][1], f)
-                if dlt < best_d - 1e-15:
-                    best_j, best_d = j, dlt
-            if best_j is not None and best_j not in active and \
-                    best_d < L[i] - 1e-10 * (1.0 + abs(L[i])):
-                active.append(best_j)
-                active.sort()
-                added = True
-        if not added:
-            return x_full, L, iterations
-    return None
+    def __init__(self, inst: Instance, path_cap: int):
+        edges = inst.edges
+        self.pos = {e.id: t for t, e in enumerate(edges)}
+        self.c = np.array([e.c for e in edges])
+        self.b = np.array([e.b for e in edges])
+        self.n = np.array([e.n for e in edges])
+        self.mu = np.array([e.mu for e in edges])
+        self.rigid = np.array([e.rigid for e in edges])
+        self.affine = all(e.affine for e in edges)
+        self.demands = [k.demand for k in inst.commodities]
+        self.total = sum(self.demands)
+        self.dscale = max(1.0, max(self.demands))
+        per_com = [inst.simple_paths(k.source, k.sink, cap=path_cap)
+                   for k in inst.commodities]
+        self.paths = [p for ps in per_com for p in ps]
+        self.com = np.repeat(np.arange(len(per_com)), list(map(len, per_com)))
+        self.path_edges = [[self.pos[eid] for eid in p] for p in self.paths]
+        self.free_flow = np.array([sum(edges[t].b for t in p)
+                                   for p in self.path_edges])
+        for p, length in zip(self.paths, self.free_flow):
+            if math.isinf(length):
+                raise ValidationError(
+                    f"length of the path from {p[0]!r} overflows")
+        self.by_com = [np.flatnonzero(self.com == i)
+                       for i in range(len(self.demands))]
+        # Each commodity's paths, shortest first, ties to the lower index.
+        self.by_length = [js[np.lexsort((js, self.free_flow[js]))]
+                          for js in self.by_com]
+        self.inc = np.zeros((len(self.paths), len(edges)), dtype=bool)
+        for j, p in enumerate(self.path_edges):
+            self.inc[j, p] = True
+        self.on_edge = [np.flatnonzero(col) for col in self.inc.T]
+        self.delay_layers = _layers(self.path_edges)
+        self.sets: dict[bytes, _ActiveSet] = {}
 
+    def usable(self, G: np.ndarray):
+        """Per row, the paths without a non-rigid edge of zero conductance,
+        and the commodities left without such a path (N, commodities)."""
+        usable = ~(((G == 0.0) & ~self.rigid) @ self.inc.T)
+        return usable, np.stack([~usable[:, js].any(axis=1)
+                                 for js in self.by_com], axis=1)
 
-def _solve_paths(inst: Instance, beta: Allocation, tol: float,
-                 path_cap: int, start: str) -> EquilibriumResult:
-    prob = _PathProblem(inst, beta, path_cap)
-    affine = all(e.affine for e in inst.edges)
-    ncom = len(inst.commodities)
-
-    active: list[int] = []
-    for i in range(ncom):
-        cands = prob.by_commodity[i]
+    def start(self, usable: np.ndarray, start: str = "shortest"
+              ) -> np.ndarray:
+        """Initial active sets: each commodity's shortest usable path by
+        free-flow length, "longest" its longest, "all" every usable path."""
         if start == "all":
-            active.extend(cands)
+            return usable.copy()
+        active = np.zeros(usable.shape, dtype=bool)
+        for js in self.by_length:
+            if start != "shortest":
+                js = js[::-1]
+            first = np.argmax(usable[:, js], axis=1)
+            active[np.arange(len(usable)), js[first]] = True
+        return active
+
+    def delays(self, edges, betas: np.ndarray) -> np.ndarray:
+        N = len(betas)
+        G = np.tile(self.c, (N, 1))
+        for j, e in enumerate(edges):
+            t = self.pos[e.id]
+            G[:, t] = self.c[t] + self.mu[t] * betas[:, j]
+        usable, stranded = self.usable(G)
+        feasible = ~stranded.any(axis=1)
+        res = self.solve(G, usable, self.start(usable),
+                         np.flatnonzero(feasible))
+        out = np.full(N, np.nan)
+        out[~feasible] = np.inf
+        L = res.L[res.done]
+        out[res.done] = sum(d / self.total * L[:, i]
+                            for i, d in enumerate(self.demands))
+        return out
+
+    def solve(self, G: np.ndarray, usable: np.ndarray, active: np.ndarray,
+              rows: np.ndarray, flows: bool = False) -> _Rows:
+        """Run the active-set loop on ``rows`` of the conductances ``G``
+        (N, edges) from the active sets ``active`` (N, paths), which it
+        updates; ``flows`` asks for the path flows of settled rows.
+
+        A round equalizes the delays of a row's active paths, by one linear
+        solve when every delay is affine and by damped Newton otherwise; it
+        drops the path whose flow came out most negative, or else adds each
+        commodity's shortest usable path where that is shorter than the
+        common delay.  A row settles in the first round that changes
+        nothing.  Rows sharing an active set go through a round together.
+        Callers ignore floating-point errors: a value out of range is kept
+        and judged where it is reported.
+        """
+        N = len(G)
+        res = _Rows(np.zeros(N, dtype=bool),
+                    np.full((N, len(self.demands)), np.nan),
+                    np.zeros(usable.shape) if flows else None,
+                    np.zeros(N, dtype=int))
+        scale = (1.0 + float(np.max(np.abs(self.demands)))
+                 + np.max(np.where(usable, self.free_flow, -np.inf), axis=1))
+        for _ in range(400):
+            if not rows.size:
+                break
+            res.rounds[rows] += 1
+            # Group the open rows by active set: sort their packed masks.
+            codes = np.packbits(active[rows], axis=1)
+            order = np.lexsort(codes.T[::-1])
+            codes = codes[order]
+            starts = np.flatnonzero((codes[1:] != codes[:-1]).any(axis=1)) + 1
+            groups = np.split(rows[order], starts)
+            rows = np.concatenate([
+                self._round(self._set(active[grp[0]]), grp, G, usable,
+                            active, scale, res) for grp in groups])
+        return res
+
+    def _set(self, mask: np.ndarray) -> _ActiveSet:
+        key = mask.tobytes()
+        if key not in self.sets:
+            self.sets[key] = _ActiveSet(self, np.flatnonzero(mask))
+        return self.sets[key]
+
+    def _round(self, aset: _ActiveSet, grp, G, usable, active, scale,
+               res: _Rows):
+        """One equalize-and-exchange round for the rows ``grp`` sharing
+        ``aset``; returns the rows left open."""
+        if self.affine:
+            z = _solve_rows(aset.matrices(1.0 / G[grp]),
+                            np.tile(aset.rhs, (len(grp), 1)))
         else:
-            key = (min if start == "shortest" else max)
-            active.append(key(cands, key=lambda j: (prob.free_flow[j], j)))
-    result = _active_set_loop(prob, sorted(set(active)), affine)
-    if result is None:
-        # The equalization stalled (typically flat nonlinear delays near a
-        # vanishing path flow).  Locate the support approximately, then
-        # finish exactly on it.
-        x, nit = _solve_paths_nlp(inst, prob)
-        support = []
-        for i in range(ncom):
-            js = prob.by_commodity[i]
-            d = inst.commodities[i].demand
-            kept = [j for j in js if x[j] > 1e-5 * d]
-            support.extend(kept or [max(js, key=lambda j: x[j])])
-        result = _active_set_loop(prob, sorted(set(support)), affine)
-        if result is None:
-            f = prob.edge_flows(x)
-            L = []
-            for i in range(ncom):
-                pairs = [(prob.path_delay(prob.paths[j][1], f), x[j])
-                         for j in prob.by_commodity[i]]
-                used = [(dl, w) for dl, w in pairs
-                        if w > 1e-9 * inst.commodities[i].demand]
-                L.append(sum(dl * w for dl, w in used)
-                         / sum(w for _, w in used))
-            return _finish(inst, prob, x, L, nit)
-    x_full, L, iterations = result
-    return _finish(inst, prob, x_full, L, iterations)
+            z, ok = self._newton(aset, G[grp], scale[grp])
+            grp, z = grp[ok], z[ok]
+        a = aset.a
+        xs = z[:, :a]
+        worst = np.argmin(xs, axis=1)
+        drop = ((xs[np.arange(len(grp)), worst] < -1e-12 * self.dscale)
+                & aset.many[aset.com[worst]])
+        active[grp[drop], aset.S[worst[drop]]] = False
+        dropped = grp[drop]
+        grp, z = grp[~drop], z[~drop]
+
+        Gg = G[grp]
+        F, D, settled = self._flows(aset, z, Gg)
+        L = z[:, a:]
+        added = np.zeros(len(grp), dtype=bool)
+        for i, js in enumerate(self.by_com):
+            best_d = np.full(len(grp), np.inf)
+            best_j = np.full(len(grp), -1)
+            for j in js:
+                better = usable[grp, j] & (D[:, j] < best_d - 1e-15)
+                best_d = np.where(better, D[:, j], best_d)
+                best_j[better] = j
+            Li = L[:, i]
+            add = ((best_j >= 0) & ~active[grp, best_j]
+                   & (best_d < Li - 1e-10 * (1.0 + np.abs(Li))))
+            active[grp[add], best_j[add]] = True
+            added |= add
+        done = ~added
+        res.done[grp[done]] = True
+        res.L[grp[done]] = L[done]
+        if res.X is not None:
+            res.X[grp[done][:, None], aset.S] = np.maximum(z[done, :a], 0.0)
+        else:  # nan where only _finish can tell the value or the error
+            settled &= np.isfinite(L).all(axis=1)
+            settled &= ~self._potential_overflows(F, Gg, done & settled)
+            res.L[grp[done & ~settled]] = np.nan
+        return np.concatenate([dropped, grp[added]])
+
+    def _flows(self, aset: _ActiveSet, z: np.ndarray, G: np.ndarray):
+        """Edge flows and path delays at the active flows, and the rows
+        whose edge delays are all finite."""
+        x = np.maximum(z[:, :aset.a], 0.0)
+        F = np.zeros(G.shape)
+        for es, ts in aset.flow_layers:
+            F[:, es] += x[:, ts]
+        De = F / G
+        np.float_power(De, self.n, out=De)
+        De += self.b
+        np.copyto(De, self.b, where=self.rigid | (F == 0.0))
+        D = np.zeros((len(z), len(self.com)))
+        for js, es in self.delay_layers:
+            D[:, js] += De[:, es]
+        return F, D, np.isfinite(De).all(axis=1)
+
+    def _potential_overflows(self, F: np.ndarray, G: np.ndarray,
+                             rows: np.ndarray) -> np.ndarray:
+        """Which of ``rows`` make ``_finish``'s potential raise: F**(n+1)
+        or G**n overflows on a flowing non-rigid edge.  Both powers grow
+        with their base, so the largest bases on each edge clear most
+        blocks at once."""
+        def top(A):
+            return np.max(A, axis=0, where=rows[:, None], initial=0.0)
+        if not (np.isinf(np.float_power(top(F), self.n + 1.0))
+                | np.isinf(np.float_power(top(G), self.n))).any():
+            return np.zeros(len(F), dtype=bool)
+        over = (np.isinf(np.float_power(F, self.n + 1.0))
+                | np.isinf(np.float_power(G, self.n)))
+        return (over & (F != 0.0) & ~self.rigid).any(axis=1)
+
+    def _residual(self, aset: _ActiveSet, z: np.ndarray, G: np.ndarray):
+        """The equalization residual: each active path's delay less its
+        commodity's common delay, and each commodity's flow less its
+        demand; rows whose delays are not finite are marked not ok."""
+        F, D, ok = self._flows(aset, z, G)
+        a = aset.a
+        r = np.empty(z.shape)
+        r[:, :a] = D[:, aset.S] - z[:, a + aset.com]
+        for i, ts in enumerate(aset.by_com):
+            acc = z[:, ts[0]]
+            for t in ts[1:]:
+                acc = acc + z[:, t]
+            r[:, a + i] = acc - self.demands[i]
+        return r, F, ok & np.isfinite(r).all(axis=1)
+
+    def _slopes(self, F: np.ndarray, G: np.ndarray) -> np.ndarray:
+        """d delay / d flow of every edge; 1e18 for an exponent below one
+        at zero flow."""
+        s = self.n * np.float_power(F, self.n - 1.0) / np.float_power(G, self.n)
+        s = np.where(F == 0.0, np.where(self.n > 1.0, 0.0, 1e18), s)
+        s = np.where(self.n == 1.0, 1.0 / G, s)
+        return np.where(self.rigid, 0.0, s)
+
+    def _newton(self, aset: _ActiveSet, G: np.ndarray, scale: np.ndarray):
+        """Damped Newton on the residual of every row from equal splits of
+        each demand: 120 steps of at most 40 halvings, a step taken when it
+        cuts the residual norm by 1e-4 of its length or reaches 1e-12 of
+        ``scale``.  Returns z and the rows that converged; a row whose
+        start or slopes are not finite, or whose step no halving takes,
+        does not."""
+        z = np.zeros((len(G), aset.size))
+        z[:, :aset.a] = aset.z0
+        r, F, live = self._residual(aset, z, G)
+        converged = np.zeros(len(G), dtype=bool)
+        for _ in range(120):
+            hit = live & (np.max(np.abs(r), axis=1) <= 1e-12 * scale)
+            converged |= hit
+            live &= ~hit
+            idx = np.flatnonzero(live)
+            if not idx.size:
+                break
+            s = self._slopes(F[idx], G[idx])
+            step = _solve_rows(aset.matrices(s), -r[idx])
+            ok = np.isfinite(s[:, aset.active_edges]).all(axis=1)
+            live[idx[~ok]] = False
+            idx, step = idx[ok], step[ok]
+            base = _norms(r[idx])
+            alpha = np.ones(len(idx))
+            for _ in range(40):
+                if not idx.size:
+                    break
+                z_new = z[idx] + alpha[:, None] * step
+                r_new, F_new, _ = self._residual(aset, z_new, G[idx])
+                better = ((_norms(r_new) < base * (1.0 - 1e-4 * alpha))
+                          | (np.max(np.abs(r_new), axis=1)
+                             <= 1e-12 * scale[idx]))
+                took = idx[better]
+                z[took], r[took], F[took] = (z_new[better], r_new[better],
+                                             F_new[better])
+                idx, step = idx[~better], step[~better]
+                base, alpha = base[~better], 0.5 * alpha[~better]
+            live[idx] = False  # no halving improved the residual
+        converged |= live & (np.max(np.abs(r), axis=1) <= 1e-9 * scale)
+        return z, converged
 
 
-def _solve_paths_nlp(inst: Instance, prob: _PathProblem):
-    """Approximate potential minimization over path flows with scipy."""
+def _layers(groups) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Layer l pairs each group having an l-th member with that member."""
+    depth = max((len(g) for g in groups), default=0)
+    out = []
+    for l in range(depth):
+        owners = [o for o, g in enumerate(groups) if len(g) > l]
+        out.append((np.array(owners), np.array([groups[o][l] for o in owners])))
+    return out
+
+
+def _norms(r: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row, with its dot product's rounding."""
+    return np.sqrt((r[:, None, :] @ r[:, :, None])[:, 0, 0])
+
+
+def _solve_rows(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve each row's system, a singular one by least squares."""
+    try:
+        return np.linalg.solve(M, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        z = np.empty(rhs.shape)
+        for r in range(len(M)):
+            try:
+                z[r] = np.linalg.solve(M[r], rhs[r])
+            except np.linalg.LinAlgError:
+                z[r] = np.linalg.lstsq(M[r], rhs[r], rcond=None)[0]
+        return z
+
+
+def _solve_paths(inst: Instance, beta: Allocation, path_cap: int,
+                 start: str) -> EquilibriumResult:
+    """The path engine on one allocation, with its certificate."""
+    batch = _path_batch(inst, path_cap)
+    G = np.array([[effective_conductance(e, beta.get(e.id))
+                   for e in inst.edges]])
+    usable, stranded = batch.usable(G)
+    for i in np.flatnonzero(stranded[0]):
+        k = inst.commodities[i]
+        raise Infeasible(f"commodity {k.source}->{k.sink} has no usable path")
+    every = batch._set(usable[0])
+
+    def flows(x):
+        """The flowing edges' flows and the path delays of path flows x."""
+        F, D, _ = batch._flows(every, x[None, every.S], G)
+        return ({e.id: float(F[0, t]) for t, e in enumerate(inst.edges)
+                 if F[0, t] != 0.0}, D[0])
+
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        res = batch.solve(G, usable, batch.start(usable, start),
+                          np.arange(1), flows=True)
+        if not res.done[0]:
+            # The equalization stalled (typically flat nonlinear delays
+            # near a vanishing path flow).  Locate the support
+            # approximately, then finish exactly on it.
+            x = np.zeros(len(batch.paths))
+            nit = _solve_paths_nlp(inst, beta, every, x, flows)
+            support = np.zeros(usable.shape, dtype=bool)
+            for ts, d in zip(every.by_com, batch.demands):
+                js = every.S[ts]
+                kept = js[x[js] > 1e-5 * d]
+                support[0, kept if kept.size else js[np.argmax(x[js])]] = True
+            res = batch.solve(G, usable, support, np.arange(1), flows=True)
+            if not res.done[0]:  # the flow-weighted mean used-path delay
+                f, D = flows(x)
+                L = []
+                for ts, d in zip(every.by_com, batch.demands):
+                    js = every.S[ts][x[every.S[ts]] > 1e-9 * d]
+                    L.append(sum(D[j] * x[j] for j in js)
+                             / sum(x[j] for j in js))
+                return _finish(inst, beta, batch, every, f, x, L, nit)
+        x = res.X[0]
+        return _finish(inst, beta, batch, every, flows(x)[0], x,
+                       res.L[0].tolist(), int(res.rounds[0]))
+
+
+def _solve_paths_nlp(inst: Instance, beta: Allocation, usable: _ActiveSet,
+                     x: np.ndarray, flows) -> int:
+    """Approximate potential minimization with scipy over the flows of the
+    ``usable`` paths, from even splits; leaves the flows of all paths in
+    ``x`` and returns the iterations."""
     from scipy import optimize
 
-    npaths = len(prob.paths)
     demands = [k.demand for k in inst.commodities]
 
-    def objective(x):
-        f = prob.edge_flows(x)
-        val = beckmann_potential(f, prob.beta, inst)
-        grad = np.array([prob.path_delay(p, f) for _, p in prob.paths])
-        return val, grad
+    def objective(xJ):
+        x[usable.S] = xJ
+        f, D = flows(x)
+        return beckmann_potential(f, beta, inst), D[usable.S]
 
-    constraints = []
-    for i, d in enumerate(demands):
-        row = np.zeros(npaths)
-        for j in prob.by_commodity[i]:
-            row[j] = 1.0
-        constraints.append(optimize.LinearConstraint(row, d, d))
-    x0 = np.zeros(npaths)
-    for i, d in enumerate(demands):
-        for j in prob.by_commodity[i]:
-            x0[j] = d / len(prob.by_commodity[i])
+    constraints = [optimize.LinearConstraint((usable.com == i).astype(float),
+                                             d, d)
+                   for i, d in enumerate(demands)]
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message="delta_grad == 0.0")
         res = optimize.minimize(
-            objective, x0, jac=True, method="trust-constr",
+            objective, usable.z0, jac=True, method="trust-constr",
             bounds=optimize.Bounds(0.0, max(demands)), constraints=constraints,
             options={"gtol": 1e-12, "xtol": 1e-14, "maxiter": 3000})
-    return np.maximum(res.x, 0.0), int(res.nit)
+    x[usable.S] = np.maximum(res.x, 0.0)
+    return int(res.nit)
 
 
-def _finish(inst: Instance, prob: _PathProblem, x: np.ndarray,
+def _finish(inst: Instance, beta: Allocation, batch: _PathBatch,
+            usable: _ActiveSet, f: dict[str, float], x: np.ndarray,
             L: list[float], iterations: int) -> EquilibriumResult:
-    f = prob.edge_flows(x)
-    delays = {e.id: edge_delay(e, f.get(e.id, 0.0), prob.beta.get(e.id))
-              for e in inst.edges if _usable(e, prob.beta)}
-    total_delay = sum(f.get(eid, 0.0) * d for eid, d in delays.items())
-    lower = 0.0
-    for k in inst.commodities:
-        dist, _ = _shortest_path(inst, delays, k.source, k.sink)
-        lower += k.demand * dist
-    gap = max(0.0, total_delay - lower)
-    phi = beckmann_potential(f, prob.beta, inst)
-    rel_gap = gap / phi if phi > 0 else 0.0
-
-    per_comm = []
+    """The result for path flows ``x`` on the ``usable`` paths, edge flows
+    ``f`` and common delays ``L``, certified by the duality gap."""
+    delays = {e.id: edge_delay(e, f.get(e.id, 0.0), beta.get(e.id))
+              for e in inst.edges if _usable(e, beta)}
+    dists = [_shortest_path(inst, delays, k.source, k.sink)[0]
+             for k in inst.commodities]
+    per_comm: list[dict[str, float]] = [{} for _ in inst.commodities]
     paths_out = []
-    dscale = max(1.0, max(k.demand for k in inst.commodities))
-    for i in range(len(inst.commodities)):
-        cmap: dict[str, float] = {}
-        for j in prob.by_commodity[i]:
-            w = float(x[j])
-            if w > 1e-13 * dscale:
-                paths_out.append((prob.paths[j][1], w))
-                for eid in prob.paths[j][1]:
-                    cmap[eid] = cmap.get(eid, 0.0) + w
-        per_comm.append(cmap)
-    total = sum(k.demand for k in inst.commodities)
-    avg = sum(k.demand / total * L[i] for i, k in enumerate(inst.commodities))
+    for j in usable.S:  # commodity by commodity
+        w = float(x[j])
+        if w > 1e-13 * batch.dscale:
+            paths_out.append((batch.paths[j], w))
+            cmap = per_comm[batch.com[j]]
+            for eid in batch.paths[j]:
+                cmap[eid] = cmap.get(eid, 0.0) + w
     flow = FlowState(edge_flow=f,
                      commodity_flows=tuple(per_comm) if len(per_comm) > 1 else None,
                      paths=tuple(paths_out))
     return EquilibriumResult(flow=flow, common_delay=tuple(L),
-                             average_delay=avg, duality_gap=rel_gap,
+                             average_delay=_average(inst, L),
+                             duality_gap=_relative_gap(inst, beta, f, delays,
+                                                       dists),
                              iterations=iterations)
+
+
+def _relative_gap(inst: Instance, beta: Allocation, f: dict[str, float],
+                  delays: dict[str, float], dists: list[float]) -> float:
+    """(Phi(f) - linearized lower bound) / Phi(f) for edge flows ``f`` with
+    edge delays ``delays`` and shortest path lengths ``dists`` under them."""
+    total_delay = sum(f.get(eid, 0.0) * d for eid, d in delays.items())
+    lower = sum(k.demand * dist for k, dist in zip(inst.commodities, dists))
+    gap = max(0.0, total_delay - lower)
+    phi = beckmann_potential(f, beta, inst)
+    return gap / phi if phi > 0 else 0.0
+
+
+def _average(inst: Instance, L: list[float]) -> float:
+    """The demand-weighted mean of the commodities' common delays."""
+    total = sum(k.demand for k in inst.commodities)
+    return sum(k.demand / total * L[i] for i, k in enumerate(inst.commodities))
 
 
 # ---------------------------------------------------------------------------
@@ -566,16 +742,12 @@ def _frank_wolfe(inst: Instance, beta: Allocation, tol: float,
     for iterations in range(1, max_iters + 1):
         delays = delays_of(f)
         y, dists = aon(delays)
-        ytot = y.sum(axis=0)
-        total_delay = float(sum(f[eidx[eid]] * d for eid, d in delays.items()))
-        lower = sum(k.demand * dists[i] for i, k in enumerate(inst.commodities))
-        gap = max(0.0, total_delay - lower)
-        phi = beckmann_potential({e.id: float(f[t]) for t, e in enumerate(edges)},
-                                 beta, inst)
-        rel_gap = gap / phi if phi > 0 else 0.0
+        rel_gap = _relative_gap(
+            inst, beta, {e.id: float(f[t]) for t, e in enumerate(edges)},
+            delays, dists)
         if rel_gap <= tol:
             break
-        delta = ytot - f
+        delta = y.sum(axis=0) - f
         moving = [(t, e, beta.get(e.id)) for t, e in enumerate(edges)
                   if delta[t] != 0.0]
 
@@ -598,19 +770,15 @@ def _frank_wolfe(inst: Instance, beta: Allocation, tol: float,
 
     fmap = {e.id: float(f[t]) for t, e in enumerate(edges) if f[t] > 1e-15}
     delays = delays_of(f)
-    L = []
-    for i, k in enumerate(inst.commodities):
-        dist, _ = _shortest_path(inst, delays, k.source, k.sink)
-        L.append(dist)
-    total = sum(k.demand for k in inst.commodities)
-    avg = sum(k.demand / total * L[i] for i, k in enumerate(inst.commodities))
+    L = [_shortest_path(inst, delays, k.source, k.sink)[0]
+         for k in inst.commodities]
     per_comm = tuple({e.id: float(fi[i, t]) for t, e in enumerate(edges)
                       if fi[i, t] > 1e-15} for i in range(ncom))
     flow = FlowState(edge_flow=fmap,
                      commodity_flows=per_comm if ncom > 1 else None)
     return EquilibriumResult(flow=flow, common_delay=tuple(L),
-                             average_delay=avg, duality_gap=rel_gap,
-                             iterations=iterations)
+                             average_delay=_average(inst, L),
+                             duality_gap=rel_gap, iterations=iterations)
 
 
 def solve_equilibrium(inst: Instance, beta: Allocation | None = None,
@@ -632,333 +800,11 @@ def solve_equilibrium(inst: Instance, beta: Allocation | None = None,
         raise ValidationError(f"unknown method {method!r}")
     if method in ("auto", "paths"):
         try:
-            return _solve_paths(inst, beta, tol, path_cap, start)
+            return _solve_paths(inst, beta, path_cap, start)
         except PathCapExceeded:
             if method == "paths":
                 raise
     return _frank_wolfe(inst, beta, tol, max_iters)
-
-
-# ---------------------------------------------------------------------------
-# Batched path engine
-
-
-def path_delay_rows(inst: Instance, edges, betas: np.ndarray) -> np.ndarray:
-    """Equilibrium average delay of ``inst`` for each row of allocations.
-
-    ``betas`` has shape (N, len(edges)); column j is the amount on
-    ``edges[j]`` and every other edge gets zero.  This is the path engine
-    of ``solve_equilibrium`` run on all rows at once: the same start,
-    equalization, drop and add rules and constants, with sums taken in the
-    scalar code's order, so an accepted row carries the scalar solver's
-    floats.  A row with a commodity that has no usable path gets inf.  A
-    row the batch does not settle gets nan, and the caller solves it with
-    ``solve_equilibrium``: a singular system, a failed Newton solve, a
-    value that is not finite (where the scalar code may raise), or no
-    Wardrop point within 400 rounds.  Raises PathCapExceeded when a
-    commodity has more than 200 simple paths.  Rows go through in slices of
-    ``_BATCH_ROWS``, which bounds the working arrays whatever the batch size.
-    """
-    betas = np.asarray(betas, dtype=float)
-    batch = _PathBatch(inst)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return np.concatenate(
-            [batch.delays(edges, betas[lo:lo + _BATCH_ROWS])
-             for lo in range(0, len(betas), _BATCH_ROWS)])
-
-
-class _ActiveSet:
-    """Equalization system layout of one active path set (sorted indices)."""
-
-    def __init__(self, batch: "_PathBatch", S: np.ndarray):
-        a, ncom = len(S), len(batch.demands)
-        com = batch.com[S]
-        self.S, self.a, self.com = S, a, com
-        self.size = a + ncom
-        self.by_com = [np.flatnonzero(com == i) for i in range(ncom)]
-        self.many = np.array([len(ts) > 1 for ts in self.by_com])
-        counts = np.zeros(ncom)
-        np.add.at(counts, com, 1.0)
-        self.z0 = np.array(batch.demands)[com] / counts[com]
-        self.active_edges = np.flatnonzero(batch.inc[S].any(axis=0))
-        # Edge flows: the active paths through each edge in index order.
-        self.flow_layers = _layers([np.flatnonzero(col)
-                                    for col in batch.inc[S].T])
-        # Entry (t, t2) sums the shared non-rigid edges of paths t and t2 in
-        # the order of path t, as _equalize_affine does; layer l holds the
-        # l-th term of every entry, so one fancy-indexed add per layer
-        # keeps that order.
-        loc = {int(j): t for t, j in enumerate(S)}
-        seen: dict[tuple[int, int], int] = {}
-        layers: list[list[tuple[int, int, int]]] = []
-        for t, j in enumerate(S):
-            for e in batch.path_edges[j]:
-                if batch.rigid[e]:
-                    continue
-                for j2 in batch.on_edge[e]:
-                    t2 = loc.get(int(j2))
-                    if t2 is None:
-                        continue
-                    depth = seen.get((t, t2), 0)
-                    seen[(t, t2)] = depth + 1
-                    if depth == len(layers):
-                        layers.append([])
-                    layers[depth].append((t, t2, e))
-        self.layers = [tuple(np.array(v) for v in zip(*layer))
-                       for layer in layers]
-        self.rhs = np.concatenate([-batch.free_flow[S], batch.demands])
-        rows = np.arange(a)
-        self.unit = (np.concatenate([rows, a + com]),
-                     np.concatenate([a + com, rows]),
-                     np.concatenate([np.full(a, -1.0), np.ones(a)]))
-
-    def matrices(self, weights: np.ndarray) -> np.ndarray:
-        """The (N, a + I, a + I) system with per-row edge weights."""
-        M = np.zeros((len(weights), self.size, self.size))
-        for ts, t2s, es in self.layers:
-            M[:, ts, t2s] += weights[:, es]
-        rows, cols, vals = self.unit
-        M[:, rows, cols] = vals
-        return M
-
-
-class _PathBatch:
-    """Edge arrays and path-edge structure of one instance for
-    ``path_delay_rows``."""
-
-    def __init__(self, inst: Instance):
-        edges = inst.edges
-        self.pos = {e.id: t for t, e in enumerate(edges)}
-        self.c = np.array([e.c for e in edges])
-        self.b = np.array([e.b for e in edges])
-        self.n = np.array([e.n for e in edges])
-        self.mu = np.array([e.mu for e in edges])
-        self.rigid = np.array([e.rigid for e in edges])
-        self.affine = all(e.affine for e in edges)
-        self.demands = [k.demand for k in inst.commodities]
-        self.total = sum(self.demands)
-        self.dscale = max(1.0, max(self.demands))
-        com, self.path_edges = [], []
-        for i, k in enumerate(inst.commodities):
-            for p in inst.simple_paths(k.source, k.sink, cap=_PATH_CAP):
-                com.append(i)
-                self.path_edges.append([self.pos[eid] for eid in p])
-        self.com = np.array(com)
-        self.free_flow = np.array([sum(edges[t].b for t in p)
-                                   for p in self.path_edges])
-        self.inc = np.zeros((len(com), len(edges)), dtype=bool)
-        for j, p in enumerate(self.path_edges):
-            self.inc[j, p] = True
-        self.on_edge = [np.flatnonzero(col) for col in self.inc.T]
-        self.delay_layers = _layers(self.path_edges)
-        self.sets: dict[bytes, _ActiveSet] = {}
-
-    def delays(self, edges, betas: np.ndarray) -> np.ndarray:
-        N = len(betas)
-        G = np.tile(self.c, (N, 1))
-        for j, e in enumerate(edges):
-            t = self.pos[e.id]
-            G[:, t] = self.c[t] + self.mu[t] * betas[:, j]
-        usable = ~(((G == 0.0) & ~self.rigid) @ self.inc.T)
-        out = np.full(N, np.nan)
-        feasible = np.ones(N, dtype=bool)
-        active = np.zeros(usable.shape, dtype=bool)
-        for i in range(len(self.demands)):
-            mine = np.flatnonzero(self.com == i)
-            order = mine[np.lexsort((mine, self.free_flow[mine]))]
-            ok = usable[:, order]
-            feasible &= ok.any(axis=1)
-            active[np.arange(N), order[np.argmax(ok, axis=1)]] = True
-        out[~feasible] = np.inf
-        scale = (1.0 + float(np.max(np.abs(self.demands)))
-                 + np.max(np.where(usable, self.free_flow, -np.inf), axis=1))
-        rows = np.flatnonzero(feasible)
-        for _ in range(400):
-            if not rows.size:
-                break
-            # Group the open rows by active set: sort their packed masks.
-            codes = np.packbits(active[rows], axis=1)
-            order = np.lexsort(codes.T[::-1])
-            codes = codes[order]
-            starts = np.flatnonzero(
-                (codes[1:] != codes[:-1]).any(axis=1)) + 1
-            rows = np.concatenate([
-                self._round(self._set(active[grp[0]]), grp, G, usable,
-                            active, scale, out)
-                for grp in np.split(rows[order], starts)])
-        return out
-
-    def _set(self, mask: np.ndarray) -> _ActiveSet:
-        key = mask.tobytes()
-        if key not in self.sets:
-            self.sets[key] = _ActiveSet(self, np.flatnonzero(mask))
-        return self.sets[key]
-
-    def _round(self, aset: _ActiveSet, grp, G, usable, active, scale, out):
-        """One equalize-and-exchange round of ``_active_set_loop`` for the
-        rows ``grp`` sharing ``aset``; returns the rows left open."""
-        if self.affine:
-            z, ok = _solve_rows(aset.matrices(1.0 / G[grp]),
-                                np.tile(aset.rhs, (len(grp), 1)))
-        else:
-            z, ok = self._newton(aset, G[grp], scale[grp])
-        ok &= np.isfinite(z).all(axis=1)
-        grp, z = grp[ok], z[ok]
-        a = aset.a
-        xs = z[:, :a]
-        worst = np.argmin(xs, axis=1)
-        drop = ((xs[np.arange(len(grp)), worst] < -1e-12 * self.dscale)
-                & aset.many[aset.com[worst]])
-        active[grp[drop], aset.S[worst[drop]]] = False
-        dropped = grp[drop]
-        grp, z = grp[~drop], z[~drop]
-
-        Gg = G[grp]
-        F, D, settled = self._flows(aset, z, Gg)
-        L = z[:, a:]
-        added = np.zeros(len(grp), dtype=bool)
-        for i in range(len(self.demands)):
-            best_d = np.full(len(grp), np.inf)
-            best_j = np.full(len(grp), -1)
-            for j in np.flatnonzero(self.com == i):
-                better = usable[grp, j] & (D[:, j] < best_d - 1e-15)
-                best_d = np.where(better, D[:, j], best_d)
-                best_j[better] = j
-            Li = L[:, i]
-            add = ((best_j >= 0) & ~active[grp, best_j]
-                   & (best_d < Li - 1e-10 * (1.0 + np.abs(Li))) & settled)
-            active[grp[add], best_j[add]] = True
-            added |= add
-        done = settled & ~added
-        done &= ~self._potential_overflows(F, Gg, done)
-        avg = self.demands[0] / self.total * L[done, 0]
-        for i in range(1, len(self.demands)):
-            avg = avg + self.demands[i] / self.total * L[done, i]
-        out[grp[done]] = avg
-        return np.concatenate([dropped, grp[added]])
-
-    def _flows(self, aset: _ActiveSet, z: np.ndarray, G: np.ndarray):
-        """Edge flows and path delays at the active flows, and the rows
-        whose edge delays are all finite."""
-        x = np.maximum(z[:, :aset.a], 0.0)
-        F = np.zeros(G.shape)
-        for es, ts in aset.flow_layers:
-            F[:, es] += x[:, ts]
-        De = F / G
-        np.float_power(De, self.n, out=De)
-        De += self.b
-        np.copyto(De, self.b, where=self.rigid | (F == 0.0))
-        D = np.zeros((len(z), len(self.com)))
-        for js, es in self.delay_layers:
-            D[:, js] += De[:, es]
-        return F, D, np.isfinite(De).all(axis=1)
-
-    def _potential_overflows(self, F: np.ndarray, G: np.ndarray,
-                             rows: np.ndarray) -> np.ndarray:
-        """Which of ``rows`` make ``_finish``'s potential raise: F**(n+1)
-        or G**n overflows on a flowing non-rigid edge.  Both powers grow
-        with their base, so the largest bases on each edge clear most
-        blocks at once."""
-        def top(A):
-            return np.max(A, axis=0, where=rows[:, None], initial=0.0)
-        if not (np.isinf(np.float_power(top(F), self.n + 1.0))
-                | np.isinf(np.float_power(top(G), self.n))).any():
-            return np.zeros(len(F), dtype=bool)
-        over = (np.isinf(np.float_power(F, self.n + 1.0))
-                | np.isinf(np.float_power(G, self.n)))
-        return (over & (F != 0.0) & ~self.rigid).any(axis=1)
-
-    def _residual(self, aset: _ActiveSet, z: np.ndarray, G: np.ndarray):
-        """``_equalize_newton``'s residual; rows whose delays are not
-        finite are marked not ok."""
-        F, D, ok = self._flows(aset, z, G)
-        a = aset.a
-        r = np.empty(z.shape)
-        r[:, :a] = D[:, aset.S] - z[:, a + aset.com]
-        for i, ts in enumerate(aset.by_com):
-            acc = z[:, ts[0]]
-            for t in ts[1:]:
-                acc = acc + z[:, t]
-            r[:, a + i] = acc - self.demands[i]
-        return r, F, ok & np.isfinite(r).all(axis=1)
-
-    def _slopes(self, F: np.ndarray, G: np.ndarray) -> np.ndarray:
-        """``_PathProblem._delay_slope`` of every edge."""
-        s = self.n * np.float_power(F, self.n - 1.0) / np.float_power(G, self.n)
-        s = np.where(F == 0.0, np.where(self.n > 1.0, 0.0, 1e18), s)
-        s = np.where(self.n == 1.0, 1.0 / G, s)
-        return np.where(self.rigid, 0.0, s)
-
-    def _newton(self, aset: _ActiveSet, G: np.ndarray, scale: np.ndarray):
-        """``_equalize_newton`` on every row: damped Newton, 120 steps of at
-        most 40 halvings.  Returns z and the rows that converged."""
-        z = np.zeros((len(G), aset.size))
-        z[:, :aset.a] = aset.z0
-        r, F, live = self._residual(aset, z, G)
-        converged = np.zeros(len(G), dtype=bool)
-        for _ in range(120):
-            hit = live & (np.max(np.abs(r), axis=1) <= 1e-12 * scale)
-            converged |= hit
-            live &= ~hit
-            idx = np.flatnonzero(live)
-            if not idx.size:
-                break
-            s = self._slopes(F[idx], G[idx])
-            step, ok = _solve_rows(aset.matrices(s), -r[idx])
-            ok &= np.isfinite(s[:, aset.active_edges]).all(axis=1)
-            live[idx[~ok]] = False
-            idx, step = idx[ok], step[ok]
-            base = _norms(r[idx])
-            alpha = np.ones(len(idx))
-            for _ in range(40):
-                if not idx.size:
-                    break
-                z_new = z[idx] + alpha[:, None] * step
-                r_new, F_new, ok = self._residual(aset, z_new, G[idx])
-                better = ok & (
-                    (_norms(r_new) < base * (1.0 - 1e-4 * alpha))
-                    | (np.max(np.abs(r_new), axis=1) <= 1e-12 * scale[idx]))
-                took = idx[better]
-                z[took], r[took], F[took] = (z_new[better], r_new[better],
-                                             F_new[better])
-                live[idx[~ok]] = False
-                wait = ok & ~better
-                idx, step = idx[wait], step[wait]
-                base, alpha = base[wait], 0.5 * alpha[wait]
-            live[idx] = False  # no halving improved the residual
-        converged |= live & (np.max(np.abs(r), axis=1) <= 1e-9 * scale)
-        return z, converged
-
-
-def _layers(groups) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Layer l pairs each group having an l-th member with that member."""
-    depth = max((len(g) for g in groups), default=0)
-    out = []
-    for l in range(depth):
-        owners = [o for o, g in enumerate(groups) if len(g) > l]
-        out.append((np.array(owners), np.array([groups[o][l] for o in owners])))
-    return out
-
-
-def _norms(r: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm`` of each row, with its dot product's rounding."""
-    return np.sqrt((r[:, None, :] @ r[:, :, None])[:, 0, 0])
-
-
-def _solve_rows(M: np.ndarray, rhs: np.ndarray):
-    """Solve each row's system; returns the solutions and the rows whose
-    matrix was not singular."""
-    ok = np.ones(len(M), dtype=bool)
-    try:
-        return np.linalg.solve(M, rhs[..., None])[..., 0], ok
-    except np.linalg.LinAlgError:
-        z = np.zeros(rhs.shape)
-        for r in range(len(M)):
-            try:
-                z[r] = np.linalg.solve(M[r], rhs[r])
-            except np.linalg.LinAlgError:
-                ok[r] = False
-        return z, ok
 
 
 # ---------------------------------------------------------------------------

@@ -143,7 +143,7 @@ def _leaf_values(edge: Edge, k_budget: np.ndarray, flows: np.ndarray) -> np.ndar
         out = np.full((len(k_budget), len(flows)), edge.b)
     else:
         g = edge.c + edge.mu * k_budget
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             ratio = np.where(g[:, None] > 0.0,
                              flows[None, :] / np.maximum(g[:, None], 1e-300),
                              np.inf)

@@ -11,9 +11,15 @@ by the first route that applies:
 * affine dipoles: the link-major used-set scan, one column per link;
 * affine parallel-path graphs: per-path conductances from the edge-level
   allocation, then the same scan at path level;
-* anything else: the batched path engine (``path_delay_rows``), which runs
-  the scalar solver's active-set loop on all rows at once and gives its
-  floats; the rows it leaves open are solved by ``solve_equilibrium``.
+* anything else: ``path_delay_rows``, the path engine of
+  ``solve_equilibrium`` on all rows at once; the rows it leaves open are
+  solved by ``solve_equilibrium``.
+
+The grid, ``evaluate_delay`` and every replay of an argmin share that
+engine, so they do not check each other.  The independent checks are
+``solve_equilibrium``'s certificate (the Beckmann potential against a
+Dijkstra lower bound) and Frank-Wolfe, which the tests compare with the
+grid.
 
 Ties break toward the lexicographically smallest composition because the
 generator emits compositions in lexicographic order and only strict

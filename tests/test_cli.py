@@ -317,3 +317,20 @@ class TestVerify:
         b = run_cli("verify", "--only", "ratio-mixing", "--seed", "7",
                     "--cases", "200")
         assert a.stdout == b.stdout
+
+
+def test_fptas_delay_out_of_range_exit_2_without_a_warning(tmp_path):
+    # Demand 1e10 over conductances of 1e-300: every delay overflows.
+    doc = {"nodes": ["s", "t"],
+           "edges": [{"id": "a", "tail": "s", "head": "t", "c": 1e-300,
+                      "b": 0, "mu": 1e-300},
+                     {"id": "b", "tail": "s", "head": "t", "c": 1e-300,
+                      "b": 1, "mu": 0}],
+           "commodities": [{"source": "s", "sink": "t", "demand": 1e10}],
+           "budget": 1}
+    path = tmp_path / "tiny_conductance.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli("solve", "--alg", "fptas", str(path), check=False)
+    assert proc.returncode == 2
+    assert "Warning" not in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -1,14 +1,17 @@
 """Closed forms on links so long that c * b overflows: the dipole scan and
 the parallel-path prefix delay measure lengths in a power-of-two unit."""
 
+import json
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from netimprove.core import Commodity, Edge, Instance
+from netimprove.core import Commodity, Edge, Instance, parse_instance
 from netimprove.equilibrium import (dipole_delay_rows, length_unit,
-                                    solve_equilibrium)
+                                    path_delay_rows, solve_equilibrium)
 from netimprove.errors import ValidationError
 from netimprove.oracle import GridSpec, evaluate_delay, grid_search
 from netimprove.parallelpaths import (as_parallel_paths,
@@ -97,3 +100,32 @@ def test_a_delay_out_of_range_is_rejected():
                    1e10, 1.0)
     with pytest.raises(ValidationError, match="out of floating-point range"):
         solve_parallel_paths(inst)
+
+
+def test_the_path_engine_rejects_a_path_whose_length_overflows(tmp_path):
+    # Path a-a2 sums to inf; every route to the equilibrium stops with exit 2.
+    doc = {"nodes": ["s", "m", "t"],
+           "edges": [{"id": "a", "tail": "s", "head": "m", "c": 10,
+                      "b": 1e308, "mu": 1},
+                     {"id": "a2", "tail": "m", "head": "t", "c": 10,
+                      "b": 1e308, "mu": 1},
+                     {"id": "b", "tail": "s", "head": "t", "c": 10,
+                      "b": 1.5e308, "mu": 1}],
+           "commodities": [{"source": "s", "sink": "t", "demand": 1}],
+           "budget": 1}
+    inst = parse_instance(json.dumps(doc))
+    message = "length of the path from 'a' overflows"
+    with pytest.raises(ValidationError, match=message):
+        solve_equilibrium(inst)
+    with pytest.raises(ValidationError, match=message):
+        path_delay_rows(inst, inst.edges[:1], np.array([[0.5]]))
+    with pytest.raises(ValidationError, match=message):
+        grid_search(inst, GridSpec(resolution=4))
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["solve", "--alg", "copt"], ["equilibrium"]):
+        proc = subprocess.run([sys.executable, "-m", "netimprove", *argv,
+                               str(path)], capture_output=True, text=True)
+        assert proc.returncode == 2, proc.stdout
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr

@@ -364,60 +364,93 @@ class TestBatchedEngine:
             used.add(eq.flow.get("e3") > 0.0)
         assert used == {True, False}
 
-    def test_failed_newton_rows_fall_back_to_the_scalar_solver(self):
-        # Where the n = 0.5 link starts to carry flow, the scalar Newton
+    def test_failed_newton_rows_fall_back_to_the_scalar_solver(self,
+                                                               monkeypatch):
+        # Where the n = 0.5 link starts to carry flow, the Newton
         # equalization stalls and solve_equilibrium finishes through its
-        # scipy fallback; the batch leaves exactly those rows open.
+        # scipy rescue; the batch leaves exactly those rows open.
         inst = _root_edge_at_zero_flow(b=0.6)
         edges, betas = _grid_betas(inst, 4)
-        stalled = []
+        real = equilibrium._solve_paths_nlp
+        rescued = []
+
+        def counted(*args):
+            rescued[-1] = True
+            return real(*args)
+
+        monkeypatch.setattr(equilibrium, "_solve_paths_nlp", counted)
         for row in betas:
-            prob = equilibrium._PathProblem(
-                inst, Allocation({e.id: row[j] for j, e in enumerate(edges)}),
-                200)
-            start = min(prob.by_commodity[0],
-                        key=lambda j: (prob.free_flow[j], j))
-            stalled.append(
-                equilibrium._active_set_loop(prob, [start], False) is None)
+            rescued.append(False)
+            solve_equilibrium(
+                inst, Allocation({e.id: row[j] for j, e in enumerate(edges)}))
         open_rows = np.isnan(equilibrium.path_delay_rows(inst, edges, betas))
-        assert open_rows.tolist() == stalled and any(stalled)
+        assert open_rows.tolist() == rescued and any(rescued)
         got = oracle._batch_general(inst, 1e-8, edges, betas)
         want = _scalar_delays(inst, edges, betas)
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
-    def test_singular_rows_fall_back_to_the_scalar_solver(self, monkeypatch):
+    def test_singular_rows_are_solved_by_least_squares(self, monkeypatch):
         M = np.array([[[2.0, 1.0], [1.0, 3.0]],
                       [[1.0, 2.0], [2.0, 4.0]],
                       [[4.0, 0.0], [1.0, 1.0]]])
         rhs = np.array([[1.0, 2.0], [1.0, 1.0], [3.0, 5.0]])
-        z, ok = equilibrium._solve_rows(M, rhs)
-        assert ok.tolist() == [True, False, True]
+        z = equilibrium._solve_rows(M, rhs)
         for r in (0, 2):
             assert np.array_equal(z[r], np.linalg.solve(M[r], rhs[r]))
+        assert np.array_equal(z[1], np.linalg.lstsq(M[1], rhs[1],
+                                                    rcond=None)[0])
 
-        # Force every second system of a Braess grid singular: exactly
-        # those rows reach solve_equilibrium, and every value still
-        # matches the scalar solver.
+        # Make every stacked solve and every second single system of a
+        # Braess grid singular: those rows are solved by least squares in
+        # the batch, none reaches solve_equilibrium, and every value still
+        # matches the unforced solver.
         inst = _braess_rigid()
         edges, betas = _grid_betas(inst, 20)
         want = _scalar_delays(inst, edges, betas)
-        real = equilibrium._solve_rows
-        forced = []
+        real = np.linalg.solve
+        singles = []
 
-        def singular_every_other(M, rhs):
-            z, ok = real(M, rhs)
-            ok[::2] = False
-            forced.append(int(ok.size - ok.sum()))
-            return z, ok
+        def every_other_singular(M, rhs):
+            if M.ndim == 2:
+                singles.append(len(singles) % 2 == 0)
+            if M.ndim > 2 or singles[-1]:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real(M, rhs)
 
         calls = []
-        monkeypatch.setattr(equilibrium, "_solve_rows", singular_every_other)
+        monkeypatch.setattr(np.linalg, "solve", every_other_singular)
         monkeypatch.setattr(oracle, "solve_equilibrium",
                             lambda *a, **k: calls.append(a) or
                             solve_equilibrium(*a, **k))
         got = oracle._batch_general(inst, 1e-8, edges, betas)
-        assert np.array_equal(got, want)
-        assert 0 < len(calls) == sum(forced) < len(betas)
+        assert not calls and any(singles)
+        assert np.array_equal(np.isinf(got), np.isinf(want))
+        fin = np.isfinite(want)
+        assert np.allclose(got[fin], want[fin], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("build, R, affine", BATCH_CASES)
+    def test_path_engine_matches_frank_wolfe(self, build, R, affine):
+        # Frank-Wolfe shares no code with the path engine but the edge
+        # delays and the certificate, so it checks the grid's values
+        # independently: at four grid points, the same delays within what
+        # a relative gap of 1e-10 allows, or Infeasible from both.
+        inst = build()
+        edges, betas = _grid_betas(inst, R)
+        rows = betas[np.linspace(0, len(betas) - 1, 4).astype(int)]
+        grid = oracle._batch_general(inst, 1e-8, edges, rows)
+        for L, row in zip(grid, rows):
+            alloc = Allocation({e.id: row[j] for j, e in enumerate(edges)})
+            if np.isinf(L):
+                with pytest.raises(Infeasible):
+                    solve_equilibrium(inst, alloc, method="frank-wolfe")
+                continue
+            paths = solve_equilibrium(inst, alloc, method="paths")
+            fw = solve_equilibrium(inst, alloc, tol=1e-10,
+                                   method="frank-wolfe")
+            assert paths.average_delay == L
+            assert fw.average_delay == pytest.approx(L, rel=1e-8)
+            assert fw.common_delay == pytest.approx(paths.common_delay,
+                                                    rel=1e-8)
 
     def test_potential_overflow_raises_as_the_scalar_solver(self):
         # At demand 1e200 the potential's flow**2 overflows, which
