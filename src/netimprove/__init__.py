@@ -54,7 +54,6 @@ from .parallelpaths import (
     PathAllocation,
     as_parallel_paths,
     best_single_edge_allocation,
-    inner_allocate,
     max_path_conductance,
     prefix_delay,
     solve_parallel_paths,

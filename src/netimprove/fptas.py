@@ -17,11 +17,17 @@ inequality is the certificate reported with every solve.
 Every row D(H, k, .) starts at 0 and is nondecreasing in flow (leaf rows
 are made so explicitly; both combines preserve it).  For two such rows a
 and b, min_v max(a[v], b[l-v]) is entry l+1 (0-based) of the sorted union
-of a and b.  The parallel combine therefore sorts, for each budget k, the
-k+1 merged row pairs (A[u], B[k-u]) in one numpy pass and takes the least
-entry per column: O(K^3 log K) per parallel node in K+1 passes, with the
-literal recursion's first-(u, v) tie-break and the same floats.  The
-series combine is one (k+1, K+1) sum and argmin per budget k.
+of a and b.  As a[0] = 0 is the least entry of that union, entries 1..K+1
+are the sorted elementwise minimum of a[1:] (padded with inf) and b
+reversed: the lower half of the merge, by Batcher's half-cleaner.  The
+parallel combine therefore forms, for each budget k, that minimum for the
+k+1 row pairs (A[u], B[k-u]), sorts the block's rows in one numpy pass and
+takes the least entry per column: O(K^3 log K) per parallel node, about
+(K+1)^3 / 2 sorted entries in all.  The series combine is one (k+1, K+1)
+sum and column minimum per budget k.  Both give the literal recursion's
+floats and keep values only; ``reconstruct`` recomputes the split of each
+entry it visits, one per node, with the recursion's first-(u, v)
+tie-break.
 
 Grid sizing follows eps = eps' / (6 * nu) with nu the largest delay
 exponent (floored at 1) and K = ceil(m^2 / eps^2); K is capped, since
@@ -34,8 +40,9 @@ every edge of the optimal allocation to exceed a grid-unit floor, which is
 unverifiable, so it is surfaced as metadata only.
 
 Tables for the root node are skipped when only its (K, K) entry is needed
-and the grid is large; leaf children are then evaluated row by row, which
-keeps dipole instances with fine grids in constant memory.
+and the grid is large; its leaf children then get no table either and are
+evaluated row by row, which keeps dipole instances with fine grids in O(K)
+memory.
 """
 
 from __future__ import annotations
@@ -119,8 +126,6 @@ def choose_discretization(inst: Instance, eps_prime: float,
 class _DpNode:
     tree: DecompositionTree
     values: np.ndarray | None = None      # (K+1, K+1), index [k, l]
-    arg_u: np.ndarray | None = None
-    arg_v: np.ndarray | None = None
 
 
 @dataclass
@@ -154,58 +159,88 @@ def _leaf_values(edge: Edge, k_budget: np.ndarray, flows: np.ndarray) -> np.ndar
     return np.maximum.accumulate(out, axis=1)
 
 
-def _series_combine(A: np.ndarray, B: np.ndarray):
-    """D[k, l] = min_u A[u, l] + B[k-u, l], first u on ties."""
+def _series_combine(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """D[k, l] = min_u A[u, l] + B[k-u, l]: one (k+1, K+1) sum and column
+    minimum per budget k."""
     K = A.shape[0] - 1
     values = np.empty_like(A)
-    arg_u = np.empty(A.shape, dtype=np.int32)
-    cols = np.arange(K + 1)
     cand = np.empty_like(A)
     for k in range(K + 1):
-        c = np.add(A[:k + 1], B[k::-1], out=cand[:k + 1])
-        u = np.argmin(c, axis=0)
-        values[k] = c[u, cols]
-        arg_u[k] = u
+        np.min(np.add(A[:k + 1], B[k::-1], out=cand[:k + 1]), axis=0,
+               out=values[k])
     values[:, 0] = 0.0
-    return values, arg_u
+    return values
 
 
-def _parallel_combine(A: np.ndarray, B: np.ndarray):
-    """D[k, l] = min_{u,v} max(A[u, v], B[k-u, l-v]), first (u, v) on ties.
+def _series_split(A: np.ndarray, B: np.ndarray, k: int, l: int) -> int:
+    """The first u attaining D[k, l] of the series combine."""
+    return int(np.argmin(A[:k + 1, l] + B[k::-1, l]))
 
-    Rows of both tables are nondecreasing in flow and start at 0, so for
-    fixed u the inner min over v is entry l+1 of the sorted union of A[u]
-    and B[k-u]; the first v attaining it is l+1 minus the count of B[k-u]
-    entries at or below the value, floored at 0.
+
+def _half_cleaner_operands(A: np.ndarray, B: np.ndarray):
+    """The parallel combine's operands: A shifted left by one flow with an
+    inf column, and B with its flows reversed."""
+    Ap = np.empty_like(A)
+    Ap[:, :-1] = A[:, 1:]
+    Ap[:, -1] = np.inf
+    return Ap, np.ascontiguousarray(B[:, ::-1])
+
+
+def _sorted_block(Ap: np.ndarray, Br: np.ndarray, k: int,
+                  out: np.ndarray) -> np.ndarray:
+    """Row u holds entries 1..K+1 of the sorted union of A[u] and B[k-u].
+
+    Both rows start at 0 and never fall, so A[u, 0] is the least entry of
+    the union, and the K+1 least of the rest are the elementwise minimum of
+    A[u, 1:] (padded with inf) and B[k-u] reversed: Batcher's half-cleaner.
+    """
+    block = np.minimum(Ap[:k + 1], Br[k::-1], out=out[:k + 1])
+    block.sort(axis=1)
+    return block
+
+
+def _parallel_combine(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """D[k, l] = min_{u,v} max(A[u, v], B[k-u, l-v]).
+
+    For fixed u the inner min over v is entry l+1 of the sorted union of
+    A[u] and B[k-u], which is column l of the sorted block; D[k] is the
+    block's column minimum.
     """
     K = A.shape[0] - 1
     values = np.empty_like(A)
-    arg_u = np.empty(A.shape, dtype=np.int32)
-    arg_v = np.empty(A.shape, dtype=np.int32)
-    rank = np.arange(1, K + 2)            # sorted-union entry l+1 for flow l
-    merged = np.empty((K + 1, 2 * K + 2), dtype=A.dtype)
+    Ap, Br = _half_cleaner_operands(A, B)
+    block = np.empty_like(A)
     for k in range(K + 1):
-        block = merged[:k + 1]
-        block[:, :K + 1] = A[:k + 1]
-        block[:, K + 1:] = B[k::-1]
-        block.sort(axis=1)
-        u = np.argmin(block[:, 1:K + 2], axis=0)
-        val = block[u, rank]
-        q = np.count_nonzero(B[k - u] <= val[:, None], axis=1)
-        values[k] = val
-        arg_u[k] = u
-        arg_v[k] = np.maximum(0, rank - q)
+        np.min(_sorted_block(Ap, Br, k, block), axis=0, out=values[k])
     values[:, 0] = 0.0
-    return values, arg_u, arg_v
+    return values
+
+
+def _parallel_split(A: np.ndarray, B: np.ndarray, k: int,
+                    l: int) -> tuple[int, int]:
+    """The first (u, v), in row-major order, attaining D[k, l] of the
+    parallel combine.
+
+    u is the first row of the sorted block attaining the column minimum;
+    the first v for it is l+1 minus the count of B[k-u] entries at or
+    below the value, floored at 0.
+    """
+    Ap, Br = _half_cleaner_operands(A[:k + 1], B[:k + 1])
+    block = _sorted_block(Ap, Br, k, np.empty_like(Ap))
+    u = int(np.argmin(block[:, l]))
+    q = np.count_nonzero(B[k - u] <= block[u, l])
+    return u, max(0, l + 1 - q)
 
 
 def _dp_ops_estimate(tree: DecompositionTree, K: int, lazy_root: bool) -> float:
     """Table entries the dynamic program touches, held to ``ops_cap``.
 
     A leaf fills (K+1)^2 entries and a series combine sums about
-    (K+1)^3/2.  A parallel combine is charged as its merged-row passes run:
-    K+1 budget rows, each sorting at most (K+1)(2K+2) entries.  A lazy root
-    computes one entry per budget split.
+    (K+1)^3/2.  A parallel combine is charged (K+1)(2K+2) entries for each
+    of its K+1 budget rows, twice its largest sorted block (K+1)^2; the
+    charge is the one of the merged (2K+2)-wide rows it replaced, so the
+    grids refused stay the same.  A lazy root computes one entry per budget
+    split.
     """
     total = 0.0
     nodes = postorder(tree)
@@ -248,31 +283,31 @@ def run_dp(inst: Instance, tree: DecompositionTree,
         return nodes[index[id(t)]].values
 
     root = order[-1]
+    lazy = lazy_root and not isinstance(root, Leaf)
+    # A lazy root reads its leaf children row by row, so neither the root
+    # nor those children get a table.
+    unfilled = ({id(root)} | {id(c) for c in (root.left, root.right)
+                              if isinstance(c, Leaf)}) if lazy else set()
     for node in order:
-        rec = _DpNode(tree=node)
-        if node is root and lazy_root and not isinstance(node, Leaf):
-            nodes.append(rec)
-            index[id(node)] = len(nodes) - 1
-            continue
-        if isinstance(node, Leaf):
-            rec.values = _leaf_values(inst.edge_index[node.edge_id],
-                                      budgets, flows)
+        if id(node) in unfilled:
+            values = None
+        elif isinstance(node, Leaf):
+            values = _leaf_values(inst.edge_index[node.edge_id],
+                                  budgets, flows)
         elif isinstance(node, Series):
-            rec.values, rec.arg_u = _series_combine(
-                table_of(node.left), table_of(node.right))
+            values = _series_combine(table_of(node.left), table_of(node.right))
         else:
-            rec.values, rec.arg_u, rec.arg_v = _parallel_combine(
-                table_of(node.left), table_of(node.right))
-        nodes.append(rec)
+            values = _parallel_combine(table_of(node.left),
+                                       table_of(node.right))
+        nodes.append(_DpNode(tree=node, values=values))
         index[id(node)] = len(nodes) - 1
 
-    if isinstance(root, Leaf) or not lazy_root:
-        root_values = nodes[index[id(root)]].values
-        root_value = float(root_values[K, K])
-        root_arg = None
-    else:
+    if lazy:
         root_value, root_arg = _lazy_root_entry(
             inst, root, table_of, K, budgets, flows)
+    else:
+        root_value = float(table_of(root)[K, K])
+        root_arg = None
     return DpTable(K=K, budget_unit=budget_unit, flow_unit=flow_unit,
                    nodes=nodes, index=index, root_value=root_value,
                    root_arg=root_arg)
@@ -314,9 +349,6 @@ def reconstruct(dpt: DpTable, tree: DecompositionTree
     beta_units: dict[str, int] = {}
     flow_units: dict[str, int] = {}
 
-    def node_of(t) -> _DpNode:
-        return dpt.nodes[dpt.index[id(t)]]
-
     stack: list[tuple[DecompositionTree, int, int]] = []
     if dpt.root_arg is not None:
         u, v = dpt.root_arg
@@ -332,13 +364,13 @@ def reconstruct(dpt: DpTable, tree: DecompositionTree
             beta_units[node.edge_id] = k
             flow_units[node.edge_id] = l
             continue
-        rec = node_of(node)
+        A = dpt.values_for(node.left)
+        B = dpt.values_for(node.right)
         if isinstance(node, Series):
-            u = int(rec.arg_u[k, l])
+            u = _series_split(A, B, k, l)
             stack += [(node.left, u, l), (node.right, k - u, l)]
         else:
-            u = int(rec.arg_u[k, l])
-            v = int(rec.arg_v[k, l])
+            u, v = _parallel_split(A, B, k, l)
             stack += [(node.left, u, v), (node.right, k - u, l - v)]
     return beta_units, flow_units
 

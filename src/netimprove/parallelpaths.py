@@ -60,7 +60,6 @@ __all__ = [
     "as_parallel_paths",
     "max_path_conductance",
     "prefix_delay",
-    "inner_allocate",
     "solve_parallel_paths",
     "best_single_edge_allocation",
     "paths_delay",
@@ -438,52 +437,6 @@ def prefix_delay(ppi: ParallelPathsInstance, path_budgets: Sequence[float],
         num += c * (p.length / u)
         den += c
     return num / den * u if den > 0.0 else math.inf
-
-
-def inner_allocate(ppi: ParallelPathsInstance, l_target: float, count: int,
-                   tol: float = 1e-12, budget_cap: float | None = None,
-                   lower: Sequence[float] | None = None
-                   ) -> tuple[list[float], float]:
-    """Smallest budget whose optimal prefix allocation reaches ``l_target``.
-
-    Returns (path budgets, spent).  ``spent`` is inf when the target is
-    unreachable below the cap.  Budgets are found by bisection on the total
-    handed to the weighted water-filling, warm-started monotonically; the
-    solver itself does not need this inverse of the inner program.
-    """
-    paths = ppi.paths[:count]
-    weights = [max(0.0, l_target - p.length) for p in paths]
-    zeros = [0.0] * count
-    m0 = prefix_delay(ppi, zeros, count)
-    if m0 <= l_target * (1.0 + 1e-15):
-        return zeros, 0.0
-    if all(w <= 0.0 or not p.profile.segments for w, p in zip(weights, paths)):
-        return zeros, math.inf
-
-    cap = budget_cap if budget_cap is not None else 1e9 * max(1.0, ppi.budget)
-    hi = max(ppi.budget, 1.0)
-    lo = 0.0
-    lo_budgets = list(lower) if lower is not None else zeros
-    while True:
-        budgets = _allocate_weighted(paths, weights, hi, lower=lo_budgets)
-        if prefix_delay(ppi, budgets, count) <= l_target:
-            break
-        lo = hi
-        lo_budgets = budgets
-        hi *= 2.0
-        if hi > cap:
-            return budgets, math.inf
-    hi_budgets = budgets
-    while hi - lo > tol * hi:
-        mid = 0.5 * (lo + hi)
-        budgets = _allocate_weighted(paths, weights, mid, lower=lo_budgets)
-        if prefix_delay(ppi, budgets, count) > l_target:
-            lo = mid
-            lo_budgets = budgets
-        else:
-            hi = mid
-            hi_budgets = budgets
-    return hi_budgets, hi
 
 
 class ParallelPathsResult(NamedTuple):

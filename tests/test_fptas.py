@@ -7,14 +7,16 @@ from netimprove.fptas import (
     _dp_ops_estimate,
     _leaf_values,
     _parallel_combine,
+    _parallel_split,
     _series_combine,
+    _series_split,
     choose_discretization,
     reconstruct,
     run_dp,
     solve_fptas,
 )
 from netimprove.oracle import GridSpec, enumerate_discretized_minmax, grid_search
-from netimprove.seriesparallel import decompose_series_parallel
+from netimprove.seriesparallel import Leaf, Series, decompose_series_parallel
 
 from conftest import make_dipole
 
@@ -126,6 +128,15 @@ class TestRunDp:
         lazy = run_dp(series, tree, 10, lazy_root=True)
         assert lazy.root_value == pytest.approx(full.root_value, abs=1e-15)
 
+    def test_lazy_root_leaves_get_no_table(self):
+        inst = make_dipole([(1, 0, 1), (0.5, 1, 2)], 1.0, 1.0)
+        tree = decompose_series_parallel(inst)
+        full = run_dp(inst, tree, 12, lazy_root=False)
+        lazy = run_dp(inst, tree, 12, lazy_root=True)
+        assert [node.values is None for node in lazy.nodes] == [True] * 3
+        assert lazy.root_value == full.root_value
+        assert reconstruct(lazy, tree) == reconstruct(full, tree)
+
     def test_ops_estimate_charges_the_merged_combine(self):
         # S(P(a, b), c): three leaves, one parallel combine of K+1 passes
         # each sorting (K+1)(2K+2) entries, and a lazy series root.
@@ -155,6 +166,29 @@ class TestRunDp:
         beta_units, flow_units = reconstruct(dpt, tree)
         assert sum(beta_units.values()) == 6
         assert sum(flow_units.values()) == 6
+
+
+def _replay(inst, dpt, node, beta_units, flow_units):
+    # The min-max value of the reconstructed units, bottom-up.
+    if isinstance(node, Leaf):
+        grid = np.arange(dpt.K + 1)
+        table = _leaf_values(inst.edge_index[node.edge_id],
+                             grid * dpt.budget_unit, grid * dpt.flow_unit)
+        return table[beta_units[node.edge_id], flow_units[node.edge_id]]
+    left = _replay(inst, dpt, node.left, beta_units, flow_units)
+    right = _replay(inst, dpt, node.right, beta_units, flow_units)
+    return left + right if isinstance(node, Series) else max(left, right)
+
+
+@pytest.mark.parametrize("lazy_root", [True, False])
+def test_reconstruction_replays_to_root_value(rng, lazy_root):
+    for _ in range(12):
+        inst = _random_sp_instance(rng, max_edges=6)
+        tree = decompose_series_parallel(inst)
+        dpt = run_dp(inst, tree, int(rng.integers(2, 13)), lazy_root=lazy_root)
+        beta_units, flow_units = reconstruct(dpt, tree)
+        assert _replay(inst, dpt, tree, beta_units, flow_units) == \
+            dpt.root_value
 
 
 def _series_reference(A, B):
@@ -216,11 +250,14 @@ def test_combines_match_literal_recursion(rng):
         K = int(rng.integers(0, 14))
         A = _random_monotone_table(rng, K)
         B = _random_monotone_table(rng, K)
-        for got, want in zip(_series_combine(A, B), _series_reference(A, B)):
-            assert np.array_equal(got, want)
-        for got, want in zip(_parallel_combine(A, B),
-                             _parallel_reference(A, B)):
-            assert np.array_equal(got, want)
+        values, arg_u = _series_reference(A, B)
+        assert np.array_equal(_series_combine(A, B), values)
+        for k, l in np.ndindex(A.shape):
+            assert _series_split(A, B, k, l) == arg_u[k, l]
+        values, arg_u, arg_v = _parallel_reference(A, B)
+        assert np.array_equal(_parallel_combine(A, B), values)
+        for k, l in np.ndindex(A.shape):
+            assert _parallel_split(A, B, k, l) == (arg_u[k, l], arg_v[k, l])
 
 
 @pytest.mark.parametrize("n", [0.5, 1.0, 2.0, 3.0, 4.0, None])

@@ -11,7 +11,6 @@ from netimprove.parallelpaths import (
     _allocate_weighted,
     as_parallel_paths,
     best_single_edge_allocation,
-    inner_allocate,
     max_path_conductance,
     paths_delay,
     prefix_delay,
@@ -353,6 +352,49 @@ def test_prefix_delay_vanishing_demand_limit(fig2):
     m2 = prefix_delay(tiny, [0.0, 0.0], 2)
     weighted = (0.2 * 0.0 + 0.1 * 90.0) / 0.3
     assert m2 == pytest.approx(weighted, abs=1e-9)
+
+
+def inner_allocate(ppi, l_target, count, tol=1e-12):
+    """Smallest budget whose optimal prefix allocation reaches ``l_target``.
+
+    Returns (path budgets, spent).  ``spent`` is inf when the target is
+    unreachable below 1e9 times the budget.  Budgets are found by bisection
+    on the total handed to the weighted water-filling, warm-started
+    monotonically.
+    """
+    paths = ppi.paths[:count]
+    weights = [max(0.0, l_target - p.length) for p in paths]
+    zeros = [0.0] * count
+    m0 = prefix_delay(ppi, zeros, count)
+    if m0 <= l_target * (1.0 + 1e-15):
+        return zeros, 0.0
+    if all(w <= 0.0 or not p.profile.segments for w, p in zip(weights, paths)):
+        return zeros, math.inf
+
+    cap = 1e9 * max(1.0, ppi.budget)
+    hi = max(ppi.budget, 1.0)
+    lo = 0.0
+    lo_budgets = zeros
+    while True:
+        budgets = _allocate_weighted(paths, weights, hi, lower=lo_budgets)
+        if prefix_delay(ppi, budgets, count) <= l_target:
+            break
+        lo = hi
+        lo_budgets = budgets
+        hi *= 2.0
+        if hi > cap:
+            return budgets, math.inf
+    hi_budgets = budgets
+    while hi - lo > tol * hi:
+        mid = 0.5 * (lo + hi)
+        budgets = _allocate_weighted(paths, weights, mid, lower=lo_budgets)
+        if prefix_delay(ppi, budgets, count) > l_target:
+            lo = mid
+            lo_budgets = budgets
+        else:
+            hi = mid
+            hi_budgets = budgets
+    return hi_budgets, hi
 
 
 def _bisection_reference(ppi, tol):
