@@ -13,12 +13,13 @@ the minimization:
   (graphs here are desk scale) and keeps itself with the instance.  Each
   round equalizes the delays of the flow-carrying paths, by a direct linear
   solve in the affine case and damped Newton otherwise, and exchanges paths
-  in and out of that set until the Wardrop condition holds.  It runs on
-  rows of allocations at once, grouped by active set: ``path_delay_rows``
-  feeds it a grid block, and ``solve_equilibrium`` a single row, which
-  ``_finish`` turns into a flow with its certificate.  When Newton stalls,
-  ``solve_equilibrium`` locates the support by scipy's trust-constr and
-  finishes on it with the same engine.
+  in and out of that set until the Wardrop condition holds.  Newton sees
+  each delay extended to negative flow as an odd function, so it has a
+  root, and a path it drives negative is dropped as the linear solve's are
+  (Bertsekas and Gafni 1982).  It runs on rows of allocations at once,
+  grouped by active set: ``path_delay_rows`` feeds it a grid block, and
+  ``solve_equilibrium`` a single row, which ``_finish`` turns into a flow
+  with its certificate, or hands to Frank-Wolfe if the engine stalls.
 
 * Frank-Wolfe on edge flows, used when path enumeration exceeds its cap.
   The linear subproblem is a nonnegative-delay shortest path per commodity
@@ -176,10 +177,11 @@ def path_delay_rows(inst: Instance, edges, betas: np.ndarray) -> np.ndarray:
     A row with a commodity that has no usable path gets inf.  A row gets
     nan, and the caller solves it with ``solve_equilibrium``, where the
     engine leaves it open (a failed Newton solve, or no Wardrop point
-    within 400 rounds) or where ``_finish`` may raise or report a value
-    that is not finite.  Raises PathCapExceeded when a commodity has more
-    than 200 simple paths.  Rows go through in slices of ``_BATCH_ROWS``,
-    which bounds the working arrays whatever the batch size.
+    within 400 rounds: Frank-Wolfe finishes it, with a warning) or where
+    ``_finish`` may raise or report a value that is not finite.  Raises
+    PathCapExceeded when a commodity has more than 200 simple paths.  Rows
+    go through in slices of ``_BATCH_ROWS``, which bounds the working
+    arrays whatever the batch size.
     """
     betas = np.asarray(betas, dtype=float)
     batch = _path_batch(inst, _PATH_CAP)
@@ -241,6 +243,10 @@ class _ActiveSet:
         self.unit = (np.concatenate([rows, a + com]),
                      np.concatenate([a + com, rows]),
                      np.concatenate([np.full(a, -1.0), np.ones(a)]))
+        # Path flows the edge flows leave free (commodities crossing over two
+        # shared links) make the system singular; Newton steps are least-norm.
+        self.singular = (not batch.affine and np.linalg.matrix_rank(
+            self.matrices(np.ones((1, len(batch.c))))[0]) < self.size)
 
     def matrices(self, weights: np.ndarray) -> np.ndarray:
         """The (N, a + I, a + I) system with per-row edge weights."""
@@ -418,15 +424,19 @@ class _PathBatch:
             res.L[grp[done & ~settled]] = np.nan
         return np.concatenate([dropped, grp[added]])
 
-    def _flows(self, aset: _ActiveSet, z: np.ndarray, G: np.ndarray):
-        """Edge flows and path delays at the active flows, and the rows
-        whose edge delays are all finite."""
-        x = np.maximum(z[:, :aset.a], 0.0)
+    def _flows(self, aset: _ActiveSet, z: np.ndarray, G: np.ndarray,
+               odd: bool = False):
+        """Edge flows and path delays at the active flows, clipped at zero
+        unless ``odd``, and the rows whose edge delays are all finite."""
+        x = z[:, :aset.a] if odd else np.maximum(z[:, :aset.a], 0.0)
         F = np.zeros(G.shape)
         for es, ts in aset.flow_layers:
             F[:, es] += x[:, ts]
         De = F / G
-        np.float_power(De, self.n, out=De)
+        if odd:
+            np.copysign(np.float_power(np.abs(De), self.n), De, out=De)
+        else:
+            np.float_power(De, self.n, out=De)
         De += self.b
         np.copyto(De, self.b, where=self.rigid | (F == 0.0))
         D = np.zeros((len(z), len(self.com)))
@@ -452,8 +462,9 @@ class _PathBatch:
     def _residual(self, aset: _ActiveSet, z: np.ndarray, G: np.ndarray):
         """The equalization residual: each active path's delay less its
         commodity's common delay, and each commodity's flow less its
-        demand; rows whose delays are not finite are marked not ok."""
-        F, D, ok = self._flows(aset, z, G)
+        demand, at delays extended to negative flow as sign(x) |x/g|^n + b;
+        rows whose delays are not finite are marked not ok."""
+        F, D, ok = self._flows(aset, z, G, odd=True)
         a = aset.a
         r = np.empty(z.shape)
         r[:, :a] = D[:, aset.S] - z[:, a + aset.com]
@@ -465,9 +476,10 @@ class _PathBatch:
         return r, F, ok & np.isfinite(r).all(axis=1)
 
     def _slopes(self, F: np.ndarray, G: np.ndarray) -> np.ndarray:
-        """d delay / d flow of every edge; 1e18 for an exponent below one
-        at zero flow."""
-        s = self.n * np.float_power(F, self.n - 1.0) / np.float_power(G, self.n)
+        """d delay / d flow of every edge, odd-extended delays included;
+        1e18 for an exponent below one at zero flow."""
+        s = (self.n * np.float_power(np.abs(F), self.n - 1.0)
+             / np.float_power(G, self.n))
         s = np.where(F == 0.0, np.where(self.n > 1.0, 0.0, 1e18), s)
         s = np.where(self.n == 1.0, 1.0 / G, s)
         return np.where(self.rigid, 0.0, s)
@@ -491,10 +503,11 @@ class _PathBatch:
             if not idx.size:
                 break
             s = self._slopes(F[idx], G[idx])
-            step = _solve_rows(aset.matrices(s), -r[idx])
             ok = np.isfinite(s[:, aset.active_edges]).all(axis=1)
             live[idx[~ok]] = False
-            idx, step = idx[ok], step[ok]
+            idx, M = idx[ok], aset.matrices(s[ok])
+            step = ((np.linalg.pinv(M) @ -r[idx, :, None])[..., 0]
+                    if aset.singular else _solve_rows(M, -r[idx]))
             base = _norms(r[idx])
             alpha = np.ones(len(idx))
             for _ in range(40):
@@ -545,8 +558,9 @@ def _solve_rows(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _solve_paths(inst: Instance, beta: Allocation, path_cap: int,
-                 start: str) -> EquilibriumResult:
-    """The path engine on one allocation, with its certificate."""
+                 start: str) -> EquilibriumResult | None:
+    """The path engine on one allocation, with its certificate; None when
+    the engine leaves the row open."""
     batch = _path_batch(inst, path_cap)
     G = np.array([[effective_conductance(e, beta.get(e.id))
                    for e in inst.edges]])
@@ -555,66 +569,17 @@ def _solve_paths(inst: Instance, beta: Allocation, path_cap: int,
         k = inst.commodities[i]
         raise Infeasible(f"commodity {k.source}->{k.sink} has no usable path")
     every = batch._set(usable[0])
-
-    def flows(x):
-        """The flowing edges' flows and the path delays of path flows x."""
-        F, D, _ = batch._flows(every, x[None, every.S], G)
-        return ({e.id: float(F[0, t]) for t, e in enumerate(inst.edges)
-                 if F[0, t] != 0.0}, D[0])
-
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         res = batch.solve(G, usable, batch.start(usable, start),
                           np.arange(1), flows=True)
         if not res.done[0]:
-            # The equalization stalled (typically flat nonlinear delays
-            # near a vanishing path flow).  Locate the support
-            # approximately, then finish exactly on it.
-            x = np.zeros(len(batch.paths))
-            nit = _solve_paths_nlp(inst, beta, every, x, flows)
-            support = np.zeros(usable.shape, dtype=bool)
-            for ts, d in zip(every.by_com, batch.demands):
-                js = every.S[ts]
-                kept = js[x[js] > 1e-5 * d]
-                support[0, kept if kept.size else js[np.argmax(x[js])]] = True
-            res = batch.solve(G, usable, support, np.arange(1), flows=True)
-            if not res.done[0]:  # the flow-weighted mean used-path delay
-                f, D = flows(x)
-                L = []
-                for ts, d in zip(every.by_com, batch.demands):
-                    js = every.S[ts][x[every.S[ts]] > 1e-9 * d]
-                    L.append(sum(D[j] * x[j] for j in js)
-                             / sum(x[j] for j in js))
-                return _finish(inst, beta, batch, every, f, x, L, nit)
+            return None
         x = res.X[0]
-        return _finish(inst, beta, batch, every, flows(x)[0], x,
-                       res.L[0].tolist(), int(res.rounds[0]))
-
-
-def _solve_paths_nlp(inst: Instance, beta: Allocation, usable: _ActiveSet,
-                     x: np.ndarray, flows) -> int:
-    """Approximate potential minimization with scipy over the flows of the
-    ``usable`` paths, from even splits; leaves the flows of all paths in
-    ``x`` and returns the iterations."""
-    from scipy import optimize
-
-    demands = [k.demand for k in inst.commodities]
-
-    def objective(xJ):
-        x[usable.S] = xJ
-        f, D = flows(x)
-        return beckmann_potential(f, beta, inst), D[usable.S]
-
-    constraints = [optimize.LinearConstraint((usable.com == i).astype(float),
-                                             d, d)
-                   for i, d in enumerate(demands)]
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message="delta_grad == 0.0")
-        res = optimize.minimize(
-            objective, usable.z0, jac=True, method="trust-constr",
-            bounds=optimize.Bounds(0.0, max(demands)), constraints=constraints,
-            options={"gtol": 1e-12, "xtol": 1e-14, "maxiter": 3000})
-    x[usable.S] = np.maximum(res.x, 0.0)
-    return int(res.nit)
+        F = batch._flows(every, x[None, every.S], G)[0][0]
+        f = {e.id: float(F[t]) for t, e in enumerate(inst.edges)
+             if F[t] != 0.0}
+        return _finish(inst, beta, batch, every, f, x, res.L[0].tolist(),
+                       int(res.rounds[0]))
 
 
 def _finish(inst: Instance, beta: Allocation, batch: _PathBatch,
@@ -790,7 +755,9 @@ def solve_equilibrium(inst: Instance, beta: Allocation | None = None,
     ``method`` is "auto" (path engine when the path count fits under
     ``path_cap``, Frank-Wolfe otherwise), "paths" or "frank-wolfe".
     ``start`` seeds the active set ("shortest", "longest" or "all") and only
-    affects the iteration trajectory, not the result.
+    affects the iteration trajectory, not the result.  A stalled path engine
+    hands over to Frank-Wolfe with a RuntimeWarning, and either engine warns
+    when its relative duality gap ends above ``tol``.
     """
     if not tol > 0:
         raise ValidationError("tol must be positive")
@@ -800,10 +767,19 @@ def solve_equilibrium(inst: Instance, beta: Allocation | None = None,
         raise ValidationError(f"unknown method {method!r}")
     if method in ("auto", "paths"):
         try:
-            return _solve_paths(inst, beta, path_cap, start)
+            res = _solve_paths(inst, beta, path_cap, start)
         except PathCapExceeded:
             if method == "paths":
                 raise
+        else:
+            if res is not None:
+                if res.duality_gap > tol:
+                    warnings.warn(f"path engine stopped at relative gap "
+                                  f"{res.duality_gap:.3e} > tol {tol:.3e}",
+                                  RuntimeWarning)
+                return res
+            warnings.warn("path engine stalled; Frank-Wolfe finishes",
+                          RuntimeWarning)
     return _frank_wolfe(inst, beta, tol, max_iters)
 
 

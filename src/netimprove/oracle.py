@@ -151,9 +151,7 @@ def evaluate_delay(inst: Instance, alloc: Allocation, tol: float = 1e-8) -> floa
     batch = _closed_form(inst)
     if batch is None:
         return solve_equilibrium(inst, alloc, tol=tol).average_delay
-    # The closed forms are defined past the budget, and a slope bound may
-    # probe one grid step beyond it, so only the edges are checked here.
-    alloc.validate_for(inst, tol=math.inf)
+    alloc.validate_for(inst)
     improvable = inst.improvable_edges()
     L = float(batch(improvable,
                     np.array([[alloc.get(e.id) for e in improvable]]))[0])

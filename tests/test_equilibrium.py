@@ -366,3 +366,104 @@ def test_auto_takes_frank_wolfe_past_the_path_cap(fig2):
     assert fw.flow.paths is None
     assert exact.flow.paths is not None
     assert fw.average_delay == pytest.approx(exact.average_delay, rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# The path engine against Frank-Wolfe on random instances
+
+_EXPONENTS = (0.5, 1.0, 2.0, 3.0)
+
+
+def _random_edge(rng, eid, tail, head):
+    return Edge(eid, tail, head, c=float(rng.uniform(0.2, 3.0)),
+                b=float(rng.uniform(0.0, 2.0)),
+                n=float(rng.choice(_EXPONENTS)),
+                mu=float(rng.uniform(0.0, 2.0)))
+
+
+def _random_dipole(rng):
+    edges = tuple(_random_edge(rng, f"e{t}", "s", "t")
+                  for t in range(int(rng.integers(2, 5))))
+    return Instance(nodes=("s", "t"), edges=edges,
+                    commodities=(Commodity("s", "t",
+                                           float(rng.uniform(0.5, 4.0))),),
+                    budget=float(rng.uniform(0.0, 3.0)))
+
+
+def _random_two_commodity(rng):
+    # Both commodities may cross m and share its two links to t, so their
+    # path flows are not fixed by the edge flows.
+    arcs = (("a", "s1", "m"), ("b", "s2", "m"), ("c", "m", "t"),
+            ("c2", "m", "t"), ("d", "s1", "t"), ("f", "s2", "t"))
+    return Instance(
+        nodes=("s1", "s2", "m", "t"),
+        edges=tuple(_random_edge(rng, *arc) for arc in arcs),
+        commodities=(Commodity("s1", "t", float(rng.uniform(0.5, 3.0))),
+                     Commodity("s2", "t", float(rng.uniform(0.5, 3.0)))),
+        budget=float(rng.uniform(0.0, 3.0)))
+
+
+def test_path_engine_matches_frank_wolfe_on_random_instances():
+    # The path route must settle every instance within tol and without a
+    # warning.  Frank-Wolfe's certificate bounds the optimal potential from
+    # below and its own potential from above, whether or not it reaches its
+    # tol in 1,000 steps; where it does, the common delays agree.
+    rng = np.random.default_rng(1)
+    close = 0
+    for k in range(40):
+        inst = (_random_dipole if k % 2 == 0 else _random_two_commodity)(rng)
+        w = rng.dirichlet(np.ones(len(inst.edges) + 1))[:-1] * inst.budget
+        alloc = Allocation({e.id: float(v) for e, v in zip(inst.edges, w)})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            paths = solve_equilibrium(inst, alloc, method="paths")
+            warnings.filterwarnings("ignore", message="Frank-Wolfe stopped")
+            fw = solve_equilibrium(inst, alloc, method="frank-wolfe",
+                                   tol=1e-10, max_iters=1000)
+        assert paths.duality_gap <= 1e-8
+        phi = beckmann_potential(paths.flow, alloc, inst)
+        phi_fw = beckmann_potential(fw.flow, alloc, inst)
+        assert phi_fw * (1.0 - fw.duality_gap) * (1.0 - 1e-12) <= phi
+        assert phi <= phi_fw * (1.0 + 1e-12)
+        if fw.duality_gap <= 1e-10:
+            close += 1
+            assert paths.common_delay == pytest.approx(fw.common_delay,
+                                                       rel=1e-8)
+    assert close >= 30
+
+
+def test_crossing_commodities_settle_without_frank_wolfe():
+    # Paths s1-m-t and s2-m-t over links c and c2 form a cycle that leaves
+    # the edge flows unchanged, so the Newton system is singular; the
+    # engine settles on least-norm steps instead of stalling.
+    inst = Instance(
+        nodes=("s1", "s2", "m", "t"),
+        edges=(Edge("a", "s1", "m", c=2.9, b=0.6, n=2.0),
+               Edge("b", "s2", "m", c=1.5, b=0.5),
+               Edge("c", "m", "t", c=1.9, b=1.4, n=0.5),
+               Edge("c2", "m", "t", c=1.5, b=0.4),
+               Edge("d", "s1", "t", c=1.8, b=1.4),
+               Edge("f", "s2", "t", c=1.7, b=1.7)),
+        commodities=(Commodity("s1", "t", 2.5), Commodity("s2", "t", 2.5)),
+        budget=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = solve_equilibrium(inst)
+        fw = solve_equilibrium(inst, method="frank-wolfe", tol=1e-10)
+    assert res.flow.paths is not None and res.duality_gap <= 1e-8
+    assert res.flow.get("c") > 0.0 and res.flow.get("c2") > 0.0
+    assert res.common_delay == pytest.approx(fw.common_delay, rel=1e-8)
+
+
+def test_path_route_warns_when_its_gap_exceeds_tol():
+    inst = Instance(
+        nodes=("s", "t"),
+        edges=(Edge("e1", "s", "t", c=1.0, b=0.3, n=0.5),
+               Edge("e2", "s", "t", c=0.7, b=0.0, n=3.0)),
+        commodities=(Commodity("s", "t", 1.7),), budget=0.0)
+    res = solve_equilibrium(inst)
+    assert 0.0 < res.duality_gap <= 1e-8
+    with pytest.warns(RuntimeWarning, match="path engine stopped at relative"
+                                            " gap"):
+        tight = solve_equilibrium(inst, tol=res.duality_gap / 2)
+    assert tight == res

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,22 @@ class TestEvaluateDelay:
                 solve_equilibrium(inst, alloc)
             with pytest.raises(ValidationError):
                 evaluate_delay(inst, alloc)
+
+    def test_closed_form_routes_reject_over_budget_allocations(self, fig2):
+        # fig2 takes the dipole scan, the chain the parallel-paths one;
+        # both are defined past the budget, but the allocation is not valid.
+        chain = Instance(
+            nodes=("s", "m", "t"),
+            edges=(Edge("e1a", "s", "m", c=0.1, b=45.0, mu=1.0),
+                   Edge("e1b", "m", "t", c=0.1, b=45.0, mu=1.0),
+                   Edge("e2", "s", "t", c=0.2, b=0.0, mu=0.1)),
+            commodities=fig2.commodities, budget=3.0)
+        over = Allocation({"e2": 3.5})
+        for inst, route in ((fig2, oracle._batch_dipole),
+                            (chain, oracle._batch_paths)):
+            assert oracle._closed_form(inst).func is route
+            with pytest.raises(ValidationError, match="exceeds budget"):
+                evaluate_delay(inst, over)
 
 
 class TestSweep:
@@ -366,28 +384,66 @@ class TestBatchedEngine:
 
     def test_failed_newton_rows_fall_back_to_the_scalar_solver(self,
                                                                monkeypatch):
-        # Where the n = 0.5 link starts to carry flow, the Newton
-        # equalization stalls and solve_equilibrium finishes through its
-        # scipy rescue; the batch leaves exactly those rows open.
+        # Make Newton fail wherever the n = 0.5 link is funded below 0.5:
+        # the batch leaves exactly those rows open, and each goes to
+        # solve_equilibrium, which warns that the engine stalled and
+        # finishes by Frank-Wolfe within tol.
         inst = _root_edge_at_zero_flow(b=0.6)
         edges, betas = _grid_betas(inst, 4)
-        real = equilibrium._solve_paths_nlp
-        rescued = []
-
-        def counted(*args):
-            rescued[-1] = True
-            return real(*args)
-
-        monkeypatch.setattr(equilibrium, "_solve_paths_nlp", counted)
-        for row in betas:
-            rescued.append(False)
-            solve_equilibrium(
-                inst, Allocation({e.id: row[j] for j, e in enumerate(edges)}))
-        open_rows = np.isnan(equilibrium.path_delay_rows(inst, edges, betas))
-        assert open_rows.tolist() == rescued and any(rescued)
-        got = oracle._batch_general(inst, 1e-8, edges, betas)
         want = _scalar_delays(inst, edges, betas)
-        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+        h = inst.edges.index(inst.edge_index["h"])
+        beta_h = betas[:, edges.index(inst.edge_index["h"])]
+        forced = (beta_h > 0.0) & (beta_h < 0.5)
+        real = equilibrium._PathBatch._newton
+
+        def stalling(self, aset, G, scale):
+            z, ok = real(self, aset, G, scale)
+            funded = G[:, h] - inst.edges[h].c  # mu = 1 on h
+            return z, ok & ~((funded > 0.0) & (funded < 0.5))
+
+        monkeypatch.setattr(equilibrium._PathBatch, "_newton", stalling)
+        open_rows = np.isnan(equilibrium.path_delay_rows(inst, edges, betas))
+        assert open_rows.tolist() == forced.tolist() and forced.any()
+
+        calls = []
+
+        def one_row(inst_r, alloc, **kw):
+            with pytest.warns(RuntimeWarning,
+                              match="path engine stalled; Frank-Wolfe"):
+                res = solve_equilibrium(inst_r, alloc, **kw)
+            calls.append((alloc, res))
+            return res
+
+        monkeypatch.setattr(oracle, "solve_equilibrium", one_row)
+        got = oracle._batch_general(inst, 1e-8, edges, betas)
+        assert [a for a, _ in calls] == [
+            Allocation({e.id: row[j] for j, e in enumerate(edges)})
+            for row in betas[forced]]
+        assert all(res.flow.paths is None and res.duality_gap <= 1e-8
+                   for _, res in calls)
+        assert np.allclose(got[~forced], want[~forced], rtol=1e-12, atol=0.0)
+        assert np.allclose(got[forced], want[forced], rtol=1e-8, atol=0.0)
+
+    def test_root_edge_grid_settles_in_the_batch(self):
+        # Where the n = 0.5 link starts to carry flow, Newton's equalization
+        # drives a path flow negative on the way; with odd-extended delays
+        # the drop rule removes that path.  No row is left open, and every
+        # row agrees with Frank-Wolfe at tol 1e-10 within 1e-10 relative.
+        inst = _root_edge_at_zero_flow(b=0.6)
+        edges, betas = _grid_betas(inst, 10)
+        rows = equilibrium.path_delay_rows(inst, edges, betas)
+        assert not np.isnan(rows).any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for L, row in zip(rows, betas):
+                alloc = Allocation({e.id: row[j] for j, e in enumerate(edges)})
+                res = solve_equilibrium(inst, alloc)
+                fw = solve_equilibrium(inst, alloc, tol=1e-10,
+                                       method="frank-wolfe")
+                assert res.average_delay == L
+                assert res.duality_gap <= 1e-8
+                assert res.average_delay == pytest.approx(fw.average_delay,
+                                                          rel=1e-10)
 
     def test_singular_rows_are_solved_by_least_squares(self, monkeypatch):
         M = np.array([[[2.0, 1.0], [1.0, 3.0]],
