@@ -300,7 +300,7 @@ class Allocation:
     def total(self) -> float:
         return sum(self.beta.values())
 
-    def validate_for(self, inst: Instance, tol: float = 1e-9) -> None:
+    def validate_for(self, inst: Instance) -> None:
         index = inst.edge_index
         for eid, v in self.beta.items():
             e = index.get(eid)
@@ -309,7 +309,7 @@ class Allocation:
             if e.rigid and v > 0.0:
                 raise ValidationError(f"allocation on rigid edge {eid!r}")
         scale = max(1.0, inst.budget)
-        if self.total() > inst.budget + tol * scale:
+        if self.total() > inst.budget + 1e-9 * scale:
             raise ValidationError(
                 f"allocation total {self.total()} exceeds budget {inst.budget}")
 

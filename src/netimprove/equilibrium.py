@@ -18,8 +18,8 @@ the minimization:
   root, and a path it drives negative is dropped as the linear solve's are
   (Bertsekas and Gafni 1982).  It runs on rows of allocations at once,
   grouped by active set: ``path_delay_rows`` feeds it a grid block, and
-  ``solve_equilibrium`` a single row, which ``_finish`` turns into a flow
-  with its certificate, or hands to Frank-Wolfe if the engine stalls.
+  ``solve_equilibrium`` a single row, which it turns into a flow with its
+  certificate, or hands to Frank-Wolfe if the engine stalls.
 
 * Frank-Wolfe on edge flows, used when path enumeration exceeds its cap.
   The linear subproblem is a nonnegative-delay shortest path per commodity
@@ -49,6 +49,7 @@ use the same scan.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import warnings
@@ -66,8 +67,8 @@ from .core import (
     edge_delay_integral,
     effective_conductance,
 )
-from .errors import (Infeasible, PathCapExceeded, UnsupportedDelay,
-                     ValidationError)
+from .errors import (InapplicableError, Infeasible, PathCapExceeded,
+                     UnsupportedDelay, ValidationError)
 
 __all__ = [
     "EquilibriumResult",
@@ -176,9 +177,9 @@ def path_delay_rows(inst: Instance, edges, betas: np.ndarray) -> np.ndarray:
     of ``solve_equilibrium`` run on all rows at once, from the same start.
     A row with a commodity that has no usable path gets inf.  A row gets
     nan, and the caller solves it with ``solve_equilibrium``, where the
-    engine leaves it open (a failed Newton solve, or no Wardrop point
-    within 400 rounds: Frank-Wolfe finishes it, with a warning) or where
-    ``_finish`` may raise or report a value that is not finite.  Raises
+    engine leaves it open (a failed Newton solve, or no Wardrop point in
+    400 rounds; Frank-Wolfe finishes it with a warning) or where
+    ``_solve_paths`` may raise or report a value that is not finite.  Raises
     PathCapExceeded when a commodity has more than 200 simple paths.  Rows
     go through in slices of ``_BATCH_ROWS``, which bounds the working
     arrays whatever the batch size.
@@ -243,10 +244,14 @@ class _ActiveSet:
         self.unit = (np.concatenate([rows, a + com]),
                      np.concatenate([a + com, rows]),
                      np.concatenate([np.full(a, -1.0), np.ones(a)]))
-        # Path flows the edge flows leave free (commodities crossing over two
-        # shared links) make the system singular; Newton steps are least-norm.
-        self.singular = (not batch.affine and np.linalg.matrix_rank(
-            self.matrices(np.ones((1, len(batch.c))))[0]) < self.size)
+        self.edges = len(batch.c)
+
+    @functools.cached_property
+    def singular(self) -> bool:
+        """Whether the edge flows leave a path flow free (commodities crossing
+        over two shared links); computed on the set's first Newton step."""
+        return bool(np.linalg.matrix_rank(
+            self.matrices(np.ones((1, self.edges)))[0]) < self.size)
 
     def matrices(self, weights: np.ndarray) -> np.ndarray:
         """The (N, a + I, a + I) system with per-row edge weights."""
@@ -398,7 +403,8 @@ class _PathBatch:
         grp, z = grp[~drop], z[~drop]
 
         Gg = G[grp]
-        F, D, settled = self._flows(aset, z, Gg)
+        x = np.maximum(z[:, :a], 0.0)
+        F, D, settled = self._flows(aset, x, Gg)
         L = z[:, a:]
         added = np.zeros(len(grp), dtype=bool)
         for i, js in enumerate(self.by_com):
@@ -417,38 +423,34 @@ class _PathBatch:
         res.done[grp[done]] = True
         res.L[grp[done]] = L[done]
         if res.X is not None:
-            res.X[grp[done][:, None], aset.S] = np.maximum(z[done, :a], 0.0)
-        else:  # nan where only _finish can tell the value or the error
+            res.X[grp[done][:, None], aset.S] = x[done]
+        else:  # nan where only _solve_paths can tell the value or the error
             settled &= np.isfinite(L).all(axis=1)
             settled &= ~self._potential_overflows(F, Gg, done & settled)
             res.L[grp[done & ~settled]] = np.nan
         return np.concatenate([dropped, grp[added]])
 
-    def _flows(self, aset: _ActiveSet, z: np.ndarray, G: np.ndarray,
-               odd: bool = False):
-        """Edge flows and path delays at the active flows, clipped at zero
-        unless ``odd``, and the rows whose edge delays are all finite."""
-        x = z[:, :aset.a] if odd else np.maximum(z[:, :aset.a], 0.0)
+    def _flows(self, aset: _ActiveSet, x: np.ndarray, G: np.ndarray):
+        """Edge flows and path delays at the active path flows ``x``, with
+        delays extended to negative flow as sign(x) |x/g|^n + b, and the
+        rows whose edge delays are all finite."""
         F = np.zeros(G.shape)
         for es, ts in aset.flow_layers:
             F[:, es] += x[:, ts]
         De = F / G
-        if odd:
-            np.copysign(np.float_power(np.abs(De), self.n), De, out=De)
-        else:
-            np.float_power(De, self.n, out=De)
+        np.copysign(np.float_power(np.abs(De), self.n), De, out=De)
         De += self.b
         np.copyto(De, self.b, where=self.rigid | (F == 0.0))
-        D = np.zeros((len(z), len(self.com)))
+        D = np.zeros((len(x), len(self.com)))
         for js, es in self.delay_layers:
             D[:, js] += De[:, es]
         return F, D, np.isfinite(De).all(axis=1)
 
     def _potential_overflows(self, F: np.ndarray, G: np.ndarray,
                              rows: np.ndarray) -> np.ndarray:
-        """Which of ``rows`` make ``_finish``'s potential raise: F**(n+1)
-        or G**n overflows on a flowing non-rigid edge.  Both powers grow
-        with their base, so the largest bases on each edge clear most
+        """Which of ``rows`` make ``_solve_paths``'s potential raise:
+        F**(n+1) or G**n overflows on a flowing non-rigid edge.  Both powers
+        grow with their base, so the largest bases on each edge clear most
         blocks at once."""
         def top(A):
             return np.max(A, axis=0, where=rows[:, None], initial=0.0)
@@ -462,10 +464,9 @@ class _PathBatch:
     def _residual(self, aset: _ActiveSet, z: np.ndarray, G: np.ndarray):
         """The equalization residual: each active path's delay less its
         commodity's common delay, and each commodity's flow less its
-        demand, at delays extended to negative flow as sign(x) |x/g|^n + b;
-        rows whose delays are not finite are marked not ok."""
-        F, D, ok = self._flows(aset, z, G, odd=True)
+        demand; rows whose delays are not finite are marked not ok."""
         a = aset.a
+        F, D, ok = self._flows(aset, z[:, :a], G)
         r = np.empty(z.shape)
         r[:, :a] = D[:, aset.S] - z[:, a + aset.com]
         for i, ts in enumerate(aset.by_com):
@@ -506,8 +507,7 @@ class _PathBatch:
             ok = np.isfinite(s[:, aset.active_edges]).all(axis=1)
             live[idx[~ok]] = False
             idx, M = idx[ok], aset.matrices(s[ok])
-            step = ((np.linalg.pinv(M) @ -r[idx, :, None])[..., 0]
-                    if aset.singular else _solve_rows(M, -r[idx]))
+            step = _solve_rows(M, -r[idx], aset.singular)
             base = _norms(r[idx])
             alpha = np.ones(len(idx))
             for _ in range(40):
@@ -543,8 +543,12 @@ def _norms(r: np.ndarray) -> np.ndarray:
     return np.sqrt((r[:, None, :] @ r[:, :, None])[:, 0, 0])
 
 
-def _solve_rows(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve each row's system, a singular one by least squares."""
+def _solve_rows(M: np.ndarray, rhs: np.ndarray,
+                singular: bool = False) -> np.ndarray:
+    """Solve each row's system: least-norm when the layout is ``singular``,
+    and a row the direct solve finds singular by least squares."""
+    if singular:
+        return (np.linalg.pinv(M) @ rhs[..., None])[..., 0]
     try:
         return np.linalg.solve(M, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
@@ -559,8 +563,9 @@ def _solve_rows(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def _solve_paths(inst: Instance, beta: Allocation, path_cap: int,
                  start: str) -> EquilibriumResult | None:
-    """The path engine on one allocation, with its certificate; None when
-    the engine leaves the row open."""
+    """The path engine on one allocation: its flow, path flows and common
+    delays, certified by the duality gap; None when the engine leaves the
+    row open."""
     batch = _path_batch(inst, path_cap)
     G = np.array([[effective_conductance(e, beta.get(e.id))
                    for e in inst.edges]])
@@ -568,32 +573,23 @@ def _solve_paths(inst: Instance, beta: Allocation, path_cap: int,
     for i in np.flatnonzero(stranded[0]):
         k = inst.commodities[i]
         raise Infeasible(f"commodity {k.source}->{k.sink} has no usable path")
-    every = batch._set(usable[0])
+    active = batch.start(usable, start)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        res = batch.solve(G, usable, batch.start(usable, start),
-                          np.arange(1), flows=True)
+        res = batch.solve(G, usable, active, np.arange(1), flows=True)
         if not res.done[0]:
             return None
+        aset = batch._set(active[0])  # the settled set, built in its round
         x = res.X[0]
-        F = batch._flows(every, x[None, every.S], G)[0][0]
-        f = {e.id: float(F[t]) for t, e in enumerate(inst.edges)
-             if F[t] != 0.0}
-        return _finish(inst, beta, batch, every, f, x, res.L[0].tolist(),
-                       int(res.rounds[0]))
-
-
-def _finish(inst: Instance, beta: Allocation, batch: _PathBatch,
-            usable: _ActiveSet, f: dict[str, float], x: np.ndarray,
-            L: list[float], iterations: int) -> EquilibriumResult:
-    """The result for path flows ``x`` on the ``usable`` paths, edge flows
-    ``f`` and common delays ``L``, certified by the duality gap."""
+        F = batch._flows(aset, x[None, aset.S], G)[0][0]
+    f = {e.id: float(F[t]) for t, e in enumerate(inst.edges) if F[t] != 0.0}
+    L = res.L[0].tolist()
     delays = {e.id: edge_delay(e, f.get(e.id, 0.0), beta.get(e.id))
               for e in inst.edges if _usable(e, beta)}
     dists = [_shortest_path(inst, delays, k.source, k.sink)[0]
              for k in inst.commodities]
     per_comm: list[dict[str, float]] = [{} for _ in inst.commodities]
     paths_out = []
-    for j in usable.S:  # commodity by commodity
+    for j in aset.S:  # commodity by commodity
         w = float(x[j])
         if w > 1e-13 * batch.dscale:
             paths_out.append((batch.paths[j], w))
@@ -607,7 +603,7 @@ def _finish(inst: Instance, beta: Allocation, batch: _PathBatch,
                              average_delay=_average(inst, L),
                              duality_gap=_relative_gap(inst, beta, f, delays,
                                                        dists),
-                             iterations=iterations)
+                             iterations=int(res.rounds[0]))
 
 
 def _relative_gap(inst: Instance, beta: Allocation, f: dict[str, float],
@@ -756,8 +752,9 @@ def solve_equilibrium(inst: Instance, beta: Allocation | None = None,
     ``path_cap``, Frank-Wolfe otherwise), "paths" or "frank-wolfe".
     ``start`` seeds the active set ("shortest", "longest" or "all") and only
     affects the iteration trajectory, not the result.  A stalled path engine
-    hands over to Frank-Wolfe with a RuntimeWarning, and either engine warns
-    when its relative duality gap ends above ``tol``.
+    raises InapplicableError under "paths" and hands over to Frank-Wolfe
+    with a RuntimeWarning under "auto"; either engine warns when its
+    relative duality gap ends above ``tol``.
     """
     if not tol > 0:
         raise ValidationError("tol must be positive")
@@ -778,6 +775,8 @@ def solve_equilibrium(inst: Instance, beta: Allocation | None = None,
                                   f"{res.duality_gap:.3e} > tol {tol:.3e}",
                                   RuntimeWarning)
                 return res
+            if method == "paths":
+                raise InapplicableError("path engine stalled")
             warnings.warn("path engine stalled; Frank-Wolfe finishes",
                           RuntimeWarning)
     return _frank_wolfe(inst, beta, tol, max_iters)

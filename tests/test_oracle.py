@@ -6,7 +6,8 @@ import pytest
 from netimprove import equilibrium, oracle
 from netimprove.core import Allocation, Commodity, Edge, Instance
 from netimprove.equilibrium import solve_equilibrium
-from netimprove.errors import GridTooLarge, Infeasible, ValidationError
+from netimprove.errors import (GridTooLarge, InapplicableError, Infeasible,
+                               ValidationError)
 from netimprove.gadgets import build_2ddp_instance
 from netimprove.oracle import (
     GridSpec,
@@ -387,7 +388,7 @@ class TestBatchedEngine:
         # Make Newton fail wherever the n = 0.5 link is funded below 0.5:
         # the batch leaves exactly those rows open, and each goes to
         # solve_equilibrium, which warns that the engine stalled and
-        # finishes by Frank-Wolfe within tol.
+        # finishes by Frank-Wolfe within tol; method="paths" raises there.
         inst = _root_edge_at_zero_flow(b=0.6)
         edges, betas = _grid_betas(inst, 4)
         want = _scalar_delays(inst, edges, betas)
@@ -411,6 +412,8 @@ class TestBatchedEngine:
             with pytest.warns(RuntimeWarning,
                               match="path engine stalled; Frank-Wolfe"):
                 res = solve_equilibrium(inst_r, alloc, **kw)
+            with pytest.raises(InapplicableError, match="path engine stalled"):
+                solve_equilibrium(inst_r, alloc, method="paths", **kw)
             calls.append((alloc, res))
             return res
 
