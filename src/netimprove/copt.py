@@ -25,12 +25,17 @@ when every delay is affine, O(p / log p) for maximum exponent p otherwise
 
 One kernel, built once per solve from the instance's edge arrays, gives the
 value, gradient and dense Hessian of the summed edge terms to every phase.
+It has two weightings: the relaxation's term above, and, at a fixed
+allocation, the Beckmann potential's x^(n+1) / ((n+1) g^n) + b x, whose
+gradient is the edge delay.  The same Frank-Wolfe loop minimizes either;
+``solve_equilibrium`` runs it on the potential when the path engine cannot.
 Exponents below one break the relaxation's smoothness at zero flow; such
 instances are solved with Frank-Wolfe only, after a warning.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import warnings
 from dataclasses import dataclass
@@ -38,7 +43,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Allocation, FlowState, Instance, edge_delay
-from .equilibrium import _exact_step, _shortest_path
 from .errors import Infeasible, ValidationError
 
 __all__ = [
@@ -96,28 +100,38 @@ class _Relaxation:
     reduces its term to b * x.  As T(x; c, mu) / s = T(x / s; c / s, mu / s)
     for every n, demands, c and mu are held divided by ``scale``, and so
     are the kernel's flows and objective (exactly, for a power of two).
+
+    Given an allocation ``fixed``, the kernel is the Beckmann potential at
+    the conductances c + mu * fixed: no budget variables, each power term
+    divided by n + 1, and the gradient 1.0 * r^n + b the edge delay.
     """
 
-    def __init__(self, inst: Instance, scale: float = 1.0):
+    def __init__(self, inst: Instance, scale: float = 1.0,
+                 fixed: Allocation | None = None):
         edges = inst.edges
+        self.inst = inst
         self.m = m = len(edges)
         self.ncom = len(inst.commodities)
         self.ids = [e.id for e in edges]
         self.col = {e.id: t for t, e in enumerate(edges)}
-        self.imp = np.array([t for t, e in enumerate(edges) if e.improvable],
-                            dtype=np.intp)
+        self.imp = np.array([t for t, e in enumerate(edges)
+                             if e.improvable and fixed is None], dtype=np.intp)
         self.p = len(self.imp)
         self.nm = self.ncom * m
         self.dim = self.nm + self.p
         self.budget = inst.budget
         self.scale = s = scale
         self.demands = np.array([k.demand for k in inst.commodities]) / s
-        self.c = np.array([math.inf if e.rigid else e.c for e in edges]) / s
+        self.c = np.array([math.inf if e.rigid else e.c if fixed is None
+                           else e.c + e.mu * fixed.get(e.id)
+                           for e in edges]) / s
         self.b = np.array([e.b for e in edges])
         self.n = np.array([e.n for e in edges])
         self.mu = np.array([edges[t].mu for t in self.imp]) / s
-        self.n1 = self.n + 1.0
+        self.div = 1.0 if fixed is None else self.n + 1.0  # of the power term
+        self.n1 = (self.n + 1.0) / self.div
         self.gates = self.c[self.imp] == 0.0
+        self.gated = self.gates & (inst.budget > 0.0)
         self.dbeta = -self.n[self.imp] * self.mu
 
         rows, rhs = [], []
@@ -152,7 +166,7 @@ class _Relaxation:
         g = self.conductance(beta)
         np.maximum(g, _G_PAD, out=g)
         rn = _pow(xt / g, self.n)
-        val = sum((xt * rn + self.b * xt).tolist())
+        val = sum((xt * rn / self.div + self.b * xt).tolist())
         gx = self.n1 * rn + self.b
         i = self.imp
         gb = self.dbeta * rn[i] * xt[i] / g[i]
@@ -168,10 +182,11 @@ class _Relaxation:
         """Derivatives in gamma of the objective at (x + gamma dx,
         beta + gamma dbeta), as a function of gamma.
 
-        With r = x / g on an edge, the term's first derivative is
-        ((n+1) r^n + b) dx - n r^(n+1) dg and its second the perfect square
-        n (n+1) r^(n-1) (dx - r dg)^2 / g.  Rigid edges, and edges whose
-        flow and conductance do not move, add only the constant b dx.
+        With r = x / g on an edge, the relaxation term's first derivative
+        is ((n+1) r^n + b) dx - n r^(n+1) dg and its second the perfect
+        square n (n+1) r^(n-1) (dx - r dg)^2 / g; the potential's are these
+        over n + 1, with dg = 0.  Rigid edges, and edges whose flow and
+        conductance do not move, add only the constant b dx.
         """
         xt = x.sum(axis=0)
         dxt = dx.sum(axis=0)
@@ -181,9 +196,17 @@ class _Relaxation:
         lin = float(self.b @ dxt)
         s = np.flatnonzero(np.isfinite(g) & ((dxt != 0.0) | (dg != 0.0)))
         xs, dxs, gs, dgs, n = xt[s], dxt[s], g[s], dg[s], self.n[s]
-        n1dx = (n + 1.0) * dxs
-        nn1 = n * (n + 1.0)
+        n1dx = self.n1[s] * dxs
+        nn1 = n * self.n1[s]
         nm1 = n - 1.0
+        if not dgs.any():  # the same values with the zero terms left out
+            gs, dx2 = np.maximum(gs, _G_PAD), dxs * dxs
+
+            def derivs(gamma: float) -> tuple[float, float]:
+                r = (xs + gamma * dxs) / gs
+                return (lin + float(_pow(r, n) @ n1dx),
+                        float((nn1 * _pow(r, nm1) / gs) @ dx2))
+            return derivs
 
         def derivs(gamma: float) -> tuple[float, float]:
             gg = np.maximum(gs + gamma * dgs, _G_PAD)
@@ -220,11 +243,192 @@ class _Relaxation:
         H[nm:, nm:] = np.diag(hbb)
         return H
 
+    def route(self, costs: np.ndarray, usable: np.ndarray):
+        """Each commodity's demand on its shortest path over the ``usable``
+        edges at edge ``costs``: the flows (ncom, m) and the path lengths."""
+        delays = {eid: d for eid, d, ok
+                  in zip(self.ids, costs.tolist(), usable.tolist()) if ok}
+        y, dists = np.zeros((self.ncom, self.m)), []
+        for i, k in enumerate(self.inst.commodities):
+            dist, path = _shortest_path(self.inst, delays, k.source, k.sink)
+            if path is None:
+                raise Infeasible(
+                    f"commodity {k.source}->{k.sink} has no usable path")
+            dists.append(dist)
+            y[i, [self.col[eid] for eid in path]] = self.demands[i]
+        return y, dists
+
+    def linearize(self, x: np.ndarray, beta: np.ndarray):
+        """Objective, the point to step towards and the linearized value
+        at the best vertex, which bounds the optimum from below; raises
+        ValidationError where the objective is out of floating-point range.
+
+        A gate (improvable, zero conductance) with no flow is closed:
+        zeroing its budget changes no term, and there its 1-homogeneous
+        term has as subgradient its gradient on any ray (x, beta) =
+        t (rho, 1).  The bound takes the ray whose budget slope is m0, the
+        steepest one elsewhere, which makes it exact at an optimum that
+        keeps the gate closed; a step through the gate opens it along that
+        ray.
+        """
+        imp, gates, budget = self.imp, self.imp[self.gated], self.budget
+        val, gx, gb = self.value_grad(x, beta)
+        if not math.isfinite(val):
+            raise ValidationError("a delay is out of floating-point range")
+        xt = x.sum(axis=0)
+        usable = self.conductance(beta) > 0.0
+        if gates.size:
+            m0 = min(0.0, float(gb.min()))
+            closed = self.gated & (xt[imp] == 0.0)
+            n, mu = self.n[imp][closed], self.mu[closed]
+            rho = _pow(-m0 * _pow(mu, n) / n, 1.0 / (n + 1.0))
+            gx = gx.copy()
+            gx[imp[closed]] += (n + 1.0) * _pow(rho / mu, n)
+            usable[gates] = True
+        y, dists = self.route(gx, usable)
+        bvert = np.zeros(self.p)
+        if self.p and gb.min() < 0.0:
+            bvert[int(np.argmin(gb))] = budget
+        lower = (sum(d * dist for d, dist in zip(self.demands.tolist(), dists))
+                 + float(gb @ bvert) + (val - float(gx @ xt) - float(gb @ beta)))
+        routed = closed & (y.sum(axis=0)[imp] > 0.0) if gates.size else None
+        if routed is not None and routed.any():
+            # Budget for the routed gates, taken from the other edges in
+            # proportion; a free budget (m0 = 0) all goes to the gates.
+            flow = y.sum(axis=0)[imp][routed]
+            need = (flow / rho[routed[closed]] if m0 < 0.0
+                    else flow * (budget / flow.sum()))
+            shrink = min(1.0, budget / need.sum())
+            rest = budget - shrink * need.sum()
+            bvert = beta * min(1.0, rest / max(beta.sum(), 1e-300))
+            bvert[routed] = shrink * need
+            y = x + shrink * (y - x)
+        return val, y, bvert, lower
+
+    def flow(self, x: np.ndarray) -> FlowState:
+        """The flows ``x`` in the instance's units, but for those up to 1e-15
+        of the kernel's unit."""
+        maps = [{eid: float(self.scale * v) for eid, v in zip(self.ids, row)
+                 if v > 1e-15} for row in (x.sum(axis=0), *x)]
+        return FlowState(edge_flow=maps[0], commodity_flows=tuple(maps[1:])
+                         if self.ncom > 1 else None)
+
+
+def _flow_unit(demand: float, top: float, low: float = 0.0) -> float:
+    """The power of two to hold flows in: within a factor two of
+    ``demand``, so that no demand takes them out of floating-point range,
+    unless a conductance up to ``top`` would overflow in it, or one down to
+    ``low`` (when positive) would fall under ``_G_PAD``."""
+    unit = max(math.frexp(demand)[1] - 1, math.frexp(top)[1] - 1023)
+    if low > 0.0:
+        unit = min(unit, math.frexp(low)[1] + 995)
+    return math.ldexp(1.0, unit)
+
+
+def _shortest_path(inst: Instance, delays: dict[str, float], source: str,
+                   sink: str) -> tuple[float, tuple[str, ...] | None]:
+    """Dijkstra over edges with finite delay; deterministic tie-breaking."""
+    dist = {source: 0.0}
+    prev: dict[str, str] = {}
+    heap: list[tuple[float, str]] = [(0.0, source)]
+    done: set[str] = set()
+    while heap:
+        du, u = heapq.heappop(heap)
+        if u in done:
+            continue
+        done.add(u)
+        if u == sink:
+            break
+        for e in inst.out_edges[u]:
+            w = delays.get(e.id, math.inf)
+            if not math.isfinite(w):
+                continue
+            nd = du + w
+            if nd < dist.get(e.head, math.inf):
+                dist[e.head] = nd
+                prev[e.head] = e.id
+                heapq.heappush(heap, (nd, e.head))
+    if sink not in dist:
+        return math.inf, None
+    path: list[str] = []
+    u = sink
+    while u != source:
+        eid = prev[u]
+        path.append(eid)
+        u = inst.edge_index[eid].tail
+    path.reverse()
+    return dist[sink], tuple(path)
+
+
+_STEP_EVALS = 70  # as many derivative evaluations as bisection to 2^-70
+
+
+def _exact_step(derivs) -> float:
+    """Minimizer over [0, 1] of a convex step objective phi.
+
+    ``derivs(gamma)`` returns (phi'(gamma), phi''(gamma)).  phi'(1) <= 0
+    gives the full step.  Otherwise a bracket [lo, hi] with phi'(lo) < 0 <
+    phi'(hi) is kept from gamma = 0 on; Newton's step is taken when it lands
+    inside the bracket and phi'' is finite and positive, and the bracket is
+    bisected when not (an exponent below one at zero flow has infinite
+    curvature).  It stops at a step below 1e-15 relative, a bracket below
+    1e-15 relative plus 1e-18 (where rounding noise in phi' would only make
+    Newton chatter), or after ``_STEP_EVALS`` evaluations in all.
+    """
+    if derivs(1.0)[0] <= 0.0:
+        return 1.0
+    lo, hi, gamma = 0.0, 1.0, 0.0
+    for _ in range(_STEP_EVALS - 1):
+        d1, d2 = derivs(gamma)
+        if d1 > 0.0:
+            hi = gamma
+        else:
+            lo = gamma
+        step = -d1 / d2 if 0.0 < d2 < math.inf else math.nan
+        if abs(step) <= 1e-15 * gamma:
+            return gamma + step
+        if hi - lo <= 1e-15 * hi + 1e-18:
+            return gamma
+        gamma += step
+        if not lo < gamma < hi:
+            gamma = 0.5 * (lo + hi)
+    return gamma
+
 
 # At the zero-conductance corner the 1e-300 pad can make the edge terms
 # overflow; inf is the intended value there, so the warning is silenced.
 # The step's curvature is inf (0 ** negative) at zero flow when n < 1, and
 # nan where such an edge meets a zero direction; the step then bisects.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _frank_wolfe(kern: _Relaxation, tol: float, iters: int,
+                 polish: bool = False):
+    """Frank-Wolfe with the exact step on the kernel's objective, from the
+    shortest paths at zero flow and an even budget split (which keeps the
+    gates open) until the relative gap to the best linearized bound met is
+    at most ``tol``, or for ``iters`` steps (the gap then predates the last
+    one); with ``polish``, on ``solve_copt``'s schedule.  Returns the flows,
+    the budget, the gap and the steps taken.
+    """
+    beta = np.full(kern.p, kern.budget / max(kern.p, 1))
+    x = kern.linearize(np.zeros((kern.ncom, kern.m)), beta)[1]
+    # The Newton method stops at a closed gate; a step through it opens it.
+    best_lower = -math.inf
+    for it in range(1, iters + 5):
+        val, y, bvert, lower = kern.linearize(x, beta)
+        best_lower = max(best_lower, lower)
+        gap = (val - best_lower) / max(abs(val), 1e-300)
+        if gap <= tol or it > iters + 3:
+            break
+        dx, dbeta = y - x, bvert - beta
+        gamma = _exact_step(kern.segment(x, beta, dx, dbeta))
+        x, beta = x + gamma * dx, beta + gamma * dbeta
+        if it >= iters or polish and not it & (it - 1):
+            if not polish:
+                break
+            x, beta = _newton_polish(kern, x, beta)
+    return x, beta, gap, min(it, iters)
+
+
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def solve_copt(inst: Instance, tol: float = 1e-8, fw_iters: int = 2000,
                polish: bool = True) -> CoptResult:
@@ -250,104 +454,20 @@ def solve_copt(inst: Instance, tol: float = 1e-8, fw_iters: int = 2000,
         fw_iters = max(fw_iters, 20000)
 
     edges = inst.edges
-    # Flows in units of a power of two within a factor two of the total
-    # demand, so that no demand takes them out of floating-point range, unless
-    # a conductance would overflow in those units.
     top = max((e.c + e.mu * inst.budget for e in edges if not e.rigid), default=1.0)
-    unit = max(math.frexp(inst.total_demand)[1] - 1, math.frexp(top)[1] - 1023)
-    kern = _Relaxation(inst, math.ldexp(1.0, unit))
-    m, ncom, p, imp = kern.m, kern.ncom, kern.p, kern.imp
-    # A gate (improvable, zero conductance) with no flow is closed: zeroing
-    # its budget changes no term, and there its 1-homogeneous term has as
-    # subgradient its gradient on any ray (x, beta) = t (rho, 1).  The bound
-    # takes the ray whose budget slope is m0, the steepest one elsewhere,
-    # which makes it exact at an optimum that keeps the gate closed; a step
-    # through the gate opens it along that ray.
-    gated = kern.gates & (inst.budget > 0.0)
-    gates, demands = imp[gated], kern.demands.tolist()
-
-    def linearize(x: np.ndarray, beta: np.ndarray):
-        """Objective, the point to step towards and the linearized value
-        at the best vertex, which bounds the optimum from below."""
-        val, gx, gb = kern.value_grad(x, beta)
-        xt = x.sum(axis=0)
-        usable = kern.conductance(beta) > 0.0
-        if gates.size:
-            m0 = min(0.0, float(gb.min()))
-            closed = gated & (xt[imp] == 0.0)
-            n, mu = kern.n[imp][closed], kern.mu[closed]
-            rho = _pow(-m0 * _pow(mu, n) / n, 1.0 / (n + 1.0))
-            gx = gx.copy()
-            gx[imp[closed]] += (n + 1.0) * _pow(rho / mu, n)
-            usable[gates] = True
-        delays = {eid: d for eid, d, ok
-                  in zip(kern.ids, gx.tolist(), usable.tolist()) if ok}
-        y = np.zeros((ncom, m))
-        lower = 0.0
-        for i, (k, d) in enumerate(zip(inst.commodities, demands)):
-            dist, path = _shortest_path(inst, delays, k.source, k.sink)
-            if path is None:
-                raise Infeasible(
-                    f"commodity {k.source}->{k.sink} is disconnected")
-            lower += d * dist
-            for eid in path:
-                y[i, kern.col[eid]] += d
-        bvert = np.zeros(p)
-        if p and gb.min() < 0.0:
-            bvert[int(np.argmin(gb))] = inst.budget
-        lower = lower + float(gb @ bvert) + (val - float(gx @ xt)
-                                             - float(gb @ beta))
-        routed = closed & (y.sum(axis=0)[imp] > 0.0) if gates.size else None
-        if routed is not None and routed.any():
-            # Budget for the routed gates, taken from the other edges in
-            # proportion; a free budget (m0 = 0) all goes to the gates.
-            flow = y.sum(axis=0)[imp][routed]
-            need = (flow / rho[routed[closed]] if m0 < 0.0
-                    else flow * (inst.budget / flow.sum()))
-            shrink = min(1.0, inst.budget / need.sum())
-            rest = inst.budget - shrink * need.sum()
-            bvert = beta * min(1.0, rest / max(beta.sum(), 1e-300))
-            bvert[routed] = shrink * need
-            y = x + shrink * (y - x)
-        return val, y, bvert, lower
-
-    # Interior budget start keeps the gates open.
-    beta = np.full(p, inst.budget / p) if p else np.zeros(0)
-    x = linearize(np.zeros((ncom, m)), beta)[1]
-    # The Newton method stops at a closed gate; a step through it opens it.
-    best_lower = -math.inf
-    for it in range(1, fw_iters + 5):
-        val, y, bvert, lower = linearize(x, beta)
-        best_lower = max(best_lower, lower)
-        gap_rel = (val - best_lower) / max(abs(val), 1e-300)
-        if gap_rel <= tol or it > fw_iters + 3:
-            break
-        dx, dbeta = y - x, bvert - beta
-        gamma = _exact_step(kern.segment(x, beta, dx, dbeta))
-        x, beta = x + gamma * dx, beta + gamma * dbeta
-        if it >= fw_iters or polish and not it & (it - 1):
-            if not polish:
-                break
-            x, beta = _newton_polish(kern, x, beta)
+    kern = _Relaxation(inst, _flow_unit(inst.total_demand, top))
+    x, beta, gap_rel, iterations = _frank_wolfe(kern, tol, fw_iters, polish)
     if gap_rel > tol:
         warnings.warn(f"relaxation gap {gap_rel:.3e} above tol {tol:.3e}",
                       RuntimeWarning)
 
-    s = kern.scale
-    xt = x.sum(axis=0)
-    fmap = {e.id: float(s * xt[t]) for t, e in enumerate(edges)
-            if xt[t] > 1e-15}
-    per_comm = tuple({e.id: float(s * x[i, t]) for t, e in enumerate(edges)
-                      if x[i, t] > 1e-15} for i in range(ncom))
-    flow = FlowState(edge_flow=fmap,
-                     commodity_flows=per_comm if ncom > 1 else None)
-    total = inst.budget
+    flow = kern.flow(x)
     vals = np.maximum(beta, 0.0)
-    if vals.sum() > total > 0.0:
-        vals = vals * (total / vals.sum())
-    alloc = Allocation({kern.ids[t]: float(v) for t, v in zip(imp, vals)
+    if vals.sum() > inst.budget > 0.0:
+        vals = vals * (inst.budget / vals.sum())
+    alloc = Allocation({kern.ids[t]: float(v) for t, v in zip(kern.imp, vals)
                         if v > 1e-15})
-    objective_value = relaxed_total_delay(inst, fmap, alloc)
+    objective_value = relaxed_total_delay(inst, flow, alloc)
     affine = all(e.affine for e in edges)
     return CoptResult(
         relaxed_flow=flow,
@@ -357,7 +477,7 @@ def solve_copt(inst: Instance, tol: float = 1e-8, fw_iters: int = 2000,
         guarantee_factor=4.0 / 3.0 if affine else None,
         max_exponent=max_n,
         duality_gap=gap_rel,
-        iterations=min(it, fw_iters),
+        iterations=iterations,
     )
 
 

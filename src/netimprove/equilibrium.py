@@ -21,19 +21,20 @@ the minimization:
   ``solve_equilibrium`` a single row, which it turns into a flow with its
   certificate, or hands to Frank-Wolfe if the engine stalls.
 
-* Frank-Wolfe on edge flows, used when path enumeration exceeds its cap.
-  The linear subproblem is a nonnegative-delay shortest path per commodity
-  and the step size is the exact minimizer of the univariate convex step
-  objective, found by safeguarded Newton on its derivative
-  (``_exact_step``, which the relaxation in ``copt`` shares).  Its duality
-  gap converges like O(1/k), so very tight tolerances are out of reach; a
-  warning is issued if the iteration cap is hit first.  It shares only the
-  edge delays, the shortest path and the potential with the path engine,
-  so it serves the tests as an independent reference for it.
+* Frank-Wolfe on edge flows, used when path enumeration exceeds its cap or
+  the path engine stalls: ``copt``'s loop on the relaxation's edge kernel,
+  weighted as this potential at the fixed allocation.  The linear
+  subproblem is a nonnegative-delay shortest path per commodity and the
+  step the exact minimizer of the convex step objective.  The gap
+  converges like O(1/k), so very tight tolerances are out of reach; it
+  warns if the iteration cap is hit first, and raises where the potential
+  leaves floating-point range.  It shares only ``_shortest_path`` with the
+  path engine, so it serves the tests as an independent reference for it.
 
 Either way the returned certificate is the relative duality gap
-(Phi(f) - linearized lower bound) / Phi(f), and used-path delays per
-commodity agree with the common delay to within the gap.
+(Phi(f) - linearized lower bound) / Phi(f), for Frank-Wolfe the best bound
+met on the way, and used-path delays per commodity agree with the common
+delay to within the gap.
 
 Dipole graphs (parallel links between the terminals) with affine delays
 additionally get an exact closed form: with effective conductances g_e the
@@ -50,7 +51,6 @@ use the same scan.
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 import warnings
 from dataclasses import dataclass
@@ -67,6 +67,7 @@ from .core import (
     edge_delay_integral,
     effective_conductance,
 )
+from .copt import _flow_unit, _frank_wolfe, _Relaxation, _shortest_path
 from .errors import (InapplicableError, Infeasible, PathCapExceeded,
                      UnsupportedDelay, ValidationError)
 
@@ -124,45 +125,6 @@ def beckmann_potential(flow: FlowState | dict, beta: Allocation | None,
             f"potential overflows on edge {', '.join(overflows)}: flow is "
             "too large")
     return total
-
-
-def _usable(edge: Edge, beta: Allocation) -> bool:
-    return edge.rigid or effective_conductance(edge, beta.get(edge.id)) > 0.0
-
-
-def _shortest_path(inst: Instance, delays: dict[str, float], source: str,
-                   sink: str) -> tuple[float, tuple[str, ...] | None]:
-    """Dijkstra over edges with finite delay; deterministic tie-breaking."""
-    dist = {source: 0.0}
-    prev: dict[str, str] = {}
-    heap: list[tuple[float, str]] = [(0.0, source)]
-    done: set[str] = set()
-    while heap:
-        du, u = heapq.heappop(heap)
-        if u in done:
-            continue
-        done.add(u)
-        if u == sink:
-            break
-        for e in inst.out_edges[u]:
-            w = delays.get(e.id, math.inf)
-            if not math.isfinite(w):
-                continue
-            nd = du + w
-            if nd < dist.get(e.head, math.inf):
-                dist[e.head] = nd
-                prev[e.head] = e.id
-                heapq.heappush(heap, (nd, e.head))
-    if sink not in dist:
-        return math.inf, None
-    path: list[str] = []
-    u = sink
-    while u != source:
-        eid = prev[u]
-        path.append(eid)
-        u = inst.edge_index[eid].tail
-    path.reverse()
-    return dist[sink], tuple(path)
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +546,8 @@ def _solve_paths(inst: Instance, beta: Allocation, path_cap: int,
     f = {e.id: float(F[t]) for t, e in enumerate(inst.edges) if F[t] != 0.0}
     L = res.L[0].tolist()
     delays = {e.id: edge_delay(e, f.get(e.id, 0.0), beta.get(e.id))
-              for e in inst.edges if _usable(e, beta)}
+              for e in inst.edges
+              if e.rigid or effective_conductance(e, beta.get(e.id)) > 0.0}
     dists = [_shortest_path(inst, delays, k.source, k.sink)[0]
              for k in inst.commodities]
     per_comm: list[dict[str, float]] = [{} for _ in inst.commodities]
@@ -623,125 +586,6 @@ def _average(inst: Instance, L: list[float]) -> float:
     return sum(k.demand / total * L[i] for i, k in enumerate(inst.commodities))
 
 
-# ---------------------------------------------------------------------------
-# Frank-Wolfe engine
-
-
-_STEP_EVALS = 70  # as many derivative evaluations as bisection to 2^-70
-
-
-def _exact_step(derivs) -> float:
-    """Minimizer over [0, 1] of a convex step objective phi.
-
-    ``derivs(gamma)`` returns (phi'(gamma), phi''(gamma)).  phi'(1) <= 0
-    gives the full step.  Otherwise a bracket [lo, hi] with phi'(lo) < 0 <
-    phi'(hi) is kept from gamma = 0 on; Newton's step is taken when it lands
-    inside the bracket and phi'' is finite and positive, and the bracket is
-    bisected when not (an exponent below one at zero flow has infinite
-    curvature).  It stops at a step below 1e-15 relative, a bracket below
-    1e-15 relative plus 1e-18 (where rounding noise in phi' would only make
-    Newton chatter), or after ``_STEP_EVALS`` evaluations in all.
-    """
-    if derivs(1.0)[0] <= 0.0:
-        return 1.0
-    lo, hi, gamma = 0.0, 1.0, 0.0
-    for _ in range(_STEP_EVALS - 1):
-        d1, d2 = derivs(gamma)
-        if d1 > 0.0:
-            hi = gamma
-        else:
-            lo = gamma
-        step = -d1 / d2 if 0.0 < d2 < math.inf else math.nan
-        if abs(step) <= 1e-15 * gamma:
-            return gamma + step
-        if hi - lo <= 1e-15 * hi + 1e-18:
-            return gamma
-        gamma += step
-        if not lo < gamma < hi:
-            gamma = 0.5 * (lo + hi)
-    return gamma
-
-
-def _delay_derivative(e: Edge, x: float, beta: float) -> float:
-    """d delay / dx of a usable edge at flow ``x`` >= 0."""
-    if e.rigid:
-        return 0.0
-    if x == 0.0 and e.n < 1.0:
-        return math.inf
-    g = effective_conductance(e, beta)
-    return e.n * (x / g) ** (e.n - 1.0) / g
-
-
-def _frank_wolfe(inst: Instance, beta: Allocation, tol: float,
-                 max_iters: int) -> EquilibriumResult:
-    edges = inst.edges
-    eidx = {e.id: t for t, e in enumerate(edges)}
-    m = len(edges)
-    ncom = len(inst.commodities)
-
-    def delays_of(f):
-        return {e.id: edge_delay(e, float(f[eidx[e.id]]), beta.get(e.id))
-                for e in edges if _usable(e, beta)}
-
-    def aon(delays):
-        y = np.zeros((ncom, m))
-        dists = []
-        for i, k in enumerate(inst.commodities):
-            dist, path = _shortest_path(inst, delays, k.source, k.sink)
-            if path is None:
-                raise Infeasible(
-                    f"commodity {k.source}->{k.sink} has no usable path")
-            dists.append(dist)
-            for eid in path:
-                y[i, eidx[eid]] += k.demand
-        return y, dists
-
-    fi, _ = aon(delays_of(np.zeros(m)))
-    f = fi.sum(axis=0)
-    iterations = 0
-    rel_gap = math.inf
-    for iterations in range(1, max_iters + 1):
-        delays = delays_of(f)
-        y, dists = aon(delays)
-        rel_gap = _relative_gap(
-            inst, beta, {e.id: float(f[t]) for t, e in enumerate(edges)},
-            delays, dists)
-        if rel_gap <= tol:
-            break
-        delta = y.sum(axis=0) - f
-        moving = [(t, e, beta.get(e.id)) for t, e in enumerate(edges)
-                  if delta[t] != 0.0]
-
-        def derivs(gamma):
-            fg = f + gamma * delta
-            d1 = d2 = 0.0
-            for t, e, be in moving:
-                x = max(float(fg[t]), 0.0)
-                d1 += edge_delay(e, x, be) * delta[t]
-                d2 += _delay_derivative(e, x, be) * delta[t] ** 2
-            return d1, d2
-
-        gamma = _exact_step(derivs)
-        fi = fi + gamma * (y - fi)
-        f = fi.sum(axis=0)
-    else:
-        warnings.warn(
-            f"Frank-Wolfe stopped at relative gap {rel_gap:.3e} > tol {tol:.3e}"
-            f" after {max_iters} iterations", RuntimeWarning)
-
-    fmap = {e.id: float(f[t]) for t, e in enumerate(edges) if f[t] > 1e-15}
-    delays = delays_of(f)
-    L = [_shortest_path(inst, delays, k.source, k.sink)[0]
-         for k in inst.commodities]
-    per_comm = tuple({e.id: float(fi[i, t]) for t, e in enumerate(edges)
-                      if fi[i, t] > 1e-15} for i in range(ncom))
-    flow = FlowState(edge_flow=fmap,
-                     commodity_flows=per_comm if ncom > 1 else None)
-    return EquilibriumResult(flow=flow, common_delay=tuple(L),
-                             average_delay=_average(inst, L),
-                             duality_gap=rel_gap, iterations=iterations)
-
-
 def solve_equilibrium(inst: Instance, beta: Allocation | None = None,
                       tol: float = 1e-8, method: str = "auto",
                       path_cap: int = _PATH_CAP, start: str = "shortest",
@@ -758,6 +602,8 @@ def solve_equilibrium(inst: Instance, beta: Allocation | None = None,
     """
     if not tol > 0:
         raise ValidationError("tol must be positive")
+    if max_iters < 0:
+        raise ValidationError("max_iters must be nonnegative")
     beta = beta or Allocation()
     beta.validate_for(inst)
     if method not in ("auto", "paths", "frank-wolfe"):
@@ -779,7 +625,19 @@ def solve_equilibrium(inst: Instance, beta: Allocation | None = None,
                 raise InapplicableError("path engine stalled")
             warnings.warn("path engine stalled; Frank-Wolfe finishes",
                           RuntimeWarning)
-    return _frank_wolfe(inst, beta, tol, max_iters)
+    g = [effective_conductance(e, beta.get(e.id)) for e in inst.edges
+         if not e.rigid]
+    kern = _Relaxation(inst, _flow_unit(inst.total_demand, max(g, default=1.0),
+                                        min(filter(None, g), default=0.0)),
+                       fixed=beta)
+    x, _, gap, iterations = _frank_wolfe(kern, tol, max_iters)
+    if gap > tol:
+        warnings.warn(f"Frank-Wolfe stopped at relative gap {gap:.3e} > tol "
+                      f"{tol:.3e} after {max_iters} iterations", RuntimeWarning)
+    L = kern.route(kern.value_grad(x, np.zeros(0))[1], kern.c > 0.0)[1]
+    return EquilibriumResult(flow=kern.flow(x), common_delay=tuple(L),
+                             average_delay=_average(inst, L),
+                             duality_gap=max(0.0, gap), iterations=iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -865,6 +723,15 @@ def dipole_delay_rows(lengths, rigid, c_eff: np.ndarray, d: float) -> np.ndarray
         c_eff, np.array([lengths[t] for t in order], dtype=float), d, cap)
 
 
+def _in_range(rows: np.ndarray, conductances: np.ndarray) -> np.ndarray:
+    """The closed form's delays ``rows``; ValidationError for a row that is
+    inf although a link or path has positive conductance (an overflow)."""
+    inf = np.isinf(rows)
+    if inf.any() and (conductances[inf] > 0.0).any():
+        raise ValidationError("a delay is out of floating-point range")
+    return rows
+
+
 def solve_parallel_links_equilibrium(links, beta: Allocation | None,
                                      d: float) -> EquilibriumResult:
     """Exact equilibrium on affine parallel links via the closed form."""
@@ -878,11 +745,10 @@ def solve_parallel_links_equilibrium(links, beta: Allocation | None,
             raise UnsupportedDelay(f"link {e.id!r} has exponent {e.n} != 1")
     beta = beta or Allocation()
     c_eff = [effective_conductance(e, beta.get(e.id)) for e in links]
-    L = float(dipole_delay_rows([e.b for e in links], [e.rigid for e in links],
-                                np.array([c_eff]), d)[0])
+    G = np.array([c_eff])
+    L = float(_in_range(dipole_delay_rows([e.b for e in links],
+                                          [e.rigid for e in links], G, d), G)[0])
     if math.isinf(L):
-        if max(c_eff) > 0.0:  # a usable link, so the delay overflowed
-            raise ValidationError("a delay is out of floating-point range")
         raise Infeasible("no usable link")
     flows = [0.0] * len(links)
     residual = d

@@ -37,8 +37,8 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .core import Allocation, Instance
-from .equilibrium import (dipole_delay_rows, dipole_links, path_delay_rows,
-                          solve_equilibrium)
+from .equilibrium import (_in_range, dipole_delay_rows, dipole_links,
+                          path_delay_rows, solve_equilibrium)
 from .errors import (GridTooLarge, Infeasible, NotParallelPaths, PathCapExceeded,
                      UnsupportedDelay, ValidationError)
 from .parallelpaths import as_parallel_paths
@@ -206,8 +206,9 @@ def _batch_dipole(inst: Instance, improvable, betas: np.ndarray) -> np.ndarray:
     c_eff = np.tile([[e.c] for e in links], len(betas)).T  # F-ordered
     for j, e in enumerate(improvable):
         c_eff[:, links.index(e)] += e.mu * betas[:, j]
-    return dipole_delay_rows([e.b for e in links], [e.rigid for e in links],
-                             c_eff, inst.commodities[0].demand)
+    return _in_range(dipole_delay_rows([e.b for e in links],
+                                       [e.rigid for e in links], c_eff,
+                                       inst.commodities[0].demand), c_eff)
 
 
 def _batch_paths(ppi, improvable, betas: np.ndarray) -> np.ndarray:
@@ -224,9 +225,9 @@ def _batch_paths(ppi, improvable, betas: np.ndarray) -> np.ndarray:
                                      np.inf)
             c_mat[:, col] = np.where(np.isfinite(r),
                                      1.0 / np.maximum(r, 1e-300), 0.0)
-    return dipole_delay_rows([p.length for p in ppi.paths],
-                             [p.profile.all_rigid for p in ppi.paths],
-                             c_mat, ppi.demand)
+    return _in_range(dipole_delay_rows([p.length for p in ppi.paths],
+                                       [p.profile.all_rigid for p in ppi.paths],
+                                       c_mat, ppi.demand), c_mat)
 
 
 def grid_search(inst: Instance, spec: GridSpec, tol: float = 1e-8,

@@ -24,7 +24,6 @@ __all__ = [
     "DecompositionTree",
     "decompose_series_parallel",
     "tree_edge_ids",
-    "tree_size",
     "check_tree",
 ]
 
@@ -66,13 +65,6 @@ def tree_edge_ids(tree: DecompositionTree) -> list[str]:
             stack.append(node.right)
             stack.append(node.left)
     return out
-
-
-def tree_size(tree: DecompositionTree) -> int:
-    """Number of nodes (leaves plus compositions)."""
-    if isinstance(tree, Leaf):
-        return 1
-    return 1 + tree_size(tree.left) + tree_size(tree.right)
 
 
 def postorder(tree: DecompositionTree) -> list[DecompositionTree]:

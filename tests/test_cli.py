@@ -334,3 +334,31 @@ def test_fptas_delay_out_of_range_exit_2_without_a_warning(tmp_path):
     assert proc.returncode == 2
     assert "Warning" not in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    *(["solve", "--alg", alg] for alg in
+      ("oracle", "copt", "parallel-links", "parallel-paths", "fptas")),
+    ["equilibrium"], ["sweep", "--steps", "4"]])
+def test_delay_out_of_range_exit_2_under_every_command(tmp_path, argv):
+    # The same dipole: a link has positive conductance in every allocation,
+    # so no route is missing; the delay is out of floating-point range.
+    doc = {"nodes": ["s", "t"],
+           "edges": [{"id": "a", "tail": "s", "head": "t", "c": 1e-300,
+                      "b": 0, "mu": 1e-300},
+                     {"id": "b", "tail": "s", "head": "t", "c": 1e-300,
+                      "b": 1, "mu": 0}],
+           "commodities": [{"source": "s", "sink": "t", "demand": 1e10}],
+           "budget": 1}
+    path = tmp_path / "tiny_conductance.json"
+    path.write_text(json.dumps(doc))
+    if argv[0] == "sweep":
+        for name, amount in (("from", 0.0), ("to", 1.0)):
+            (tmp_path / f"{name}.json").write_text(
+                json.dumps({"beta": {"a": amount}}))
+            argv = [*argv, f"--{name}", str(tmp_path / f"{name}.json")]
+    proc = run_cli(*argv, str(path), check=False)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "out of floating-point range" in proc.stderr
+    assert "Traceback" not in proc.stderr

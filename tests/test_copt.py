@@ -222,7 +222,7 @@ def test_exact_step_matches_bisection(rng):
     # ("at4"), whose conductance reaches zero at gamma = 1 when the budget
     # vertex funds another edge.
     from netimprove.copt import _Relaxation
-    from netimprove.equilibrium import _exact_step
+    from netimprove.copt import _exact_step
 
     u = lambda lo, hi: float(rng.uniform(lo, hi))  # noqa: E731
     edges = (
