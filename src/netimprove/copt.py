@@ -199,14 +199,6 @@ class _Relaxation:
         n1dx = self.n1[s] * dxs
         nn1 = n * self.n1[s]
         nm1 = n - 1.0
-        if not dgs.any():  # the same values with the zero terms left out
-            gs, dx2 = np.maximum(gs, _G_PAD), dxs * dxs
-
-            def derivs(gamma: float) -> tuple[float, float]:
-                r = (xs + gamma * dxs) / gs
-                return (lin + float(_pow(r, n) @ n1dx),
-                        float((nn1 * _pow(r, nm1) / gs) @ dx2))
-            return derivs
 
         def derivs(gamma: float) -> tuple[float, float]:
             gg = np.maximum(gs + gamma * dgs, _G_PAD)
@@ -314,15 +306,13 @@ class _Relaxation:
                          if self.ncom > 1 else None)
 
 
-def _flow_unit(demand: float, top: float, low: float = 0.0) -> float:
+def _flow_unit(demand: float, top: float, low: float) -> float:
     """The power of two to hold flows in: within a factor two of
     ``demand``, so that no demand takes them out of floating-point range,
     unless a conductance up to ``top`` would overflow in it, or one down to
-    ``low`` (when positive) would fall under ``_G_PAD``."""
+    ``low`` (a half, for ``low`` zero) would fall under ``_G_PAD``."""
     unit = max(math.frexp(demand)[1] - 1, math.frexp(top)[1] - 1023)
-    if low > 0.0:
-        unit = min(unit, math.frexp(low)[1] + 995)
-    return math.ldexp(1.0, unit)
+    return math.ldexp(1.0, min(unit, math.frexp(low)[1] + 995))
 
 
 def _shortest_path(inst: Instance, delays: dict[str, float], source: str,
@@ -417,7 +407,7 @@ def _frank_wolfe(kern: _Relaxation, tol: float, iters: int,
         val, y, bvert, lower = kern.linearize(x, beta)
         best_lower = max(best_lower, lower)
         gap = (val - best_lower) / max(abs(val), 1e-300)
-        if gap <= tol or it > iters + 3:
+        if gap <= tol or it > iters + (3 if polish else 0):
             break
         dx, dbeta = y - x, bvert - beta
         gamma = _exact_step(kern.segment(x, beta, dx, dbeta))
@@ -455,7 +445,8 @@ def solve_copt(inst: Instance, tol: float = 1e-8, fw_iters: int = 2000,
 
     edges = inst.edges
     top = max((e.c + e.mu * inst.budget for e in edges if not e.rigid), default=1.0)
-    kern = _Relaxation(inst, _flow_unit(inst.total_demand, top))
+    low = min((e.c for e in edges if not e.rigid and e.c > 0.0), default=0.0)
+    kern = _Relaxation(inst, _flow_unit(inst.total_demand, top, low))
     x, beta, gap_rel, iterations = _frank_wolfe(kern, tol, fw_iters, polish)
     if gap_rel > tol:
         warnings.warn(f"relaxation gap {gap_rel:.3e} above tol {tol:.3e}",

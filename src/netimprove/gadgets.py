@@ -51,6 +51,7 @@ __all__ = [
     "dipole_delay_curve",
     "verify_dipole_claim",
     "DipoleClaimReport",
+    "series_dipole_delay",
     "series_dipole_oracle",
     "build_2ddp_instance",
 ]
@@ -222,6 +223,15 @@ def build_partition_instance(values: Sequence[float]) -> PartitionGadget:
     )
     target = sum(p.gamma - p.alpha for p in params) - half
     return PartitionGadget(inst, target, params, applicable=len(values) >= 2)
+
+
+def series_dipole_delay(values: Sequence[float],
+                        dipole_budgets: Sequence[float]) -> float:
+    """Total optimal delay of the chain under per-dipole budget shares."""
+    if len(values) != len(dipole_budgets):
+        raise ValidationError("one budget share per dipole required")
+    return float(sum(dipole_delay_curve(v, x)
+                     for v, x in zip(values, dipole_budgets)))
 
 
 def series_dipole_oracle(values: Sequence[float], budget: float,

@@ -108,18 +108,27 @@ def test_frank_wolfe_at_a_tiny_demand_agrees_with_the_path_engine(build,
         assert fw.common_delay == pytest.approx(paths.common_delay, rel=1e-8)
 
 
-@pytest.mark.parametrize("build, funded", EXTREME)
-def test_frank_wolfe_at_a_huge_demand_certifies_or_rejects(build, funded):
+# The two-commodity graph's first all-or-nothing flow puts 2.5e300 on its
+# n = 2 link, whose potential overflows: Frank-Wolfe rejects it.
+HUGE = [case + (certified,)
+        for case, certified in zip(EXTREME, (True, True, False))]
+
+
+@pytest.mark.parametrize("build, funded, certified", HUGE)
+def test_frank_wolfe_at_a_huge_demand_certifies_or_rejects(build, funded,
+                                                           certified):
     # With every exponent one, demand s * d over lengths b has s times the
     # delays of demand d over lengths b / s, which the path engine solves.
     for alloc in (Allocation(), Allocation(funded)):
         inst = _scaled(build(), demand=1e300)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            try:
-                fw = solve_equilibrium(inst, alloc, method="frank-wolfe")
-            except ValidationError:
+            if not certified:
+                with pytest.raises(ValidationError,
+                                   match="out of floating-point range"):
+                    solve_equilibrium(inst, alloc, method="frank-wolfe")
                 continue
+            fw = solve_equilibrium(inst, alloc, method="frank-wolfe")
         assert 0.0 <= fw.duality_gap <= 1e-8
         assert all(map(math.isfinite, fw.common_delay))
         if all(e.n == 1.0 for e in inst.edges):
@@ -152,3 +161,12 @@ def test_a_delay_out_of_range_is_rejected_on_every_route():
 def test_negative_max_iters_is_rejected():
     with pytest.raises(ValidationError, match="max_iters"):
         solve_equilibrium(_fig2(), method="frank-wolfe", max_iters=-4)
+
+
+def test_zero_max_iters_takes_no_step():
+    # The all-or-nothing flow at zero flow: all on e2, whose delay is 0.
+    with pytest.warns(RuntimeWarning, match="Frank-Wolfe stopped"):
+        res = solve_equilibrium(_fig2(), method="frank-wolfe", max_iters=0)
+    assert res.iterations == 0
+    assert res.flow.edge_flow == {"e2": 40.0}
+    assert res.duality_gap > 0.0
