@@ -28,7 +28,8 @@ value, gradient and dense Hessian of the summed edge terms to every phase.
 It has two weightings: the relaxation's term above, and, at a fixed
 allocation, the Beckmann potential's x^(n+1) / ((n+1) g^n) + b x, whose
 gradient is the edge delay.  The same Frank-Wolfe loop minimizes either;
-``solve_equilibrium`` runs it on the potential when the path engine cannot.
+``solve_equilibrium`` runs it on the potential when the path engine cannot,
+and certifies the path engine's flow with the potential's linearization.
 Exponents below one break the relaxation's smoothness at zero flow; such
 instances are solved with Frank-Wolfe only, after a warning.
 """

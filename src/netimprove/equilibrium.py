@@ -28,13 +28,14 @@ the minimization:
   step the exact minimizer of the convex step objective.  The gap
   converges like O(1/k), so very tight tolerances are out of reach; it
   warns if the iteration cap is hit first, and raises where the potential
-  leaves floating-point range.  It shares only ``_shortest_path`` with the
+  leaves floating-point range.  It shares only the certificate with the
   path engine, so it serves the tests as an independent reference for it.
 
-Either way the returned certificate is the relative duality gap
-(Phi(f) - linearized lower bound) / Phi(f), for Frank-Wolfe the best bound
-met on the way, and used-path delays per commodity agree with the common
-delay to within the gap.
+Both routes certify with ``copt``'s kernel, which ``_potential`` builds in a
+power-of-two flow unit: the relative duality gap (Phi(f) - linearized lower
+bound) / Phi(f), for Frank-Wolfe the best bound met on the way.  Used-path
+delays per commodity agree with the common delay to within the gap.  The
+tests check the kernel against ``beckmann_potential``, Phi edge by edge.
 
 Dipole graphs (parallel links between the terminals) with affine delays
 additionally get an exact closed form: with effective conductances g_e the
@@ -63,11 +64,10 @@ from .core import (
     Edge,
     FlowState,
     Instance,
-    edge_delay,
     edge_delay_integral,
     effective_conductance,
 )
-from .copt import _flow_unit, _frank_wolfe, _Relaxation, _shortest_path
+from .copt import _flow_unit, _frank_wolfe, _Relaxation
 from .errors import (InapplicableError, Infeasible, PathCapExceeded,
                      UnsupportedDelay, ValidationError)
 
@@ -298,8 +298,15 @@ class _PathBatch:
         out = np.full(N, np.nan)
         out[~feasible] = np.inf
         L = res.L[res.done]
-        out[res.done] = sum(d / self.total * L[:, i]
-                            for i, d in enumerate(self.demands))
+        # The potential is at most the total delay sum_i d_i L_i: below 1e300
+        # of the least flow unit a row gets (a half's where no conductance is
+        # positive), _solve_paths's certificate stays in range.
+        unit = _flow_unit(self.total, 0.0, np.min(
+            G, where=(G > 0.0) & ~self.rigid, initial=0.5))
+        out[res.done] = np.where(
+            (L + 1.0) @ np.array(self.demands) < 1e300 * unit,
+            sum(d / self.total * L[:, i] for i, d in enumerate(self.demands)),
+            np.nan)
         return out
 
     def solve(self, G: np.ndarray, usable: np.ndarray, active: np.ndarray,
@@ -364,9 +371,8 @@ class _PathBatch:
         dropped = grp[drop]
         grp, z = grp[~drop], z[~drop]
 
-        Gg = G[grp]
         x = np.maximum(z[:, :a], 0.0)
-        F, D, settled = self._flows(aset, x, Gg)
+        _, D, settled = self._flows(aset, x, G[grp])
         L = z[:, a:]
         added = np.zeros(len(grp), dtype=bool)
         for i, js in enumerate(self.by_com):
@@ -377,8 +383,9 @@ class _PathBatch:
                 best_d = np.where(better, D[:, j], best_d)
                 best_j[better] = j
             Li = L[:, i]
-            add = ((best_j >= 0) & ~active[grp, best_j]
-                   & (best_d < Li - 1e-10 * (1.0 + np.abs(Li))))
+            # An infinite common delay admits any shorter path.
+            floor = np.where(np.isinf(Li), Li, Li - 1e-10 * (1.0 + np.abs(Li)))
+            add = (best_j >= 0) & ~active[grp, best_j] & (best_d < floor)
             active[grp[add], best_j[add]] = True
             added |= add
         done = ~added
@@ -387,8 +394,6 @@ class _PathBatch:
         if res.X is not None:
             res.X[grp[done][:, None], aset.S] = x[done]
         else:  # nan where only _solve_paths can tell the value or the error
-            settled &= np.isfinite(L).all(axis=1)
-            settled &= ~self._potential_overflows(F, Gg, done & settled)
             res.L[grp[done & ~settled]] = np.nan
         return np.concatenate([dropped, grp[added]])
 
@@ -407,21 +412,6 @@ class _PathBatch:
         for js, es in self.delay_layers:
             D[:, js] += De[:, es]
         return F, D, np.isfinite(De).all(axis=1)
-
-    def _potential_overflows(self, F: np.ndarray, G: np.ndarray,
-                             rows: np.ndarray) -> np.ndarray:
-        """Which of ``rows`` make ``_solve_paths``'s potential raise:
-        F**(n+1) or G**n overflows on a flowing non-rigid edge.  Both powers
-        grow with their base, so the largest bases on each edge clear most
-        blocks at once."""
-        def top(A):
-            return np.max(A, axis=0, where=rows[:, None], initial=0.0)
-        if not (np.isinf(np.float_power(top(F), self.n + 1.0))
-                | np.isinf(np.float_power(top(G), self.n))).any():
-            return np.zeros(len(F), dtype=bool)
-        over = (np.isinf(np.float_power(F, self.n + 1.0))
-                | np.isinf(np.float_power(G, self.n)))
-        return (over & (F != 0.0) & ~self.rigid).any(axis=1)
 
     def _residual(self, aset: _ActiveSet, z: np.ndarray, G: np.ndarray):
         """The equalization residual: each active path's delay less its
@@ -543,13 +533,14 @@ def _solve_paths(inst: Instance, beta: Allocation, path_cap: int,
         aset = batch._set(active[0])  # the settled set, built in its round
         x = res.X[0]
         F = batch._flows(aset, x[None, aset.S], G)[0][0]
+        kern = _potential(inst, beta)
+        val, _, _, lower = kern.linearize(
+            np.stack([x[js] @ batch.inc[js] for js in batch.by_com])
+            / kern.scale, np.zeros(0))
+    if not math.isfinite(lower):
+        raise ValidationError("a delay is out of floating-point range")
     f = {e.id: float(F[t]) for t, e in enumerate(inst.edges) if F[t] != 0.0}
     L = res.L[0].tolist()
-    delays = {e.id: edge_delay(e, f.get(e.id, 0.0), beta.get(e.id))
-              for e in inst.edges
-              if e.rigid or effective_conductance(e, beta.get(e.id)) > 0.0}
-    dists = [_shortest_path(inst, delays, k.source, k.sink)[0]
-             for k in inst.commodities]
     per_comm: list[dict[str, float]] = [{} for _ in inst.commodities]
     paths_out = []
     for j in aset.S:  # commodity by commodity
@@ -564,20 +555,19 @@ def _solve_paths(inst: Instance, beta: Allocation, path_cap: int,
                      paths=tuple(paths_out))
     return EquilibriumResult(flow=flow, common_delay=tuple(L),
                              average_delay=_average(inst, L),
-                             duality_gap=_relative_gap(inst, beta, f, delays,
-                                                       dists),
+                             duality_gap=max(0.0, val - lower) / val
+                             if val > 0.0 else 0.0,
                              iterations=int(res.rounds[0]))
 
 
-def _relative_gap(inst: Instance, beta: Allocation, f: dict[str, float],
-                  delays: dict[str, float], dists: list[float]) -> float:
-    """(Phi(f) - linearized lower bound) / Phi(f) for edge flows ``f`` with
-    edge delays ``delays`` and shortest path lengths ``dists`` under them."""
-    total_delay = sum(f.get(eid, 0.0) * d for eid, d in delays.items())
-    lower = sum(k.demand * dist for k, dist in zip(inst.commodities, dists))
-    gap = max(0.0, total_delay - lower)
-    phi = beckmann_potential(f, beta, inst)
-    return gap / phi if phi > 0 else 0.0
+def _potential(inst: Instance, beta: Allocation) -> _Relaxation:
+    """copt's edge kernel weighted as the potential at ``beta``, in the flow
+    unit that ``_flow_unit`` picks for its non-rigid conductances."""
+    g = [effective_conductance(e, beta.get(e.id)) for e in inst.edges
+         if not e.rigid]
+    return _Relaxation(inst, _flow_unit(inst.total_demand, max(g, default=1.0),
+                                        min(filter(None, g), default=0.0)),
+                       fixed=beta)
 
 
 def _average(inst: Instance, L: list[float]) -> float:
@@ -625,11 +615,7 @@ def solve_equilibrium(inst: Instance, beta: Allocation | None = None,
                 raise InapplicableError("path engine stalled")
             warnings.warn("path engine stalled; Frank-Wolfe finishes",
                           RuntimeWarning)
-    g = [effective_conductance(e, beta.get(e.id)) for e in inst.edges
-         if not e.rigid]
-    kern = _Relaxation(inst, _flow_unit(inst.total_demand, max(g, default=1.0),
-                                        min(filter(None, g), default=0.0)),
-                       fixed=beta)
+    kern = _potential(inst, beta)
     x, _, gap, iterations = _frank_wolfe(kern, tol, max_iters)
     if gap > tol:
         warnings.warn(f"Frank-Wolfe stopped at relative gap {gap:.3e} > tol "

@@ -34,10 +34,9 @@ exponent (floored at 1) and K = ceil(m^2 / eps^2); K is capped, since
 tables take O(K^2) memory per node and the combines grow with K^3.  When
 the cap binds, the solve can either fail with the smallest feasible eps' or
 clamp K and report the weaker factor implied by the coarser grid.  The
-certified factor is always the assumption-free squared bound
-(1 + eps'_eff)^2; the plain (1 + eps'_eff) bound would additionally require
-every edge of the optimal allocation to exceed a grid-unit floor, which is
-unverifiable, so it is surfaced as metadata only.
+certified factor is the assumption-free squared bound (1 + eps'_eff)^2;
+the plain (1 + eps'_eff) bound would additionally require every edge of the
+optimal allocation to exceed a grid-unit floor, which is unverifiable.
 
 Tables for the root node are skipped when only its (K, K) entry is needed
 and the grid is large; its leaf children then get no table either and are
@@ -83,14 +82,12 @@ class DiscretizationPlan:
     nu: float
     lam: float
     K: int
-    assume_spread: bool
     clamped: bool
     eps_prime_effective: float
     certified_factor: float
 
 
 def choose_discretization(inst: Instance, eps_prime: float,
-                          assume_spread: bool = False,
                           k_cap: int = _DEFAULT_K_CAP,
                           clamp: bool = False) -> DiscretizationPlan:
     """Grid parameters for a target factor, or an error naming the least
@@ -114,12 +111,10 @@ def choose_discretization(inst: Instance, eps_prime: float,
         clamped = True
     eps_eff = 6.0 * nu * m / math.sqrt(K)
     eps_prime_eff = eps_eff if clamped else min(eps_prime, eps_eff)
-    factor = ((1.0 + eps_prime_eff) if assume_spread
-              else (1.0 + eps_prime_eff) ** 2)
     return DiscretizationPlan(
         eps_prime=eps_prime, eps=eps, nu=nu, lam=1.0 / K, K=K,
-        assume_spread=assume_spread, clamped=clamped,
-        eps_prime_effective=eps_prime_eff, certified_factor=factor)
+        clamped=clamped, eps_prime_effective=eps_prime_eff,
+        certified_factor=(1.0 + eps_prime_eff) ** 2)
 
 
 @dataclass
@@ -396,8 +391,7 @@ class FptasResult:
 
 
 def solve_fptas(inst: Instance, eps_prime: float, tol: float = 1e-8,
-                assume_spread: bool = False, k_cap: int = _DEFAULT_K_CAP,
-                clamp: bool = False,
+                k_cap: int = _DEFAULT_K_CAP, clamp: bool = False,
                 tree: DecompositionTree | None = None) -> FptasResult:
     """Run the scheme end to end and play the reconstructed allocation.
 
@@ -408,7 +402,7 @@ def solve_fptas(inst: Instance, eps_prime: float, tol: float = 1e-8,
         raise ValidationError("the scheme handles a single commodity")
     if tree is None:
         tree = decompose_series_parallel(inst)
-    plan = choose_discretization(inst, eps_prime, assume_spread, k_cap, clamp)
+    plan = choose_discretization(inst, eps_prime, k_cap, clamp)
     dpt = run_dp(inst, tree, plan, lazy_root=True)
     beta_units, flow_units = reconstruct(dpt, tree)
     beta = {}

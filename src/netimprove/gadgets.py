@@ -40,6 +40,7 @@ import numpy as np
 
 from .core import Commodity, Edge, Instance
 from .errors import ValidationError
+from .oracle import compositions
 
 __all__ = [
     "DELTA",
@@ -237,8 +238,6 @@ def series_dipole_delay(values: Sequence[float],
 def series_dipole_oracle(values: Sequence[float], budget: float,
                          resolution: int) -> tuple[tuple[float, ...], float]:
     """Grid search over per-dipole budget shares on the curve oracle."""
-    from .oracle import compositions
-
     curves = [DipoleCurve(v) for v in values]
     unit = budget / resolution
     best = math.inf

@@ -17,9 +17,9 @@ by the first route that applies:
 
 The grid, ``evaluate_delay`` and every replay of an argmin share that
 engine, so they do not check each other.  The independent checks are
-``solve_equilibrium``'s certificate (the Beckmann potential against a
-Dijkstra lower bound) and Frank-Wolfe, which the tests compare with the
-grid.
+``solve_equilibrium``'s certificate (the potential against its
+linearized lower bound, from ``copt``'s edge kernel) and Frank-Wolfe, which
+the tests compare with the grid.
 
 Ties break toward the lexicographically smallest composition because the
 generator emits compositions in lexicographic order and only strict
@@ -36,7 +36,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .core import Allocation, Instance
+from .core import Allocation, Instance, edge_delay
 from .equilibrium import (_in_range, dipole_delay_rows, dipole_links,
                           path_delay_rows, solve_equilibrium)
 from .errors import (GridTooLarge, Infeasible, NotParallelPaths, PathCapExceeded,
@@ -300,8 +300,6 @@ def enumerate_discretized_minmax(inst: Instance, K: int) -> np.ndarray:
     """
     if not inst.single_commodity:
         raise ValidationError("single-commodity instances only")
-    from .core import edge_delay
-
     k0 = inst.commodities[0]
     paths = inst.simple_paths(k0.source, k0.sink, cap=64)
     edges = inst.edges

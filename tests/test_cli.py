@@ -31,6 +31,12 @@ BRAESS = {
 }
 
 
+def _fig2_at(demand):
+    doc = json.loads(json.dumps(FIG2))
+    doc["commodities"][0]["demand"] = demand
+    return doc
+
+
 def run_cli(*argv, check=True):
     proc = subprocess.run(
         [sys.executable, "-m", "netimprove", *argv],
@@ -116,14 +122,34 @@ class TestSolve:
 
     @pytest.mark.parametrize("alg", ["copt", "fptas"])
     def test_huge_demand_exit_2(self, tmp_path, alg):
-        doc = json.loads(json.dumps(FIG2))
-        doc["commodities"][0]["demand"] = 1e300
+        # copt's relaxed objective, a total delay near 3e599, is out of
+        # range; the scheme's played delay is not, and is exact.
         path = tmp_path / "huge.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(_fig2_at(1e300)))
         proc = run_cli("solve", "--alg", alg, str(path), check=False)
-        assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
-        assert "'e2'" in proc.stderr
+        if alg == "copt":
+            assert proc.returncode == 2
+            assert "out of floating-point range" in proc.stderr
+            return
+        assert proc.returncode == 0, proc.stderr
+        paths = json.loads(run_cli("solve", "--alg", "parallel-paths",
+                                   str(path)).stdout)
+        assert json.loads(proc.stdout)["L"] == pytest.approx(paths["L"],
+                                                             rel=1e-12)
+
+    def test_huge_demand_solved_by_every_exact_command(self, tmp_path):
+        # The path route certifies in the potential kernel's flow unit, so
+        # no command overflows where the closed forms do not.
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(_fig2_at(1e300)))
+        delays = [json.loads(run_cli("solve", "--alg", alg, str(path)).stdout)
+                  ["L"] for alg in ("fptas", "oracle", "parallel-paths",
+                                    "parallel-links")]
+        assert delays == pytest.approx([delays[0]] * 4, rel=1e-12)
+        unfunded = json.loads(run_cli("equilibrium", str(path)).stdout)
+        # Unfunded, both links carry flow at the common delay 1e300 / 0.3.
+        assert unfunded["L"] == pytest.approx(1e300 / 0.3, rel=1e-12)
 
     def test_huge_improvement_rate_exit_0(self, tmp_path):
         doc = json.loads(json.dumps(FIG2))

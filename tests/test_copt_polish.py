@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from netimprove.copt import (_newton_polish, _Relaxation, relaxed_total_delay,
-                             solve_copt)
+from netimprove.copt import (_newton_polish, _Relaxation, _shortest_path,
+                             relaxed_total_delay, solve_copt)
 from netimprove.core import Allocation, Commodity, Edge, Instance
-from netimprove.equilibrium import _shortest_path
 from netimprove.oracle import evaluate_delay
 from netimprove.parallelpaths import solve_parallel_paths
 

@@ -1,4 +1,3 @@
-import dataclasses
 import warnings
 
 import numpy as np
@@ -348,14 +347,35 @@ def test_dipole_without_usable_or_rigid_link_is_infeasible():
     assert ls[0] == np.inf
 
 
-def test_auto_does_not_retry_frank_wolfe_on_bad_input(fig2):
+def test_auto_does_not_retry_frank_wolfe_on_bad_input():
     # Only the path cap sends "auto" to Frank-Wolfe; an overflow in the
     # path engine is reported as it is, without a Frank-Wolfe warning.
-    huge = dataclasses.replace(fig2, commodities=(Commodity("s", "t", 1e300),))
+    # Both links have positive conductance, and the delay overflows.
+    huge = Instance(nodes=("s", "t"),
+                    edges=(Edge("a", "s", "t", c=1e-300, b=0.0, mu=1e-300),
+                           Edge("b", "s", "t", c=1e-300, b=1.0)),
+                    commodities=(Commodity("s", "t", 1e10),), budget=1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValidationError):
             solve_equilibrium(huge)
+
+
+def test_an_infinite_common_delay_admits_a_shorter_path():
+    # From the shortest free-flow path a, the whole demand gives a delay out
+    # of range; the funded link b is shorter, and the Wardrop point puts
+    # almost all of the flow on it.
+    inst = Instance(nodes=("s", "t"),
+                    edges=(Edge("a", "s", "t", c=1e-300, b=0.0, mu=1e-300),
+                           Edge("b", "s", "t", c=0.0, b=1.0, mu=1.0)),
+                    commodities=(Commodity("s", "t", 1e10),), budget=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = solve_equilibrium(inst, Allocation({"b": 1.0}), method="paths")
+    assert res.average_delay == pytest.approx(1e10 + 1.0, rel=1e-15)
+    assert res.flow.edge_flow == pytest.approx({"a": 1e-290, "b": 1e10},
+                                               rel=1e-12)
+    assert 0.0 <= res.duality_gap <= 1e-8
 
 
 def test_auto_takes_frank_wolfe_past_the_path_cap(fig2):

@@ -8,8 +8,9 @@ import warnings
 import numpy as np
 import pytest
 
-from netimprove import (Allocation, Commodity, Edge, Instance, ValidationError,
-                        beckmann_potential, edge_delay, solve_equilibrium)
+from netimprove import (Allocation, Commodity, Edge, InapplicableError,
+                        Instance, ValidationError, beckmann_potential,
+                        edge_delay, solve_equilibrium)
 from netimprove.copt import _Relaxation
 from netimprove.oracle import (GridSpec, evaluate_delay, grid_search,
                                sweep_segment)
@@ -109,14 +110,16 @@ def test_frank_wolfe_at_a_tiny_demand_agrees_with_the_path_engine(build,
 
 
 # The two-commodity graph's first all-or-nothing flow puts 2.5e300 on its
-# n = 2 link, whose potential overflows: Frank-Wolfe rejects it.
+# n = 2 link, whose potential overflows: Frank-Wolfe rejects it, and the
+# path engine stalls there.
 HUGE = [case + (certified,)
         for case, certified in zip(EXTREME, (True, True, False))]
 
 
+@pytest.mark.parametrize("method", ["frank-wolfe", "paths"])
 @pytest.mark.parametrize("build, funded, certified", HUGE)
 def test_frank_wolfe_at_a_huge_demand_certifies_or_rejects(build, funded,
-                                                           certified):
+                                                           certified, method):
     # With every exponent one, demand s * d over lengths b has s times the
     # delays of demand d over lengths b / s, which the path engine solves.
     for alloc in (Allocation(), Allocation(funded)):
@@ -124,16 +127,20 @@ def test_frank_wolfe_at_a_huge_demand_certifies_or_rejects(build, funded,
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             if not certified:
-                with pytest.raises(ValidationError,
-                                   match="out of floating-point range"):
-                    solve_equilibrium(inst, alloc, method="frank-wolfe")
+                with (pytest.raises(InapplicableError, match="stalled")
+                      if method == "paths" else
+                      pytest.raises(ValidationError,
+                                    match="out of floating-point range")):
+                    solve_equilibrium(inst, alloc, method=method)
                 continue
+            res = solve_equilibrium(inst, alloc, method=method)
             fw = solve_equilibrium(inst, alloc, method="frank-wolfe")
-        assert 0.0 <= fw.duality_gap <= 1e-8
-        assert all(map(math.isfinite, fw.common_delay))
+        assert 0.0 <= res.duality_gap <= 1e-8
+        assert all(map(math.isfinite, res.common_delay))
+        assert res.common_delay == pytest.approx(fw.common_delay, rel=1e-8)
         if all(e.n == 1.0 for e in inst.edges):
             small = solve_equilibrium(_scaled(build(), length=1e-300), alloc)
-            assert fw.common_delay == pytest.approx(
+            assert res.common_delay == pytest.approx(
                 [1e300 * L for L in small.common_delay], rel=1e-8)
 
 

@@ -512,10 +512,14 @@ class TestBatchedEngine:
                                                     rel=1e-8)
 
     def test_potential_overflow_raises_as_the_scalar_solver(self):
-        # At demand 1e200 the potential's flow**2 overflows, which
-        # solve_equilibrium reports; the grid must not return a value.
+        # The link st's conductance of 1e-300 caps the flow unit near one,
+        # so at demand 1e200 the total delay leaves floating-point range in
+        # it, which solve_equilibrium reports; the grid must not return a
+        # value.
         base = _braess_rigid()
-        inst = Instance(nodes=base.nodes, edges=base.edges,
+        inst = Instance(nodes=base.nodes,
+                        edges=base.edges + (Edge("st", "s", "t", c=1e-300,
+                                                 b=1e250),),
                         commodities=(Commodity("s", "t", 1e200),),
                         budget=base.budget)
         edges, betas = _grid_betas(inst, 4)
@@ -523,7 +527,7 @@ class TestBatchedEngine:
             _scalar_delays(inst, edges, betas)
         with pytest.raises(ValidationError) as batch:
             grid_search(inst, GridSpec(resolution=4))
-        assert "potential overflows" in str(scalar.value)
+        assert "out of floating-point range" in str(scalar.value)
         assert str(batch.value) == str(scalar.value)
 
     def test_path_cap_sends_every_row_to_the_scalar_solver(self,
