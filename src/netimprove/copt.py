@@ -36,6 +36,7 @@ instances are solved with Frank-Wolfe only, after a warning.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import warnings
@@ -134,23 +135,35 @@ class _Relaxation:
         self.gates = self.c[self.imp] == 0.0
         self.gated = self.gates & (inst.budget > 0.0)
         self.dbeta = -self.n[self.imp] * self.mu
+        self.budget_row = np.zeros(self.dim)
+        self.budget_row[self.nm:] = 1.0
 
-        rows, rhs = [], []
-        for i, k in enumerate(inst.commodities):
-            for u in inst.nodes:
+    # Only the polish reads the conservation rows, so they are built on first
+    # use: the certificates and Frank-Wolfe never pay for the node loop.
+    @functools.cached_property
+    def conservation(self) -> np.ndarray:
+        """One flow-conservation row over the stacked variables per
+        commodity and node other than its sink."""
+        m, rows = self.m, []
+        for i, k in enumerate(self.inst.commodities):
+            for u in self.inst.nodes:
                 if u == k.sink:
                     continue
                 row = np.zeros(self.dim)
-                for e in inst.out_edges[u]:
+                for e in self.inst.out_edges[u]:
                     row[i * m + self.col[e.id]] += 1.0
-                for e in inst.in_edges[u]:
+                for e in self.inst.in_edges[u]:
                     row[i * m + self.col[e.id]] -= 1.0
                 rows.append(row)
-                rhs.append(self.demands[i] if u == k.source else 0.0)
-        self.conservation = np.array(rows)
-        self.conservation_rhs = np.array(rhs)
-        self.budget_row = np.zeros(self.dim)
-        self.budget_row[self.nm:] = 1.0
+        return np.array(rows)
+
+    @functools.cached_property
+    def conservation_rhs(self) -> np.ndarray:
+        """Each conservation row's right-hand side: the commodity's demand
+        at its source, 0 elsewhere."""
+        return np.array([self.demands[i] if u == k.source else 0.0
+                         for i, k in enumerate(self.inst.commodities)
+                         for u in self.inst.nodes if u != k.sink])
 
     def conductance(self, beta: np.ndarray) -> np.ndarray:
         g = self.c.copy()

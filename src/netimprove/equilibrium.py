@@ -42,11 +42,12 @@ additionally get an exact closed form: with effective conductances g_e the
 common delay over a used set S is (d + sum_S g_e b_e) / sum_S g_e, and the
 used set grows along links sorted by length until the delay fits under the
 next link's length.  Rigid links cap the delay at their length and absorb
-the residual flow.  The used-set scan is written once, in
-``parallel_links_delay_batch`` over rows of allocations, and a single
-allocation is a batch of one row.  ``dipole_delay_rows`` lays out links,
-or whole paths, for it: the parallel-paths optimizer and the grid oracle
-use the same scan.
+the residual flow.  The used-set scan is written once, in ``_link_scan`` over
+rows of allocations, which ``parallel_links_delay_batch`` runs in fresh
+scratch and the grid oracle in its block buffers; a single allocation is a
+batch of one row.  ``dipole_delay_rows`` lays out links, or whole paths,
+for it by ``_scan_layout``: the parallel-paths optimizer and the grid
+oracle use the same scan.
 """
 
 from __future__ import annotations
@@ -663,12 +664,27 @@ def parallel_links_delay_batch(c_eff: np.ndarray, b: np.ndarray, d: float,
     the grid oracle builds it, with running sums over the rows that add as
     a row-wise ``cumsum`` would, until every row has taken its used set.
     """
+    n = c_eff.shape[0]
+    return _link_scan(c_eff, b, d, cap, np.empty((5, n)),
+                      np.empty((3, n), dtype=bool))
+
+
+def _link_scan(c_eff: np.ndarray, b: np.ndarray, d: float, cap: float,
+               rows: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """``parallel_links_delay_batch`` in the caller's scratch: the leading
+    N columns of ``rows`` (5, >= N) and ``masks`` (3, >= N, bool), so that
+    a grid search reuses them block after block.  Returns a view of
+    ``rows[0]``, which the next call overwrites."""
+    L, den, num, M, t = rows[:, :c_eff.shape[0]]
+    open_, ok, pos = masks[:, :c_eff.shape[0]]
     if c_eff.shape[1] == 0:
-        return np.full(c_eff.shape[0], cap)
+        L.fill(cap)
+        return L
     u = length_unit(float(c_eff.max(initial=0.0)), float(b[-1]), b.size)
-    L = np.full(c_eff.shape[0], math.inf)
-    den, num, M, t = np.zeros((4, len(L)))
-    open_ = np.ones(len(L), dtype=bool)
+    L.fill(math.inf)
+    den.fill(0.0)
+    num.fill(0.0)
+    open_.fill(True)
     # A prefix whose delay is out of range gets inf, which passes its test.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for k, col in enumerate(c_eff.T):
@@ -680,15 +696,27 @@ def parallel_links_delay_batch(c_eff: np.ndarray, b: np.ndarray, d: float,
             if k + 1 < b.size:
                 np.maximum(np.abs(M, out=t), 1.0, out=t)
                 t *= _BOUNDARY_TOL
-                ok = M <= np.add(t, b[k + 1], out=t)
+                np.less_equal(M, np.add(t, b[k + 1], out=t), out=ok)
             else:  # the next length is inf: only a nan delay fails
-                ok = M <= math.inf
-            ok &= (den > 0.0) & open_
+                np.less_equal(M, math.inf, out=ok)
+            ok &= np.greater(den, 0.0, out=pos)
+            ok &= open_
             np.copyto(L, M, where=ok)
             open_ ^= ok
             if not open_.any():
                 break
-    return np.minimum(L, cap)
+    return np.minimum(L, cap, out=L)
+
+
+def _scan_layout(lengths, rigid) -> tuple[list[int], np.ndarray, float]:
+    """The column layout of ``parallel_links_delay_batch`` for links, or
+    whole paths, of the given lengths: the indices of the non-rigid ones
+    sorted by length (ties keep their order), their lengths, and the cap,
+    the shortest rigid length."""
+    order = sorted((t for t, r in enumerate(rigid) if not r),
+                   key=lambda t: lengths[t])
+    cap = min((b for b, r in zip(lengths, rigid) if r), default=math.inf)
+    return order, np.array([lengths[t] for t in order], dtype=float), cap
 
 
 def dipole_delay_rows(lengths, rigid, c_eff: np.ndarray, d: float) -> np.ndarray:
@@ -700,13 +728,10 @@ def dipole_delay_rows(lengths, rigid, c_eff: np.ndarray, d: float) -> np.ndarray
     links removed, the rest sorted by length (ties keep their order), and
     the delay capped at the shortest rigid length.
     """
-    order = sorted((t for t, r in enumerate(rigid) if not r),
-                   key=lambda t: lengths[t])
-    cap = min((b for b, r in zip(lengths, rigid) if r), default=math.inf)
+    order, b, cap = _scan_layout(lengths, rigid)
     if order != list(range(c_eff.shape[1])):  # a gather copies c_eff
         c_eff = c_eff[:, order]
-    return parallel_links_delay_batch(
-        c_eff, np.array([lengths[t] for t in order], dtype=float), d, cap)
+    return parallel_links_delay_batch(c_eff, b, d, cap)
 
 
 def _in_range(rows: np.ndarray, conductances: np.ndarray) -> np.ndarray:

@@ -15,6 +15,16 @@ by the first route that applies:
   ``solve_equilibrium`` on all rows at once; the rows it leaves open are
   solved by ``solve_equilibrium``.
 
+A search owns one set of block buffers, sized for its first block: the
+float allocations, the conductances in the scan's column order (sorted
+non-rigid links or paths, so no gather copies them) and the scan's running
+sums and masks.  Every block, the last and shorter one too, works in their
+leading rows, and they are freed when the search returns; fresh ones each
+block would fault their pages in anew.  A path's conductance is
+1 / max(r, 1e-300) with r the sum of 1 / g over its non-rigid edges; an edge
+whose g can be zero or below 1e-300 adds inf or 1e300, and an edge with
+c >= 1e-300, whose g = c + mu * beta never is, adds its plain reciprocal.
+
 The grid, ``evaluate_delay`` and every replay of an argmin share that
 engine, so they do not check each other.  The independent checks are
 ``solve_equilibrium``'s certificate (the potential against its
@@ -29,6 +39,7 @@ improvements replace the incumbent.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import partial
 from math import comb
@@ -37,7 +48,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .core import Allocation, Instance, edge_delay
-from .equilibrium import (_in_range, dipole_delay_rows, dipole_links,
+from .equilibrium import (_in_range, _link_scan, _scan_layout, dipole_links,
                           path_delay_rows, solve_equilibrium)
 from .errors import (GridTooLarge, Infeasible, NotParallelPaths, PathCapExceeded,
                      UnsupportedDelay, ValidationError)
@@ -64,10 +75,19 @@ class GridSpec:
     improvable: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        if self.resolution < 1:
-            raise ValidationError("resolution must be >= 1")
-        if self.max_evals < 1:
-            raise ValidationError("max_evals must be >= 1")
+        _check_count("resolution", self.resolution)
+        _check_count("max_evals", self.max_evals)
+        if (self.improvable is not None
+                and len(set(self.improvable)) != len(self.improvable)):
+            raise ValidationError("grid spec repeats an improvable edge")
+
+
+def _check_count(name: str, value) -> None:
+    """A grid size must be an integer >= 1; a bool is not taken for one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValidationError(f"{name} must be >= 1")
 
 
 class OracleResult(NamedTuple):
@@ -131,40 +151,72 @@ def _improvable_edges(inst: Instance, spec: GridSpec):
     return [e for e in inst.edges if e.improvable]
 
 
-def _closed_form(inst: Instance):
-    """The vectorized exact delay ``batch(edges, betas)`` for affine
-    dipoles and affine parallel-path graphs, or None for anything else."""
+class _Buffers:
+    """Block buffers of one closed-form route, for blocks of up to ``rows``
+    rows of allocations: the conductances of the scan's columns, two
+    scratch rows for ``_batch_paths`` and the scan's own rows.  ``order``
+    lists the scan's columns, the non-rigid links or paths sorted by
+    length.  A block of n rows uses the leading n rows of each buffer, and
+    the delays it returns are a view that the next block overwrites."""
+
+    def __init__(self, lengths, rigid, demand: float, rows: int):
+        self.order, self.b, self.cap = _scan_layout(lengths, rigid)
+        self.demand = demand
+        self.c = np.empty((rows, len(self.order)), order="F")
+        self.g, self.r = np.empty((2, rows))
+        self.rows = np.empty((5, rows))
+        self.masks = np.empty((3, rows), dtype=bool)
+
+    def delays(self, n: int) -> np.ndarray:
+        c = self.c[:n]
+        return _in_range(_link_scan(c, self.b, self.demand, self.cap,
+                                    self.rows, self.masks), c)
+
+
+def _closed_form(inst: Instance, edges, rows: int):
+    """The vectorized exact delay ``batch(betas)`` of affine dipoles and
+    affine parallel-path graphs, column j of ``betas`` being the amount on
+    ``edges[j]``, for blocks of up to ``rows`` rows; None for anything
+    else.  The route owns its ``_Buffers``."""
     if not all(e.affine for e in inst.edges):
         return None
-    if dipole_links(inst) is not None:
-        return partial(_batch_dipole, inst)
+    cols = {e.id: j for j, e in enumerate(edges)}
+    links = dipole_links(inst)
+    if links is not None:
+        bufs = _Buffers([e.b for e in links], [e.rigid for e in links],
+                        inst.commodities[0].demand, rows)
+        return partial(_batch_dipole, links, cols, bufs)
     if inst.single_commodity:
         try:
-            return partial(_batch_paths, as_parallel_paths(inst))
+            ppi = as_parallel_paths(inst)
         except (NotParallelPaths, UnsupportedDelay):
-            pass
+            return None
+        bufs = _Buffers([p.length for p in ppi.paths],
+                        [p.profile.all_rigid for p in ppi.paths], ppi.demand,
+                        rows)
+        return partial(_batch_paths, ppi.paths, cols, bufs)
     return None
 
 
 def evaluate_delay(inst: Instance, alloc: Allocation, tol: float = 1e-8) -> float:
     """Equilibrium average delay under ``alloc`` via the cheapest exact route."""
-    batch = _closed_form(inst)
+    improvable = inst.improvable_edges()
+    batch = _closed_form(inst, improvable, 1)
     if batch is None:
         return solve_equilibrium(inst, alloc, tol=tol).average_delay
     alloc.validate_for(inst)
-    improvable = inst.improvable_edges()
-    L = float(batch(improvable,
-                    np.array([[alloc.get(e.id) for e in improvable]]))[0])
+    L = float(batch(np.array([[alloc.get(e.id) for e in improvable]]))[0])
     if math.isinf(L):
         raise Infeasible("no usable path")
     return L
 
 
-def _batch_route(inst: Instance, tol: float):
-    """``batch(edges, betas)``: the exact delay of each row of ``betas``,
-    column j being the amount on ``edges[j]``, by a closed form or the
-    batched path engine."""
-    return _closed_form(inst) or partial(_batch_general, inst, tol)
+def _batch_route(inst: Instance, edges, tol: float, rows: int):
+    """``batch(betas)``: the exact delay of each row of ``betas``, column j
+    being the amount on ``edges[j]``, by a closed form or the batched path
+    engine, for blocks of up to ``rows`` rows."""
+    return (_closed_form(inst, edges, rows)
+            or partial(_batch_general, inst, tol, edges))
 
 
 def _batch_general(inst: Instance, tol: float, edges, betas: np.ndarray
@@ -201,33 +253,56 @@ def _allocation(edges, row: np.ndarray) -> Allocation:
     return Allocation({e.id: row[j] for j, e in enumerate(edges)})
 
 
-def _batch_dipole(inst: Instance, improvable, betas: np.ndarray) -> np.ndarray:
-    links = inst.edges
-    c_eff = np.tile([[e.c] for e in links], len(betas)).T  # F-ordered
-    for j, e in enumerate(improvable):
-        c_eff[:, links.index(e)] += e.mu * betas[:, j]
-    return _in_range(dipole_delay_rows([e.b for e in links],
-                                       [e.rigid for e in links], c_eff,
-                                       inst.commodities[0].demand), c_eff)
+def _batch_dipole(links, cols, bufs: _Buffers, betas: np.ndarray
+                  ) -> np.ndarray:
+    """Delay of an affine dipole for each row: c + mu * beta per link,
+    written straight into the scan's column order."""
+    c_eff = bufs.c[:len(betas)]
+    for k, t in enumerate(bufs.order):
+        e = links[t]
+        j = cols.get(e.id)
+        if j is None:
+            c_eff[:, k] = e.c
+        else:
+            np.add(np.multiply(betas[:, j], e.mu, out=c_eff[:, k]), e.c,
+                   out=c_eff[:, k])
+    return bufs.delays(len(betas))
 
 
-def _batch_paths(ppi, improvable, betas: np.ndarray) -> np.ndarray:
-    beta_of = {e.id: betas[:, j] for j, e in enumerate(improvable)}
-    # Dropped (permanently unusable) paths carry no flow at any grid point.
-    c_mat = np.zeros((betas.shape[0], len(ppi.paths)), order="F")
+def _batch_paths(paths, cols, bufs: _Buffers, betas: np.ndarray) -> np.ndarray:
+    """Delay of an affine parallel-path graph for each row: the scan over
+    path conductances, 1 / max(r, 1e-300) for the resistance r = sum 1 / g
+    over a path's non-rigid edges, g = c + mu * beta.
+
+    A zero g adds inf to r (no flow) and a g below 1e-300 adds 1e300.  An
+    edge with c >= 1e-300 has g >= 1e-300 at every allocation, so neither
+    guard can act: its reciprocal is taken as it is, one pass."""
+    n = len(betas)
+    g, r = bufs.g[:n], bufs.r[:n]
     with np.errstate(divide="ignore"):
-        for col, p in enumerate(ppi.paths):
-            r = 0.0
-            for e in p.edges:
-                if not e.rigid:
-                    g = e.c + e.mu * beta_of.get(e.id, 0.0)
-                    r = r + np.where(g > 0.0, 1.0 / np.maximum(g, 1e-300),
-                                     np.inf)
-            c_mat[:, col] = np.where(np.isfinite(r),
-                                     1.0 / np.maximum(r, 1e-300), 0.0)
-    return _in_range(dipole_delay_rows([p.length for p in ppi.paths],
-                                       [p.profile.all_rigid for p in ppi.paths],
-                                       c_mat, ppi.demand), c_mat)
+        for k, t in enumerate(bufs.order):
+            acc = 0.0  # r, a float until an edge's amount varies by row
+            for e in paths[t].edges:
+                if e.rigid:
+                    continue
+                j = cols.get(e.id)
+                if j is None:
+                    x = 1.0 / max(e.c, 1e-300) if e.c > 0.0 else math.inf
+                else:
+                    np.add(np.multiply(betas[:, j], e.mu, out=g), e.c, out=g)
+                    x = (np.divide(1.0, g, out=g) if e.c >= 1e-300 else
+                         np.where(g > 0.0, 1.0 / np.maximum(g, 1e-300),
+                                  np.inf))
+                if acc is r or isinstance(x, float):
+                    acc += x
+                else:
+                    acc = np.add(x, acc, out=r)
+            col = bufs.c[:n, k]
+            if acc is r:
+                np.divide(1.0, np.maximum(r, 1e-300, out=r), out=col)
+            else:
+                col.fill(1.0 / max(acc, 1e-300))
+    return bufs.delays(n)
 
 
 def grid_search(inst: Instance, spec: GridSpec, tol: float = 1e-8,
@@ -248,12 +323,16 @@ def grid_search(inst: Instance, spec: GridSpec, tol: float = 1e-8,
             f"grid needs {n_evals} evaluations (cap {spec.max_evals}); "
             f"try resolution <= {r_ok}")
 
-    batch = _batch_route(inst, tol)
+    # The float allocations' buffer is here, the route's in its batch.
+    rows = min(_GRID_ROWS, n_evals)
+    batch = _batch_route(inst, improvable, tol, rows)
+    betas_buf = np.empty((rows, len(improvable)), order="F")
     best_L, best_row, seen = math.inf, None, 0
     trace: list[tuple[dict, float]] | None = [] if keep_trace else None
     for block in compositions(R, parts, _GRID_ROWS):
-        betas = np.multiply(block[:, :-1], inst.budget / R, order="F")
-        ls = batch(improvable, betas)
+        betas = np.multiply(block[:, :-1], inst.budget / R,
+                            out=betas_buf[:len(block)])
+        ls = batch(betas)
         seen += len(betas)
         if trace is not None:
             trace += [({e.id: float(v) for e, v in zip(improvable, row)},
@@ -271,15 +350,15 @@ def grid_search(inst: Instance, spec: GridSpec, tol: float = 1e-8,
 def sweep_segment(inst: Instance, beta_from: Allocation, beta_to: Allocation,
                   steps: int, tol: float = 1e-8) -> list[tuple[float, float]]:
     """Delay along the line segment between two allocations."""
-    if steps < 1:
-        raise ValidationError("steps must be >= 1")
+    _check_count("steps", steps)
     beta_from.validate_for(inst)
     beta_to.validate_for(inst)
     keys = sorted(set(beta_from.beta) | set(beta_to.beta))
     lams = [i / steps for i in range(steps + 1)]
     betas = np.array([[(1.0 - lam) * beta_from.get(k) + lam * beta_to.get(k)
                        for k in keys] for lam in lams]).reshape(len(lams), len(keys))
-    ls = _batch_route(inst, tol)([inst.edge_index[k] for k in keys], betas)
+    ls = _batch_route(inst, [inst.edge_index[k] for k in keys], tol,
+                      len(betas))(betas)
     if np.isinf(ls).any():
         raise Infeasible("no usable path")
     return list(zip(lams, ls.tolist()))

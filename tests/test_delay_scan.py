@@ -3,7 +3,7 @@
 ``parallel_links_delay_batch`` walks the sorted links one column at a time.
 It must give the floats of the row-wise cumulative-sum scan it replaced,
 kept below as the reference, and the grid oracle must not depend on how
-many rows it hands the scan at once.
+many rows it hands the scan at once, nor on the searches before it.
 """
 
 import json
@@ -15,12 +15,15 @@ import numpy as np
 import pytest
 
 from netimprove import oracle
-from netimprove.core import Commodity, Edge, Instance, parse_instance
+from netimprove.core import (Allocation, Commodity, Edge, Instance,
+                             parse_instance)
 from netimprove.equilibrium import (_BOUNDARY_TOL, length_unit,
                                     parallel_links_delay_batch,
                                     solve_parallel_links_equilibrium)
 from netimprove.errors import Infeasible, ValidationError
-from netimprove.oracle import GridSpec, grid_search
+from netimprove.oracle import (GridSpec, evaluate_delay, grid_search,
+                               sweep_segment)
+from netimprove.parallelpaths import as_parallel_paths
 
 from conftest import make_dipole
 
@@ -139,25 +142,131 @@ def _twin_paths():
                     commodities=(Commodity("s", "t", 4.0),), budget=3.0)
 
 
-@pytest.mark.parametrize("make, R", [(_twin_dipole, 9), (_twin_paths, 11)])
+def _paths(spec, demand, budget):
+    """Parallel s-t paths from lists of (c, b, mu) or (c, b, mu, rigid)
+    edge tuples, the edges of path p named p<p>e<k>."""
+    nodes, edges = ["s", "t"], []
+    for p, path in enumerate(spec):
+        ends = ["s"] + [f"v{p}{k}" for k in range(1, len(path))] + ["t"]
+        nodes += ends[1:-1]
+        for k, e in enumerate(path):
+            rigid = len(e) > 3 and e[3]
+            edges.append(Edge(f"p{p}e{k}", ends[k], ends[k + 1], c=e[0], b=e[1],
+                              mu=0.0 if rigid else e[2], rigid=rigid))
+    return Instance(nodes=tuple(nodes), edges=tuple(edges),
+                    commodities=(Commodity("s", "t", demand),), budget=budget)
+
+
+def _rigid_dipole():
+    """Two improvable links, a fixed one and a rigid one."""
+    return make_dipole([(1.0, 0.0, 1.0), (0.5, 0.5, 2.0), (0.3, 1.0, 0.0),
+                        (0.0, 2.0, 0.0, True)], demand=6.0, budget=2.0)
+
+
+def _four_links():
+    return make_dipole([(1.0, 0.0, 0.5), (0.5, 0.5, 1.0), (2.0, 1.0, 0.25),
+                        (0.25, 2.0, 2.0)], demand=8.0, budget=3.0)
+
+
+def _rigid_paths():
+    """Every non-rigid conductance positive: a rigid edge on a path, a fixed
+    edge, and a rigid path that caps the delay."""
+    return _paths([[(1.0, 0.0, 1.0), (0.0, 0.5, 0.0, True)],
+                   [(0.5, 0.2, 2.0), (3.0, 0.1, 0.0)],
+                   [(0.0, 2.5, 0.0, True)],
+                   [(2.0, 1.0, 0.5)]], demand=4.0, budget=3.0)
+
+
+def _dry_paths():
+    """An improvable edge of zero conductance, whose path is closed until it
+    gets budget, and one of subnormal conductance, whose g crosses 1e-300
+    on the grid: where both are dry, the delay is about 3e300."""
+    return _paths([[(0.0, 0.0, 1.0)],
+                   [(1e-310, 0.5, 1e-300), (2.0, 0.0, 0.0)]],
+                  demand=3.0, budget=2.0)
+
+
+GRIDS = [(_twin_dipole, 9), (_twin_paths, 11), (_rigid_dipole, 5),
+         (_four_links, 8), (_rigid_paths, 9), (_dry_paths, 10)]
+
+
+@pytest.mark.parametrize("make, R", GRIDS)
 def test_grid_does_not_depend_on_block_size(monkeypatch, make, R):
+    # The first run is isolated.  The others take blocks of up to 7 rows,
+    # the last one shorter (and at R = 5 the first one too), or one block of
+    # all rows, after searches, replays and sweeps on instances of other
+    # shapes, none of which may leave a trace.
     inst = make()
-    runs = []
-    for rows in (None, 7, 10**9):
-        if rows is not None:
-            monkeypatch.setattr(oracle, "_GRID_ROWS", rows)
-        runs.append(grid_search(inst, GridSpec(resolution=R), keep_trace=True))
-    base = runs[0]
-    delays = [L for _, L in base.trace]
-    best = [r for r, L in enumerate(delays) if L == base.delay]
-    assert len(best) > 1 and best[-1] - best[0] > 7  # ties across blocks
-    first = {eid: v for eid, v in base.trace[best[0]][0].items() if v > 0.0}
-    assert base.allocation.beta == first  # ties go to the first row
-    for res in runs[1:]:
-        assert res.delay == base.delay
-        assert res.allocation == base.allocation
-        assert res.evaluations == base.evaluations == len(base.trace)
-        assert res.trace == base.trace
+    base = grid_search(inst, GridSpec(resolution=R), keep_trace=True)
+    assert evaluate_delay(inst, base.allocation) == base.delay
+    parts = len(inst.improvable_edges()) + 1
+    assert len(list(oracle.compositions(R, parts, 7))[-1]) < 7
+    if make in (_twin_dipole, _twin_paths):
+        delays = [L for _, L in base.trace]
+        best = [r for r, L in enumerate(delays) if L == base.delay]
+        assert len(best) > 1 and best[-1] - best[0] > 7  # ties across blocks
+        first = {eid: v for eid, v in base.trace[best[0]][0].items()
+                 if v > 0.0}
+        assert base.allocation.beta == first  # ties go to the first row
+    for rows in (7, 10**9):
+        monkeypatch.setattr(oracle, "_GRID_ROWS", rows)
+        for other, r in GRIDS:
+            if other is make:
+                continue
+            other = other()
+            res = grid_search(other, GridSpec(resolution=r),
+                              keep_trace=rows == 7)
+            evaluate_delay(other, res.allocation)
+            sweep_segment(other, Allocation(), res.allocation, 3)
+            res = grid_search(inst, GridSpec(resolution=R), keep_trace=True)
+            assert res.delay == base.delay
+            assert res.allocation == base.allocation
+            assert res.evaluations == base.evaluations == len(base.trace)
+            assert res.trace == base.trace
+
+
+def _reference_path_delays(inst, edges, betas, guards=True):
+    """The path conductances as a guarded loop forms them, every edge's
+    reciprocal clamped at 1e300 and inf for a zero g, then the cumsum
+    reference scan over the non-rigid paths.  Without the guards the
+    conductance is the plain 1 / sum 1 / g."""
+    ppi = as_parallel_paths(inst)
+    beta_of = {e.id: betas[:, j] for j, e in enumerate(edges)}
+    c = np.zeros((len(betas), len(ppi.paths)))
+    with np.errstate(divide="ignore", over="ignore"):
+        for col, p in enumerate(ppi.paths):
+            r = 0.0
+            for e in p.edges:
+                if not e.rigid:
+                    g = e.c + e.mu * beta_of.get(e.id, 0.0)
+                    r = r + (np.where(g > 0.0, 1.0 / np.maximum(g, 1e-300),
+                                      np.inf) if guards else np.divide(1.0, g))
+            c[:, col] = (np.where(np.isfinite(r), 1.0 / np.maximum(r, 1e-300),
+                                  0.0) if guards else np.divide(1.0, r))
+    keep = [t for t, p in enumerate(ppi.paths) if not p.profile.all_rigid]
+    cap = min((p.length for p in ppi.paths if p.profile.all_rigid),
+              default=math.inf)
+    return reference_scan(c[:, keep], np.array([ppi.paths[t].length
+                                                for t in keep]),
+                          ppi.demand, cap)
+
+
+@pytest.mark.parametrize("make, guarded", [(_rigid_paths, False),
+                                           (_dry_paths, True)])
+def test_path_conductances_match_the_reference(make, guarded):
+    # Edges with c >= 1e-300 skip both guards, which cannot act on them;
+    # the others keep them.  Both give the guarded loop's floats, and the
+    # guards change the floats only on the instance that keeps them.
+    inst = make()
+    edges = inst.improvable_edges()
+    assert guarded == any(e.c < 1e-300 for e in inst.edges if not e.rigid)
+    R = 12
+    betas = np.vstack(list(oracle.compositions(R, len(edges) + 1)))[:, :-1] \
+        * (inst.budget / R)
+    got = oracle._closed_form(inst, edges, len(betas))(betas)
+    assert np.array_equal(got, _reference_path_delays(inst, edges, betas))
+    plain = _reference_path_delays(inst, edges, betas, guards=False)
+    assert np.array_equal(got, plain) != guarded
 
 
 # ---------------------------------------------------------------------------

@@ -161,6 +161,25 @@ class TestGridSearch:
         assert res.delay == pytest.approx(1.5, abs=1e-9)
         assert res.allocation.total() == 0.0
 
+    def test_spec_rejects_a_repeated_edge(self, fig2):
+        # A repeated edge would get its column's amount twice in the
+        # conductances, but once in the reported allocation, which then
+        # replays to another delay.
+        with pytest.raises(ValidationError, match="repeats"):
+            GridSpec(resolution=4, improvable=("e1", "e1", "e2"))
+        res = grid_search(fig2, GridSpec(resolution=4, improvable=("e2", "e1")))
+        assert evaluate_delay(fig2, res.allocation) == res.delay
+
+    @pytest.mark.parametrize("field, value", [
+        ("resolution", 2.5), ("resolution", True), ("resolution", "4"),
+        ("resolution", 0), ("max_evals", 2.5), ("max_evals", False),
+        ("max_evals", 0)])
+    def test_spec_takes_positive_integer_sizes(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            GridSpec(**{"resolution": 4, field: value})
+        assert GridSpec(resolution=np.int64(4), max_evals=np.int32(9))
+
+
 
 class TestEvaluateDelay:
     def test_closed_form_routes_validate_the_edges(self, fig2, pigou):
@@ -192,7 +211,7 @@ class TestEvaluateDelay:
         over = Allocation({"e2": 3.5})
         for inst, route in ((fig2, oracle._batch_dipole),
                             (chain, oracle._batch_paths)):
-            assert oracle._closed_form(inst).func is route
+            assert oracle._closed_form(inst, inst.improvable_edges(), 1).func is route
             with pytest.raises(ValidationError, match="exceeds budget"):
                 evaluate_delay(inst, over)
 
@@ -215,6 +234,11 @@ class TestSweep:
         out = sweep_segment(fig2, a, a, steps=4)
         vals = {v for _, v in out}
         assert len(vals) == 1
+
+    @pytest.mark.parametrize("steps", [2.5, True, 0])
+    def test_steps_must_be_a_positive_integer(self, fig2, steps):
+        with pytest.raises(ValidationError, match="steps"):
+            sweep_segment(fig2, Allocation(), Allocation({"e2": 1.0}), steps)
 
     def test_general_route_matches_pointwise_and_raises_when_infeasible(self):
         # Every path needs budget on sa or sb; the bridge ab keeps the graph
@@ -349,7 +373,7 @@ class TestBatchedEngine:
     def test_rows_match_the_scalar_solver(self, build, R, affine,
                                           monkeypatch):
         inst = build()
-        assert oracle._closed_form(inst) is None
+        assert oracle._closed_form(inst, inst.improvable_edges(), 1) is None
         edges, betas = _grid_betas(inst, R)
         want = _scalar_delays(inst, edges, betas)
         calls = []
