@@ -332,14 +332,6 @@ class FlowState:
     def get(self, edge_id: str) -> float:
         return self.edge_flow.get(edge_id, 0.0)
 
-    def value(self, inst: Instance, commodity: int = 0) -> float:
-        k = inst.commodities[commodity]
-        flows = (self.commodity_flows[commodity]
-                 if self.commodity_flows is not None else self.edge_flow)
-        out = sum(flows.get(e.id, 0.0) for e in inst.out_edges[k.source])
-        back = sum(flows.get(e.id, 0.0) for e in inst.in_edges[k.source])
-        return out - back
-
 
 def check_flow_conservation(inst: Instance, flows: Mapping[str, float],
                             source: str, sink: str, value: float,

@@ -685,7 +685,9 @@ def _link_scan(c_eff: np.ndarray, b: np.ndarray, d: float, cap: float,
     den.fill(0.0)
     num.fill(0.0)
     open_.fill(True)
-    # A prefix whose delay is out of range gets inf, which passes its test.
+    # A prefix whose delay is out of range gets inf.  The tolerance is
+    # relative to M >= 0, its magnitude clipped at 1e300 so that inf fails
+    # every window but the last one, whose next length is inf.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for k, col in enumerate(c_eff.T):
             den += col
@@ -694,7 +696,7 @@ def _link_scan(c_eff: np.ndarray, b: np.ndarray, d: float, cap: float,
             if u != 1.0:
                 M *= u
             if k + 1 < b.size:
-                np.maximum(np.abs(M, out=t), 1.0, out=t)
+                np.clip(M, 1.0, 1e300, out=t)
                 t *= _BOUNDARY_TOL
                 np.less_equal(M, np.add(t, b[k + 1], out=t), out=ok)
             else:  # the next length is inf: only a nan delay fails

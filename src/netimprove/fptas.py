@@ -252,7 +252,7 @@ def _dp_ops_estimate(tree: DecompositionTree, K: int, lazy_root: bool) -> float:
 
 
 def run_dp(inst: Instance, tree: DecompositionTree,
-           plan: DiscretizationPlan | int, lazy_root: bool | None = None,
+           plan: DiscretizationPlan | int, lazy_root: bool = False,
            ops_cap: float = _DEFAULT_OPS_CAP) -> DpTable:
     """Fill the min-max tables bottom-up over the decomposition tree."""
     K = plan.K if isinstance(plan, DiscretizationPlan) else int(plan)
@@ -262,8 +262,6 @@ def run_dp(inst: Instance, tree: DecompositionTree,
     B = inst.budget
     budget_unit = B / K
     flow_unit = d / K
-    if lazy_root is None:
-        lazy_root = K > 600
     if _dp_ops_estimate(tree, K, lazy_root) > ops_cap:
         raise DiscretizationError(
             f"dynamic program too large at K={K}; lower the grid cap")

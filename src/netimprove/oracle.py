@@ -6,24 +6,27 @@ monotonicity in the budget is not assumed globally), evaluates the exact
 equilibrium delay at every grid point and keeps the best.  Compositions
 come in blocks of ``_GRID_ROWS`` rows, few enough that the closed form's
 running sums stay in cache, and each block is evaluated in one batch call,
-by the first route that applies:
+by the first of two routes that applies:
 
-* affine dipoles: the link-major used-set scan, one column per link;
-* affine parallel-path graphs: per-path conductances from the edge-level
-  allocation, then the same scan at path level;
+* affine parallel-path graphs, affine dipoles among them as paths of one
+  edge: per-path conductances from the edge-level allocation, then the
+  link-major used-set scan, one column per path;
 * anything else: ``path_delay_rows``, the path engine of
   ``solve_equilibrium`` on all rows at once; the rows it leaves open are
   solved by ``solve_equilibrium``.
 
 A search owns one set of block buffers, sized for its first block: the
 float allocations, the conductances in the scan's column order (sorted
-non-rigid links or paths, so no gather copies them) and the scan's running
-sums and masks.  Every block, the last and shorter one too, works in their
-leading rows, and they are freed when the search returns; fresh ones each
-block would fault their pages in anew.  A path's conductance is
+non-rigid paths, so no gather copies them) and the scan's running sums and
+masks.  Every block, the last and shorter one too, works in their leading
+rows, and they are freed when the search returns; fresh ones each block
+would fault their pages in anew.  A path with one non-rigid edge has that
+edge's g = c + mu * beta as its conductance.  Any other path's is
 1 / max(r, 1e-300) with r the sum of 1 / g over its non-rigid edges; an edge
 whose g can be zero or below 1e-300 adds inf or 1e300, and an edge with
-c >= 1e-300, whose g = c + mu * beta never is, adds its plain reciprocal.
+c >= 1e-300, whose g never is, adds its plain reciprocal.  Paths of tied
+length are scanned in the order ``as_parallel_paths`` gives them, by edge
+ids, so a dipole's tied links are summed in edge-id order.
 
 The grid, ``evaluate_delay`` and every replay of an argmin share that
 engine, so they do not check each other.  The independent checks are
@@ -48,8 +51,8 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .core import Allocation, Instance, edge_delay
-from .equilibrium import (_in_range, _link_scan, _scan_layout, dipole_links,
-                          path_delay_rows, solve_equilibrium)
+from .equilibrium import (_in_range, _link_scan, _scan_layout, path_delay_rows,
+                          solve_equilibrium)
 from .errors import (GridTooLarge, Infeasible, NotParallelPaths, PathCapExceeded,
                      UnsupportedDelay, ValidationError)
 from .parallelpaths import as_parallel_paths
@@ -155,9 +158,9 @@ class _Buffers:
     """Block buffers of one closed-form route, for blocks of up to ``rows``
     rows of allocations: the conductances of the scan's columns, two
     scratch rows for ``_batch_paths`` and the scan's own rows.  ``order``
-    lists the scan's columns, the non-rigid links or paths sorted by
-    length.  A block of n rows uses the leading n rows of each buffer, and
-    the delays it returns are a view that the next block overwrites."""
+    lists the scan's columns, the non-rigid paths sorted by length.  A
+    block of n rows uses the leading n rows of each buffer, and the delays
+    it returns are a view that the next block overwrites."""
 
     def __init__(self, lengths, rigid, demand: float, rows: int):
         self.order, self.b, self.cap = _scan_layout(lengths, rigid)
@@ -174,28 +177,18 @@ class _Buffers:
 
 
 def _closed_form(inst: Instance, edges, rows: int):
-    """The vectorized exact delay ``batch(betas)`` of affine dipoles and
-    affine parallel-path graphs, column j of ``betas`` being the amount on
+    """The vectorized exact delay ``batch(betas)`` of affine parallel-path
+    graphs, dipoles included, column j of ``betas`` being the amount on
     ``edges[j]``, for blocks of up to ``rows`` rows; None for anything
-    else.  The route owns its ``_Buffers``."""
-    if not all(e.affine for e in inst.edges):
+    ``as_parallel_paths`` rejects.  The route owns its ``_Buffers``."""
+    try:
+        ppi = as_parallel_paths(inst)
+    except (NotParallelPaths, UnsupportedDelay):
         return None
     cols = {e.id: j for j, e in enumerate(edges)}
-    links = dipole_links(inst)
-    if links is not None:
-        bufs = _Buffers([e.b for e in links], [e.rigid for e in links],
-                        inst.commodities[0].demand, rows)
-        return partial(_batch_dipole, links, cols, bufs)
-    if inst.single_commodity:
-        try:
-            ppi = as_parallel_paths(inst)
-        except (NotParallelPaths, UnsupportedDelay):
-            return None
-        bufs = _Buffers([p.length for p in ppi.paths],
-                        [p.profile.all_rigid for p in ppi.paths], ppi.demand,
-                        rows)
-        return partial(_batch_paths, ppi.paths, cols, bufs)
-    return None
+    bufs = _Buffers([p.length for p in ppi.paths],
+                    [p.profile.all_rigid for p in ppi.paths], ppi.demand, rows)
+    return partial(_batch_paths, ppi.paths, cols, bufs)
 
 
 def evaluate_delay(inst: Instance, alloc: Allocation, tol: float = 1e-8) -> float:
@@ -253,26 +246,11 @@ def _allocation(edges, row: np.ndarray) -> Allocation:
     return Allocation({e.id: row[j] for j, e in enumerate(edges)})
 
 
-def _batch_dipole(links, cols, bufs: _Buffers, betas: np.ndarray
-                  ) -> np.ndarray:
-    """Delay of an affine dipole for each row: c + mu * beta per link,
-    written straight into the scan's column order."""
-    c_eff = bufs.c[:len(betas)]
-    for k, t in enumerate(bufs.order):
-        e = links[t]
-        j = cols.get(e.id)
-        if j is None:
-            c_eff[:, k] = e.c
-        else:
-            np.add(np.multiply(betas[:, j], e.mu, out=c_eff[:, k]), e.c,
-                   out=c_eff[:, k])
-    return bufs.delays(len(betas))
-
-
 def _batch_paths(paths, cols, bufs: _Buffers, betas: np.ndarray) -> np.ndarray:
     """Delay of an affine parallel-path graph for each row: the scan over
-    path conductances, 1 / max(r, 1e-300) for the resistance r = sum 1 / g
-    over a path's non-rigid edges, g = c + mu * beta.
+    path conductances, g = c + mu * beta for a path with one non-rigid edge
+    and otherwise 1 / max(r, 1e-300) for the resistance r = sum 1 / g over
+    its non-rigid edges.
 
     A zero g adds inf to r (no flow) and a g below 1e-300 adds 1e300.  An
     edge with c >= 1e-300 has g >= 1e-300 at every allocation, so neither
@@ -281,10 +259,18 @@ def _batch_paths(paths, cols, bufs: _Buffers, betas: np.ndarray) -> np.ndarray:
     g, r = bufs.g[:n], bufs.r[:n]
     with np.errstate(divide="ignore"):
         for k, t in enumerate(bufs.order):
+            col = bufs.c[:n, k]
+            edges = [e for e in paths[t].edges if not e.rigid]
+            if len(edges) == 1:  # its g is the path's conductance
+                e, j = edges[0], cols.get(edges[0].id)
+                if j is None:
+                    col.fill(e.c)
+                else:
+                    np.add(np.multiply(betas[:, j], e.mu, out=col), e.c,
+                           out=col)
+                continue
             acc = 0.0  # r, a float until an edge's amount varies by row
-            for e in paths[t].edges:
-                if e.rigid:
-                    continue
+            for e in edges:
                 j = cols.get(e.id)
                 if j is None:
                     x = 1.0 / max(e.c, 1e-300) if e.c > 0.0 else math.inf
@@ -297,7 +283,6 @@ def _batch_paths(paths, cols, bufs: _Buffers, betas: np.ndarray) -> np.ndarray:
                     acc += x
                 else:
                     acc = np.add(x, acc, out=r)
-            col = bufs.c[:n, k]
             if acc is r:
                 np.divide(1.0, np.maximum(r, 1e-300, out=r), out=col)
             else:

@@ -321,14 +321,8 @@ def _weighted_budget(prof: _Profile, w: float, level: float) -> float:
 
 
 def _allocate_weighted(paths: Sequence[PathSpec], weights: Sequence[float],
-                       total: float,
-                       lower: Sequence[float] | None = None) -> list[float]:
-    """Exact solution of the weighted conductance maximization.
-
-    ``lower`` carries warm-start bounds from a previous, smaller budget; the
-    water-filling solution is monotone in the budget, so the bounds only
-    absorb float dust.
-    """
+                       total: float) -> list[float]:
+    """Exact solution of the weighted conductance maximization."""
     n = len(paths)
     budgets = [0.0] * n
     if total <= 0.0:
@@ -417,9 +411,6 @@ def _allocate_weighted(paths: Sequence[PathSpec], weights: Sequence[float],
         s = sum(budgets)
         if s > 0.0 and math.isfinite(s):
             budgets = [b * (total / s) for b in budgets]
-
-    if lower is not None:
-        budgets = [max(b, lb) for b, lb in zip(budgets, lower)]
     return budgets
 
 

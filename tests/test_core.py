@@ -1,9 +1,10 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from netimprove.core import (
     Allocation,
@@ -173,8 +174,13 @@ class TestEdgeDelay:
     z=st.floats(1e-9, 1e6),
     k=st.floats(1e-9, 1e6),
 )
+@example(x=1e-18, y=1e-09, z=1.0, k=1e-09)
 def test_mediant_comparison_identity(x, y, z, k):
     # x/y > k exactly when mixing in z units at rate k pulls the ratio down.
+    # The lemma is about the rationals, so both sides are evaluated exactly:
+    # in floats, the mixed ratio of the example rounds below x/y although
+    # x/y > k is False.
+    x, y, z, k = map(Fraction, (x, y, z, k))
     left = x / y > k
     right = (x + k * z) / (y + z) < x / y
     assert left == right

@@ -17,8 +17,9 @@ import pytest
 from netimprove import oracle
 from netimprove.core import (Allocation, Commodity, Edge, Instance,
                              parse_instance)
-from netimprove.equilibrium import (_BOUNDARY_TOL, length_unit,
-                                    parallel_links_delay_batch,
+from netimprove.equilibrium import (_BOUNDARY_TOL, dipole_delay_rows,
+                                    length_unit, parallel_links_delay_batch,
+                                    solve_equilibrium,
                                     solve_parallel_links_equilibrium)
 from netimprove.errors import Infeasible, ValidationError
 from netimprove.oracle import (GridSpec, evaluate_delay, grid_search,
@@ -40,7 +41,7 @@ def reference_scan(c_eff, b, d, cap=math.inf):
                      (d / u + np.cumsum(c_eff * (b / u), axis=1)) / den * u,
                      np.inf)
     b_next = np.append(b[1:], np.inf)
-    ok = used & (M <= b_next + _BOUNDARY_TOL * np.maximum(1.0, np.abs(M)))
+    ok = used & (M <= b_next + _BOUNDARY_TOL * np.clip(M, 1.0, 1e300))
     idx = np.argmax(ok, axis=1)
     L = M[np.arange(M.shape[0]), idx]
     return np.minimum(L, cap)
@@ -92,8 +93,10 @@ def _cases(rng):
     # Lengths whose products with the conductances overflow.
     b = np.sort(rng.uniform(1.0, 1.7, 4)) * 1e308
     yield rng.uniform(1.0, 1e10, (50, 4)), b, 1e300, math.inf
-    # A delay above the float range in the first column.
+    # A delay above the float range in the first column, then in range or
+    # not in the second.
     yield np.full((5, 2), 1e-300), np.array([0.0, 1.0]), 1e10, math.inf
+    yield np.tile([1e-300, 1.0], (5, 1)), np.array([0.0, 1.0]), 1e10, math.inf
     yield np.zeros((7, 0)), np.zeros(0), 3.0, 2.5
     yield np.zeros((7, 0)), np.zeros(0), 3.0, math.inf
 
@@ -229,18 +232,23 @@ def _reference_path_delays(inst, edges, betas, guards=True):
     """The path conductances as a guarded loop forms them, every edge's
     reciprocal clamped at 1e300 and inf for a zero g, then the cumsum
     reference scan over the non-rigid paths.  Without the guards the
-    conductance is the plain 1 / sum 1 / g."""
+    conductance is the plain 1 / sum 1 / g.  A path with one non-rigid edge
+    has that edge's g as its conductance either way."""
     ppi = as_parallel_paths(inst)
     beta_of = {e.id: betas[:, j] for j, e in enumerate(edges)}
     c = np.zeros((len(betas), len(ppi.paths)))
     with np.errstate(divide="ignore", over="ignore"):
         for col, p in enumerate(ppi.paths):
+            free = [e for e in p.edges if not e.rigid]
+            if len(free) == 1:
+                c[:, col] = free[0].c + free[0].mu * beta_of.get(free[0].id,
+                                                                 0.0)
+                continue
             r = 0.0
-            for e in p.edges:
-                if not e.rigid:
-                    g = e.c + e.mu * beta_of.get(e.id, 0.0)
-                    r = r + (np.where(g > 0.0, 1.0 / np.maximum(g, 1e-300),
-                                      np.inf) if guards else np.divide(1.0, g))
+            for e in free:
+                g = e.c + e.mu * beta_of.get(e.id, 0.0)
+                r = r + (np.where(g > 0.0, 1.0 / np.maximum(g, 1e-300),
+                                  np.inf) if guards else np.divide(1.0, g))
             c[:, col] = (np.where(np.isfinite(r), 1.0 / np.maximum(r, 1e-300),
                                   0.0) if guards else np.divide(1.0, r))
     keep = [t for t, p in enumerate(ppi.paths) if not p.profile.all_rigid]
@@ -267,6 +275,59 @@ def test_path_conductances_match_the_reference(make, guarded):
     assert np.array_equal(got, _reference_path_delays(inst, edges, betas))
     plain = _reference_path_delays(inst, edges, betas, guards=False)
     assert np.array_equal(got, plain) != guarded
+
+
+def test_a_dipole_scans_as_paths_of_one_edge(rng):
+    # Random affine dipoles with a rigid link, an improvable link of zero
+    # conductance and tied lengths, in a shuffled instance order, searched
+    # over a subset of their improvable links: every grid row is the dipole
+    # closed form on c + mu * beta with the links in edge-id order, which
+    # is the order tied lengths are summed in.
+    reordered = 0
+    for _ in range(30):
+        m = int(rng.integers(3, 7))
+        links = [Edge(f"e{t}", "s", "t", c=0.0 if t == 0 else
+                      float(rng.uniform(0.1, 3.0)),
+                      b=float(rng.choice([0.0, 0.5, 1.0, 2.0])),
+                      mu=float(rng.uniform(0.1, 2.0))) for t in range(m)]
+        links.append(Edge("r", "s", "t", c=0.0, b=float(rng.uniform(1.0, 4.0)),
+                          mu=0.0, rigid=True))
+        inst = Instance(nodes=("s", "t"),
+                        edges=tuple(links[t] for t in
+                                    rng.permutation(len(links))),
+                        commodities=(Commodity("s", "t",
+                                               float(rng.uniform(0.5, 8.0))),),
+                        budget=float(rng.uniform(0.5, 3.0)))
+        ids = [e.id for e in inst.edges if e.improvable]
+        subset = tuple(rng.choice(ids, int(rng.integers(1, len(ids) + 1)),
+                                  replace=False))
+        res = grid_search(inst, GridSpec(resolution=6, improvable=subset),
+                          keep_trace=True)
+        got = np.array([L for _, L in res.trace])
+
+        def rows(links):
+            c_eff = np.array([[e.c + e.mu * beta.get(e.id, 0.0) for e in links]
+                              for beta, _ in res.trace])
+            return dipole_delay_rows([e.b for e in links],
+                                     [e.rigid for e in links], c_eff,
+                                     inst.commodities[0].demand)
+
+        assert np.array_equal(got, rows(sorted(inst.edges,
+                                               key=lambda e: e.id)))
+        reordered += not np.array_equal(got, rows(inst.edges))
+    assert reordered  # instance order would sum some ties differently
+
+
+def test_a_dipole_of_dead_links_goes_to_the_path_engine():
+    # No link conducts or can: as_parallel_paths rejects the dipole, and the
+    # path engine reports it infeasible.
+    inst = make_dipole([(0.0, 1.0, 0.0), (0.0, 0.5, 0.0)], demand=1.0,
+                       budget=1.0)
+    assert oracle._closed_form(inst, inst.improvable_edges(), 1) is None
+    with pytest.raises(Infeasible):
+        evaluate_delay(inst, Allocation())
+    with pytest.raises(Infeasible):
+        grid_search(inst, GridSpec(resolution=3))
 
 
 # ---------------------------------------------------------------------------
@@ -304,3 +365,32 @@ def test_cli_exits_2_on_a_delay_out_of_range(tmp_path, argv):
     assert proc.stdout == ""
     assert "out of floating-point range" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# Link a alone would carry the demand at a delay out of range; with b funded
+# the common delay is 1e10 + 1.
+NEAR = dict(FAR, edges=[FAR["edges"][0],
+                        {"id": "b", "tail": "s", "head": "t", "c": 0, "b": 1,
+                         "mu": 1}])
+
+
+def test_a_prefix_whose_delay_overflows_fails_its_window(tmp_path):
+    # The prefix {a} has delay inf, which must not pass its window test
+    # under the next length 1.
+    got = dipole_delay_rows([0.0, 1.0], [False, False],
+                            np.array([[1e-300, 1.0]]), 1e10)
+    assert got[0] == 1e10 + 1.0
+    inst = parse_instance(json.dumps(NEAR))
+    beta = Allocation({"b": 1.0})
+    closed = solve_parallel_links_equilibrium(inst.edges, beta, 1e10)
+    paths = solve_equilibrium(inst, beta, method="paths")
+    assert closed.average_delay == paths.average_delay == 1e10 + 1.0
+    assert closed.common_delay == paths.common_delay
+    assert closed.flow.edge_flow == paths.flow.edge_flow
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps(NEAR))
+    proc = subprocess.run([sys.executable, "-m", "netimprove", "solve",
+                           "--alg", "parallel-links", str(path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["L"] == 1e10 + 1.0

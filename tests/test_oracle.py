@@ -183,8 +183,8 @@ class TestGridSearch:
 
 class TestEvaluateDelay:
     def test_closed_form_routes_validate_the_edges(self, fig2, pigou):
-        # fig2 and pigou take the dipole closed form, the chain the
-        # parallel-paths one; each rejects what the general solver rejects.
+        # fig2, pigou and the chain take the parallel-paths closed form; it
+        # rejects what the general solver rejects.
         chain = Instance(
             nodes=("s", "m", "t"),
             edges=(Edge("e1a", "s", "m", c=0.1, b=45.0, mu=1.0),
@@ -200,8 +200,8 @@ class TestEvaluateDelay:
                 evaluate_delay(inst, alloc)
 
     def test_closed_form_routes_reject_over_budget_allocations(self, fig2):
-        # fig2 takes the dipole scan, the chain the parallel-paths one;
-        # both are defined past the budget, but the allocation is not valid.
+        # fig2, a dipole, and the chain both take the parallel-paths scan,
+        # which is defined past the budget, but the allocation is not valid.
         chain = Instance(
             nodes=("s", "m", "t"),
             edges=(Edge("e1a", "s", "m", c=0.1, b=45.0, mu=1.0),
@@ -209,9 +209,9 @@ class TestEvaluateDelay:
                    Edge("e2", "s", "t", c=0.2, b=0.0, mu=0.1)),
             commodities=fig2.commodities, budget=3.0)
         over = Allocation({"e2": 3.5})
-        for inst, route in ((fig2, oracle._batch_dipole),
-                            (chain, oracle._batch_paths)):
-            assert oracle._closed_form(inst, inst.improvable_edges(), 1).func is route
+        for inst in (fig2, chain):
+            batch = oracle._closed_form(inst, inst.improvable_edges(), 1)
+            assert batch.func is oracle._batch_paths
             with pytest.raises(ValidationError, match="exceeds budget"):
                 evaluate_delay(inst, over)
 

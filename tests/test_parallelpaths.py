@@ -360,10 +360,17 @@ def inner_allocate(ppi, l_target, count, tol=1e-12):
     Returns (path budgets, spent).  ``spent`` is inf when the target is
     unreachable below 1e9 times the budget.  Budgets are found by bisection
     on the total handed to the weighted water-filling, warm-started
-    monotonically.
+    monotonically: each is floored at the budgets of the last total that
+    fell short.  The water-filling solution is monotone in the total, so
+    the floor only absorbs float dust.
     """
     paths = ppi.paths[:count]
     weights = [max(0.0, l_target - p.length) for p in paths]
+
+    def allocate(total, lower):
+        return [max(b, lb) for b, lb in
+                zip(_allocate_weighted(paths, weights, total), lower)]
+
     zeros = [0.0] * count
     m0 = prefix_delay(ppi, zeros, count)
     if m0 <= l_target * (1.0 + 1e-15):
@@ -376,7 +383,7 @@ def inner_allocate(ppi, l_target, count, tol=1e-12):
     lo = 0.0
     lo_budgets = zeros
     while True:
-        budgets = _allocate_weighted(paths, weights, hi, lower=lo_budgets)
+        budgets = allocate(hi, lo_budgets)
         if prefix_delay(ppi, budgets, count) <= l_target:
             break
         lo = hi
@@ -387,7 +394,7 @@ def inner_allocate(ppi, l_target, count, tol=1e-12):
     hi_budgets = budgets
     while hi - lo > tol * hi:
         mid = 0.5 * (lo + hi)
-        budgets = _allocate_weighted(paths, weights, mid, lower=lo_budgets)
+        budgets = allocate(mid, lo_budgets)
         if prefix_delay(ppi, budgets, count) > l_target:
             lo = mid
             lo_budgets = budgets
