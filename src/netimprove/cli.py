@@ -42,6 +42,26 @@ def _read(path: str, parse=parse_instance):
         raise ValidationError(f"cannot read {path}: {exc}") from exc
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
+
+
+def _parse_graph(text: str) -> dict:
+    """Arguments of ``build_2ddp_instance`` from the inner graph JSON:
+    nodes, [tail, head] edges and the four terminals."""
+    try:
+        doc = json.loads(text)
+        return {"inner_nodes": doc["nodes"],
+                "inner_edges": [(u, v) for u, v in doc["edges"]],
+                **{t: doc[t] for t in ("s1", "s2", "t1", "t2")}}
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValidationError(f"malformed graph document: {exc!r}") from exc
+
+
 def _digest(inst: Instance) -> str:
     return hashlib.sha256(instance_to_json(inst).encode()).hexdigest()[:16]
 
@@ -120,8 +140,7 @@ def cmd_sweep(args) -> int:
     csv = "lambda,L\n" + "".join(f"{lam:.10g},{val:.12g}\n"
                                  for lam, val in rows)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(csv)
+        _write(args.csv, csv)
         _emit({"points": len(rows), "csv": args.csv}, started)
     else:
         sys.stdout.write(csv)
@@ -133,31 +152,27 @@ def cmd_sweep(args) -> int:
 def cmd_gadget(args) -> int:
     started = time.perf_counter()
     if args.kind == "partition":
-        values = [float(v) for v in args.values.split(",") if v]
+        try:
+            values = [float(v) for v in args.values.split(",") if v]
+        except ValueError as exc:
+            raise ValidationError(f"item values must be numbers: {exc}") from exc
         gadget = build_partition_instance(values)
         doc = instance_to_json(gadget.instance, indent=2)
         sidecar = {"target": gadget.target, "applicable": gadget.applicable}
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(doc)
-            with open(args.out + ".target.json", "w", encoding="utf-8") as fh:
-                json.dump(sidecar, fh)
+            _write(args.out, doc)
+            _write(args.out + ".target.json", json.dumps(sidecar))
             _emit({"instance_file": args.out, **sidecar}, started)
         else:
             print(doc)
             print(f"target={gadget.target!r} applicable={gadget.applicable}",
                   file=sys.stderr)
     else:
-        with open(args.graph, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        inst = build_2ddp_instance(
-            doc["nodes"], [tuple(e) for e in doc["edges"]],
-            doc["s1"], doc["s2"], doc["t1"], doc["t2"],
-            big_budget=args.budget)
+        inst = build_2ddp_instance(**_read(args.graph, _parse_graph),
+                                   big_budget=args.budget)
         out = instance_to_json(inst, indent=2)
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(out)
+            _write(args.out, out)
             _emit({"instance_file": args.out}, started)
         else:
             print(out)

@@ -196,27 +196,33 @@ class Instance:
 
 
 def _enumerate_simple_paths(inst, source, sink, cap):
+    # Depth-first search with an explicit stack of (vertex, out-edge
+    # iterator) frames, one per vertex of the current path, so a path of
+    # thousands of edges needs no recursion.  No path steps past the sink.
+    if source == sink:
+        return ((),)      # the empty path; ``simple_paths`` applies the cap
     paths: list[tuple[str, ...]] = []
-    stack: list[str] = []
+    path: list[str] = []
     visited = {source}
-
-    def walk(u):
-        if u == sink:
-            paths.append(tuple(stack))
-            if cap is not None and len(paths) > cap:
-                raise PathCapExceeded(
-                    f"more than {cap} simple {source}-{sink} paths")
-            return
-        for e in inst.out_edges[u]:
+    stack = [(source, iter(inst.out_edges[source]))]
+    while stack:
+        for e in stack[-1][1]:
             if e.head in visited:
                 continue
+            if e.head == sink:
+                paths.append((*path, e.id))
+                if cap is not None and len(paths) > cap:
+                    raise PathCapExceeded(
+                        f"more than {cap} simple {source}-{sink} paths")
+                continue
             visited.add(e.head)
-            stack.append(e.id)
-            walk(e.head)
-            stack.pop()
-            visited.discard(e.head)
-
-    walk(source)
+            path.append(e.id)
+            stack.append((e.head, iter(inst.out_edges[e.head])))
+            break
+        else:
+            visited.discard(stack.pop()[0])
+            if path:
+                path.pop()
     return tuple(sorted(paths))
 
 

@@ -25,9 +25,12 @@ k+1 row pairs (A[u], B[k-u]), sorts the block's rows in one numpy pass and
 takes the least entry per column: O(K^3 log K) per parallel node, about
 (K+1)^3 / 2 sorted entries in all.  The series combine is one (k+1, K+1)
 sum and column minimum per budget k.  Both give the literal recursion's
-floats and keep values only; ``reconstruct`` recomputes the split of each
-entry it visits, one per node, with the recursion's first-(u, v)
-tie-break.
+floats and keep values only.
+
+One split rule, ``_split``, evaluates a single entry by the literal
+recursion and returns its first minimizing (u, v) in row-major order.
+``reconstruct`` calls it at every inner node it visits, from (K, K) at the
+root.
 
 Grid sizing follows eps = eps' / (6 * nu) with nu the largest delay
 exponent (floored at 1) and K = ceil(m^2 / eps^2); K is capped, since
@@ -38,10 +41,11 @@ certified factor is the assumption-free squared bound (1 + eps'_eff)^2;
 the plain (1 + eps'_eff) bound would additionally require every edge of the
 optimal allocation to exceed a grid-unit floor, which is unverifiable.
 
-Tables for the root node are skipped when only its (K, K) entry is needed
-and the grid is large; its leaf children then get no table either and are
-evaluated row by row, which keeps dipole instances with fine grids in O(K)
-memory.
+With ``lazy_root``, as ``solve_fptas`` asks, the root gets no table: its
+(K, K) entry is that one split.  Its leaf children get no table either;
+the split reads every child's budget rows in blocks of ``_SPLIT_ROWS`` and
+evaluates a leaf's rows per block, which keeps a dipole with a fine grid
+in O(K) memory.
 """
 
 from __future__ import annotations
@@ -73,6 +77,7 @@ __all__ = [
 
 _DEFAULT_K_CAP = 5000
 _DEFAULT_OPS_CAP = 5e10
+_SPLIT_ROWS = 64       # children's budget rows one split step reads
 
 
 @dataclass(frozen=True)
@@ -130,11 +135,21 @@ class DpTable:
     flow_unit: float
     nodes: list[_DpNode]
     index: dict[int, int]
-    root_value: float
-    root_arg: tuple[int, int] | None      # split chosen at the lazy root
+    edges: dict[str, Edge]
+    root_value: float = math.nan
 
     def values_for(self, tree_node) -> np.ndarray:
         return self.nodes[self.index[id(tree_node)]].values
+
+    def rows(self, tree_node, lo: int, hi: int) -> np.ndarray:
+        """Budget rows lo..hi-1 of a node's table; a leaf without a table
+        evaluates just those rows."""
+        values = self.values_for(tree_node)
+        if values is not None:
+            return values[lo:hi]
+        return _leaf_values(self.edges[tree_node.edge_id],
+                            np.arange(lo, hi) * self.budget_unit,
+                            np.arange(self.K + 1) * self.flow_unit)
 
 
 def _leaf_values(edge: Edge, k_budget: np.ndarray, flows: np.ndarray) -> np.ndarray:
@@ -150,8 +165,11 @@ def _leaf_values(edge: Edge, k_budget: np.ndarray, flows: np.ndarray) -> np.ndar
             out = ratio ** edge.n + edge.b
     out[:, 0] = 0.0
     # The parallel combine needs rows nondecreasing in flow; this guards
-    # against a last-bit dip of the power and is a no-op otherwise.
-    return np.maximum.accumulate(out, axis=1)
+    # against a last-bit dip of the power.  The running maximum costs a
+    # serial pass, so it runs only on a dip.
+    if (out[:, 1:] < out[:, :-1]).any():
+        np.maximum.accumulate(out, axis=1, out=out)
+    return out
 
 
 def _series_combine(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -167,64 +185,52 @@ def _series_combine(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return values
 
 
-def _series_split(A: np.ndarray, B: np.ndarray, k: int, l: int) -> int:
-    """The first u attaining D[k, l] of the series combine."""
-    return int(np.argmin(A[:k + 1, l] + B[k::-1, l]))
-
-
-def _half_cleaner_operands(A: np.ndarray, B: np.ndarray):
-    """The parallel combine's operands: A shifted left by one flow with an
-    inf column, and B with its flows reversed."""
-    Ap = np.empty_like(A)
-    Ap[:, :-1] = A[:, 1:]
-    Ap[:, -1] = np.inf
-    return Ap, np.ascontiguousarray(B[:, ::-1])
-
-
-def _sorted_block(Ap: np.ndarray, Br: np.ndarray, k: int,
-                  out: np.ndarray) -> np.ndarray:
-    """Row u holds entries 1..K+1 of the sorted union of A[u] and B[k-u].
-
-    Both rows start at 0 and never fall, so A[u, 0] is the least entry of
-    the union, and the K+1 least of the rest are the elementwise minimum of
-    A[u, 1:] (padded with inf) and B[k-u] reversed: Batcher's half-cleaner.
-    """
-    block = np.minimum(Ap[:k + 1], Br[k::-1], out=out[:k + 1])
-    block.sort(axis=1)
-    return block
-
-
 def _parallel_combine(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """D[k, l] = min_{u,v} max(A[u, v], B[k-u, l-v]).
 
     For fixed u the inner min over v is entry l+1 of the sorted union of
-    A[u] and B[k-u], which is column l of the sorted block; D[k] is the
-    block's column minimum.
+    A[u] and B[k-u].  Both rows start at 0 and never fall, so A[u, 0] is
+    the union's least entry, and the K+1 least of the rest are the
+    elementwise minimum of A[u, 1:] (padded with inf) and B[k-u] reversed:
+    Batcher's half-cleaner.  Row u of the sorted block holds them, and D[k]
+    is the block's column minimum.
     """
     K = A.shape[0] - 1
     values = np.empty_like(A)
-    Ap, Br = _half_cleaner_operands(A, B)
+    Ap = np.empty_like(A)
+    Ap[:, :-1] = A[:, 1:]
+    Ap[:, -1] = np.inf
+    Br = np.ascontiguousarray(B[:, ::-1])
     block = np.empty_like(A)
     for k in range(K + 1):
-        np.min(_sorted_block(Ap, Br, k, block), axis=0, out=values[k])
+        rows = np.minimum(Ap[:k + 1], Br[k::-1], out=block[:k + 1])
+        rows.sort(axis=1)
+        np.min(rows, axis=0, out=values[k])
     values[:, 0] = 0.0
     return values
 
 
-def _parallel_split(A: np.ndarray, B: np.ndarray, k: int,
-                    l: int) -> tuple[int, int]:
-    """The first (u, v), in row-major order, attaining D[k, l] of the
-    parallel combine.
+def _split(dpt: DpTable, node, k: int, l: int) -> tuple[float, int, int]:
+    """Entry D[k, l] of an inner node and its first (u, v) in row-major
+    order, by the literal recursion; a series node has v = l.
 
-    u is the first row of the sorted block attaining the column minimum;
-    the first v for it is l+1 minus the count of B[k-u] entries at or
-    below the value, floored at 0.
+    The children's budget rows are read ``_SPLIT_ROWS`` at a time, so a
+    lazy root holds one block of its leaf children's rows at once.
     """
-    Ap, Br = _half_cleaner_operands(A[:k + 1], B[:k + 1])
-    block = _sorted_block(Ap, Br, k, np.empty_like(Ap))
-    u = int(np.argmin(block[:, l]))
-    q = np.count_nonzero(B[k - u] <= block[u, l])
-    return u, max(0, l + 1 - q)
+    series = isinstance(node, Series)
+    best, best_u, best_v = math.inf, 0, 0
+    for lo in range(0, k + 1, _SPLIT_ROWS):
+        hi = min(k + 1, lo + _SPLIT_ROWS)
+        a = dpt.rows(node.left, lo, hi)
+        b = dpt.rows(node.right, k + 1 - hi, k + 1 - lo)[::-1]  # row u: B[k-u]
+        if series:
+            cand = (a[:, l] + b[:, l])[:, None]
+        else:
+            cand = np.maximum(a[:, :l + 1], b[:, l::-1])
+        du, v = divmod(int(np.argmin(cand)), cand.shape[1])
+        if cand[du, v] < best:
+            best, best_u, best_v = float(cand[du, v]), lo + du, v
+    return best, best_u, (l if series else best_v)
 
 
 def _dp_ops_estimate(tree: DecompositionTree, K: int, lazy_root: bool) -> float:
@@ -258,113 +264,54 @@ def run_dp(inst: Instance, tree: DecompositionTree,
     K = plan.K if isinstance(plan, DiscretizationPlan) else int(plan)
     if not inst.single_commodity:
         raise ValidationError("the scheme handles a single commodity")
-    d = inst.commodities[0].demand
-    B = inst.budget
-    budget_unit = B / K
-    flow_unit = d / K
     if _dp_ops_estimate(tree, K, lazy_root) > ops_cap:
         raise DiscretizationError(
             f"dynamic program too large at K={K}; lower the grid cap")
 
-    budgets = np.arange(K + 1) * budget_unit
-    flows = np.arange(K + 1) * flow_unit
+    dpt = DpTable(K=K, budget_unit=inst.budget / K,
+                  flow_unit=inst.commodities[0].demand / K, nodes=[],
+                  index={}, edges=inst.edge_index)
     order = postorder(tree)
-    nodes: list[_DpNode] = []
-    index: dict[int, int] = {}
-
-    def table_of(t) -> np.ndarray:
-        return nodes[index[id(t)]].values
-
     root = order[-1]
     lazy = lazy_root and not isinstance(root, Leaf)
-    # A lazy root reads its leaf children row by row, so neither the root
-    # nor those children get a table.
+    # A lazy root's entry is one split, which reads its leaf children a
+    # block of rows at a time, so neither the root nor those leaves get a
+    # table.
     unfilled = ({id(root)} | {id(c) for c in (root.left, root.right)
                               if isinstance(c, Leaf)}) if lazy else set()
     for node in order:
+        entry = _DpNode(tree=node)
+        dpt.index[id(node)] = len(dpt.nodes)
+        dpt.nodes.append(entry)
         if id(node) in unfilled:
-            values = None
-        elif isinstance(node, Leaf):
-            values = _leaf_values(inst.edge_index[node.edge_id],
-                                  budgets, flows)
-        elif isinstance(node, Series):
-            values = _series_combine(table_of(node.left), table_of(node.right))
+            continue
+        if isinstance(node, Leaf):
+            entry.values = dpt.rows(node, 0, K + 1)
         else:
-            values = _parallel_combine(table_of(node.left),
-                                       table_of(node.right))
-        nodes.append(_DpNode(tree=node, values=values))
-        index[id(node)] = len(nodes) - 1
-
-    if lazy:
-        root_value, root_arg = _lazy_root_entry(
-            inst, root, table_of, K, budgets, flows)
-    else:
-        root_value = float(table_of(root)[K, K])
-        root_arg = None
-    return DpTable(K=K, budget_unit=budget_unit, flow_unit=flow_unit,
-                   nodes=nodes, index=index, root_value=root_value,
-                   root_arg=root_arg)
-
-
-def _lazy_root_entry(inst, root, table_of, K, budgets, flows):
-    def row_of(child, k):
-        # One budget row of the child's table, materializing leaves cheaply.
-        if isinstance(child, Leaf):
-            e = inst.edge_index[child.edge_id]
-            return _leaf_values(e, budgets[k:k + 1], flows)[0]
-        return table_of(child)[k]
-
-    if isinstance(root, Series):
-        best = math.inf
-        best_u = 0
-        for u in range(K + 1):
-            val = row_of(root.left, u)[K] + row_of(root.right, K - u)[K]
-            if val < best:
-                best, best_u = float(val), u
-        return best, (best_u, K)
-    best = math.inf
-    best_uv = (0, 0)
-    for u in range(K + 1):
-        left_row = row_of(root.left, u)
-        right_row = row_of(root.right, K - u)
-        cand = np.maximum(left_row, right_row[::-1])
-        v = int(np.argmin(cand))
-        if cand[v] < best:
-            best = float(cand[v])
-            best_uv = (u, v)
-    return best, best_uv
+            combine = (_series_combine if isinstance(node, Series)
+                       else _parallel_combine)
+            entry.values = combine(dpt.values_for(node.left),
+                                   dpt.values_for(node.right))
+    dpt.root_value = (_split(dpt, root, K, K)[0] if lazy
+                      else float(dpt.values_for(root)[K, K]))
+    return dpt
 
 
 def reconstruct(dpt: DpTable, tree: DecompositionTree
                 ) -> tuple[dict[str, int], dict[str, int]]:
     """Units of budget and flow per edge realizing the root entry."""
-    K = dpt.K
     beta_units: dict[str, int] = {}
     flow_units: dict[str, int] = {}
-
-    stack: list[tuple[DecompositionTree, int, int]] = []
-    if dpt.root_arg is not None:
-        u, v = dpt.root_arg
-        if isinstance(tree, Series):
-            stack += [(tree.left, u, K), (tree.right, K - u, K)]
-        else:
-            stack += [(tree.left, u, v), (tree.right, K - u, K - v)]
-    else:
-        stack.append((tree, K, K))
+    stack: list[tuple[DecompositionTree, int, int]] = [(tree, dpt.K, dpt.K)]
     while stack:
         node, k, l = stack.pop()
         if isinstance(node, Leaf):
             beta_units[node.edge_id] = k
             flow_units[node.edge_id] = l
             continue
-        A = dpt.values_for(node.left)
-        B = dpt.values_for(node.right)
-        if isinstance(node, Series):
-            u = _series_split(A, B, k, l)
-            stack += [(node.left, u, l), (node.right, k - u, l)]
-        else:
-            u, v = _parallel_split(A, B, k, l)
-            stack += [(node.left, u, v), (node.right, k - u, l - v)]
+        _, u, v = _split(dpt, node, k, l)
+        stack += [(node.left, u, v),
+                  (node.right, k - u, l if isinstance(node, Series) else l - v)]
     return beta_units, flow_units
 
 

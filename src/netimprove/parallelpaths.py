@@ -210,9 +210,6 @@ class PathSpec:
     def profile(self) -> _Profile:
         return _Profile(self.edges)
 
-    def conductance(self, budget: float = 0.0) -> float:
-        return self.profile.conductance(budget)
-
 
 @dataclass(frozen=True)
 class ParallelPathsInstance:

@@ -388,3 +388,24 @@ def test_delay_out_of_range_exit_2_under_every_command(tmp_path, argv):
     assert proc.stdout == ""
     assert "out of floating-point range" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["gadget", "tddp", "--graph", "{tmp}/missing.json"],
+    ["gadget", "tddp", "--graph", "{tmp}/malformed.json"],
+    ["gadget", "tddp", "--graph", "{tmp}/no_edges.json"],
+    ["gadget", "partition", "--values", "a,b"],
+    ["sweep", "--csv", "{tmp}/no_dir/x.csv", "--from", "{tmp}/zero.json",
+     "--to", "{tmp}/zero.json", "{tmp}/fig2.json"],
+    ["gadget", "partition", "--values", "1,2", "--out", "{tmp}/no_dir/p.json"],
+], ids=["missing-graph", "malformed-graph", "graph-without-edges",
+        "non-numeric-values", "csv-in-missing-dir", "out-in-missing-dir"])
+def test_unreadable_input_or_unwritable_output_exit_2(tmp_path, argv):
+    (tmp_path / "malformed.json").write_text("{bad")
+    (tmp_path / "no_edges.json").write_text(json.dumps({"nodes": ["s1"]}))
+    (tmp_path / "zero.json").write_text(json.dumps({"beta": {}}))
+    (tmp_path / "fig2.json").write_text(json.dumps(FIG2))
+    proc = run_cli(*(arg.format(tmp=tmp_path) for arg in argv), check=False)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr

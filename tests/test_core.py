@@ -19,7 +19,8 @@ from netimprove.core import (
     parse_instance,
     path_decompose,
 )
-from netimprove.errors import ValidationError
+from netimprove.errors import PathCapExceeded, ValidationError
+from netimprove.gadgets import build_partition_instance
 
 FIG2_JSON = json.dumps({
     "nodes": ["s", "t"],
@@ -266,3 +267,12 @@ class TestAllocation:
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValidationError, match="not finite"):
                 Allocation({"e1": bad})
+
+
+def test_simple_paths_of_a_long_chain_stop_at_the_cap():
+    # 1,500 two-edge dipoles in series: 2^1500 paths of 1,500 edges each,
+    # deeper than the interpreter's recursion limit.
+    inst = build_partition_instance([1.0] * 1500).instance
+    k = inst.commodities[0]
+    with pytest.raises(PathCapExceeded, match="more than 200"):
+        inst.simple_paths(k.source, k.sink, cap=200)

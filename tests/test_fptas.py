@@ -1,22 +1,31 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from netimprove import fptas
 from netimprove.core import Commodity, Edge, Instance
 from netimprove.errors import DiscretizationError, NotSeriesParallel
 from netimprove.fptas import (
+    DpTable,
     _dp_ops_estimate,
+    _DpNode,
     _leaf_values,
     _parallel_combine,
-    _parallel_split,
     _series_combine,
-    _series_split,
+    _split,
     choose_discretization,
     reconstruct,
     run_dp,
     solve_fptas,
 )
 from netimprove.oracle import GridSpec, enumerate_discretized_minmax, grid_search
-from netimprove.seriesparallel import Leaf, Series, decompose_series_parallel
+from netimprove.seriesparallel import (
+    Leaf,
+    Parallel,
+    Series,
+    decompose_series_parallel,
+)
 
 from conftest import make_dipole
 
@@ -245,19 +254,49 @@ def _random_monotone_table(rng, K):
     return table
 
 
-def test_combines_match_literal_recursion(rng):
+def _two_leaf_node(kind, A, B):
+    # A node whose children are leaves with tables A and B.
+    a, b = Leaf("a", "s", "t"), Leaf("b", "s", "t")
+    dpt = DpTable(K=A.shape[0] - 1, budget_unit=1.0, flow_unit=1.0,
+                  nodes=[_DpNode(a, A), _DpNode(b, B)],
+                  index={id(a): 0, id(b): 1}, edges={})
+    return dpt, kind(a, b, "s", "t")
+
+
+def test_combines_match_literal_recursion(rng, monkeypatch):
+    # Blocks of 1, 2 and 3 rows put ties across block boundaries.
+    blocks = (fptas._SPLIT_ROWS, 1, 2, 3)
     for _ in range(200):
         K = int(rng.integers(0, 14))
         A = _random_monotone_table(rng, K)
         B = _random_monotone_table(rng, K)
         values, arg_u = _series_reference(A, B)
         assert np.array_equal(_series_combine(A, B), values)
-        for k, l in np.ndindex(A.shape):
-            assert _series_split(A, B, k, l) == arg_u[k, l]
+        series = [((values[k, l], arg_u[k, l], l), k, l)
+                  for k, l in np.ndindex(A.shape)]
         values, arg_u, arg_v = _parallel_reference(A, B)
         assert np.array_equal(_parallel_combine(A, B), values)
-        for k, l in np.ndindex(A.shape):
-            assert _parallel_split(A, B, k, l) == (arg_u[k, l], arg_v[k, l])
+        parallel = [((values[k, l], arg_u[k, l], arg_v[k, l]), k, l)
+                    for k, l in np.ndindex(A.shape)]
+        for rows in blocks:
+            monkeypatch.setattr(fptas, "_SPLIT_ROWS", rows)
+            for kind, want in ((Series, series), (Parallel, parallel)):
+                dpt, node = _two_leaf_node(kind, A, B)
+                for ref, k, l in want:
+                    assert _split(dpt, node, k, l) == ref
+
+
+def test_lazy_dipole_root_holds_one_block_of_rows():
+    # K = 2304; one full (K+1)^2 table would take 42 MB.
+    inst = make_dipole([(1, 0, 1), (0.5, 1, 2)], 1.0, 1.0)
+    tracemalloc.start()
+    try:
+        res = solve_fptas(inst, 0.25)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.plan.K == 2304
+    assert peak < 10e6
 
 
 @pytest.mark.parametrize("n", [0.5, 1.0, 2.0, 3.0, 4.0, None])

@@ -1,6 +1,12 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from netimprove.verify import SUITES, run_suites
+
+GOLDEN = Path(__file__).parent / "data" / "verify-seed0.txt"
 
 
 def test_registry_names_are_stable():
@@ -32,3 +38,12 @@ def test_same_seed_same_outcome():
     a = run_suites(["minmax-domination"], seed=11, cases=20)
     b = run_suites(["minmax-domination"], seed=11, cases=20)
     assert a == b
+
+
+def test_seed_0_report_matches_the_golden_file():
+    # Every suite at its full case count, through the command line.
+    proc = subprocess.run(
+        [sys.executable, "-m", "netimprove", "verify", "--seed", "0"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == GOLDEN.read_text()
