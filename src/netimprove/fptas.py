@@ -42,10 +42,21 @@ the plain (1 + eps'_eff) bound would additionally require every edge of the
 optimal allocation to exceed a grid-unit floor, which is unverifiable.
 
 With ``lazy_root``, as ``solve_fptas`` asks, the root gets no table: its
-(K, K) entry is that one split.  Its leaf children get no table either;
-the split reads every child's budget rows in blocks of ``_SPLIT_ROWS`` and
-evaluates a leaf's rows per block, which keeps a dipole with a fine grid
-in O(K) memory.
+(K, K) entry is that one split, and ``reconstruct`` starts from its (u, v).
+Its leaf children get no table either; the split reads every child's budget
+rows in blocks of ``_SPLIT_ROWS`` and evaluates a leaf's rows per block,
+which keeps a dipole with a fine grid in O(K) memory.
+
+Under a lazy series root, the inner nodes reached from the root through
+series nodes only are root-column nodes: every split above them reads flow
+K alone, so they fill only column K, a (K+1, 1) table.  A series one sums
+its children's last columns, O(K^2).  A parallel one, ``_parallel_column``,
+needs for each pair (k, u) only the largest entry of the half-cleaner row,
+which one vectorized binary search finds: O(K^2 log K) instead of the
+sort's O(K^3 log K).  Its children keep full tables, as does every node
+under a parallel node.  ``_split`` reads a series node's children at column
+l - K - 1, which is column l of a full table and the one column of a
+root-column table.
 """
 
 from __future__ import annotations
@@ -99,6 +110,8 @@ def choose_discretization(inst: Instance, eps_prime: float,
     eps' the cap admits (unless ``clamp`` trades accuracy for the cap)."""
     if not eps_prime > 0.0:
         raise ValidationError("eps must be positive")
+    if k_cap < 1:
+        raise ValidationError("the grid cap must be at least 1")
     m = len(inst.edges)
     nu = max(1.0, max((e.n for e in inst.edges if not e.rigid), default=1.0))
     eps = eps_prime / (6.0 * nu)
@@ -125,7 +138,8 @@ def choose_discretization(inst: Instance, eps_prime: float,
 @dataclass
 class _DpNode:
     tree: DecompositionTree
-    values: np.ndarray | None = None      # (K+1, K+1), index [k, l]
+    values: np.ndarray | None = None      # (K+1, K+1), index [k, l], or
+                                          # (K+1, 1) for l = K at a root column
 
 
 @dataclass
@@ -137,6 +151,7 @@ class DpTable:
     index: dict[int, int]
     edges: dict[str, Edge]
     root_value: float = math.nan
+    root_split: tuple[int, int] | None = None   # a lazy root's (u, v)
 
     def values_for(self, tree_node) -> np.ndarray:
         return self.nodes[self.index[id(tree_node)]].values
@@ -173,15 +188,16 @@ def _leaf_values(edge: Edge, k_budget: np.ndarray, flows: np.ndarray) -> np.ndar
 
 
 def _series_combine(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """D[k, l] = min_u A[u, l] + B[k-u, l]: one (k+1, K+1) sum and column
-    minimum per budget k."""
+    """D[k, l] = min_u A[u, l] + B[k-u, l]: one (k+1, cols) sum and column
+    minimum per budget k.  A and B hold all K+1 flows, or only flow K."""
     K = A.shape[0] - 1
     values = np.empty_like(A)
     cand = np.empty_like(A)
     for k in range(K + 1):
         np.min(np.add(A[:k + 1], B[k::-1], out=cand[:k + 1]), axis=0,
                out=values[k])
-    values[:, 0] = 0.0
+    if values.shape[1] == K + 1:
+        values[:, 0] = 0.0
     return values
 
 
@@ -210,21 +226,59 @@ def _parallel_combine(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return values
 
 
+def _parallel_column(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Column K of ``_parallel_combine(A, B)``, as a (K+1, 1) table.
+
+    D[k, K] is the least over u of the largest entry of the half-cleaner
+    row min(Ap[u, j], Br[k-u, j]), with Ap[u, j] = A[u, j+1] (inf at
+    j = K) and Br[k-u, j] = B[k-u, K-j].  Ap[u] never falls and Br[k-u]
+    never rises, so with j the first index where Ap[u, j] >= Br[k-u, j],
+    that entry is max(Ap[u, j-1], Br[k-u, j]) = max(A[u, j], B[k-u, K-j]),
+    A[u, 0] = 0 covering j = 0.  One branch-free binary search over the
+    (K+1)(K+2)/2 pairs (k, u) finds every j, and a segmented minimum over
+    u gives D[k, K].
+    """
+    K = A.shape[0] - 1
+    idx = np.int32 if (K + 1) ** 2 < 2 ** 31 else np.intp
+    counts = np.arange(1, K + 2, dtype=idx)
+    starts = np.cumsum(counts, dtype=idx) - counts        # first pair of k
+    k = np.repeat(np.arange(K + 1, dtype=idx), counts)
+    u = np.arange(len(k), dtype=idx) - np.repeat(starts, counts)
+    at = u * (K + 1) + 1                                  # A[u, j+1] at at + j
+    bt = (k - u) * (K + 1) + K                            # B[k-u, K-j] at bt - j
+    a, b = A.ravel(), B.ravel()
+    # j lies in [lo, lo + n]; j = K where no index below K qualifies.
+    lo = np.zeros_like(k)
+    n = K
+    while n > 1:
+        half = n >> 1
+        mid = lo + half
+        np.add(lo, half, out=lo, where=a[at + mid] < b[bt - mid])
+        n -= half
+    if n:                                  # K = 0 has no index to test
+        np.add(lo, 1, out=lo, where=a[at + lo] < b[bt - lo])
+    rows = np.maximum(a[at - 1 + lo], b[bt - lo])
+    return np.minimum.reduceat(rows, starts)[:, None]
+
+
 def _split(dpt: DpTable, node, k: int, l: int) -> tuple[float, int, int]:
     """Entry D[k, l] of an inner node and its first (u, v) in row-major
     order, by the literal recursion; a series node has v = l.
 
     The children's budget rows are read ``_SPLIT_ROWS`` at a time, so a
-    lazy root holds one block of its leaf children's rows at once.
+    lazy root holds one block of its leaf children's rows at once.  A
+    series node reads column l - K - 1: column l of a full table, and the
+    only column of a root-column one.
     """
     series = isinstance(node, Series)
+    col = l - dpt.K - 1
     best, best_u, best_v = math.inf, 0, 0
     for lo in range(0, k + 1, _SPLIT_ROWS):
         hi = min(k + 1, lo + _SPLIT_ROWS)
         a = dpt.rows(node.left, lo, hi)
         b = dpt.rows(node.right, k + 1 - hi, k + 1 - lo)[::-1]  # row u: B[k-u]
         if series:
-            cand = (a[:, l] + b[:, l])[:, None]
+            cand = (a[:, col] + b[:, col])[:, None]
         else:
             cand = np.maximum(a[:, :l + 1], b[:, l::-1])
         du, v = divmod(int(np.argmin(cand)), cand.shape[1])
@@ -238,10 +292,11 @@ def _dp_ops_estimate(tree: DecompositionTree, K: int, lazy_root: bool) -> float:
 
     A leaf fills (K+1)^2 entries and a series combine sums about
     (K+1)^3/2.  A parallel combine is charged (K+1)(2K+2) entries for each
-    of its K+1 budget rows, twice its largest sorted block (K+1)^2; the
-    charge is the one of the merged (2K+2)-wide rows it replaced, so the
-    grids refused stay the same.  A lazy root computes one entry per budget
-    split.
+    of its K+1 budget rows, twice its largest sorted block (K+1)^2: the
+    charge of the merged (2K+2)-wide rows it replaced.  A root-column node
+    (see the module docstring) fills one column but is charged as a full
+    combine.  Both keep the refused grids the same.  A lazy root computes
+    one entry per budget split.
     """
     total = 0.0
     nodes = postorder(tree)
@@ -262,6 +317,8 @@ def run_dp(inst: Instance, tree: DecompositionTree,
            ops_cap: float = _DEFAULT_OPS_CAP) -> DpTable:
     """Fill the min-max tables bottom-up over the decomposition tree."""
     K = plan.K if isinstance(plan, DiscretizationPlan) else int(plan)
+    if K < 1:
+        raise ValidationError("the grid needs K >= 1")
     if not inst.single_commodity:
         raise ValidationError("the scheme handles a single commodity")
     if _dp_ops_estimate(tree, K, lazy_root) > ops_cap:
@@ -279,6 +336,17 @@ def run_dp(inst: Instance, tree: DecompositionTree,
     # table.
     unfilled = ({id(root)} | {id(c) for c in (root.left, root.right)
                               if isinstance(c, Leaf)}) if lazy else set()
+    # Under a lazy series root, splits read only flow K of the inner nodes
+    # reached through series nodes alone: the root-column nodes.
+    column: set[int] = set()
+    stack = [root] if lazy and isinstance(root, Series) else []
+    while stack:
+        node = stack.pop()
+        for child in (node.left, node.right):
+            if not isinstance(child, Leaf):
+                column.add(id(child))
+                if isinstance(child, Series):
+                    stack.append(child)
     for node in order:
         entry = _DpNode(tree=node)
         dpt.index[id(node)] = len(dpt.nodes)
@@ -287,19 +355,28 @@ def run_dp(inst: Instance, tree: DecompositionTree,
             continue
         if isinstance(node, Leaf):
             entry.values = dpt.rows(node, 0, K + 1)
-        else:
+            continue
+        A, B = dpt.values_for(node.left), dpt.values_for(node.right)
+        if id(node) not in column:
             combine = (_series_combine if isinstance(node, Series)
                        else _parallel_combine)
-            entry.values = combine(dpt.values_for(node.left),
-                                   dpt.values_for(node.right))
-    dpt.root_value = (_split(dpt, root, K, K)[0] if lazy
-                      else float(dpt.values_for(root)[K, K]))
+            entry.values = combine(A, B)
+        elif isinstance(node, Series):
+            entry.values = _series_combine(A[:, -1:], B[:, -1:])
+        else:
+            entry.values = _parallel_column(A, B)
+    if lazy:
+        dpt.root_value, u, v = _split(dpt, root, K, K)
+        dpt.root_split = (u, v)
+    else:
+        dpt.root_value = float(dpt.values_for(root)[K, K])
     return dpt
 
 
 def reconstruct(dpt: DpTable, tree: DecompositionTree
                 ) -> tuple[dict[str, int], dict[str, int]]:
-    """Units of budget and flow per edge realizing the root entry."""
+    """Units of budget and flow per edge realizing the root entry; a lazy
+    root's split is the one ``run_dp`` kept."""
     beta_units: dict[str, int] = {}
     flow_units: dict[str, int] = {}
     stack: list[tuple[DecompositionTree, int, int]] = [(tree, dpt.K, dpt.K)]
@@ -309,7 +386,10 @@ def reconstruct(dpt: DpTable, tree: DecompositionTree
             beta_units[node.edge_id] = k
             flow_units[node.edge_id] = l
             continue
-        _, u, v = _split(dpt, node, k, l)
+        if node is tree and dpt.root_split is not None:
+            u, v = dpt.root_split
+        else:
+            _, u, v = _split(dpt, node, k, l)
         stack += [(node.left, u, v),
                   (node.right, k - u, l if isinstance(node, Series) else l - v)]
     return beta_units, flow_units

@@ -68,15 +68,17 @@ def tree_edge_ids(tree: DecompositionTree) -> list[str]:
 
 
 def postorder(tree: DecompositionTree) -> list[DecompositionTree]:
+    """Every node after its children, left subtree first; an explicit
+    stack, so the tree's depth is not bound by Python's recursion limit."""
     out: list[DecompositionTree] = []
-
-    def walk(node):
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        out.append(node)    # node, right subtree, left subtree: reversed
         if not isinstance(node, Leaf):
-            walk(node.left)
-            walk(node.right)
-        out.append(node)
-
-    walk(tree)
+            stack.append(node.left)
+            stack.append(node.right)
+    out.reverse()
     return out
 
 

@@ -181,6 +181,15 @@ class TestSolve:
         assert "Traceback" not in proc.stderr
         assert "must be positive" in proc.stderr
 
+    @pytest.mark.parametrize("kcap", ["0", "-1"])
+    def test_fptas_grid_cap_below_one_exit_2(self, fig2_file, kcap):
+        for clamp in (("--clamp-k",), ()):
+            proc = run_cli("solve", "--alg", "fptas", "--kcap", kcap, *clamp,
+                           fig2_file, check=False)
+            assert proc.returncode == 2
+            assert "Traceback" not in proc.stderr
+            assert "grid cap must be at least 1" in proc.stderr
+
     @pytest.mark.parametrize("alg", ["parallel-links", "parallel-paths",
                                      "oracle", "copt"])
     def test_lengths_whose_products_overflow_exit_0(self, tmp_path, alg):

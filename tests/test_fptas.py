@@ -5,12 +5,17 @@ import pytest
 
 from netimprove import fptas
 from netimprove.core import Commodity, Edge, Instance
-from netimprove.errors import DiscretizationError, NotSeriesParallel
+from netimprove.errors import (
+    DiscretizationError,
+    NotSeriesParallel,
+    ValidationError,
+)
 from netimprove.fptas import (
     DpTable,
     _dp_ops_estimate,
     _DpNode,
     _leaf_values,
+    _parallel_column,
     _parallel_combine,
     _series_combine,
     _split,
@@ -284,6 +289,129 @@ def test_combines_match_literal_recursion(rng, monkeypatch):
                 dpt, node = _two_leaf_node(kind, A, B)
                 for ref, k, l in want:
                     assert _split(dpt, node, k, l) == ref
+
+
+def test_parallel_column_is_the_last_column_of_the_combine(rng):
+    for _ in range(200):
+        K = int(rng.integers(0, 14))
+        A = _random_monotone_table(rng, K)
+        B = _random_monotone_table(rng, K)
+        assert np.array_equal(_parallel_column(A, B),
+                              _parallel_reference(A, B)[0][:, K:])
+
+
+def _shape_instance(rng, shape):
+    # "e" is an edge, ("S", a, b) and ("P", a, b) compose in series and in
+    # parallel.
+    edges, mids = [], []
+
+    def build(node, s, t):
+        if node == "e":
+            mu = float(rng.uniform(0.3, 2.0)) if rng.random() < 0.75 else 0.0
+            edges.append(Edge(f"g{len(edges)}", s, t,
+                              c=float(rng.uniform(0.3, 2.0)),
+                              b=float(rng.uniform(0.0, 1.0)),
+                              n=float(rng.choice([1.0, 1.0, 2.0])), mu=mu))
+            return
+        kind, left, right = node
+        if kind == "S":
+            mids.append(f"v{len(mids)}")
+            mid = mids[-1]
+            build(left, s, mid)
+            build(right, mid, t)
+        else:
+            build(left, s, t)
+            build(right, s, t)
+
+    build(shape, "s", "t")
+    nodes = sorted({e.tail for e in edges} | {e.head for e in edges})
+    return Instance(nodes=tuple(nodes), edges=tuple(edges),
+                    commodities=(Commodity("s", "t", float(rng.uniform(0.5, 3.0))),),
+                    budget=float(rng.uniform(0.5, 2.0)))
+
+
+@pytest.mark.parametrize("shape", [
+    ("S", ("S", ("P", "e", "e"), "e"), "e"),     # a series node under the root
+    ("S", ("P", "e", "e"), "e"),
+    ("S", ("P", "e", ("S", "e", "e")), "e"),
+    ("S", ("P", "e", "e"), ("P", "e", "e")),
+    ("S", ("P", ("S", "e", "e"), "e"), ("P", "e", "e")),
+    ("S", "e", ("S", ("P", ("P", "e", "e"), "e"), ("S", "e", ("P", "e", "e")))),
+])
+def test_root_column_tables_match_full_tables(rng, shape):
+    for K in (1, 2, 7, 16, 31):
+        inst = _shape_instance(rng, shape)
+        tree = decompose_series_parallel(inst)
+        full = run_dp(inst, tree, K, lazy_root=False)
+        lazy = run_dp(inst, tree, K, lazy_root=True)
+        assert lazy.root_value == full.root_value
+        assert reconstruct(lazy, tree) == reconstruct(full, tree)
+        # Root-column nodes hold flow K alone, and it is the full column.
+        for node in lazy.nodes[:-1]:
+            if node.values is not None and node.values.shape[1] == 1:
+                want = full.values_for(node.tree)[:, K:]
+                assert np.array_equal(node.values, want)
+        assert sum(node.values is not None and node.values.shape[1] == 1
+                   for node in lazy.nodes) == sum(
+            not isinstance(node, Leaf) for node in _series_reach(tree))
+
+
+def _series_reach(tree):
+    # Nodes below the root reached through series nodes alone.
+    out, stack = [], [tree] if isinstance(tree, Series) else []
+    while stack:
+        node = stack.pop()
+        for child in (node.left, node.right):
+            out.append(child)
+            if isinstance(child, Series):
+                stack.append(child)
+    return out
+
+
+def test_lazy_root_split_is_evaluated_once(monkeypatch):
+    # A dipole: reconstruct visits the root and then its two leaves.
+    inst = make_dipole([(1, 0, 1), (0.5, 1, 2)], 1.0, 1.0)
+    tree = decompose_series_parallel(inst)
+    want = reconstruct(run_dp(inst, tree, 12, lazy_root=False), tree)
+    calls = []
+    split = fptas._split
+    monkeypatch.setattr(fptas, "_split",
+                        lambda *args: calls.append(args[1:]) or split(*args))
+    dpt = run_dp(inst, tree, 12, lazy_root=True)
+    assert reconstruct(dpt, tree) == want
+    assert calls == [(tree, 12, 12)]
+
+
+def test_deep_tree_runs_without_recursion():
+    # S(...S(S(P(e0, f0), e1), e2)..., e2500): deeper than the default
+    # recursion limit, with 2,500 root-column nodes.
+    depth = 2500
+    nodes = ["s"] + [f"v{i}" for i in range(1, depth + 2)]
+    edges = [Edge("e0", "s", "v1", c=1.0, mu=1.0),
+             Edge("f0", "s", "v1", c=0.5, b=0.2, mu=0.5)]
+    tree = Parallel(Leaf("e0", "s", "v1"), Leaf("f0", "s", "v1"), "s", "v1")
+    for i in range(1, depth + 1):
+        head = f"v{i + 1}"
+        edges.append(Edge(f"e{i}", f"v{i}", head, c=1.0, b=0.1, mu=0.2))
+        tree = Series(tree, Leaf(f"e{i}", f"v{i}", head), "s", head)
+    inst = Instance(nodes=tuple(nodes), edges=tuple(edges),
+                    commodities=(Commodity("s", f"v{depth + 1}", 1.0),),
+                    budget=1.0)
+    full = run_dp(inst, tree, 3, lazy_root=False)
+    lazy = run_dp(inst, tree, 3, lazy_root=True)
+    assert lazy.root_value == full.root_value
+    assert reconstruct(lazy, tree) == reconstruct(full, tree)
+
+
+@pytest.mark.parametrize("K", [0, -1])
+def test_grid_below_one_is_rejected(K):
+    inst = single_edge_instance()
+    tree = decompose_series_parallel(inst)
+    with pytest.raises(ValidationError, match="K >= 1"):
+        run_dp(inst, tree, K)
+    for clamp in (True, False):
+        with pytest.raises(ValidationError, match="at least 1"):
+            choose_discretization(inst, 0.5, k_cap=K, clamp=clamp)
 
 
 def test_lazy_dipole_root_holds_one_block_of_rows():

@@ -8,6 +8,7 @@ from netimprove.seriesparallel import (
     Series,
     check_tree,
     decompose_series_parallel,
+    postorder,
     tree_edge_ids,
 )
 
@@ -88,3 +89,35 @@ def test_dead_end_not_series_parallel():
     with pytest.raises(NotSeriesParallel):
         decompose_series_parallel(
             [("e1", "s", "t"), ("e2", "s", "u")], "s", "t")
+
+
+def _postorder_reference(node):
+    if isinstance(node, Leaf):
+        return [node]
+    return (_postorder_reference(node.left) + _postorder_reference(node.right)
+            + [node])
+
+
+def test_postorder_matches_recursive_walk():
+    rng = np.random.default_rng(5)
+    for trial in range(60):
+        edges, s, t = _random_sp_edges(rng, max_edges=12, trial=trial)
+        tree = decompose_series_parallel(edges, s, t)
+        got = postorder(tree)
+        want = _postorder_reference(tree)
+        assert [id(node) for node in got] == [id(node) for node in want]
+
+
+def test_postorder_of_a_deep_tree():
+    # A chain of 2,500 series nodes, each with a leaf on its right: deeper
+    # than the default recursion limit.
+    depth = 2500
+    tree = Leaf("e0", "s", "v0")
+    for i in range(1, depth + 1):
+        tree = Series(tree, Leaf(f"e{i}", f"v{i - 1}", f"v{i}"), "s", f"v{i}")
+    got = postorder(tree)
+    assert len(got) == 2 * depth + 1
+    assert got[0].edge_id == "e0" and got[-1] is tree
+    assert [node.edge_id for node in got[1::2]] == \
+        [f"e{i}" for i in range(1, depth + 1)]
+    assert all(isinstance(node, Series) for node in got[2::2])
