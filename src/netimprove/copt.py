@@ -536,6 +536,8 @@ def _newton_polish(kern: _Relaxation, x: np.ndarray, beta: np.ndarray):
         try:
             sol = np.linalg.solve(kkt, resid)
         except np.linalg.LinAlgError:
+            if not np.isfinite(kkt).all():  # least squares cannot do better
+                break
             sol = np.linalg.lstsq(kkt, resid, rcond=None)[0]
         if not np.isfinite(sol).all():
             break

@@ -261,6 +261,9 @@ def _validate_instance(inst: Instance) -> None:
             raise ValidationError("commodity references unknown node")
     if not (inst.budget >= 0.0) or math.isinf(inst.budget):
         raise ValidationError("budget must be finite and >= 0")
+    # Bounds every sum of conductances a solver forms, at any allocation.
+    if math.isinf(sum(e.c + e.mu * inst.budget for e in inst.edges)):
+        raise ValidationError("the sum of c + mu * budget over edges overflows")
 
     # Every edge must lie on a source-sink path of some commodity; a
     # commodity whose sink is unreachable is caught by the same sweep.

@@ -39,10 +39,10 @@ tests check the kernel against ``beckmann_potential``, Phi edge by edge.
 
 Dipole graphs (parallel links between the terminals) with affine delays
 additionally get an exact closed form: with effective conductances g_e the
-common delay over a used set S is (d + sum_S g_e b_e) / sum_S g_e, and the
-used set grows along links sorted by length until the delay fits under the
-next link's length.  Rigid links cap the delay at their length and absorb
-the residual flow.  The used-set scan is written once, in ``_link_scan`` over
+common delay over a used set S is (d + sum_S g_e b_e) / sum_S g_e, and over
+the prefixes of the links sorted by length it is least at the used set, so
+no tolerance decides ties.  Rigid links cap the delay at their length and
+absorb the residual flow.  The scan is written once, in ``_link_scan`` over
 rows of allocations, which ``parallel_links_delay_batch`` runs in fresh
 scratch and the grid oracle in its block buffers; a single allocation is a
 batch of one row.  ``dipole_delay_rows`` lays out links, or whole paths,
@@ -84,7 +84,6 @@ __all__ = [
     "dipole_links",
 ]
 
-_BOUNDARY_TOL = 1e-12  # used-set inclusion tolerance at delay == length ties
 _PATH_CAP = 200  # simple paths per commodity the path engines enumerate
 _BATCH_ROWS = 4096  # allocations per pass of the batched path engine
 
@@ -385,7 +384,7 @@ class _PathBatch:
                 best_j[better] = j
             Li = L[:, i]
             # An infinite common delay admits any shorter path.
-            floor = np.where(np.isinf(Li), Li, Li - 1e-10 * (1.0 + np.abs(Li)))
+            floor = np.where(np.isinf(Li), Li, Li - 1e-10 * np.abs(Li))
             add = (best_j >= 0) & ~active[grp, best_j] & (best_d < floor)
             active[grp[add], best_j[add]] = True
             added |= add
@@ -655,59 +654,51 @@ def parallel_links_delay_batch(c_eff: np.ndarray, b: np.ndarray, d: float,
 
     ``c_eff`` has shape (N, m) with columns sorted by ``b`` ascending and
     rigid links removed; ``cap`` is the smallest rigid length if any.  The
-    used set grows along the columns until its delay fits under the next
-    length; zero-conductance columns carry no flow.  A row with no usable
-    column gets ``cap``, which is inf without rigid links.  A single
-    allocation is a batch of one row.
+    delay M_k = (d + sum g b) / sum g of the first k columns is a weighted
+    mean of M_{k-1} and b_k, so it falls until the used set is complete and
+    never falls again: the least prefix delay, capped, is the equilibrium.
+    A row with no usable column gets ``cap``, which is inf without rigid
+    links.  A single allocation is a batch of one row.
 
     The scan walks the columns, contiguous when ``c_eff`` is F-ordered as
     the grid oracle builds it, with running sums over the rows that add as
-    a row-wise ``cumsum`` would, until every row has taken its used set.
+    a row-wise ``cumsum`` would, and a running minimum of their delays.
     """
-    n = c_eff.shape[0]
-    return _link_scan(c_eff, b, d, cap, np.empty((5, n)),
-                      np.empty((3, n), dtype=bool))
+    return _link_scan(c_eff, b, d, cap, np.empty((5, c_eff.shape[0])))
 
 
 def _link_scan(c_eff: np.ndarray, b: np.ndarray, d: float, cap: float,
-               rows: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """``parallel_links_delay_batch`` in the caller's scratch: the leading
-    N columns of ``rows`` (5, >= N) and ``masks`` (3, >= N, bool), so that
-    a grid search reuses them block after block.  Returns a view of
-    ``rows[0]``, which the next call overwrites."""
+               rows: np.ndarray) -> np.ndarray:
+    """``parallel_links_delay_batch`` in the caller's scratch, the leading
+    N columns of ``rows`` (5, >= N), so that a grid search reuses it block
+    after block.  Returns a view of ``rows[0]``, which the next call
+    overwrites.  A delay that is inf, as where d + sum g b overflows, is
+    taken again in the unit u that keeps that sum finite, if it is at least
+    2^-5 there, as an overflowing sum is: then the terms that u pushes below
+    the normal range do not count."""
     L, den, num, M, t = rows[:, :c_eff.shape[0]]
-    open_, ok, pos = masks[:, :c_eff.shape[0]]
     if c_eff.shape[1] == 0:
         L.fill(cap)
         return L
-    u = length_unit(float(c_eff.max(initial=0.0)), float(b[-1]), b.size)
-    L.fill(math.inf)
-    den.fill(0.0)
-    num.fill(0.0)
-    open_.fill(True)
-    # A prefix whose delay is out of range gets inf.  The tolerance is
-    # relative to M >= 0, its magnitude clipped at 1e300 so that inf fails
-    # every window but the last one, whose next length is inf.
+    u = length_unit(max(float(c_eff.max(initial=0.0)), 1.0),
+                    max(float(b[-1]), d), b.size + 1)
+    far = None if u == 1.0 else np.zeros((2, len(L)))  # the sums in unit u
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for k, col in enumerate(c_eff.T):
-            den += col
-            num += np.multiply(col, b[k] / u, out=t)
-            np.divide(np.add(num, d / u, out=M), den, out=M)
-            if u != 1.0:
-                M *= u
-            if k + 1 < b.size:
-                np.clip(M, 1.0, 1e300, out=t)
-                t *= _BOUNDARY_TOL
-                np.less_equal(M, np.add(t, b[k + 1], out=t), out=ok)
-            else:  # the next length is inf: only a nan delay fails
-                np.less_equal(M, math.inf, out=ok)
-            ok &= np.greater(den, 0.0, out=pos)
-            ok &= open_
-            np.copyto(L, M, where=ok)
-            open_ ^= ok
-            if not open_.any():
-                break
-    return np.minimum(L, cap, out=L)
+            if k:
+                den += col
+                num += np.multiply(col, b[k], out=t)
+            else:
+                np.copyto(den, col)
+                np.multiply(col, b[0], out=num)
+            np.divide(np.add(num, d, out=M), den, out=M)
+            if far is not None:
+                far[0] += np.multiply(col, b[k] / u, out=t)
+                np.add(far[0], d / u, out=far[1])
+                np.copyto(M, far[1] / den * u,
+                          where=np.isinf(M) & (far[1] >= 2.0 ** -5))
+            np.fmin(L if k else cap, M, out=L)  # a nan delay is skipped
+    return L
 
 
 def _scan_layout(lengths, rigid) -> tuple[list[int], np.ndarray, float]:
@@ -739,8 +730,8 @@ def dipole_delay_rows(lengths, rigid, c_eff: np.ndarray, d: float) -> np.ndarray
 def _in_range(rows: np.ndarray, conductances: np.ndarray) -> np.ndarray:
     """The closed form's delays ``rows``; ValidationError for a row that is
     inf although a link or path has positive conductance (an overflow)."""
-    inf = np.isinf(rows)
-    if inf.any() and (conductances[inf] > 0.0).any():
+    if (not np.max(rows, initial=0.0) < math.inf
+            and (conductances[np.isinf(rows)] > 0.0).any()):
         raise ValidationError("a delay is out of floating-point range")
     return rows
 

@@ -18,7 +18,7 @@ by the first of two routes that applies:
 A search owns one set of block buffers, sized for its first block: the
 float allocations, the conductances in the scan's column order (sorted
 non-rigid paths, so no gather copies them) and the scan's running sums and
-masks.  Every block, the last and shorter one too, works in their leading
+minimum.  Every block, the last and shorter one too, works in their leading
 rows, and they are freed when the search returns; fresh ones each block
 would fault their pages in anew.  A path with one non-rigid edge has that
 edge's g = c + mu * beta as its conductance.  Any other path's is
@@ -157,10 +157,10 @@ def _improvable_edges(inst: Instance, spec: GridSpec):
 class _Buffers:
     """Block buffers of one closed-form route, for blocks of up to ``rows``
     rows of allocations: the conductances of the scan's columns, two
-    scratch rows for ``_batch_paths`` and the scan's own rows.  ``order``
-    lists the scan's columns, the non-rigid paths sorted by length.  A
-    block of n rows uses the leading n rows of each buffer, and the delays
-    it returns are a view that the next block overwrites."""
+    scratch rows for ``_batch_paths`` and the scan's five float rows.
+    ``order`` lists the scan's columns, the non-rigid paths sorted by
+    length.  A block of n rows uses the leading n rows of each buffer, and
+    the delays it returns are a view that the next block overwrites."""
 
     def __init__(self, lengths, rigid, demand: float, rows: int):
         self.order, self.b, self.cap = _scan_layout(lengths, rigid)
@@ -168,12 +168,11 @@ class _Buffers:
         self.c = np.empty((rows, len(self.order)), order="F")
         self.g, self.r = np.empty((2, rows))
         self.rows = np.empty((5, rows))
-        self.masks = np.empty((3, rows), dtype=bool)
 
     def delays(self, n: int) -> np.ndarray:
         c = self.c[:n]
         return _in_range(_link_scan(c, self.b, self.demand, self.cap,
-                                    self.rows, self.masks), c)
+                                    self.rows), c)
 
 
 def _closed_form(inst: Instance, edges, rows: int):

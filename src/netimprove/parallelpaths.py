@@ -413,17 +413,21 @@ def _allocate_weighted(paths: Sequence[PathSpec], weights: Sequence[float],
 
 def prefix_delay(ppi: ParallelPathsInstance, path_budgets: Sequence[float],
                  count: int) -> float:
-    """Common delay if exactly the ``count`` shortest paths carry flow."""
+    """Common delay if exactly the ``count`` shortest paths carry flow,
+    in the scan's length unit where the sum d + sum c b overflows."""
     if not (1 <= count <= len(ppi.paths)):
         raise ValidationError("path count out of range")
     paths = ppi.paths[:count]
     cs = [p.profile.conductance(beta) for p, beta in zip(paths, path_budgets)]
-    u = length_unit(max(cs, default=0.0), paths[-1].length, count)
-    num = ppi.demand / u
-    den = 0.0
-    for c, p in zip(cs, paths):
-        num += c * (p.length / u)
-        den += c
+    d = ppi.demand
+    for u in (1.0, length_unit(max(max(cs), 1.0), max(paths[-1].length, d),
+                               count + 1)):
+        num, den = d / u, 0.0
+        for c, p in zip(cs, paths):
+            num += c * (p.length / u)
+            den += c
+        if not math.isinf(num):
+            break
     return num / den * u if den > 0.0 else math.inf
 
 
@@ -495,7 +499,7 @@ def _group_ends(ppi: ParallelPathsInstance):
 
 
 def paths_delay(ppi: ParallelPathsInstance, path_budgets: Sequence[float]) -> float:
-    """Equilibrium delay for given path budgets (used set by window scan)."""
+    """Equilibrium delay for given path budgets: the least prefix delay."""
     paths = ppi.paths
     c_eff = [p.profile.conductance(pb) for p, pb in zip(paths, path_budgets)]
     L = float(dipole_delay_rows([p.length for p in paths],

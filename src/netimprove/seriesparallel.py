@@ -188,13 +188,14 @@ def check_tree(tree: DecompositionTree, arg: Instance | list[tuple[str, str, str
     if sorted(leaf_ids) != sorted(edge_map):
         raise ValidationError("tree leaves do not match graph edges")
 
-    def walk(node) -> tuple[str, str]:
+    ends: list[tuple[str, str]] = []  # of the subtrees done, left to right
+    for node in postorder(tree):
         if isinstance(node, Leaf):
             if edge_map[node.edge_id] != (node.source, node.sink):
                 raise ValidationError(f"leaf {node.edge_id} endpoints differ")
-            return node.source, node.sink
-        ls, lt = walk(node.left)
-        rs, rt = walk(node.right)
+            ends.append((node.source, node.sink))
+            continue
+        (rs, rt), (ls, lt) = ends.pop(), ends.pop()
         if isinstance(node, Series):
             if lt != rs:
                 raise ValidationError("series children do not share a vertex")
@@ -205,7 +206,6 @@ def check_tree(tree: DecompositionTree, arg: Instance | list[tuple[str, str, str
             got = (ls, lt)
         if got != (node.source, node.sink):
             raise ValidationError("node terminals inconsistent with children")
-        return got
-
-    if walk(tree) != (source, sink):
+        ends.append(got)
+    if ends.pop() != (source, sink):
         raise ValidationError("tree terminals do not match graph terminals")

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import settings, strategies as st
 
 from netimprove.core import Allocation, Commodity, Edge, Instance
+
+# Derandomized, so that a property that fails in CI fails alike locally.
+settings.register_profile("ci", derandomize=True, deadline=None)
 
 
 @pytest.fixture
@@ -72,3 +76,28 @@ def make_dipole(params, demand, budget):
 
 def alloc(**beta):
     return Allocation(beta)
+
+
+# A float from 1e-300 to below 1e300, its decimal exponent drawn evenly.
+MAGNITUDE = st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 9.99),
+                      st.integers(-300, 299))
+PARAMETER = st.one_of(st.just(0.0), MAGNITUDE)
+
+
+@st.composite
+def extreme_dipoles(draw, budget=PARAMETER):
+    """Instance documents of 1 to 6 links s->t with n = 1 whose c, b and mu
+    are 0 or a ``MAGNITUDE``, about one in six rigid, at a ``MAGNITUDE``
+    of demand and a budget drawn from ``budget``."""
+    edges = []
+    for t in range(draw(st.integers(1, 6))):
+        rigid = draw(st.integers(0, 5)) == 0
+        edges.append({"id": f"e{t + 1}", "tail": "s", "head": "t",
+                      "c": 0.0 if rigid else draw(PARAMETER),
+                      "b": draw(PARAMETER), "n": 1.0,
+                      "mu": 0.0 if rigid else draw(PARAMETER),
+                      "rigid": rigid})
+    return {"nodes": ["s", "t"], "edges": edges,
+            "commodities": [{"source": "s", "sink": "t",
+                             "demand": draw(MAGNITUDE)}],
+            "budget": draw(budget)}

@@ -1,11 +1,19 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import pytest
+from hypothesis import given, settings
 
+from netimprove import cli
 from netimprove.core import Allocation, parse_instance
 from netimprove.oracle import evaluate_delay
+
+from conftest import extreme_dipoles
 
 FIG2 = {
     "nodes": ["s", "t"],
@@ -418,3 +426,63 @@ def test_unreadable_input_or_unwritable_output_exit_2(tmp_path, argv):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+# Two links at the scale of their demand 1e-12: both carry flow, at the
+# common delay (1e-12 + 1e-13) / 2.
+SMALL = {"nodes": ["s", "t"],
+         "edges": [{"id": "a", "tail": "s", "head": "t", "c": 1.0, "b": 0.0,
+                    "n": 1.0, "mu": 0.0},
+                   {"id": "b", "tail": "s", "head": "t", "c": 1.0,
+                    "b": 1e-13, "n": 1.0, "mu": 0.0}],
+         "commodities": [{"source": "s", "sink": "t", "demand": 1e-12}],
+         "budget": 0.0}
+
+
+def test_every_command_gives_a_small_delay_at_its_scale(tmp_path):
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps(SMALL))
+    for argv in (*(["solve", "--alg", alg] for alg in
+                   ("parallel-links", "oracle", "parallel-paths", "copt",
+                    "fptas")), ["equilibrium"]):
+        proc = run_cli(*argv, str(path))
+        assert json.loads(proc.stdout)["L"] == pytest.approx(5.5e-13,
+                                                             rel=1e-12)
+        assert "Warning" not in proc.stderr, argv
+
+
+def test_copt_on_a_kkt_system_out_of_range_exits_cleanly(tmp_path):
+    # c * b and mu are far apart, and the polish's KKT system is not finite:
+    # the polish ends there instead of solving it.
+    doc = {"nodes": ["s", "t"],
+           "edges": [{"id": "a", "tail": "s", "head": "t",
+                      "c": 8.376057109832693e-301,
+                      "b": 6.0840734454487195e+299, "n": 1.0,
+                      "mu": 1.5975063248026982e+150}],
+           "commodities": [{"source": "s", "sink": "t",
+                            "demand": 1.2643149140311218}],
+           "budget": 0.0}
+    path = tmp_path / "kkt.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli("solve", "--alg", "copt", str(path), check=False)
+    assert proc.returncode in (0, 2), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "DLASCL" not in proc.stderr
+
+
+@settings(max_examples=100, deadline=None)
+@given(extreme_dipoles())
+def test_solve_on_extreme_dipoles_exits_0_2_or_3(doc):
+    # Warnings that a result is not certified may be printed; a floating-
+    # point warning from numpy may not, nor may anything be raised.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/dipole.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        for alg in ("parallel-links", "oracle", "parallel-paths", "copt"):
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                warnings.simplefilter("always")
+                assert cli.main(["solve", path, "--alg", alg]) in (0, 2, 3)
+            assert not [w for w in caught if "encountered" in str(w.message)]

@@ -107,6 +107,19 @@ class TestParseInstance:
                 commodities=(Commodity("s", "t", 1.0),),
                 budget=0.0)
 
+    def test_conductances_overflowing_at_the_budget_rejected(self):
+        # One edge at mu * budget = 1e310, or two whose c sum to 2e308: a
+        # solver would meet an infinite conductance, or a sum of them.
+        big = Edge("e", "s", "t", c=1.0, mu=1e300)
+        twins = (Edge("a", "s", "t", c=1e308), Edge("b", "s", "t", c=1e308))
+        for edges, budget in (((big,), 1e10), (twins, 0.0)):
+            with pytest.raises(ValidationError, match="over edges overflows"):
+                Instance(nodes=("s", "t"), edges=edges,
+                         commodities=(Commodity("s", "t", 1.0),),
+                         budget=budget)
+        Instance(nodes=("s", "t"), edges=(big,),
+                 commodities=(Commodity("s", "t", 1.0),), budget=1.0)
+
     def test_zero_demand_rejected(self):
         with pytest.raises(ValidationError, match="demand"):
             Commodity("s", "t", 0.0)

@@ -1,23 +1,26 @@
 """The link-major used-set scan and the grid blocks that feed it.
 
-``parallel_links_delay_batch`` walks the sorted links one column at a time.
-It must give the floats of the row-wise cumulative-sum scan it replaced,
-kept below as the reference, and the grid oracle must not depend on how
-many rows it hands the scan at once, nor on the searches before it.
+``parallel_links_delay_batch`` walks the sorted links one column at a time,
+keeping the least prefix delay.  It must give the floats of a row-wise
+cumulative-sum reference, kept below, and come within 4 ulps of the exact
+least prefix delay; the grid oracle must not depend on how many rows it
+hands the scan at once, nor on the searches before it.
 """
 
 import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from netimprove import oracle
 from netimprove.core import (Allocation, Commodity, Edge, Instance,
                              parse_instance)
-from netimprove.equilibrium import (_BOUNDARY_TOL, dipole_delay_rows,
+from netimprove.equilibrium import (_in_range, dipole_delay_rows,
                                     length_unit, parallel_links_delay_batch,
                                     solve_equilibrium,
                                     solve_parallel_links_equilibrium)
@@ -26,25 +29,47 @@ from netimprove.oracle import (GridSpec, evaluate_delay, grid_search,
                                sweep_segment)
 from netimprove.parallelpaths import as_parallel_paths
 
-from conftest import make_dipole
+from conftest import extreme_dipoles, make_dipole
 
 
 def reference_scan(c_eff, b, d, cap=math.inf):
-    """The row-wise scan: cumulative sums, then the first passing column."""
+    """The row-wise scan: cumulative sums, a prefix whose delay is inf taken
+    again in the length unit where its sum is at least 2^-5 there, then the
+    least delay over the prefixes with conductance, nan skipped, and the
+    cap."""
     if c_eff.shape[1] == 0:
         return np.full(c_eff.shape[0], cap)
     den = np.cumsum(c_eff, axis=1)
-    used = den > 0.0
-    u = length_unit(float(c_eff.max(initial=0.0)), float(b[-1]), b.size)
+    u = length_unit(max(float(c_eff.max()), 1.0), max(float(b[-1]), d),
+                    b.size + 1)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        M = np.where(used,
-                     (d / u + np.cumsum(c_eff * (b / u), axis=1)) / den * u,
-                     np.inf)
-    b_next = np.append(b[1:], np.inf)
-    ok = used & (M <= b_next + _BOUNDARY_TOL * np.clip(M, 1.0, 1e300))
-    idx = np.argmax(ok, axis=1)
-    L = M[np.arange(M.shape[0]), idx]
-    return np.minimum(L, cap)
+        M = (np.cumsum(c_eff * b, axis=1) + d) / den
+        far = np.cumsum(c_eff * (b / u), axis=1) + d / u
+        M = np.where(np.isinf(M) & (far >= 2.0 ** -5), far / den * u, M)
+    return np.fmin.reduce(np.where(den > 0.0, M, np.nan), axis=1,
+                          initial=cap)
+
+
+def exact_scan(c, b, d, cap=math.inf):
+    """The least prefix delay of one row in rational arithmetic, under the
+    cap; None where no prefix has conductance and no cap is set."""
+    best = None if math.isinf(cap) else Fraction(cap)
+    num, den = Fraction(d), Fraction(0)
+    for ck, bk in zip(c.tolist(), b.tolist()):
+        num += Fraction(ck) * Fraction(bk)
+        den += Fraction(ck)
+        if den > 0 and (best is None or num / den < best):
+            best = num / den
+    return best
+
+
+def _within_4_ulps(got, want):
+    """Whether the float ``got`` is the exact ``want`` to 4 ulps, or inf
+    where ``want`` is out of the float range or None."""
+    if want is None or want > Fraction(sys.float_info.max):
+        return math.isinf(got)
+    return (math.isfinite(got) and abs(Fraction(got) - want)
+            <= 4 * Fraction(math.ulp(float(want))))
 
 
 def _tie_rows(rng, b, d, rows):
@@ -52,8 +77,7 @@ def _tie_rows(rng, b, d, rows):
     conductances are small integers, and the one of column k is chosen so
     that d = sum_j c_j (b[k + 1] - b_j), which the lengths and d keep exact.
     Every other row has its first conductance scaled by 1 + eps, for eps of
-    both signs from 1e-16 to 1e-10, to land on either side of the
-    tolerance."""
+    both signs from 1e-16 to 1e-10, to land on either side of the tie."""
     m = len(b)
     out = []
     while len(out) < rows:
@@ -112,6 +136,42 @@ def test_scan_matches_the_cumsum_reference(rng):
             ties += int(np.isin(want, b[1:]).sum())
         overflow += int(c.size and length_unit(c.max(), b[-1], b.size) > 1.0)
     assert ties > 100 and overflow
+
+
+def test_scan_is_within_4_ulps_of_the_exact_least_prefix(rng):
+    # Rows near a tie included: the delay of the used set is the least
+    # prefix delay, which a tolerance on the window test overshoots.
+    rows = 0
+    for c, b, d, cap in _cases(rng):
+        got = parallel_links_delay_batch(c, b, d, cap)
+        for r in range(len(c)):
+            want = exact_scan(c[r], b, d, cap)
+            assert _within_4_ulps(got[r], want), (c[r], b, d, cap, got[r])
+            rows += want is not None
+    assert rows > 8000
+
+
+@settings(max_examples=300)
+@given(extreme_dipoles(budget=st.just(0.0)))
+def test_scan_of_extreme_dipoles_is_exact_or_rejects(doc):
+    # At magnitudes from 1e-300 to 1e300 the scan gives the least prefix
+    # delay to 4 ulps, and inf or ValidationError only where that delay is
+    # out of the float range or there is none.
+    links = parse_instance(json.dumps(doc)).edges
+    d = doc["commodities"][0]["demand"]
+    G = np.array([[e.c for e in links]])
+    order = sorted((t for t, e in enumerate(links) if not e.rigid),
+                   key=lambda t: links[t].b)
+    cap = min((e.b for e in links if e.rigid), default=math.inf)
+    want = exact_scan(G[0, order], np.array([links[t].b for t in order]), d,
+                      cap)
+    try:
+        got = _in_range(dipole_delay_rows([e.b for e in links],
+                                          [e.rigid for e in links], G, d),
+                        G)[0]
+    except ValidationError:  # a delay out of range
+        got = math.inf
+    assert _within_4_ulps(got, want)
 
 
 def test_scan_ties_take_the_shorter_used_set():
@@ -375,8 +435,7 @@ NEAR = dict(FAR, edges=[FAR["edges"][0],
 
 
 def test_a_prefix_whose_delay_overflows_fails_its_window(tmp_path):
-    # The prefix {a} has delay inf, which must not pass its window test
-    # under the next length 1.
+    # The prefix {a} has delay inf, which the least prefix delay skips.
     got = dipole_delay_rows([0.0, 1.0], [False, False],
                             np.array([[1e-300, 1.0]]), 1e10)
     assert got[0] == 1e10 + 1.0

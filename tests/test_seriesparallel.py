@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from netimprove.errors import NotSeriesParallel
+from netimprove.errors import NotSeriesParallel, ValidationError
 from netimprove.seriesparallel import (
     Leaf,
     Parallel,
@@ -108,16 +108,31 @@ def test_postorder_matches_recursive_walk():
         assert [id(node) for node in got] == [id(node) for node in want]
 
 
-def test_postorder_of_a_deep_tree():
-    # A chain of 2,500 series nodes, each with a leaf on its right: deeper
-    # than the default recursion limit.
-    depth = 2500
+def _deep_chain(depth):
+    """A chain of ``depth`` series nodes, each with a leaf on its right."""
     tree = Leaf("e0", "s", "v0")
     for i in range(1, depth + 1):
         tree = Series(tree, Leaf(f"e{i}", f"v{i - 1}", f"v{i}"), "s", f"v{i}")
+    return tree
+
+
+def test_postorder_of_a_deep_tree():
+    # Deeper than the default recursion limit.
+    depth = 2500
+    tree = _deep_chain(depth)
     got = postorder(tree)
     assert len(got) == 2 * depth + 1
     assert got[0].edge_id == "e0" and got[-1] is tree
     assert [node.edge_id for node in got[1::2]] == \
         [f"e{i}" for i in range(1, depth + 1)]
     assert all(isinstance(node, Series) for node in got[2::2])
+
+
+def test_check_tree_of_a_deep_tree():
+    depth = 2500
+    tree = _deep_chain(depth)
+    edges = [("e0", "s", "v0")] + [(f"e{i}", f"v{i - 1}", f"v{i}")
+                                   for i in range(1, depth + 1)]
+    check_tree(tree, edges, "s", f"v{depth}")
+    with pytest.raises(ValidationError, match="graph terminals"):
+        check_tree(tree, edges, "s", "v0")
