@@ -55,7 +55,6 @@ from .parallelpaths import (
     as_parallel_paths,
     best_single_edge_allocation,
     max_path_conductance,
-    prefix_delay,
     solve_parallel_paths,
 )
 from .seriesparallel import (

@@ -760,7 +760,7 @@ def solve_parallel_links_equilibrium(links, beta: Allocation | None,
         if not e.rigid and c_eff[t] > 0.0 and e.b < L:
             flows[t] = c_eff[t] * (L - e.b)
             residual -= flows[t]
-    if residual > 1e-12 * max(1.0, d):
+    if residual > 1e-12 * d:
         # Flow is left over only when the shortest rigid length caps L.
         rigid_min = [t for t, e in enumerate(links) if e.rigid and e.b == L]
         if not rigid_min:

@@ -24,13 +24,16 @@ edge resistances).  The optimizer works at three levels:
     profile turns linear (zero residual resistance) act as flat sinks that
     absorb leftover budget at their constant marginal.
 
-3.  For a fixed used prefix the optimum minimizes L over allocations of
-    the whole budget.  Dinkelbach's iteration (Management Science 13(7),
-    1967) sets Lbar to the prefix delay with no budget, solves the inner
-    program at Lbar and moves Lbar to the delay it gives, until Lbar stops
-    falling.  The used-path prefix follows the standard window rule: stop
-    at the first prefix (paths sorted by length) whose minimized delay does
-    not exceed the next path's length.
+3.  The optimum minimizes the equilibrium delay L(beta), the least prefix
+    delay over the paths sorted by length, over allocations of the whole
+    budget.  The minima over allocations and over prefixes commute, so the
+    optimum is the least of the prefixes' minimized delays, and one
+    Dinkelbach iteration (Management Science 13(7), 1967) on L itself
+    finds it.  At Lbar, Dinkelbach's subproblem over (allocation, prefix)
+    keeps exactly the paths shorter than Lbar, which the inner program's
+    weights (Lbar - b_p)^+ over all paths already do; its solution has
+    delay L <= Lbar.  Lbar starts at L(0) and moves to that delay until it
+    stops falling, so no window test picks the prefix.
 
 Only affine (n = 1) congestible edges are supported; rigid edges inside a
 path contribute length but no resistance.  Paths that are permanently
@@ -51,7 +54,7 @@ import numpy as np
 
 from .core import Allocation, Edge, Instance
 from .errors import Infeasible, NotParallelPaths, UnsupportedDelay, ValidationError
-from .equilibrium import dipole_delay_rows, length_unit
+from .equilibrium import _in_range, dipole_delay_rows
 
 __all__ = [
     "PathSpec",
@@ -59,7 +62,6 @@ __all__ = [
     "PathAllocation",
     "as_parallel_paths",
     "max_path_conductance",
-    "prefix_delay",
     "solve_parallel_paths",
     "best_single_edge_allocation",
     "paths_delay",
@@ -220,18 +222,6 @@ class ParallelPathsInstance:
     sink: str
     dropped: tuple[PathSpec, ...] = ()
 
-    @cached_property
-    def groups(self) -> tuple[tuple[int, ...], ...]:
-        """Indices of paths grouped by (near-)equal length."""
-        groups: list[list[int]] = []
-        for t, p in enumerate(self.paths):
-            if groups and abs(p.length - self.paths[groups[-1][0]].length) \
-                    <= 1e-12 * max(1.0, p.length):
-                groups[-1].append(t)
-            else:
-                groups.append([t])
-        return tuple(tuple(g) for g in groups)
-
 
 @dataclass(frozen=True)
 class PathAllocation:
@@ -324,6 +314,10 @@ def _allocate_weighted(paths: Sequence[PathSpec], weights: Sequence[float],
     budgets = [0.0] * n
     if total <= 0.0:
         return budgets
+    # Scaling the weights changes nothing; an even power of two scales w
+    # and sqrt(w) exactly and keeps w * marginal in range.
+    shift = 2 * (math.frexp(max(weights, default=0.0))[1] // 2)
+    weights = [math.ldexp(w, -shift) for w in weights]
     profs = [p.profile for p in paths]
     tops = [w * prof.marginal(0.0) if w > 0.0 else 0.0
             for prof, w in zip(profs, weights)]
@@ -411,26 +405,6 @@ def _allocate_weighted(paths: Sequence[PathSpec], weights: Sequence[float],
     return budgets
 
 
-def prefix_delay(ppi: ParallelPathsInstance, path_budgets: Sequence[float],
-                 count: int) -> float:
-    """Common delay if exactly the ``count`` shortest paths carry flow,
-    in the scan's length unit where the sum d + sum c b overflows."""
-    if not (1 <= count <= len(ppi.paths)):
-        raise ValidationError("path count out of range")
-    paths = ppi.paths[:count]
-    cs = [p.profile.conductance(beta) for p, beta in zip(paths, path_budgets)]
-    d = ppi.demand
-    for u in (1.0, length_unit(max(max(cs), 1.0), max(paths[-1].length, d),
-                               count + 1)):
-        num, den = d / u, 0.0
-        for c, p in zip(cs, paths):
-            num += c * (p.length / u)
-            den += c
-        if not math.isinf(num):
-            break
-    return num / den * u if den > 0.0 else math.inf
-
-
 class ParallelPathsResult(NamedTuple):
     allocation: PathAllocation
     delay: float
@@ -441,8 +415,8 @@ def solve_parallel_paths(arg: Instance | ParallelPathsInstance,
                          tol: float = 1e-9) -> ParallelPathsResult:
     """Optimal allocation on parallel paths by Dinkelbach's iteration.
 
-    On each prefix the iteration stops once Lbar falls by no more than
-    ``tol`` times the gap between its start and the prefix's longest path.
+    The iteration stops once Lbar falls by no more than ``tol`` times the
+    gap between its start and the shortest path's length.
     """
     if not tol > 0:
         raise ValidationError("tol must be positive")
@@ -451,60 +425,53 @@ def solve_parallel_paths(arg: Instance | ParallelPathsInstance,
         if p.profile.all_rigid:
             raise UnsupportedDelay(
                 "constant-delay path; optimizer needs congestible paths")
-    budget = ppi.budget
-    for count in _group_ends(ppi):
-        paths = ppi.paths[:count]
-        nxt = (ppi.paths[count].length if count < len(ppi.paths) else math.inf)
-        m0 = prefix_delay(ppi, [0.0] * count, count)
-        budgets, m_star = [0.0] * count, m0
-        if budget > 0.0 and any(p.profile.segments for p in paths):
-            scale = max(m0 - paths[-1].length, 1e-12 * max(1.0, m0))
-            lam = m0
-            while True:
-                weights = [max(0.0, lam - p.length) for p in paths]
-                budgets = _allocate_weighted(paths, weights, budget)
-                m_star = prefix_delay(ppi, budgets, count)
-                if not lam - m_star > tol * scale:
-                    break
-                lam = m_star
-            if m_star > m0:
-                budgets, m_star = [0.0] * count, m0
-        if m_star <= nxt + 1e-12 * max(1.0, abs(m_star)):
-            best_budgets = budgets + [0.0] * (len(ppi.paths) - count)
-            used = count
-            break
-    else:  # the last group's window is open, so its delay is nan here
-        raise ValidationError("a delay is out of floating-point range")
+    paths = ppi.paths
+    budgets = [0.0] * len(paths)
+    lam = float(_scan(ppi, budgets)[0][0])
+    if ppi.budget > 0.0 and any(p.profile.segments for p in paths):
+        if math.isinf(lam):
+            # No path conducts unfunded (gates: c = 0, mu > 0) or the delay
+            # overflows; (Lbar - b_p)^+ tends to equal weights as Lbar grows.
+            budgets, lam = _step(ppi, [1.0] * len(paths))
+        scale = tol * max(lam - paths[0].length, 1e-12 * lam)
+        fall = math.inf
+        while math.isfinite(lam) and fall > scale:
+            trial, m = _step(ppi, [max(0.0, lam - p.length) for p in paths])
+            if not m < lam:
+                break
+            budgets, lam, fall = trial, m, lam - m
 
-    split: dict[str, float] = {}
-    for p, pb in zip(ppi.paths, best_budgets):
+    split = {e.id: 0.0 for p in paths + ppi.dropped for e in p.edges}
+    for p, pb in zip(paths, budgets):
         split.update(p.profile.split(pb))
-        for e in p.edges:
-            split.setdefault(e.id, 0.0)
-    for p in ppi.dropped:
-        for e in p.edges:
-            split.setdefault(e.id, 0.0)
-    alloc = PathAllocation(tuple(best_budgets), split)
-    # The window test identified the used prefix; report the delay from the
-    # full used-set scan, which agrees with m_star but is allocation-exact.
-    delay = paths_delay(ppi, best_budgets)
-    return ParallelPathsResult(alloc, delay, used)
+    delay = paths_delay(ppi, budgets)
+    used = max(1, sum(p.length < delay for p in paths))
+    return ParallelPathsResult(PathAllocation(tuple(budgets), split), delay, used)
 
 
-def _group_ends(ppi: ParallelPathsInstance):
-    end = 0
-    for g in ppi.groups:
-        end += len(g)
-        yield end
+def _step(ppi: ParallelPathsInstance, weights: Sequence[float]
+          ) -> tuple[list[float], float]:
+    """The inner program's budgets at the given weights, and their delay."""
+    budgets = _allocate_weighted(ppi.paths, weights, ppi.budget)
+    if not all(map(math.isfinite, budgets)):
+        raise ValidationError("a delay is out of floating-point range")
+    return budgets, float(_scan(ppi, budgets)[0][0])
+
+
+def _scan(ppi: ParallelPathsInstance, path_budgets: Sequence[float]
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """The least prefix delay at the given path budgets, as a row of one,
+    and the path conductances."""
+    G = np.array([[p.profile.conductance(pb)
+                   for p, pb in zip(ppi.paths, path_budgets)]])
+    return dipole_delay_rows([p.length for p in ppi.paths],
+                             [p.profile.all_rigid for p in ppi.paths],
+                             G, ppi.demand), G
 
 
 def paths_delay(ppi: ParallelPathsInstance, path_budgets: Sequence[float]) -> float:
     """Equilibrium delay for given path budgets: the least prefix delay."""
-    paths = ppi.paths
-    c_eff = [p.profile.conductance(pb) for p, pb in zip(paths, path_budgets)]
-    L = float(dipole_delay_rows([p.length for p in paths],
-                                [p.profile.all_rigid for p in paths],
-                                np.array([c_eff]), ppi.demand)[0])
+    L = float(_in_range(*_scan(ppi, path_budgets))[0])
     if math.isinf(L):
         raise Infeasible("no usable path")
     return L

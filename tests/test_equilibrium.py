@@ -197,6 +197,16 @@ class TestParallelLinksClosedForm:
         assert res.flow.get("e1") == pytest.approx(1.0, abs=1e-12)
         assert res.flow.get("e2") == pytest.approx(2.0, abs=1e-12)
 
+    def test_rigid_cap_absorbs_residual_at_a_tiny_demand(self):
+        # The residual 9e-13 is below 1e-12 but not below 1e-12 of the demand.
+        links = [Edge("a", "s", "t", c=1.0), Edge("r", "s", "t", b=1e-13, rigid=True)]
+        res = solve_parallel_links_equilibrium(links, None, 1e-12)
+        assert res.average_delay == 1e-13
+        assert res.flow.get("a") == 1e-13
+        assert res.flow.get("r") == pytest.approx(9e-13, rel=1e-12, abs=0.0)
+        assert sum(res.flow.edge_flow.values()) == pytest.approx(
+            1e-12, rel=1e-12, abs=0.0)
+
     def test_non_affine_rejected(self):
         e = Edge("e", "s", "t", c=1.0, n=2.0)
         with pytest.raises(UnsupportedDelay):

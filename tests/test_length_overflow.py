@@ -1,5 +1,6 @@
-"""Closed forms on links so long that c * b overflows: the dipole scan and
-the parallel-path prefix delay measure lengths in a power-of-two unit."""
+"""Closed forms on links so long that c * b overflows: the dipole scan, which
+the parallel-path optimizer shares, measures lengths in a power-of-two
+unit."""
 
 import json
 import subprocess
@@ -14,9 +15,8 @@ from netimprove.equilibrium import (dipole_delay_rows, length_unit,
                                     path_delay_rows, solve_equilibrium)
 from netimprove.errors import ValidationError
 from netimprove.oracle import GridSpec, evaluate_delay, grid_search
-from netimprove.parallelpaths import (as_parallel_paths,
-                                      best_single_edge_allocation,
-                                      prefix_delay, solve_parallel_paths)
+from netimprove.parallelpaths import (best_single_edge_allocation,
+                                      solve_parallel_paths)
 
 
 def _dipole(links, demand, budget):
@@ -50,6 +50,7 @@ def test_every_solver_agrees_without_overflow(name):
         equilibrium = solve_equilibrium(inst, links.allocation).average_delay
     for value in (links.delay, grid.delay, paths.delay, played, equilibrium):
         assert value == pytest.approx(delay, rel=1e-12)
+    assert paths.used_paths == 1
 
 
 def test_scaling_lengths_and_demand_scales_the_delay_exactly():
@@ -72,16 +73,6 @@ def test_unit_is_one_unless_the_sum_could_overflow():
     assert length_unit(3.1, 90.0, 2) == 1.0
     assert length_unit(1e150, 1e150, 1000) == 1.0
     assert length_unit(10.0, 1.5e308, 2) == 2.0 ** 8
-
-
-def test_prefix_delay_of_two_long_paths():
-    inst, delay = CASES["two-long-links"]
-    ppi = as_parallel_paths(inst)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        assert prefix_delay(ppi, [0.0], 1) == delay
-        assert prefix_delay(ppi, [1.0, 0.0], 2) == pytest.approx(
-            1e308 * (11.0 / 21.0) + 1.5e308 * (10.0 / 21.0), rel=1e-15)
 
 
 def test_a_path_whose_length_overflows_is_rejected():

@@ -1,23 +1,25 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from netimprove.core import Allocation, Commodity, Edge, Instance
+from netimprove.core import Allocation, Commodity, Edge, Instance, parse_instance
 from netimprove.equilibrium import dipole_delay_rows, solve_equilibrium
-from netimprove.errors import NotParallelPaths, UnsupportedDelay, ValidationError
+from netimprove.errors import (NetimproveError, NotParallelPaths,
+                               UnsupportedDelay, ValidationError)
+from netimprove.oracle import GridSpec, evaluate_delay, grid_search
 from netimprove.parallelpaths import (
-    ParallelPathsInstance,
     _allocate_weighted,
     as_parallel_paths,
     best_single_edge_allocation,
     max_path_conductance,
     paths_delay,
-    prefix_delay,
     solve_parallel_paths,
 )
 
-from conftest import make_dipole
+from conftest import extreme_dipoles, make_dipole
 
 
 def _edge(i, c, mu, b=0.0, tail="s", head="t"):
@@ -157,14 +159,15 @@ class TestPrefixDelayAndInner:
         ppi = as_parallel_paths(fig2)
         # Paths sorted by length: the 5x link comes first.
         assert ppi.paths[0].length == 0.0
-        assert prefix_delay(ppi, [3.0], 1) == pytest.approx(80.0, abs=1e-12)
-        m2 = prefix_delay(ppi, [3.0, 0.0], 2)
+        assert _prefix_delay(ppi, [3.0], 1) == pytest.approx(80.0, abs=1e-12)
+        m2 = _prefix_delay(ppi, [3.0, 0.0], 2)
         assert m2 == pytest.approx((40 + 0.1 * 90) / 0.6, abs=1e-10)
-        assert m2 < 90.0  # window test: the long path stays unused
+        # The equilibrium delay is the least prefix delay.
+        assert paths_delay(ppi, [3.0, 0.0]) == pytest.approx(80.0, abs=1e-12)
 
     def test_inner_allocate_zero_target(self, fig2):
         ppi = as_parallel_paths(fig2)
-        budgets, spent = inner_allocate(ppi, prefix_delay(ppi, [0.0], 1), 1)
+        budgets, spent = inner_allocate(ppi, _prefix_delay(ppi, [0.0], 1), 1)
         assert spent == 0.0
         assert budgets == [0.0]
 
@@ -172,7 +175,7 @@ class TestPrefixDelayAndInner:
         ppi = as_parallel_paths(fig2)
         budgets, spent = inner_allocate(ppi, 90.0, 2)
         assert spent == pytest.approx(2.444444444444, rel=1e-6)
-        assert prefix_delay(ppi, budgets, 2) == pytest.approx(90.0, rel=1e-9)
+        assert _prefix_delay(ppi, budgets, 2) == pytest.approx(90.0, rel=1e-9)
 
     def test_inner_allocate_symmetric_example(self):
         inst = make_dipole([(1, 0, 1), (1, 0, 1)], 1.0, 10.0)
@@ -342,16 +345,13 @@ class TestStructureDetection:
             assert eq.average_delay == pytest.approx(L, rel=1e-8)
 
 
-def test_prefix_delay_vanishing_demand_limit(fig2):
-    # As demand shrinks, the prefix delay approaches the conductance-weighted
-    # average of the path lengths.
-    ppi = as_parallel_paths(fig2)
-    tiny = ParallelPathsInstance(paths=ppi.paths, demand=1e-12,
-                                 budget=ppi.budget, source=ppi.source,
-                                 sink=ppi.sink)
-    m2 = prefix_delay(tiny, [0.0, 0.0], 2)
-    weighted = (0.2 * 0.0 + 0.1 * 90.0) / 0.3
-    assert m2 == pytest.approx(weighted, abs=1e-9)
+def _prefix_delay(ppi, path_budgets, count):
+    """Common delay (d + sum c b) / sum c if exactly the ``count`` shortest
+    paths carry flow; inf if they have no conductance."""
+    paths = ppi.paths[:count]
+    cs = [p.profile.conductance(pb) for p, pb in zip(paths, path_budgets)]
+    num = ppi.demand + sum(c * p.length for c, p in zip(cs, paths))
+    return num / sum(cs) if sum(cs) > 0.0 else math.inf
 
 
 def inner_allocate(ppi, l_target, count, tol=1e-12):
@@ -372,7 +372,7 @@ def inner_allocate(ppi, l_target, count, tol=1e-12):
                 zip(_allocate_weighted(paths, weights, total), lower)]
 
     zeros = [0.0] * count
-    m0 = prefix_delay(ppi, zeros, count)
+    m0 = _prefix_delay(ppi, zeros, count)
     if m0 <= l_target * (1.0 + 1e-15):
         return zeros, 0.0
     if all(w <= 0.0 or not p.profile.segments for w, p in zip(weights, paths)):
@@ -384,7 +384,7 @@ def inner_allocate(ppi, l_target, count, tol=1e-12):
     lo_budgets = zeros
     while True:
         budgets = allocate(hi, lo_budgets)
-        if prefix_delay(ppi, budgets, count) <= l_target:
+        if _prefix_delay(ppi, budgets, count) <= l_target:
             break
         lo = hi
         lo_budgets = budgets
@@ -395,7 +395,7 @@ def inner_allocate(ppi, l_target, count, tol=1e-12):
     while hi - lo > tol * hi:
         mid = 0.5 * (lo + hi)
         budgets = allocate(mid, lo_budgets)
-        if prefix_delay(ppi, budgets, count) > l_target:
+        if _prefix_delay(ppi, budgets, count) > l_target:
             lo = mid
             lo_budgets = budgets
         else:
@@ -406,14 +406,17 @@ def inner_allocate(ppi, l_target, count, tol=1e-12):
 
 def _bisection_reference(ppi, tol):
     """Nested bisection on the target delay, each step asking
-    ``inner_allocate`` for the budget that reaches it; returns the delay
-    and the used path count."""
+    ``inner_allocate`` for the budget that reaches it, on each prefix that
+    ends a run of equal lengths, until the first prefix whose delay does not
+    exceed the next length (the window rule); returns the delay and the used
+    path count."""
     budget = ppi.budget
-    count = 0
-    for group in ppi.groups:
-        count += len(group)
-        nxt = ppi.paths[count].length if count < len(ppi.paths) else math.inf
-        m0 = prefix_delay(ppi, [0.0] * count, count)
+    n = len(ppi.paths)
+    for count in range(1, n + 1):
+        nxt = ppi.paths[count].length if count < n else math.inf
+        if nxt == ppi.paths[count - 1].length:
+            continue
+        m0 = _prefix_delay(ppi, [0.0] * count, count)
         budgets, m_star = [0.0] * count, m0
         if budget > 0.0 and any(p.profile.segments for p in ppi.paths[:count]):
             b_i = ppi.paths[count - 1].length
@@ -427,13 +430,13 @@ def _bisection_reference(ppi, tol):
                     hi = mid
             weights = [max(0.0, hi - p.length) for p in ppi.paths[:count]]
             trial = _allocate_weighted(ppi.paths[:count], weights, budget)
-            if prefix_delay(ppi, trial, count) <= m0:
+            if _prefix_delay(ppi, trial, count) <= m0:
                 budgets = trial
-                m_star = prefix_delay(ppi, trial, count)
-        if m_star <= nxt + 1e-12 * max(1.0, abs(m_star)):
-            full = budgets + [0.0] * (len(ppi.paths) - count)
+                m_star = _prefix_delay(ppi, trial, count)
+        if m_star <= nxt:
+            full = budgets + [0.0] * (n - count)
             return paths_delay(ppi, full), count
-    raise AssertionError("no prefix passed the window test")
+    raise AssertionError("no prefix passed the window rule")
 
 
 def _random_paths_instance(rng):
@@ -483,7 +486,7 @@ class TestDinkelbachAgainstBisection:
             seen["dropped"] += bool(ppi.dropped)
             seen["flat tail"] += any(p.profile.flat_level() is not None
                                      for p in ppi.paths[:res.used_paths])
-            seen["equal lengths"] += any(len(g) > 1 for g in ppi.groups)
+            seen["equal lengths"] += len({p.length for p in ppi.paths}) < len(ppi.paths)
             seen["zero budget"] += inst.budget == 0.0
             seen["several used"] += res.used_paths > 1
         assert all(seen.values()), seen
@@ -502,6 +505,79 @@ class TestDinkelbachAgainstBisection:
         assert res.delay == pytest.approx(40.0 / 3e300, rel=1e-12)
         assert links.edge_id == "e2"
         assert links.delay == pytest.approx(res.delay, rel=1e-12)
+
+
+# Gates (c = 0, mu > 0) carry no flow until funded, so L(0) is inf.
+GATES = {"one gate": make_dipole([(0.0, 1.0, 1.0)], 1.0, 1.0),
+         "two gates": make_dipole([(0.0, 1.0, 1.0), (0.0, 2.0, 2.0)],
+                                  1.0, 1.0)}
+
+
+@pytest.mark.parametrize("name", sorted(GATES))
+def test_gates_alone_take_the_budget(name):
+    inst = GATES[name]
+    res = solve_parallel_paths(inst)
+    links = best_single_edge_allocation(inst.edges, 1.0, 1.0)
+    grid = grid_search(inst, GridSpec(resolution=20))
+    assert res.delay == links.delay == grid.delay == 2.0
+    assert res.used_paths == 1
+    assert res.allocation.to_allocation() == Allocation({"e1": 1.0})
+
+
+def test_a_gate_beside_an_overflowing_link_takes_the_budget():
+    # Link e1 alone carries the demand at a delay above the float range, so
+    # L(0) is inf; funding the gate e2 gives 1e10 + 1.
+    inst = make_dipole([(1e-300, 0.0, 1e-300), (0.0, 1.0, 1.0)], 1e10, 1.0)
+    res = solve_parallel_paths(inst)
+    assert res.delay == best_single_edge_allocation(
+        inst.edges, 1.0, 1e10).delay == 1e10 + 1.0
+    assert res.allocation.to_allocation() == Allocation({"e2": 1.0})
+
+
+# Two links each, at magnitudes far apart, where the optimum spends the
+# whole budget on one link.  The two gates start from L(0) = inf; at the
+# tiny delays the first step falls by about 2e-190 and the second by as
+# much; at the tiny weight, 8e-174 times the marginal 2e-157 underflows.
+FAR_APART = {
+    "tiny weight": make_dipole([(4.03e40, 0.0, 2.35e-157),
+                                (8.46e131, 7.15e-59, 8.2e-290)],
+                               3.26e-133, 2.33e218),
+    "tiny delays": make_dipole([(4.49e-11, 1.08e-251, 1.74e234),
+                                (2.42e-143, 2.26e-205, 1.75e278)],
+                               1e-200, 1.77e-150),
+    "two far gates": make_dipole([(0.0, 3.37e-176, 4e-250),
+                                  (0.0, 6.79e226, 2.18e-107)],
+                                 2e-64, 5.68e194),
+    "long short link": make_dipole([(1.77e-128, 2.67e-101, 2.62e71),
+                                    (1.43e177, 1.04e-25, 1.92e151)],
+                                   2.73e209, 2.57e101),
+    "short long link": make_dipole([(3.12e-290, 5.76e8, 7.15e-69),
+                                    (1.34e-286, 9.14e-127, 3.32e-164)],
+                                   1.85e-272, 5.22e89),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAR_APART))
+def test_far_apart_magnitudes_reach_the_single_link_optimum(name):
+    inst = FAR_APART[name]
+    res = solve_parallel_paths(inst)
+    links = best_single_edge_allocation(inst.edges, inst.budget,
+                                        inst.total_demand)
+    assert res.delay == pytest.approx(links.delay, rel=1e-12, abs=0.0)
+    assert res.used_paths == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(extreme_dipoles())
+def test_extreme_dipoles_play_the_reported_delay(doc):
+    # Wherever the optimizer returns, its allocation plays its delay.
+    try:
+        inst = parse_instance(json.dumps(doc))
+        res = solve_parallel_paths(inst)
+    except NetimproveError:
+        return
+    played = evaluate_delay(inst, res.allocation.to_allocation())
+    assert played == pytest.approx(res.delay, rel=1e-9, abs=0.0)
 
 
 class TestSingleEdgeTies:
