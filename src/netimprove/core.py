@@ -58,6 +58,12 @@ class Edge:
             raise ValidationError("edge id must be a non-empty string")
         if self.tail == self.head:
             raise ValidationError(f"edge {self.id!r} is a self-loop")
+        for name in ("c", "b", "n", "mu"):  # an int would make int arrays
+            try:
+                object.__setattr__(self, name, float(getattr(self, name)))
+            except OverflowError:
+                raise ValidationError(f"edge {self.id!r}: {name} is out of "
+                                      "floating-point range") from None
         if not (self.c >= 0.0) or math.isinf(self.c):
             raise ValidationError(f"edge {self.id!r}: conductance must be finite and >= 0")
         if not (self.b >= 0.0) or math.isinf(self.b):

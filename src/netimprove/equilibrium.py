@@ -13,13 +13,22 @@ the minimization:
   (graphs here are desk scale) and keeps itself with the instance.  Each
   round equalizes the delays of the flow-carrying paths, by a direct linear
   solve in the affine case and damped Newton otherwise, and exchanges paths
-  in and out of that set until the Wardrop condition holds.  Newton sees
-  each delay extended to negative flow as an odd function, so it has a
-  root, and a path it drives negative is dropped as the linear solve's are
-  (Bertsekas and Gafni 1982).  It runs on rows of allocations at once,
+  in and out of that set until the Wardrop condition holds: it drops the
+  path driven most negative, or adds each commodity's usable path of least
+  delay, one masked argmin, where that is below the common delay.  Newton
+  sees each delay extended to negative flow as an odd function, so it has
+  a root, and a path it drives negative is dropped as the linear solve's
+  are (Bertsekas and Gafni 1982).  It runs on rows of allocations at once,
   grouped by active set: ``path_delay_rows`` feeds it a grid block, and
   ``solve_equilibrium`` a single row, which it turns into a flow with its
-  certificate, or hands to Frank-Wolfe if the engine stalls.
+  certificate, or hands to Frank-Wolfe if the engine stalls.  Each round
+  solves its set afresh, Newton from equal splits, so a row's result
+  depends only on the set it settles in.  A grid block's Newton rows use
+  that: every 32nd row starts from its shortest paths and the others from
+  the set the sampled row before them settled in, which saves rounds and
+  changes no bit.  Affine rows all start from their shortest paths, since
+  an affine round costs one solve per set and the borrowed sets would
+  split the block into more of them.
 
 * Frank-Wolfe on edge flows, used when path enumeration exceeds its cap or
   the path engine stalls: ``copt``'s loop on the relaxation's edge kernel,
@@ -86,6 +95,7 @@ __all__ = [
 
 _PATH_CAP = 200  # simple paths per commodity the path engines enumerate
 _BATCH_ROWS = 4096  # allocations per pass of the batched path engine
+_SAMPLE = 32  # a block's Newton rows start from one sampled row in this many
 
 
 @dataclass(frozen=True)
@@ -136,7 +146,9 @@ def path_delay_rows(inst: Instance, edges, betas: np.ndarray) -> np.ndarray:
 
     ``betas`` has shape (N, len(edges)); column j is the amount on
     ``edges[j]`` and every other edge gets zero.  This is the path engine
-    of ``solve_equilibrium`` run on all rows at once, from the same start.
+    of ``solve_equilibrium`` run on all rows at once; a Newton row may
+    start from a sampled row's settled set (``_PathBatch.delays``), which
+    gives the same delay in fewer rounds.
     A row with a commodity that has no usable path gets inf.  A row gets
     nan, and the caller solves it with ``solve_equilibrium``, where the
     engine leaves it open (a failed Newton solve, or no Wardrop point in
@@ -202,10 +214,11 @@ class _ActiveSet:
         self.layers = [(pairs[o, 0], pairs[o, 1], es)
                        for o, es in _layers(list(terms.values()))]
         self.rhs = np.concatenate([-batch.free_flow[S], batch.demands])
-        rows = np.arange(a)
-        self.unit = (np.concatenate([rows, a + com]),
-                     np.concatenate([a + com, rows]),
-                     np.concatenate([np.full(a, -1.0), np.ones(a)]))
+        # The system with zero weights: -1 for each path's common delay and
+        # 1 for its flow in its commodity's demand row.
+        self.template = np.zeros((self.size, self.size))
+        self.template[np.arange(a), a + com] = -1.0
+        self.template[a + com, np.arange(a)] = 1.0
         self.edges = len(batch.c)
 
     @functools.cached_property
@@ -217,11 +230,9 @@ class _ActiveSet:
 
     def matrices(self, weights: np.ndarray) -> np.ndarray:
         """The (N, a + I, a + I) system with per-row edge weights."""
-        M = np.zeros((len(weights), self.size, self.size))
+        M = np.repeat(self.template[None], len(weights), axis=0)
         for ts, t2s, es in self.layers:
             M[:, ts, t2s] += weights[:, es]
-        rows, cols, vals = self.unit
-        M[:, rows, cols] = vals
         return M
 
 
@@ -286,17 +297,36 @@ class _PathBatch:
         return active
 
     def delays(self, edges, betas: np.ndarray) -> np.ndarray:
+        """The average delay of each row of allocations, as
+        ``path_delay_rows`` gives it.
+
+        Affine rows start from their shortest paths.  Newton rows go in two
+        passes: every 32nd feasible row from its shortest paths, then each
+        other row from the set that the sampled row before it settled in, if
+        it settled, less the paths this row cannot use; a commodity left
+        with no active path keeps its shortest one.
+        """
         N = len(betas)
         G = np.tile(self.c, (N, 1))
         for j, e in enumerate(edges):
             t = self.pos[e.id]
             G[:, t] = self.c[t] + self.mu[t] * betas[:, j]
         usable, stranded = self.usable(G)
-        feasible = ~stranded.any(axis=1)
-        res = self.solve(G, usable, self.start(usable),
-                         np.flatnonzero(feasible))
-        out = np.full(N, np.nan)
-        out[~feasible] = np.inf
+        rows = np.flatnonzero(~stranded.any(axis=1))
+        active = self.start(usable)
+        if self.affine:
+            res = self.solve(G, usable, active, rows)
+        else:
+            res = self.solve(G, usable, active, rows[::_SAMPLE])
+            at = np.flatnonzero(np.arange(len(rows)) % _SAMPLE)
+            own, near = rows[at], rows[at // _SAMPLE * _SAMPLE]
+            for js in self.by_com:
+                take = active[near[:, None], js] & usable[own[:, None], js]
+                keep = take.any(axis=1) & res.done[near]
+                active[own[keep, None], js] = take[keep]
+            self.solve(G, usable, active, own, res=res)
+        out = np.full(N, np.inf)
+        out[rows] = np.nan
         L = res.L[res.done]
         # The potential is at most the total delay sum_i d_i L_i: below 1e300
         # of the least flow unit a row gets (a half's where no conductance is
@@ -310,37 +340,43 @@ class _PathBatch:
         return out
 
     def solve(self, G: np.ndarray, usable: np.ndarray, active: np.ndarray,
-              rows: np.ndarray, flows: bool = False) -> _Rows:
+              rows: np.ndarray, flows: bool = False,
+              res: _Rows | None = None) -> _Rows:
         """Run the active-set loop on ``rows`` of the conductances ``G``
         (N, edges) from the active sets ``active`` (N, paths), which it
-        updates; ``flows`` asks for the path flows of settled rows.
+        updates, into ``res`` or a fresh record; ``flows`` asks for the path
+        flows of settled rows.
 
         A round equalizes the delays of a row's active paths, by one linear
         solve when every delay is affine and by damped Newton otherwise; it
-        drops the path whose flow came out most negative, or else adds each
-        commodity's shortest usable path where that is shorter than the
-        common delay.  A row settles in the first round that changes
-        nothing.  Rows sharing an active set go through a round together.
-        Callers ignore floating-point errors: a value out of range is kept
-        and judged where it is reported.
+        drops the path whose flow came out most negative, or else adds, per
+        commodity, the usable path of least finite delay (the lowest index
+        among equals) where that is below the common delay.  A row settles
+        in the first round that changes nothing.  Rows sharing an active set
+        go through a round together.  Callers ignore floating-point errors:
+        a value out of range is kept and judged where it is reported.
         """
         N = len(G)
-        res = _Rows(np.zeros(N, dtype=bool),
-                    np.full((N, len(self.demands)), np.nan),
-                    np.zeros(usable.shape) if flows else None,
-                    np.zeros(N, dtype=int))
+        if res is None:
+            res = _Rows(np.zeros(N, dtype=bool),
+                        np.full((N, len(self.demands)), np.nan),
+                        np.zeros(usable.shape) if flows else None,
+                        np.zeros(N, dtype=int))
         scale = (1.0 + float(np.max(np.abs(self.demands)))
                  + np.max(np.where(usable, self.free_flow, -np.inf), axis=1))
         for _ in range(400):
             if not rows.size:
                 break
             res.rounds[rows] += 1
-            # Group the open rows by active set: sort their packed masks.
-            codes = np.packbits(active[rows], axis=1)
-            order = np.lexsort(codes.T[::-1])
-            codes = codes[order]
-            starts = np.flatnonzero((codes[1:] != codes[:-1]).any(axis=1)) + 1
-            groups = np.split(rows[order], starts)
+            if len(rows) == 1:
+                groups = [rows]
+            else:  # group the open rows by active set: sort packed masks
+                codes = np.packbits(active[rows], axis=1)
+                order = np.lexsort(codes.T[::-1])
+                codes = codes[order]
+                starts = np.flatnonzero(
+                    (codes[1:] != codes[:-1]).any(axis=1)) + 1
+                groups = np.split(rows[order], starts)
             rows = np.concatenate([
                 self._round(self._set(active[grp[0]]), grp, G, usable,
                             active, scale, res) for grp in groups])
@@ -356,12 +392,13 @@ class _PathBatch:
                res: _Rows):
         """One equalize-and-exchange round for the rows ``grp`` sharing
         ``aset``; returns the rows left open."""
+        G = G[grp]
         if self.affine:
-            z = _solve_rows(aset.matrices(1.0 / G[grp]),
-                            np.tile(aset.rhs, (len(grp), 1)))
+            z = _solve_rows(aset.matrices(1.0 / G),
+                            np.broadcast_to(aset.rhs, (len(grp), aset.size)))
         else:
-            z, ok = self._newton(aset, G[grp], scale[grp])
-            grp, z = grp[ok], z[ok]
+            z, ok = self._newton(aset, G, scale[grp])
+            grp, z, G = grp[ok], z[ok], G[ok]
         a = aset.a
         xs = z[:, :a]
         worst = np.argmin(xs, axis=1)
@@ -369,24 +406,22 @@ class _PathBatch:
                 & aset.many[aset.com[worst]])
         active[grp[drop], aset.S[worst[drop]]] = False
         dropped = grp[drop]
-        grp, z = grp[~drop], z[~drop]
+        grp, z, G = grp[~drop], z[~drop], G[~drop]
 
         x = np.maximum(z[:, :a], 0.0)
-        _, D, settled = self._flows(aset, x, G[grp])
+        _, D, settled = self._flows(aset, x, G)
         L = z[:, a:]
+        # Each commodity's candidate: its usable path of least finite delay.
+        D = np.where(usable[grp] & np.isfinite(D), D, np.inf)
         added = np.zeros(len(grp), dtype=bool)
         for i, js in enumerate(self.by_com):
-            best_d = np.full(len(grp), np.inf)
-            best_j = np.full(len(grp), -1)
-            for j in js:
-                better = usable[grp, j] & (D[:, j] < best_d - 1e-15)
-                best_d = np.where(better, D[:, j], best_d)
-                best_j[better] = j
+            best = js[np.argmin(D[:, js], axis=1)]
+            best_d = D[np.arange(len(grp)), best]
             Li = L[:, i]
             # An infinite common delay admits any shorter path.
             floor = np.where(np.isinf(Li), Li, Li - 1e-10 * np.abs(Li))
-            add = (best_j >= 0) & ~active[grp, best_j] & (best_d < floor)
-            active[grp[add], best_j[add]] = True
+            add = (best_d < floor) & ~active[grp, best]
+            active[grp[add], best[add]] = True
             added |= add
         done = ~added
         res.done[grp[done]] = True
@@ -405,7 +440,8 @@ class _PathBatch:
         for es, ts in aset.flow_layers:
             F[:, es] += x[:, ts]
         De = F / G
-        np.copysign(np.float_power(np.abs(De), self.n), De, out=De)
+        if not self.affine:  # |x|^1 is |x|, so affine rows skip the power
+            np.copysign(np.float_power(np.abs(De), self.n), De, out=De)
         De += self.b
         np.copyto(De, self.b, where=self.rigid | (F == 0.0))
         D = np.zeros((len(x), len(self.com)))

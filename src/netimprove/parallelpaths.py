@@ -130,7 +130,10 @@ class _Profile:
                 r += 1.0 / e.c
             return 1.0 / r if r > 0.0 else math.inf
         seg = self._segment(budget)
-        r = seg.R + seg.S * seg.S / (budget + seg.C)
+        u = budget + seg.C
+        r = seg.R + seg.S * seg.S / u
+        if r == math.inf and u > 0.0:  # 1 / r underflows: g is subnormal
+            return u / (seg.S * seg.S + seg.R * u)
         return 1.0 / r if r > 0.0 else math.inf
 
     def marginal(self, budget: float) -> float:

@@ -486,3 +486,42 @@ def test_solve_on_extreme_dipoles_exits_0_2_or_3(doc):
                 warnings.simplefilter("always")
                 assert cli.main(["solve", path, "--alg", alg]) in (0, 2, 3)
             assert not [w for w in caught if "encountered" in str(w.message)]
+
+
+def _one_pair(tmp_path, doc):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_a_rigid_link_of_length_zero_takes_the_flow(tmp_path):
+    # Beside the fast link e1 (delay x / 1e15), the rigid e2 has delay 0:
+    # the engine adds e2, whose delay is below e1's 1e-15, and all the flow
+    # moves there.
+    path = _one_pair(tmp_path, {
+        "nodes": ["s", "t"],
+        "edges": [{"id": "e1", "tail": "s", "head": "t", "c": 1e15, "b": 0},
+                  {"id": "e2", "tail": "s", "head": "t", "b": 0,
+                   "rigid": True}],
+        "commodities": [{"source": "s", "sink": "t", "demand": 1}],
+        "budget": 0})
+    proc = run_cli("equilibrium", path)
+    out = json.loads(proc.stdout)
+    assert (out["L"], out["gap"], out["flow"]) == (0.0, 0.0, {"e2": 1.0})
+    assert "Warning" not in proc.stderr
+    assert json.loads(run_cli("solve", "--alg", "copt", path).stdout)["L"] == 0.0
+
+
+def test_a_subnormal_conductance_is_a_delay_out_of_range(tmp_path):
+    # Funded, the gate's conductance mu * budget is 2.9e-310: positive, so
+    # the link is usable, and the delay d / g overflows on every route.
+    path = _one_pair(tmp_path, {
+        "nodes": ["s", "t"],
+        "edges": [{"id": "g", "tail": "s", "head": "t", "c": 0, "b": 1.43e17,
+                   "mu": 5.59e-121}],
+        "commodities": [{"source": "s", "sink": "t", "demand": 1.67e28}],
+        "budget": 5.23e-190})
+    for alg in ("parallel-paths", "parallel-links", "oracle"):
+        proc = run_cli("solve", "--alg", alg, path, check=False)
+        assert proc.returncode == 2, (alg, proc.stderr)
+        assert "out of floating-point range" in proc.stderr

@@ -21,6 +21,7 @@ from netimprove.core import (
 )
 from netimprove.errors import PathCapExceeded, ValidationError
 from netimprove.gadgets import build_partition_instance
+from netimprove.parallelpaths import best_single_edge_allocation
 
 FIG2_JSON = json.dumps({
     "nodes": ["s", "t"],
@@ -142,6 +143,22 @@ class TestParseInstance:
         again = parse_allocation(allocation_to_json(a))
         assert again.get("e1") == 0.1 + 0.2
         assert again.get("e2") == 1e-17
+
+
+class TestEdgeParameters:
+    def test_integer_parameters_are_stored_as_floats(self):
+        # An int conductance would make best_single_edge_allocation's
+        # conductance rows an int array, which truncates mu * budget.
+        a = Edge("a", "s", "t", c=0, b=1, mu=1)
+        b = Edge("b", "s", "t", c=0, b=2, mu=1)
+        assert all(type(v) is float for v in (a.c, a.b, a.n, a.mu))
+        pick = best_single_edge_allocation([a, b], 0.5, 1.0)
+        assert (pick.edge_id, pick.delay) == ("a", 3.0)
+
+    @pytest.mark.parametrize("name", ["c", "b", "n", "mu"])
+    def test_an_integer_beyond_float_range_is_rejected(self, name):
+        with pytest.raises(ValidationError, match=f"{name} is out of"):
+            Edge("a", "s", "t", **{name: 10 ** 400})
 
 
 class TestEdgeDelay:

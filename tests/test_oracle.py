@@ -20,6 +20,7 @@ from netimprove.oracle import (
 )
 
 from conftest import make_dipole
+from test_frank_wolfe import _two_commodity
 
 
 class TestCompositions:
@@ -361,6 +362,26 @@ def _shared_vertex_2ddp():
         "s1", "s2", "t1", "t2", big_budget=1e5)
 
 
+def _quadratic_pair():
+    return Instance(
+        nodes=("s", "t"),
+        edges=(Edge("e1", "s", "t", c=0.9, b=0.1, n=2.0, mu=1.2),
+               Edge("e2", "s", "t", c=0.4, b=0.5, n=2.0, mu=0.7)),
+        commodities=(Commodity("s", "t", 1.6),), budget=1.5)
+
+
+def _braess_quadratic():
+    # Braess with an exponent-2 first edge, improvable beside the bridge.
+    return Instance(
+        nodes=("s", "a", "b", "t"),
+        edges=(Edge("sa", "s", "a", c=1.3, b=0.0, n=2.0, mu=0.8),
+               Edge("sb", "s", "b", c=0.0, b=0.8, rigid=True),
+               Edge("ab", "a", "b", c=0.0, b=0.0, mu=1.2),
+               Edge("at", "a", "t", c=0.0, b=1.1, rigid=True),
+               Edge("bt", "b", "t", c=0.9, b=0.0)),
+        commodities=(Commodity("s", "t", 1.4),), budget=2.0)
+
+
 BATCH_CASES = [(_quadratic_dipole, 12, False),
                (_root_edge_at_zero_flow, 10, False),
                (_two_commodities, 6, True),
@@ -394,6 +415,24 @@ class TestBatchedEngine:
         assert res.delay == want[best]
         assert res.allocation == Allocation(
             {e.id: betas[best, j] for j, e in enumerate(edges)})
+
+    @pytest.mark.parametrize("build, R", [(_quadratic_dipole, 6),
+                                          (_quadratic_pair, 8),
+                                          (_braess_quadratic, 8),
+                                          (_two_commodity, 8)])
+    def test_newton_rows_are_the_scalar_solver_bit_for_bit(self, build, R):
+        # Past every 32nd row, a Newton row starts from the set a sampled
+        # row settled in, and a one-row solve from its shortest paths.  A
+        # row's delay depends only on the set it settles in, so the two
+        # agree to the bit on every row the batch finishes.
+        inst = build()
+        edges, betas = _grid_betas(inst, R)
+        rows = equilibrium.path_delay_rows(inst, edges, betas)
+        finite = np.flatnonzero(np.isfinite(rows))
+        assert len(finite) > 32
+        for r in finite:
+            alloc = Allocation({e.id: betas[r, j] for j, e in enumerate(edges)})
+            assert solve_equilibrium(inst, alloc).average_delay == rows[r]
 
     def test_used_links_change_across_the_grid(self):
         # The exponent-2 dipole case exercises drops and adds: the long
