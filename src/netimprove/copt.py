@@ -28,8 +28,7 @@ value, gradient and dense Hessian of the summed edge terms to every phase.
 It has two weightings: the relaxation's term above, and, at a fixed
 allocation, the Beckmann potential's x^(n+1) / ((n+1) g^n) + b x, whose
 gradient is the edge delay.  The same Frank-Wolfe loop minimizes either;
-``solve_equilibrium`` runs it on the potential when the path engine cannot,
-and certifies the path engine's flow with the potential's linearization.
+``solve_equilibrium`` runs it on the potential when the path engine cannot.
 Exponents below one break the relaxation's smoothness at zero flow; such
 instances are solved with Frank-Wolfe only, after a warning.
 """
@@ -442,7 +441,8 @@ def solve_copt(inst: Instance, tol: float = 1e-8, fw_iters: int = 2000,
     after Frank-Wolfe steps 1, 2, 4, ... < ``fw_iters`` and after each of up
     to four more (Frank-Wolfe only if ``polish`` is false).  Returns the
     relaxed flow, the allocation to play, the relaxed objective (a lower
-    bound on any valid allocation's equilibrium total delay) and the gap.
+    bound on any valid allocation's equilibrium total delay) and the gap;
+    raises ValidationError where the gap is not finite.
     """
     if not tol > 0:
         raise ValidationError("tol must be positive")
@@ -462,6 +462,8 @@ def solve_copt(inst: Instance, tol: float = 1e-8, fw_iters: int = 2000,
     low = min((e.c for e in edges if not e.rigid and e.c > 0.0), default=0.0)
     kern = _Relaxation(inst, _flow_unit(inst.total_demand, top, low))
     x, beta, gap_rel, iterations = _frank_wolfe(kern, tol, fw_iters, polish)
+    if not math.isfinite(gap_rel):
+        raise ValidationError("a delay is out of floating-point range")
     if gap_rel > tol:
         warnings.warn(f"relaxation gap {gap_rel:.3e} above tol {tol:.3e}",
                       RuntimeWarning)

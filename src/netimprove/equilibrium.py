@@ -37,14 +37,15 @@ the minimization:
   step the exact minimizer of the convex step objective.  The gap
   converges like O(1/k), so very tight tolerances are out of reach; it
   warns if the iteration cap is hit first, and raises where the potential
-  leaves floating-point range.  It shares only the certificate with the
+  leaves floating-point range.  It shares only the edge delays with the
   path engine, so it serves the tests as an independent reference for it.
 
-Both routes certify with ``copt``'s kernel, which ``_potential`` builds in a
-power-of-two flow unit: the relative duality gap (Phi(f) - linearized lower
-bound) / Phi(f), for Frank-Wolfe the best bound met on the way.  Used-path
-delays per commodity agree with the common delay to within the gap.  The
-tests check the kernel against ``beckmann_potential``, Phi edge by edge.
+The path engine certifies with the relative gap in delay units (Boyce,
+Ralevic-Dekic and Bar-Gera 2004), sum_i s_i (Lbar_i - min_p D_p) / sum_i s_i
+Lbar_i: s_i is commodity i's demand share, Lbar_i its flow-weighted mean
+path delay, the minimum over its usable paths.  It needs no flow unit.
+Frank-Wolfe keeps the potential's relative duality gap from ``copt``'s
+kernel, which its steps need and which bounds the optimal Phi.
 
 Dipole graphs (parallel links between the terminals) with affine delays
 additionally get an exact closed form: with effective conductances g_e the
@@ -100,6 +101,8 @@ _SAMPLE = 32  # a block's Newton rows start from one sampled row in this many
 
 @dataclass(frozen=True)
 class EquilibriumResult:
+    """``duality_gap`` is the path engine's relative gap in delay units,
+    Frank-Wolfe's on the potential, or the closed form's 0."""
     flow: FlowState
     common_delay: tuple[float, ...]
     average_delay: float
@@ -152,8 +155,9 @@ def path_delay_rows(inst: Instance, edges, betas: np.ndarray) -> np.ndarray:
     A row with a commodity that has no usable path gets inf.  A row gets
     nan, and the caller solves it with ``solve_equilibrium``, where the
     engine leaves it open (a failed Newton solve, or no Wardrop point in
-    400 rounds; Frank-Wolfe finishes it with a warning) or where
-    ``_solve_paths`` may raise or report a value that is not finite.  Raises
+    400 rounds; Frank-Wolfe finishes it with a warning) or where a delay is
+    not finite.  Rows carry no gap; ``solve_equilibrium`` reports one row's
+    relative gap in delay units.  Raises
     PathCapExceeded when a commodity has more than 200 simple paths.  Rows
     go through in slices of ``_BATCH_ROWS``, which bounds the working
     arrays whatever the batch size.
@@ -328,15 +332,8 @@ class _PathBatch:
         out = np.full(N, np.inf)
         out[rows] = np.nan
         L = res.L[res.done]
-        # The potential is at most the total delay sum_i d_i L_i: below 1e300
-        # of the least flow unit a row gets (a half's where no conductance is
-        # positive), _solve_paths's certificate stays in range.
-        unit = _flow_unit(self.total, 0.0, np.min(
-            G, where=(G > 0.0) & ~self.rigid, initial=0.5))
-        out[res.done] = np.where(
-            (L + 1.0) @ np.array(self.demands) < 1e300 * unit,
-            sum(d / self.total * L[:, i] for i, d in enumerate(self.demands)),
-            np.nan)
+        out[res.done] = sum(d / self.total * L[:, i]
+                            for i, d in enumerate(self.demands))
         return out
 
     def solve(self, G: np.ndarray, usable: np.ndarray, active: np.ndarray,
@@ -534,7 +531,13 @@ def _norms(r: np.ndarray) -> np.ndarray:
 def _solve_rows(M: np.ndarray, rhs: np.ndarray,
                 singular: bool = False) -> np.ndarray:
     """Solve each row's system: least-norm when the layout is ``singular``,
-    and a row the direct solve finds singular by least squares."""
+    and a row the direct solve finds singular by least squares.  A row whose
+    system is not finite gets nan and reaches no LAPACK routine."""
+    ok = np.isfinite(M).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=1)
+    if not ok.all():
+        z = np.full(rhs.shape, np.nan)
+        z[ok] = _solve_rows(M[ok], rhs[ok], singular)
+        return z
     if singular:
         return (np.linalg.pinv(M) @ rhs[..., None])[..., 0]
     try:
@@ -552,8 +555,8 @@ def _solve_rows(M: np.ndarray, rhs: np.ndarray,
 def _solve_paths(inst: Instance, beta: Allocation, path_cap: int,
                  start: str) -> EquilibriumResult | None:
     """The path engine on one allocation: its flow, path flows and common
-    delays, certified by the duality gap; None when the engine leaves the
-    row open."""
+    delays, certified by the relative gap, which forms no product of a
+    demand and a delay; None when the engine leaves the row open."""
     batch = _path_batch(inst, path_cap)
     G = np.array([[effective_conductance(e, beta.get(e.id))
                    for e in inst.edges]])
@@ -568,12 +571,14 @@ def _solve_paths(inst: Instance, beta: Allocation, path_cap: int,
             return None
         aset = batch._set(active[0])  # the settled set, built in its round
         x = res.X[0]
-        F = batch._flows(aset, x[None, aset.S], G)[0][0]
-        kern = _potential(inst, beta)
-        val, _, _, lower = kern.linearize(
-            np.stack([x[js] @ batch.inc[js] for js in batch.by_com])
-            / kern.scale, np.zeros(0))
-    if not math.isfinite(lower):
+        F, D, _ = batch._flows(aset, x[None, aset.S], G)
+        F, D = F[0], D[0]
+        d = np.array(batch.demands)
+        Lbar = np.bincount(aset.com, x[aset.S] / d[aset.com] * D[aset.S])
+        least = [D[js][usable[0, js]].min() for js in batch.by_com]
+        mean = float(d / batch.total @ Lbar)
+        gap = float(d / batch.total @ (Lbar - least)) / mean if mean else 0.0
+    if not math.isfinite(gap):
         raise ValidationError("a delay is out of floating-point range")
     f = {e.id: float(F[t]) for t, e in enumerate(inst.edges) if F[t] != 0.0}
     L = res.L[0].tolist()
@@ -591,19 +596,8 @@ def _solve_paths(inst: Instance, beta: Allocation, path_cap: int,
                      paths=tuple(paths_out))
     return EquilibriumResult(flow=flow, common_delay=tuple(L),
                              average_delay=_average(inst, L),
-                             duality_gap=max(0.0, val - lower) / val
-                             if val > 0.0 else 0.0,
+                             duality_gap=max(0.0, gap),
                              iterations=int(res.rounds[0]))
-
-
-def _potential(inst: Instance, beta: Allocation) -> _Relaxation:
-    """copt's edge kernel weighted as the potential at ``beta``, in the flow
-    unit that ``_flow_unit`` picks for its non-rigid conductances."""
-    g = [effective_conductance(e, beta.get(e.id)) for e in inst.edges
-         if not e.rigid]
-    return _Relaxation(inst, _flow_unit(inst.total_demand, max(g, default=1.0),
-                                        min(filter(None, g), default=0.0)),
-                       fixed=beta)
 
 
 def _average(inst: Instance, L: list[float]) -> float:
@@ -623,8 +617,9 @@ def solve_equilibrium(inst: Instance, beta: Allocation | None = None,
     ``start`` seeds the active set ("shortest", "longest" or "all") and only
     affects the iteration trajectory, not the result.  A stalled path engine
     raises InapplicableError under "paths" and hands over to Frank-Wolfe
-    with a RuntimeWarning under "auto"; either engine warns when its
-    relative duality gap ends above ``tol``.
+    with a RuntimeWarning under "auto".  The path engine reports the
+    relative gap in delay units and Frank-Wolfe the potential's relative
+    duality gap; either warns when its gap ends above ``tol``.
     """
     if not tol > 0:
         raise ValidationError("tol must be positive")
@@ -651,7 +646,11 @@ def solve_equilibrium(inst: Instance, beta: Allocation | None = None,
                 raise InapplicableError("path engine stalled")
             warnings.warn("path engine stalled; Frank-Wolfe finishes",
                           RuntimeWarning)
-    kern = _potential(inst, beta)
+    g = [effective_conductance(e, beta.get(e.id)) for e in inst.edges
+         if not e.rigid]
+    kern = _Relaxation(inst, _flow_unit(inst.total_demand, max(g, default=1.0),
+                                        min(filter(None, g), default=0.0)),
+                       fixed=beta)
     x, _, gap, iterations = _frank_wolfe(kern, tol, max_iters)
     if gap > tol:
         warnings.warn(f"Frank-Wolfe stopped at relative gap {gap:.3e} > tol "

@@ -174,10 +174,7 @@ def _leaf_values(edge: Edge, k_budget: np.ndarray, flows: np.ndarray) -> np.ndar
     else:
         g = edge.c + edge.mu * k_budget
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            ratio = np.where(g[:, None] > 0.0,
-                             flows[None, :] / np.maximum(g[:, None], 1e-300),
-                             np.inf)
-            out = ratio ** edge.n + edge.b
+            out = (flows[None, :] / g[:, None]) ** edge.n + edge.b
     out[:, 0] = 0.0
     # The parallel combine needs rows nondecreasing in flow; this guards
     # against a last-bit dip of the power.  The running maximum costs a

@@ -21,18 +21,17 @@ non-rigid paths, so no gather copies them) and the scan's running sums and
 minimum.  Every block, the last and shorter one too, works in their leading
 rows, and they are freed when the search returns; fresh ones each block
 would fault their pages in anew.  A path with one non-rigid edge has that
-edge's g = c + mu * beta as its conductance.  Any other path's is
-1 / max(r, 1e-300) with r the sum of 1 / g over its non-rigid edges; an edge
-whose g can be zero or below 1e-300 adds inf or 1e300, and an edge with
-c >= 1e-300, whose g never is, adds its plain reciprocal.  Paths of tied
-length are scanned in the order ``as_parallel_paths`` gives them, by edge
-ids, so a dipole's tied links are summed in edge-id order.
+edge's g = c + mu * beta as its conductance.  Any other path's is 1 / r
+with r the sum of 1 / g over its non-rigid edges; an edge whose g can be
+zero or below 1e-300 adds inf or 1e300, and an edge with c >= 1e-300, whose
+g never is, adds its plain reciprocal.  Paths of tied length are scanned in
+the order ``as_parallel_paths`` gives them, by edge ids, so a dipole's tied
+links are summed in edge-id order.
 
 The grid, ``evaluate_delay`` and every replay of an argmin share that
 engine, so they do not check each other.  The independent checks are
-``solve_equilibrium``'s certificate (the potential against its
-linearized lower bound, from ``copt``'s edge kernel) and Frank-Wolfe, which
-the tests compare with the grid.
+Frank-Wolfe on ``copt``'s edge kernel, which the tests compare with the
+grid, and that kernel's duality gap at the path engine's flows.
 
 Ties break toward the lexicographically smallest composition because the
 generator emits compositions in lexicographic order and only strict
@@ -248,15 +247,15 @@ def _allocation(edges, row: np.ndarray) -> Allocation:
 def _batch_paths(paths, cols, bufs: _Buffers, betas: np.ndarray) -> np.ndarray:
     """Delay of an affine parallel-path graph for each row: the scan over
     path conductances, g = c + mu * beta for a path with one non-rigid edge
-    and otherwise 1 / max(r, 1e-300) for the resistance r = sum 1 / g over
-    its non-rigid edges.
+    and otherwise 1 / r for the resistance r = sum 1 / g over its non-rigid
+    edges, which is positive, as instance validation bounds every g.
 
     A zero g adds inf to r (no flow) and a g below 1e-300 adds 1e300.  An
     edge with c >= 1e-300 has g >= 1e-300 at every allocation, so neither
     guard can act: its reciprocal is taken as it is, one pass."""
     n = len(betas)
     g, r = bufs.g[:n], bufs.r[:n]
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         for k, t in enumerate(bufs.order):
             col = bufs.c[:n, k]
             edges = [e for e in paths[t].edges if not e.rigid]
@@ -283,9 +282,9 @@ def _batch_paths(paths, cols, bufs: _Buffers, betas: np.ndarray) -> np.ndarray:
                 else:
                     acc = np.add(x, acc, out=r)
             if acc is r:
-                np.divide(1.0, np.maximum(r, 1e-300, out=r), out=col)
+                np.divide(1.0, r, out=col)
             else:
-                col.fill(1.0 / max(acc, 1e-300))
+                col.fill(1.0 / acc)
     return bufs.delays(n)
 
 

@@ -479,12 +479,13 @@ def test_solve_on_extreme_dipoles_exits_0_2_or_3(doc):
         path = f"{tmp}/dipole.json"
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
-        for alg in ("parallel-links", "oracle", "parallel-paths", "copt"):
+        for alg in (["parallel-links"], ["oracle"], ["parallel-paths"],
+                    ["copt"], ["fptas", "--clamp-k", "--kcap", "64"]):
             with warnings.catch_warnings(record=True) as caught, \
                     contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
                 warnings.simplefilter("always")
-                assert cli.main(["solve", path, "--alg", alg]) in (0, 2, 3)
+                assert cli.main(["solve", path, "--alg", *alg]) in (0, 2, 3)
             assert not [w for w in caught if "encountered" in str(w.message)]
 
 
@@ -521,7 +522,27 @@ def test_a_subnormal_conductance_is_a_delay_out_of_range(tmp_path):
                    "mu": 5.59e-121}],
         "commodities": [{"source": "s", "sink": "t", "demand": 1.67e28}],
         "budget": 5.23e-190})
-    for alg in ("parallel-paths", "parallel-links", "oracle"):
+    for alg in ("parallel-paths", "parallel-links", "oracle", "copt", "fptas"):
         proc = run_cli("solve", "--alg", alg, path, check=False)
         assert proc.returncode == 2, (alg, proc.stderr)
         assert "out of floating-point range" in proc.stderr
+        assert "Warning" not in proc.stderr
+        assert "DLASCL" not in proc.stdout + proc.stderr
+
+
+def test_a_system_that_is_not_finite_reaches_no_lapack_routine(tmp_path):
+    # 1 / g overflows on link a's subnormal conductance, so the path
+    # engine's equalization system is not finite; LAPACK would print to
+    # stdout and raise on it.
+    proc = run_cli("equilibrium", _one_pair(tmp_path, {
+        "nodes": ["s", "m", "t"],
+        "edges": [{"id": "a", "tail": "s", "head": "m", "c": 1e-310, "b": 0,
+                   "mu": 1e-300},
+                  {"id": "b", "tail": "m", "head": "t", "c": 1, "b": 0},
+                  {"id": "z", "tail": "s", "head": "t", "c": 1, "b": 5}],
+        "commodities": [{"source": "s", "sink": "t", "demand": 1}],
+        "budget": 0}), check=False)
+    assert proc.returncode in (0, 2, 3), proc.stderr
+    for stream in (proc.stdout, proc.stderr):
+        assert "Traceback" not in stream
+        assert "DLASCL" not in stream

@@ -8,6 +8,7 @@ from netimprove.equilibrium import (
     beckmann_potential,
     dipole_links,
     parallel_links_delay_batch,
+    path_delay_rows,
     solve_equilibrium,
     solve_parallel_links_equilibrium,
 )
@@ -460,6 +461,22 @@ def test_path_engine_matches_frank_wolfe_on_random_instances():
             assert paths.common_delay == pytest.approx(fw.common_delay,
                                                        rel=1e-8)
     assert close >= 30
+
+
+@pytest.mark.parametrize("method", ["paths", "auto"])
+def test_a_total_delay_out_of_range_keeps_its_finite_delay(method):
+    # Two links of c = 1e-300 at demand 1.6e4 have L = 8e303, and the total
+    # delay d * L is out of floating-point range: the relative gap needs no
+    # flow unit, so both the one-row solve and a grid row return L.
+    inst = Instance(nodes=("s", "t"),
+                    edges=(Edge("a", "s", "t", c=1e-300, b=0.0, mu=1.0),
+                           Edge("b", "s", "t", c=1e-300, b=0.0)),
+                    commodities=(Commodity("s", "t", 1.6e4),), budget=0.0)
+    res = solve_equilibrium(inst, method=method)
+    assert res.average_delay == pytest.approx(8e303, rel=1e-12)
+    assert res.duality_gap <= 1e-8
+    rows = path_delay_rows(inst, inst.edges[:1], np.zeros((1, 1)))
+    assert rows.tolist() == [res.average_delay]
 
 
 def test_crossing_commodities_settle_without_frank_wolfe():

@@ -465,6 +465,18 @@ class TestSolveFptas:
         assert res.equilibrium_delay <= 80.0 * 1.2
         assert res.equilibrium_delay >= 80.0 - 1e-9
 
+    def test_a_tiny_conductance_keeps_the_dp_bound(self):
+        # Link a's delay at the first flow step is far above the rigid
+        # link's 10, so the table's value is 10, never below the delay.
+        inst = Instance(nodes=("s", "t"),
+                        edges=(Edge("a", "s", "t", c=1e-305, b=0.0),
+                               Edge("z", "s", "t", b=10.0, rigid=True)),
+                        commodities=(Commodity("s", "t", 1e-301),),
+                        budget=0.0)
+        res = solve_fptas(inst, 0.25, k_cap=64, clamp=True)
+        assert res.equilibrium_delay == 10.0
+        assert res.dp_value >= res.equilibrium_delay
+
     def test_braess_rejected(self, wheatstone):
         with pytest.raises(NotSeriesParallel):
             solve_fptas(wheatstone, 0.5)

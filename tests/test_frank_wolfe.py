@@ -44,6 +44,22 @@ def test_potential_kernel_is_the_edge_delay_and_the_potential(scale):
         assert val * scale == pytest.approx(phi, rel=1e-14, abs=0.0)
 
 
+def test_path_route_flows_certify_with_the_potential_kernel():
+    # The path route reports the relative gap in delay units; at the flows
+    # it returns, the potential's duality gap from the kernel, an
+    # independent certificate, stays within tol too.  These are the
+    # instances of test_path_engine_matches_frank_wolfe_on_random_instances.
+    for _, inst, alloc in _random_cases(1, 40):
+        res = solve_equilibrium(inst, alloc, method="paths")
+        maps = res.flow.commodity_flows or (res.flow.edge_flow,)
+        x = np.array([[fmap.get(e.id, 0.0) for e in inst.edges]
+                      for fmap in maps])
+        val, _, _, lower = _Relaxation(inst, fixed=alloc).linearize(
+            x, np.zeros(0))
+        assert res.duality_gap <= 1e-8
+        assert (val - lower) / val <= 1e-8
+
+
 def test_frank_wolfe_never_reports_a_negative_gap():
     for _, inst, alloc in _random_cases(5, 40):
         with warnings.catch_warnings():

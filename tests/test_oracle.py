@@ -216,6 +216,20 @@ class TestEvaluateDelay:
             with pytest.raises(ValidationError, match="exceeds budget"):
                 evaluate_delay(inst, over)
 
+    def test_a_path_conductance_above_1e300_is_not_capped(self):
+        # Two links of c = 1e305 in series conduct 5e304: at demand 1e305
+        # the path's delay is 2, below the rigid link's 10.
+        inst = Instance(
+            nodes=("s", "m", "t"),
+            edges=(Edge("a", "s", "m", c=1e305, b=0.0),
+                   Edge("b", "m", "t", c=1e305, b=0.0),
+                   Edge("z", "s", "t", c=0.0, b=10.0, rigid=True)),
+            commodities=(Commodity("s", "t", 1e305),), budget=0.0)
+        want = solve_equilibrium(inst).average_delay
+        assert want == pytest.approx(2.0, rel=1e-12)
+        assert evaluate_delay(inst, Allocation()) == pytest.approx(
+            want, rel=1e-12)
+
 
 class TestSweep:
     def test_fig2_sweep_endpoints_and_midpoint(self, fig2):
@@ -574,11 +588,11 @@ class TestBatchedEngine:
             assert fw.common_delay == pytest.approx(paths.common_delay,
                                                     rel=1e-8)
 
-    def test_potential_overflow_raises_as_the_scalar_solver(self):
-        # The link st's conductance of 1e-300 caps the flow unit near one,
-        # so at demand 1e200 the total delay leaves floating-point range in
-        # it, which solve_equilibrium reports; the grid must not return a
-        # value.
+    def test_potential_overflow_returns_the_scalar_solvers_delay(self):
+        # The link st's conductance of 1e-300 puts the potential at demand
+        # 1e200 out of floating-point range in any flow unit near the
+        # demand, but every delay is finite: the relative gap needs no
+        # unit, so the grid rows and solve_equilibrium give the same L.
         base = _braess_rigid()
         inst = Instance(nodes=base.nodes,
                         edges=base.edges + (Edge("st", "s", "t", c=1e-300,
@@ -586,12 +600,12 @@ class TestBatchedEngine:
                         commodities=(Commodity("s", "t", 1e200),),
                         budget=base.budget)
         edges, betas = _grid_betas(inst, 4)
-        with pytest.raises(ValidationError) as scalar:
-            _scalar_delays(inst, edges, betas)
-        with pytest.raises(ValidationError) as batch:
-            grid_search(inst, GridSpec(resolution=4))
-        assert "out of floating-point range" in str(scalar.value)
-        assert str(batch.value) == str(scalar.value)
+        want = _scalar_delays(inst, edges, betas)
+        assert np.isfinite(want).all()
+        assert want == pytest.approx(1e200 / 2.2, rel=1e-12)
+        assert np.array_equal(
+            equilibrium.path_delay_rows(inst, edges, betas), want)
+        assert grid_search(inst, GridSpec(resolution=4)).delay == want.min()
 
     def test_path_cap_sends_every_row_to_the_scalar_solver(self,
                                                            monkeypatch):
