@@ -24,7 +24,8 @@ when every delay is affine, O(p / log p) for maximum exponent p otherwise
 (reported as metadata, not numerically certified).
 
 One kernel, built once per solve from the instance's edge arrays, gives the
-value, gradient and dense Hessian of the summed edge terms to every phase.
+value, gradient and dense Hessian of the summed edge terms to every phase;
+the tests check that Hessian itself against finite differences.
 It has two weightings: the relaxation's term above, and, at a fixed
 allocation, the Beckmann potential's x^(n+1) / ((n+1) g^n) + b x, whose
 gradient is the edge delay.  The same Frank-Wolfe loop minimizes either;
@@ -51,7 +52,6 @@ __all__ = [
     "solve_copt",
     "relaxed_total_delay",
     "hessian_quadratic_form",
-    "hessian_quadratic_form_exact",
 ]
 
 _G_PAD = 1e-300  # keeps 1/g**n finite during line search at the g=0 corner
@@ -266,7 +266,8 @@ class _Relaxation:
     def linearize(self, x: np.ndarray, beta: np.ndarray):
         """Objective, the point to step towards and the linearized value
         at the best vertex, which bounds the optimum from below; raises
-        ValidationError where the objective is out of floating-point range.
+        ValidationError where the objective or the bound is out of
+        floating-point range.
 
         A gate (improvable, zero conductance) with no flow is closed:
         zeroing its budget changes no term, and there its 1-homogeneous
@@ -296,6 +297,8 @@ class _Relaxation:
             bvert[int(np.argmin(gb))] = budget
         lower = (sum(d * dist for d, dist in zip(self.demands.tolist(), dists))
                  + float(gb @ bvert) + (val - float(gx @ xt) - float(gb @ beta)))
+        if not math.isfinite(lower):
+            raise ValidationError("a delay is out of floating-point range")
         routed = closed & (y.sum(axis=0)[imp] > 0.0) if gates.size else None
         if routed is not None and routed.any():
             # Budget for the routed gates, taken from the other edges in
@@ -440,9 +443,10 @@ def solve_copt(inst: Instance, tol: float = 1e-8, fw_iters: int = 2000,
     Until the gap is at most ``tol``, the active-set Newton method polishes
     after Frank-Wolfe steps 1, 2, 4, ... < ``fw_iters`` and after each of up
     to four more (Frank-Wolfe only if ``polish`` is false).  Returns the
-    relaxed flow, the allocation to play, the relaxed objective (a lower
-    bound on any valid allocation's equilibrium total delay) and the gap;
-    raises ValidationError where the gap is not finite.
+    relaxed flow, the allocation to play (amounts up to 1e-15 of the budget
+    dropped), the relaxed objective (a lower bound on any valid allocation's
+    equilibrium total delay) and the gap; raises ValidationError where the
+    gap is not finite.
     """
     if not tol > 0:
         raise ValidationError("tol must be positive")
@@ -473,7 +477,7 @@ def solve_copt(inst: Instance, tol: float = 1e-8, fw_iters: int = 2000,
     if vals.sum() > inst.budget > 0.0:
         vals = vals * (inst.budget / vals.sum())
     alloc = Allocation({kern.ids[t]: float(v) for t, v in zip(kern.imp, vals)
-                        if v > 1e-15})
+                        if v > 1e-15 * inst.budget})
     objective_value = relaxed_total_delay(inst, flow, alloc)
     affine = all(e.affine for e in edges)
     return CoptResult(
@@ -620,20 +624,3 @@ def hessian_quadratic_form(c: float, b: float, n: float, mu: float,
     value = (f_plus - 2.0 * f_mid + f_minus) / (h * h)
     scale = (abs(f_plus) + 2.0 * abs(f_mid) + abs(f_minus)) / (h * h) + 1.0
     return value, scale
-
-
-def hessian_quadratic_form_exact(c: float, b: float, n: float, mu: float,
-                                 x: float, beta: float,
-                                 alpha: tuple[float, float]) -> float:
-    """Closed form of the quadratic form: a weighted perfect square."""
-    g = c + mu * beta
-    if g <= 0.0:
-        raise ValidationError("effective conductance must be positive")
-    if x == 0.0:
-        if n > 1.0:
-            return 0.0
-        if n == 1.0:
-            return n * (n + 1.0) / g * alpha[0] ** 2
-        raise ValidationError("exact form needs x > 0 when n < 1")
-    lead = n * (n + 1.0) * x ** (n - 1.0) / g ** n
-    return lead * (alpha[0] - alpha[1] * x * mu / g) ** 2

@@ -30,15 +30,15 @@ the minimization:
   an affine round costs one solve per set and the borrowed sets would
   split the block into more of them.
 
-* Frank-Wolfe on edge flows, used when path enumeration exceeds its cap or
+* Frank-Wolfe on edge flows, used past ``_PATH_CAP`` simple paths or where
   the path engine stalls: ``copt``'s loop on the relaxation's edge kernel,
-  weighted as this potential at the fixed allocation.  The linear
-  subproblem is a nonnegative-delay shortest path per commodity and the
-  step the exact minimizer of the convex step objective.  The gap
-  converges like O(1/k), so very tight tolerances are out of reach; it
-  warns if the iteration cap is hit first, and raises where the potential
-  leaves floating-point range.  It shares only the edge delays with the
-  path engine, so it serves the tests as an independent reference for it.
+  weighted as this potential at the fixed allocation.  The linear subproblem
+  is a nonnegative-delay shortest path per commodity and the step the exact
+  minimizer of the convex step objective.  The gap converges like O(1/k), so
+  very tight tolerances are out of reach; it warns if the iteration cap is
+  hit first, and raises where the potential leaves floating-point range.  It
+  shares only the edge delays with the path engine, so it serves the tests
+  as an independent reference for it.
 
 The path engine certifies with the relative gap in delay units (Boyce,
 Ralevic-Dekic and Bar-Gera 2004), sum_i s_i (Lbar_i - min_p D_p) / sum_i s_i
@@ -52,12 +52,12 @@ additionally get an exact closed form: with effective conductances g_e the
 common delay over a used set S is (d + sum_S g_e b_e) / sum_S g_e, and over
 the prefixes of the links sorted by length it is least at the used set, so
 no tolerance decides ties.  Rigid links cap the delay at their length and
-absorb the residual flow.  The scan is written once, in ``_link_scan`` over
-rows of allocations, which ``parallel_links_delay_batch`` runs in fresh
-scratch and the grid oracle in its block buffers; a single allocation is a
-batch of one row.  ``dipole_delay_rows`` lays out links, or whole paths,
-for it by ``_scan_layout``: the parallel-paths optimizer and the grid
-oracle use the same scan.
+absorb the residual flow.  The scan is written once, in
+``parallel_links_delay_batch`` over rows of allocations, which works in
+fresh scratch or, for the grid oracle, in its block buffers; a single
+allocation is a batch of one row.  ``dipole_delay_rows`` lays out links, or
+whole paths, for it by ``_scan_layout``: the parallel-paths optimizer and
+the grid oracle use the same scan.
 """
 
 from __future__ import annotations
@@ -163,20 +163,19 @@ def path_delay_rows(inst: Instance, edges, betas: np.ndarray) -> np.ndarray:
     arrays whatever the batch size.
     """
     betas = np.asarray(betas, dtype=float)
-    batch = _path_batch(inst, _PATH_CAP)
+    batch = _path_batch(inst)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return np.concatenate(
             [batch.delays(edges, betas[lo:lo + _BATCH_ROWS])
              for lo in range(0, len(betas), _BATCH_ROWS)])
 
 
-def _path_batch(inst: Instance, path_cap: int) -> "_PathBatch":
-    """The instance's path engine for ``path_cap``, built once and kept with
-    its simple paths, so that every solve shares the active sets met."""
-    key = (_PathBatch, path_cap)  # never a (source, sink) key
-    if key not in inst._path_cache:
-        inst._path_cache[key] = _PathBatch(inst, path_cap)
-    return inst._path_cache[key]
+def _path_batch(inst: Instance) -> "_PathBatch":
+    """The instance's path engine, built once and kept with its simple
+    paths, so that every solve shares the active sets met."""
+    if _PathBatch not in inst._path_cache:  # never a (source, sink) key
+        inst._path_cache[_PathBatch] = _PathBatch(inst)
+    return inst._path_cache[_PathBatch]
 
 
 class _Rows(NamedTuple):
@@ -244,7 +243,7 @@ class _PathBatch:
     """The path engine of one instance: its edge arrays, every simple path
     and its edges, and the active sets met so far."""
 
-    def __init__(self, inst: Instance, path_cap: int):
+    def __init__(self, inst: Instance):
         edges = inst.edges
         self.pos = {e.id: t for t, e in enumerate(edges)}
         self.c = np.array([e.c for e in edges])
@@ -256,7 +255,7 @@ class _PathBatch:
         self.demands = [k.demand for k in inst.commodities]
         self.total = sum(self.demands)
         self.dscale = max(1.0, max(self.demands))
-        per_com = [inst.simple_paths(k.source, k.sink, cap=path_cap)
+        per_com = [inst.simple_paths(k.source, k.sink, cap=_PATH_CAP)
                    for k in inst.commodities]
         self.paths = [p for ps in per_com for p in ps]
         self.com = np.repeat(np.arange(len(per_com)), list(map(len, per_com)))
@@ -552,12 +551,12 @@ def _solve_rows(M: np.ndarray, rhs: np.ndarray,
         return z
 
 
-def _solve_paths(inst: Instance, beta: Allocation, path_cap: int,
+def _solve_paths(inst: Instance, beta: Allocation,
                  start: str) -> EquilibriumResult | None:
     """The path engine on one allocation: its flow, path flows and common
     delays, certified by the relative gap, which forms no product of a
     demand and a delay; None when the engine leaves the row open."""
-    batch = _path_batch(inst, path_cap)
+    batch = _path_batch(inst)
     G = np.array([[effective_conductance(e, beta.get(e.id))
                    for e in inst.edges]])
     usable, stranded = batch.usable(G)
@@ -608,12 +607,12 @@ def _average(inst: Instance, L: list[float]) -> float:
 
 def solve_equilibrium(inst: Instance, beta: Allocation | None = None,
                       tol: float = 1e-8, method: str = "auto",
-                      path_cap: int = _PATH_CAP, start: str = "shortest",
+                      start: str = "shortest",
                       max_iters: int = 50000) -> EquilibriumResult:
     """Equilibrium flow and common path delays under allocation ``beta``.
 
-    ``method`` is "auto" (path engine when the path count fits under
-    ``path_cap``, Frank-Wolfe otherwise), "paths" or "frank-wolfe".
+    ``method`` is "auto" (path engine when each commodity has at most 200
+    simple paths, Frank-Wolfe otherwise), "paths" or "frank-wolfe".
     ``start`` seeds the active set ("shortest", "longest" or "all") and only
     affects the iteration trajectory, not the result.  A stalled path engine
     raises InapplicableError under "paths" and hands over to Frank-Wolfe
@@ -631,7 +630,7 @@ def solve_equilibrium(inst: Instance, beta: Allocation | None = None,
         raise ValidationError(f"unknown method {method!r}")
     if method in ("auto", "paths"):
         try:
-            res = _solve_paths(inst, beta, path_cap, start)
+            res = _solve_paths(inst, beta, start)
         except PathCapExceeded:
             if method == "paths":
                 raise
@@ -684,7 +683,8 @@ def length_unit(c_max: float, b_max: float, count: int) -> float:
 
 
 def parallel_links_delay_batch(c_eff: np.ndarray, b: np.ndarray, d: float,
-                               cap: float = math.inf) -> np.ndarray:
+                               cap: float = math.inf,
+                               rows: np.ndarray | None = None) -> np.ndarray:
     """Common delay of affine parallel links, one row per allocation.
 
     ``c_eff`` has shape (N, m) with columns sorted by ``b`` ascending and
@@ -697,20 +697,15 @@ def parallel_links_delay_batch(c_eff: np.ndarray, b: np.ndarray, d: float,
 
     The scan walks the columns, contiguous when ``c_eff`` is F-ordered as
     the grid oracle builds it, with running sums over the rows that add as
-    a row-wise ``cumsum`` would, and a running minimum of their delays.
-    """
-    return _link_scan(c_eff, b, d, cap, np.empty((5, c_eff.shape[0])))
-
-
-def _link_scan(c_eff: np.ndarray, b: np.ndarray, d: float, cap: float,
-               rows: np.ndarray) -> np.ndarray:
-    """``parallel_links_delay_batch`` in the caller's scratch, the leading
-    N columns of ``rows`` (5, >= N), so that a grid search reuses it block
-    after block.  Returns a view of ``rows[0]``, which the next call
-    overwrites.  A delay that is inf, as where d + sum g b overflows, is
+    a row-wise ``cumsum`` would, and a running minimum of their delays, in
+    fresh scratch or in the leading N columns of ``rows`` (5, >= N), which a
+    grid search reuses block after block; the result is then a view of
+    ``rows[0]``.  A delay that is inf, as where d + sum g b overflows, is
     taken again in the unit u that keeps that sum finite, if it is at least
     2^-5 there, as an overflowing sum is: then the terms that u pushes below
-    the normal range do not count."""
+    the normal range do not count.
+    """
+    rows = np.empty((5, c_eff.shape[0])) if rows is None else rows
     L, den, num, M, t = rows[:, :c_eff.shape[0]]
     if c_eff.shape[1] == 0:
         L.fill(cap)

@@ -50,8 +50,8 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .core import Allocation, Instance, edge_delay
-from .equilibrium import (_in_range, _link_scan, _scan_layout, path_delay_rows,
-                          solve_equilibrium)
+from .equilibrium import (_in_range, _scan_layout, parallel_links_delay_batch,
+                          path_delay_rows, solve_equilibrium)
 from .errors import (GridTooLarge, Infeasible, NotParallelPaths, PathCapExceeded,
                      UnsupportedDelay, ValidationError)
 from .parallelpaths import as_parallel_paths
@@ -168,11 +168,6 @@ class _Buffers:
         self.g, self.r = np.empty((2, rows))
         self.rows = np.empty((5, rows))
 
-    def delays(self, n: int) -> np.ndarray:
-        c = self.c[:n]
-        return _in_range(_link_scan(c, self.b, self.demand, self.cap,
-                                    self.rows), c)
-
 
 def _closed_form(inst: Instance, edges, rows: int):
     """The vectorized exact delay ``batch(betas)`` of affine parallel-path
@@ -285,7 +280,9 @@ def _batch_paths(paths, cols, bufs: _Buffers, betas: np.ndarray) -> np.ndarray:
                 np.divide(1.0, r, out=col)
             else:
                 col.fill(1.0 / acc)
-    return bufs.delays(n)
+    c = bufs.c[:n]
+    return _in_range(parallel_links_delay_batch(c, bufs.b, bufs.demand,
+                                                bufs.cap, bufs.rows), c)
 
 
 def grid_search(inst: Instance, spec: GridSpec, tol: float = 1e-8,

@@ -6,7 +6,7 @@ vertex with in-degree 1 and out-degree 1 merges its edge pair into a series
 node.  A graph is two-terminal series-parallel exactly when these moves
 reduce it to a single source-sink edge; the surviving label is the
 decomposition tree.  Failure raises NotSeriesParallel with the irreducible
-remainder in the message.
+remainder in the message.  ``postorder`` is the one walk of a tree.
 """
 
 from __future__ import annotations
@@ -55,16 +55,9 @@ DecompositionTree = Union[Leaf, Series, Parallel]
 
 
 def tree_edge_ids(tree: DecompositionTree) -> list[str]:
-    out: list[str] = []
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Leaf):
-            out.append(node.edge_id)
-        else:
-            stack.append(node.right)
-            stack.append(node.left)
-    return out
+    """The leaves' edge ids, left to right."""
+    return [node.edge_id for node in postorder(tree)
+            if isinstance(node, Leaf)]
 
 
 def postorder(tree: DecompositionTree) -> list[DecompositionTree]:

@@ -14,7 +14,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import Allocation, Commodity, Edge, Instance, edge_delay, path_decompose
+from .core import (Allocation, Commodity, Edge, Instance, _positive_path,
+                   edge_delay, path_decompose)
 from .copt import hessian_quadratic_form, relaxed_total_delay
 from .equilibrium import solve_equilibrium, solve_parallel_links_equilibrium
 from .fptas import run_dp
@@ -310,23 +311,10 @@ def check_path_domination(rng, cases=1000) -> CheckResult:
         g = _random_path_flow(inst, rng, vg)
         ok_edges = {eid for eid, val in g.items()
                     if val > 0.0 and val >= f.get(eid, 0.0) - 1e-12}
-        if not _edge_subset_has_path(inst, ok_edges, k.source, k.sink):
+        if _positive_path(inst, dict.fromkeys(ok_edges, 1.0), k.source,
+                          k.sink, 0.0) is None:
             return CheckResult("path-domination", False, cases, f"case {i}")
     return CheckResult("path-domination", True, cases, "ok")
-
-
-def _edge_subset_has_path(inst, edge_ids, source, sink):
-    seen = {source}
-    frontier = [source]
-    while frontier:
-        u = frontier.pop()
-        if u == sink:
-            return True
-        for e in inst.out_edges[u]:
-            if e.id in edge_ids and e.head not in seen:
-                seen.add(e.head)
-                frontier.append(e.head)
-    return sink in seen
 
 
 def check_minmax_domination(rng, cases=150) -> CheckResult:

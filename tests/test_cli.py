@@ -513,6 +513,21 @@ def test_a_rigid_link_of_length_zero_takes_the_flow(tmp_path):
     assert json.loads(run_cli("solve", "--alg", "copt", path).stdout)["L"] == 0.0
 
 
+def test_copt_funds_a_gate_at_a_tiny_budget(tmp_path):
+    # The whole budget of 1e-20 opens gate e1 to g = 1, so L = 1 where the
+    # unfunded e2 alone gives 11.
+    path = _one_pair(tmp_path, {
+        "nodes": ["s", "t"],
+        "edges": [{"id": "e1", "tail": "s", "head": "t", "c": 0, "b": 0,
+                   "mu": 1e20},
+                  {"id": "e2", "tail": "s", "head": "t", "c": 1, "b": 10}],
+        "commodities": [{"source": "s", "sink": "t", "demand": 1}],
+        "budget": 1e-20})
+    doc = json.loads(run_cli("solve", "--alg", "copt", path).stdout)
+    assert doc["L"] == 1.0
+    assert doc["allocation"] == {"e1": 1e-20}
+
+
 def test_a_subnormal_conductance_is_a_delay_out_of_range(tmp_path):
     # Funded, the gate's conductance mu * budget is 2.9e-310: positive, so
     # the link is usable, and the delay d / g overflows on every route.

@@ -3,34 +3,46 @@ import pytest
 
 from netimprove.core import Allocation, Commodity, Edge, Instance
 from netimprove.copt import (
+    _Relaxation,
     hessian_quadratic_form,
-    hessian_quadratic_form_exact,
     relaxed_total_delay,
     solve_copt,
 )
 from netimprove.equilibrium import solve_equilibrium
+from netimprove.errors import ValidationError
 from netimprove.oracle import GridSpec, evaluate_delay, grid_search
 
 from conftest import make_dipole
 
 
+def _kernel_form(c, b, n, mu, x, beta, alpha):
+    """alpha' H alpha for the Hessian the polish uses, ``_Relaxation``'s, on
+    one improvable edge at flow x and budget beta."""
+    inst = Instance(nodes=("s", "t"),
+                    edges=(Edge("e", "s", "t", c=c, b=b, n=n, mu=mu),),
+                    commodities=(Commodity("s", "t", 1.0),), budget=1.0)
+    H = _Relaxation(inst).hessian(np.array([[x]]), np.array([beta]))
+    a = np.array(alpha)
+    return float(a @ H @ a)
+
+
 class TestHessianQuadraticForm:
     def test_null_direction_vanishes(self):
         # alpha aligned with (1, g / (x mu)) kills the square exactly.
-        val = hessian_quadratic_form_exact(1.0, 0.0, 1.0, 1.0, 1.0, 0.0, (1.0, 1.0))
+        val = _kernel_form(1.0, 0.0, 1.0, 1.0, 1.0, 0.0, (1.0, 1.0))
         assert val == 0.0
         fd, scale = hessian_quadratic_form(1.0, 0.0, 1.0, 1.0, 1.0, 0.0, (1.0, 1.0))
         assert fd >= -1e-9 * scale
 
     def test_flow_direction_curvature(self):
-        val = hessian_quadratic_form_exact(1.0, 0.0, 1.0, 1.0, 1.0, 0.0, (1.0, 0.0))
+        val = _kernel_form(1.0, 0.0, 1.0, 1.0, 1.0, 0.0, (1.0, 0.0))
         assert val == pytest.approx(2.0)
         fd, _ = hessian_quadratic_form(1.0, 0.0, 1.0, 1.0, 1.0, 0.0, (1.0, 0.0))
         assert fd == pytest.approx(2.0, rel=1e-5)
 
     def test_zero_flow(self):
-        assert hessian_quadratic_form_exact(1.0, 0.0, 2.0, 1.0, 0.0, 0.0, (1.0, 0.0)) == 0.0
-        assert hessian_quadratic_form_exact(2.0, 0.0, 1.0, 1.0, 0.0, 0.5, (1.0, 0.0)) \
+        assert _kernel_form(1.0, 0.0, 2.0, 1.0, 0.0, 0.0, (1.0, 0.0)) == 0.0
+        assert _kernel_form(2.0, 0.0, 1.0, 1.0, 0.0, 0.5, (1.0, 0.0)) \
             == pytest.approx(2.0 / 2.5)
 
     def test_psd_on_random_points(self, rng):
@@ -53,7 +65,7 @@ class TestHessianQuadraticForm:
             x = rng.uniform(0.1, 4.0)
             beta = rng.uniform(0.0, 2.0)
             alpha = tuple(rng.normal(size=2))
-            exact = hessian_quadratic_form_exact(c, 0.0, n, mu, x, beta, alpha)
+            exact = _kernel_form(c, 0.0, n, mu, x, beta, alpha)
             fd, scale = hessian_quadratic_form(c, 0.0, n, mu, x, beta, alpha)
             assert fd == pytest.approx(exact, rel=2e-4, abs=2e-6 * scale)
 
@@ -167,6 +179,41 @@ class TestSolveCopt:
             eq = evaluate_delay(inst, res.allocation)
             oracle = grid_search(inst, GridSpec(resolution=60))
             assert eq <= (4.0 / 3.0) * oracle.delay + 1e-6
+
+
+def _tiny_budget_gate():
+    """Gate e1 (c=0, mu=1e20) beside e2 (c=1, b=10) at demand 1, budget
+    1e-20: funding e1 with the whole budget gives it g = 1, so L = 1."""
+    return Instance(nodes=("s", "t"),
+                    edges=(Edge("e1", "s", "t", c=0.0, b=0.0, mu=1e20),
+                           Edge("e2", "s", "t", c=1.0, b=10.0)),
+                    commodities=(Commodity("s", "t", 1.0),), budget=1e-20)
+
+
+def test_an_allocation_below_1e_15_is_kept_at_a_tiny_budget():
+    inst = _tiny_budget_gate()
+    res = solve_copt(inst)
+    assert res.allocation.beta == {"e1": 1e-20}
+    assert evaluate_delay(inst, res.allocation) == pytest.approx(1.0,
+                                                                 rel=1e-12)
+    assert grid_search(inst, GridSpec(resolution=10)).delay == 1.0
+
+
+def test_a_bound_out_of_range_raises_at_once(monkeypatch):
+    # On the subnormal gate the bound is nan from the second linearization
+    # on; it must raise there, not after every Frank-Wolfe step.
+    inst = Instance(nodes=("s", "t"),
+                    edges=(Edge("g", "s", "t", c=0.0, b=1.43e17,
+                                mu=5.59e-121),),
+                    commodities=(Commodity("s", "t", 1.67e28),),
+                    budget=5.23e-190)
+    calls = []
+    linearize = _Relaxation.linearize
+    monkeypatch.setattr(_Relaxation, "linearize",
+                        lambda *a: calls.append(1) or linearize(*a))
+    with pytest.raises(ValidationError, match="out of floating-point range"):
+        solve_copt(inst)
+    assert len(calls) == 2
 
 
 def test_kernel_matches_central_differences(rng):

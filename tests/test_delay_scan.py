@@ -138,6 +138,17 @@ def test_scan_matches_the_cumsum_reference(rng):
     assert ties > 100 and overflow
 
 
+def test_scan_in_a_rows_buffer_matches_fresh_scratch(rng):
+    # The grid's block buffers are wider than a short block and hold the
+    # last block's values; the rows come out bit for bit as in fresh scratch.
+    for c, b, d, cap in _cases(rng):
+        want = parallel_links_delay_batch(c, b, d, cap)
+        rows = rng.standard_normal((5, len(c) + 3))
+        got = parallel_links_delay_batch(np.asfortranarray(c), b, d, cap, rows)
+        assert got.tobytes() == want.tobytes()
+        assert np.shares_memory(got, rows)
+
+
 def test_scan_is_within_4_ulps_of_the_exact_least_prefix(rng):
     # Rows near a tie included: the delay of the used set is the least
     # prefix delay, which a tolerance on the window test overshoots.

@@ -1,8 +1,10 @@
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
+from netimprove import equilibrium
 from netimprove.core import Allocation, Commodity, Edge, Instance
 from netimprove.equilibrium import (
     beckmann_potential,
@@ -389,11 +391,16 @@ def test_an_infinite_common_delay_admits_a_shorter_path():
     assert 0.0 <= res.duality_gap <= 1e-8
 
 
-def test_auto_takes_frank_wolfe_past_the_path_cap(fig2):
-    # The exact solve runs first, so the cap must hold for cached paths too.
+def test_auto_takes_frank_wolfe_past_the_path_cap(fig2, monkeypatch):
+    # The engine is kept with its instance, so the capped solve takes a fresh
+    # copy; its simple paths are cached first, so the cap must hold for
+    # cached paths too.
     alloc = Allocation({"e1": 1.0, "e2": 1.0})
     exact = solve_equilibrium(fig2, alloc)
-    fw = solve_equilibrium(fig2, alloc, path_cap=1, tol=1e-10)
+    fresh = dataclasses.replace(fig2)
+    fresh.simple_paths("s", "t")
+    monkeypatch.setattr(equilibrium, "_PATH_CAP", 1)
+    fw = solve_equilibrium(fresh, alloc, tol=1e-10)
     assert fw.flow.paths is None
     assert exact.flow.paths is not None
     assert fw.average_delay == pytest.approx(exact.average_delay, rel=1e-6)

@@ -61,6 +61,24 @@ def test_recomposition_on_random_graphs():
         assert sorted(tree_edge_ids(tree)) == sorted(e[0] for e in edges)
 
 
+def test_tree_edge_ids_lists_leaves_left_to_right():
+    def leaves(node):
+        if isinstance(node, Leaf):
+            return [node.edge_id]
+        return leaves(node.left) + leaves(node.right)
+
+    tree = Series(Parallel(Leaf("a", "s", "m"),
+                           Series(Leaf("b", "s", "u"), Leaf("c", "u", "m"),
+                                  "s", "m"), "s", "m"),
+                  Leaf("d", "m", "t"), "s", "t")
+    assert tree_edge_ids(tree) == ["a", "b", "c", "d"]
+    rng = np.random.default_rng(12)
+    for trial in range(40):
+        edges, s, t = _random_sp_edges(rng, max_edges=10, trial=trial)
+        tree = decompose_series_parallel(edges, s, t)
+        assert tree_edge_ids(tree) == leaves(tree)
+
+
 def _random_sp_edges(rng, max_edges, trial):
     counter = [0]
 
