@@ -366,45 +366,39 @@ def check_flow_conservation(inst: Instance, flows: Mapping[str, float],
                 f"flow not conserved at node {u!r}: net {net}, expected {want}")
 
 
-def path_decompose(inst: Instance, flow: FlowState | Mapping[str, float],
-                   commodity: int = 0, tol: float = 1e-12
+def path_decompose(inst: Instance, flow: FlowState | Mapping[str, float]
                    ) -> list[tuple[tuple[str, ...], float]]:
-    """Peel a single-commodity flow into at most m positive-flow paths.
+    """Peel the flow of a single-commodity instance into at most m
+    positive-flow paths.
 
     Repeatedly walks a source-sink path through positive-flow edges and
     subtracts the bottleneck; each round zeroes at least one edge.  Raises
-    ValidationError if the flow is not conserved or a positive circulation
-    remains after the full value is peeled off.
+    ValidationError if the instance has more than one commodity, the flow
+    is not conserved or a positive circulation remains after the full value
+    is peeled off.
     """
-    k = inst.commodities[commodity]
-    if isinstance(flow, FlowState):
-        if flow.commodity_flows is not None:
-            fmap = dict(flow.commodity_flows[commodity])
-        else:
-            if not inst.single_commodity:
-                raise ValidationError(
-                    "per-commodity flows required for multi-commodity decompose")
-            fmap = dict(flow.edge_flow)
-    else:
-        fmap = dict(flow)
-
+    if not inst.single_commodity:
+        raise ValidationError("path decomposition needs a single commodity")
+    k = inst.commodities[0]
+    fmap = dict(flow.edge_flow if isinstance(flow, FlowState) else flow)
     residual = {eid: max(0.0, v) for eid, v in fmap.items() if v != 0.0}
     value = (sum(residual.get(e.id, 0.0) for e in inst.out_edges[k.source])
              - sum(residual.get(e.id, 0.0) for e in inst.in_edges[k.source]))
     check_flow_conservation(inst, fmap, k.source, k.sink, value, tol=1e-9)
 
     scale = max(1.0, value)
+    eps = 1e-12 * scale
     out: list[tuple[tuple[str, ...], float]] = []
     remaining = value
-    while remaining > tol * scale:
-        path = _positive_path(inst, residual, k.source, k.sink, tol * scale)
+    while remaining > eps:
+        path = _positive_path(inst, residual, k.source, k.sink, eps)
         if path is None:
             raise ValidationError("flow value not decomposable into paths")
         amount = min(residual[eid] for eid in path)
         amount = min(amount, remaining)
         for eid in path:
             left = residual[eid] - amount
-            if left <= tol * scale:
+            if left <= eps:
                 residual.pop(eid, None)
             else:
                 residual[eid] = left

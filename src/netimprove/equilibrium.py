@@ -35,10 +35,10 @@ the minimization:
   weighted as this potential at the fixed allocation.  The linear subproblem
   is a nonnegative-delay shortest path per commodity and the step the exact
   minimizer of the convex step objective.  The gap converges like O(1/k), so
-  very tight tolerances are out of reach; it warns if the iteration cap is
-  hit first, and raises where the potential leaves floating-point range.  It
-  shares only the edge delays with the path engine, so it serves the tests
-  as an independent reference for it.
+  very tight tolerances are out of reach; it warns if its ``_FW_ITERS``
+  steps run out first, and raises where the potential leaves floating-point
+  range.  It shares only the edge delays with the path engine, so it serves
+  the tests, as ``_solve_frank_wolfe``, as an independent reference for it.
 
 The path engine certifies with the relative gap in delay units (Boyce,
 Ralevic-Dekic and Bar-Gera 2004), sum_i s_i (Lbar_i - min_p D_p) / sum_i s_i
@@ -79,8 +79,8 @@ from .core import (
     effective_conductance,
 )
 from .copt import _flow_unit, _frank_wolfe, _Relaxation
-from .errors import (InapplicableError, Infeasible, PathCapExceeded,
-                     UnsupportedDelay, ValidationError)
+from .errors import (Infeasible, PathCapExceeded, UnsupportedDelay,
+                     ValidationError)
 
 __all__ = [
     "EquilibriumResult",
@@ -95,6 +95,7 @@ __all__ = [
 ]
 
 _PATH_CAP = 200  # simple paths per commodity the path engines enumerate
+_FW_ITERS = 50_000  # Frank-Wolfe steps of one solve
 _BATCH_ROWS = 4096  # allocations per pass of the batched path engine
 _SAMPLE = 32  # a block's Newton rows start from one sampled row in this many
 
@@ -552,7 +553,7 @@ def _solve_rows(M: np.ndarray, rhs: np.ndarray,
 
 
 def _solve_paths(inst: Instance, beta: Allocation,
-                 start: str) -> EquilibriumResult | None:
+                 start: str = "shortest") -> EquilibriumResult | None:
     """The path engine on one allocation: its flow, path flows and common
     delays, certified by the relative gap, which forms no product of a
     demand and a delay; None when the engine leaves the row open."""
@@ -606,54 +607,46 @@ def _average(inst: Instance, L: list[float]) -> float:
 
 
 def solve_equilibrium(inst: Instance, beta: Allocation | None = None,
-                      tol: float = 1e-8, method: str = "auto",
-                      start: str = "shortest",
-                      max_iters: int = 50000) -> EquilibriumResult:
+                      tol: float = 1e-8) -> EquilibriumResult:
     """Equilibrium flow and common path delays under allocation ``beta``.
 
-    ``method`` is "auto" (path engine when each commodity has at most 200
-    simple paths, Frank-Wolfe otherwise), "paths" or "frank-wolfe".
-    ``start`` seeds the active set ("shortest", "longest" or "all") and only
-    affects the iteration trajectory, not the result.  A stalled path engine
-    raises InapplicableError under "paths" and hands over to Frank-Wolfe
-    with a RuntimeWarning under "auto".  The path engine reports the
+    The path engine solves it where each commodity has at most
+    ``_PATH_CAP`` simple paths, and Frank-Wolfe past the cap or, with a
+    RuntimeWarning, where the engine stalls.  The path engine reports the
     relative gap in delay units and Frank-Wolfe the potential's relative
     duality gap; either warns when its gap ends above ``tol``.
     """
     if not tol > 0:
         raise ValidationError("tol must be positive")
-    if max_iters < 0:
-        raise ValidationError("max_iters must be nonnegative")
     beta = beta or Allocation()
     beta.validate_for(inst)
-    if method not in ("auto", "paths", "frank-wolfe"):
-        raise ValidationError(f"unknown method {method!r}")
-    if method in ("auto", "paths"):
-        try:
-            res = _solve_paths(inst, beta, start)
-        except PathCapExceeded:
-            if method == "paths":
-                raise
-        else:
-            if res is not None:
-                if res.duality_gap > tol:
-                    warnings.warn(f"path engine stopped at relative gap "
-                                  f"{res.duality_gap:.3e} > tol {tol:.3e}",
-                                  RuntimeWarning)
-                return res
-            if method == "paths":
-                raise InapplicableError("path engine stalled")
-            warnings.warn("path engine stalled; Frank-Wolfe finishes",
-                          RuntimeWarning)
+    try:
+        res = _solve_paths(inst, beta)
+    except PathCapExceeded:
+        return _solve_frank_wolfe(inst, beta, tol)
+    if res is None:
+        warnings.warn("path engine stalled; Frank-Wolfe finishes",
+                      RuntimeWarning)
+        return _solve_frank_wolfe(inst, beta, tol)
+    if res.duality_gap > tol:
+        warnings.warn(f"path engine stopped at relative gap "
+                      f"{res.duality_gap:.3e} > tol {tol:.3e}", RuntimeWarning)
+    return res
+
+
+def _solve_frank_wolfe(inst: Instance, beta: Allocation,
+                       tol: float) -> EquilibriumResult:
+    """Frank-Wolfe on the potential at ``beta``, for at most ``_FW_ITERS``
+    steps, certified by the potential's relative duality gap."""
     g = [effective_conductance(e, beta.get(e.id)) for e in inst.edges
          if not e.rigid]
     kern = _Relaxation(inst, _flow_unit(inst.total_demand, max(g, default=1.0),
                                         min(filter(None, g), default=0.0)),
                        fixed=beta)
-    x, _, gap, iterations = _frank_wolfe(kern, tol, max_iters)
+    x, _, gap, iterations = _frank_wolfe(kern, tol, _FW_ITERS)
     if gap > tol:
         warnings.warn(f"Frank-Wolfe stopped at relative gap {gap:.3e} > tol "
-                      f"{tol:.3e} after {max_iters} iterations", RuntimeWarning)
+                      f"{tol:.3e} after {_FW_ITERS} iterations", RuntimeWarning)
     L = kern.route(kern.value_grad(x, np.zeros(0))[1], kern.c > 0.0)[1]
     return EquilibriumResult(flow=kern.flow(x), common_delay=tuple(L),
                              average_delay=_average(inst, L),

@@ -87,7 +87,7 @@ __all__ = [
 ]
 
 _DEFAULT_K_CAP = 5000
-_DEFAULT_OPS_CAP = 5e10
+_OPS_CAP = 5e10  # table entries one dynamic program may touch
 _SPLIT_ROWS = 64       # children's budget rows one split step reads
 
 
@@ -285,7 +285,7 @@ def _split(dpt: DpTable, node, k: int, l: int) -> tuple[float, int, int]:
 
 
 def _dp_ops_estimate(tree: DecompositionTree, K: int, lazy_root: bool) -> float:
-    """Table entries the dynamic program touches, held to ``ops_cap``.
+    """Table entries the dynamic program touches, held to ``_OPS_CAP``.
 
     A leaf fills (K+1)^2 entries and a series combine sums about
     (K+1)^3/2.  A parallel combine is charged (K+1)(2K+2) entries for each
@@ -310,15 +310,14 @@ def _dp_ops_estimate(tree: DecompositionTree, K: int, lazy_root: bool) -> float:
 
 
 def run_dp(inst: Instance, tree: DecompositionTree,
-           plan: DiscretizationPlan | int, lazy_root: bool = False,
-           ops_cap: float = _DEFAULT_OPS_CAP) -> DpTable:
+           plan: DiscretizationPlan | int, lazy_root: bool = False) -> DpTable:
     """Fill the min-max tables bottom-up over the decomposition tree."""
     K = plan.K if isinstance(plan, DiscretizationPlan) else int(plan)
     if K < 1:
         raise ValidationError("the grid needs K >= 1")
     if not inst.single_commodity:
         raise ValidationError("the scheme handles a single commodity")
-    if _dp_ops_estimate(tree, K, lazy_root) > ops_cap:
+    if _dp_ops_estimate(tree, K, lazy_root) > _OPS_CAP:
         raise DiscretizationError(
             f"dynamic program too large at K={K}; lower the grid cap")
 

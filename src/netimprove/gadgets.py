@@ -102,10 +102,8 @@ class PartitionGadgetParams:
 class DipoleCurve:
     """Optimal single-edge-funding delay of one gadget dipole vs. budget."""
 
-    def __init__(self, value: float, gamma_override: float | None = None):
+    def __init__(self, value: float):
         self.params = PartitionGadgetParams.for_value(value)
-        self.gamma = (self.params.gamma if gamma_override is None
-                      else gamma_override)
 
     def fund_long_both_used(self, x):
         p = self.params
@@ -140,7 +138,6 @@ def dipole_delay_curve(v: float, x: float) -> float:
 class DipoleClaimReport:
     passed: bool
     value: float
-    grid_points: int
     min_slack: float
     argmin_x: float
     tangency_error_low: float
@@ -149,29 +146,25 @@ class DipoleClaimReport:
     message: str
 
 
-def verify_dipole_claim(v: float, grid_points: int = 1000,
-                        tol: float = 1e-9,
-                        gamma_override: float | None = None
-                        ) -> DipoleClaimReport:
+def verify_dipole_claim(v: float) -> DipoleClaimReport:
     """Check that the dipole curve stays above the line gamma - x with
-    equality only at the two tangent budgets.
+    equality only at the two tangent budgets, on 1,000 budgets within 1e-9.
 
     A regression tripwire: any drift in the gadget constants shows up as a
     negative slack or a tangency error.
     """
-    if grid_points < 100:
-        raise ValidationError("need at least 100 grid points")
-    curve = DipoleCurve(v, gamma_override)
+    curve = DipoleCurve(v)
     p = curve.params
-    xs = np.linspace(0.0, 3.0 * (p.alpha + v), grid_points)
-    slack = curve.optimal(xs) + xs - curve.gamma
+    tol = 1e-9
+    xs = np.linspace(0.0, 3.0 * (p.alpha + v), 1000)
+    slack = curve.optimal(xs) + xs - p.gamma
     i_min = int(np.argmin(slack))
     min_slack = float(slack[i_min])
-    err_low = abs(curve.optimal(p.alpha) + p.alpha - curve.gamma)
-    err_high = abs(curve.optimal(p.alpha + v) + (p.alpha + v) - curve.gamma)
+    err_low = abs(curve.optimal(p.alpha) + p.alpha - p.gamma)
+    err_high = abs(curve.optimal(p.alpha + v) + (p.alpha + v) - p.gamma)
     short_margin = float(np.min(
-        curve.fund_short_only_short_used(xs) + xs - curve.gamma))
-    floor = (4.0 * v * math.sqrt(31.0) - 24.0 * v * LAM / 31.0) - curve.gamma
+        curve.fund_short_only_short_used(xs) + xs - p.gamma))
+    floor = (4.0 * v * math.sqrt(31.0) - 24.0 * v * LAM / 31.0) - p.gamma
 
     problems = []
     if min_slack < -tol:
@@ -181,13 +174,12 @@ def verify_dipole_claim(v: float, grid_points: int = 1000,
         problems.append(f"tangency at alpha off by {err_low:.3e}")
     if err_high > tol:
         problems.append(f"tangency at alpha+v off by {err_high:.3e}")
-    if short_margin <= max(floor - 1e-9 * abs(curve.gamma), 0.0):
+    if short_margin <= max(floor - tol * abs(p.gamma), 0.0):
         problems.append("short-only branch is not strictly above the line")
     return DipoleClaimReport(
-        passed=not problems, value=v, grid_points=grid_points,
-        min_slack=min_slack, argmin_x=float(xs[i_min]),
-        tangency_error_low=err_low, tangency_error_high=err_high,
-        short_branch_margin=short_margin,
+        passed=not problems, value=v, min_slack=min_slack,
+        argmin_x=float(xs[i_min]), tangency_error_low=err_low,
+        tangency_error_high=err_high, short_branch_margin=short_margin,
         message="; ".join(problems) if problems else "ok")
 
 

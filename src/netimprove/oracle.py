@@ -1,12 +1,13 @@
 """Brute-force ground truth: grid search over the allocation simplex.
 
-The oracle enumerates allocations beta_e = k_e * B / R with sum k_e <= R
-(an explicit slack coordinate keeps under-spending reachable, since delay
-monotonicity in the budget is not assumed globally), evaluates the exact
-equilibrium delay at every grid point and keeps the best.  Compositions
-come in blocks of ``_GRID_ROWS`` rows, few enough that the closed form's
-running sums stay in cache, and each block is evaluated in one batch call,
-by the first of two routes that applies:
+The oracle enumerates allocations beta_e = k_e * B / R on the improvable
+edges with sum k_e <= R (an explicit slack coordinate keeps under-spending
+reachable, since delay monotonicity in the budget is not assumed globally),
+at most ``_MAX_EVALS`` of them, evaluates the exact equilibrium delay at
+every grid point and keeps the best.  Compositions come in blocks of
+``_GRID_ROWS`` rows, few enough that the closed form's running sums stay in
+cache, and each block is evaluated in one batch call, by the first of two
+routes that applies:
 
 * affine parallel-path graphs, affine dipoles among them as paths of one
   edge: per-path conductances from the edge-level allocation, then the
@@ -22,11 +23,10 @@ minimum.  Every block, the last and shorter one too, works in their leading
 rows, and they are freed when the search returns; fresh ones each block
 would fault their pages in anew.  A path with one non-rigid edge has that
 edge's g = c + mu * beta as its conductance.  Any other path's is 1 / r
-with r the sum of 1 / g over its non-rigid edges; an edge whose g can be
-zero or below 1e-300 adds inf or 1e300, and an edge with c >= 1e-300, whose
-g never is, adds its plain reciprocal.  Paths of tied length are scanned in
-the order ``as_parallel_paths`` gives them, by edge ids, so a dipole's tied
-links are summed in edge-id order.
+with r the plain sum of 1 / g over its non-rigid edges, inf where a g is
+zero, with no pad or floor.  Paths of tied length are scanned in the order
+``as_parallel_paths`` gives them, by edge ids, so a dipole's tied links are
+summed in edge-id order.
 
 The grid, ``evaluate_delay`` and every replay of an argmin share that
 engine, so they do not check each other.  The independent checks are
@@ -57,6 +57,7 @@ from .errors import (GridTooLarge, Infeasible, NotParallelPaths, PathCapExceeded
 from .parallelpaths import as_parallel_paths
 
 _GRID_ROWS = 16_384  # grid rows per batch, so the scan's sums stay in cache
+_MAX_EVALS = 10_000_000  # grid points one search may evaluate
 
 __all__ = [
     "GridSpec",
@@ -73,15 +74,9 @@ __all__ = [
 @dataclass(frozen=True)
 class GridSpec:
     resolution: int
-    max_evals: int = 10_000_000
-    improvable: tuple[str, ...] | None = None
 
     def __post_init__(self):
         _check_count("resolution", self.resolution)
-        _check_count("max_evals", self.max_evals)
-        if (self.improvable is not None
-                and len(set(self.improvable)) != len(self.improvable)):
-            raise ValidationError("grid spec repeats an improvable edge")
 
 
 def _check_count(name: str, value) -> None:
@@ -92,11 +87,15 @@ def _check_count(name: str, value) -> None:
         raise ValidationError(f"{name} must be >= 1")
 
 
+def _check_tol(tol: float) -> None:
+    if not tol > 0:
+        raise ValidationError("tol must be positive")
+
+
 class OracleResult(NamedTuple):
     allocation: Allocation
     delay: float
     evaluations: int
-    trace: list[tuple[dict, float]] | None
 
 
 def count_compositions(total: int, parts: int) -> int:
@@ -139,20 +138,6 @@ def compositions(total: int, parts: int, chunk: int = 200_000
         v = end
 
 
-def _improvable_edges(inst: Instance, spec: GridSpec):
-    if spec.improvable is not None:
-        out = []
-        for eid in spec.improvable:
-            e = inst.edge_index.get(eid)
-            if e is None:
-                raise ValidationError(f"unknown edge {eid!r} in grid spec")
-            if e.rigid:
-                raise ValidationError(f"rigid edge {eid!r} cannot be improved")
-            out.append(e)
-        return out
-    return [e for e in inst.edges if e.improvable]
-
-
 class _Buffers:
     """Block buffers of one closed-form route, for blocks of up to ``rows``
     rows of allocations: the conductances of the scan's columns, two
@@ -186,6 +171,7 @@ def _closed_form(inst: Instance, edges, rows: int):
 
 def evaluate_delay(inst: Instance, alloc: Allocation, tol: float = 1e-8) -> float:
     """Equilibrium average delay under ``alloc`` via the cheapest exact route."""
+    _check_tol(tol)
     improvable = inst.improvable_edges()
     batch = _closed_form(inst, improvable, 1)
     if batch is None:
@@ -211,11 +197,9 @@ def _batch_general(inst: Instance, tol: float, edges, betas: np.ndarray
 
     The rows it leaves open, and every row when a commodity has more simple
     paths than the engine's cap, are solved one by one by
-    ``solve_equilibrium``, whose errors pass through.  ``tol`` and the
-    budget are checked first for the whole block, as ``solve_equilibrium``
-    checks them per allocation; the callers have checked the edges."""
-    if not tol > 0:
-        raise ValidationError("tol must be positive")
+    ``solve_equilibrium``, whose errors pass through.  The budget is
+    checked first for the whole block, as ``solve_equilibrium`` checks it
+    per allocation; the callers have checked ``tol`` and the edges."""
     total = np.zeros(len(betas))
     for j in range(betas.shape[1]):  # Allocation.total's order
         total += betas[:, j]
@@ -243,11 +227,8 @@ def _batch_paths(paths, cols, bufs: _Buffers, betas: np.ndarray) -> np.ndarray:
     """Delay of an affine parallel-path graph for each row: the scan over
     path conductances, g = c + mu * beta for a path with one non-rigid edge
     and otherwise 1 / r for the resistance r = sum 1 / g over its non-rigid
-    edges, which is positive, as instance validation bounds every g.
-
-    A zero g adds inf to r (no flow) and a g below 1e-300 adds 1e300.  An
-    edge with c >= 1e-300 has g >= 1e-300 at every allocation, so neither
-    guard can act: its reciprocal is taken as it is, one pass."""
+    edges, which is positive, as instance validation bounds every g.  A
+    zero g, or one whose reciprocal overflows, adds inf to r: no flow."""
     n = len(betas)
     g, r = bufs.g[:n], bufs.r[:n]
     with np.errstate(divide="ignore", over="ignore"):
@@ -266,12 +247,10 @@ def _batch_paths(paths, cols, bufs: _Buffers, betas: np.ndarray) -> np.ndarray:
             for e in edges:
                 j = cols.get(e.id)
                 if j is None:
-                    x = 1.0 / max(e.c, 1e-300) if e.c > 0.0 else math.inf
+                    x = 1.0 / e.c if e.c > 0.0 else math.inf
                 else:
                     np.add(np.multiply(betas[:, j], e.mu, out=g), e.c, out=g)
-                    x = (np.divide(1.0, g, out=g) if e.c >= 1e-300 else
-                         np.where(g > 0.0, 1.0 / np.maximum(g, 1e-300),
-                                  np.inf))
+                    x = np.divide(1.0, g, out=g)
                 if acc is r or isinstance(x, float):
                     acc += x
                 else:
@@ -285,22 +264,24 @@ def _batch_paths(paths, cols, bufs: _Buffers, betas: np.ndarray) -> np.ndarray:
                                                 bufs.cap, bufs.rows), c)
 
 
-def grid_search(inst: Instance, spec: GridSpec, tol: float = 1e-8,
-                keep_trace: bool = False) -> OracleResult:
-    """Best allocation on the simplex grid {k * B / R : sum k <= R}."""
-    improvable = _improvable_edges(inst, spec)
+def grid_search(inst: Instance, spec: GridSpec,
+                tol: float = 1e-8) -> OracleResult:
+    """Best allocation on the simplex grid {k * B / R : sum k <= R} over
+    the improvable edges, of at most ``_MAX_EVALS`` points."""
+    _check_tol(tol)
+    improvable = inst.improvable_edges()
     R = spec.resolution
     if inst.budget == 0.0 or not improvable:
         alloc = Allocation()
-        return OracleResult(alloc, evaluate_delay(inst, alloc, tol), 1, None)
+        return OracleResult(alloc, evaluate_delay(inst, alloc, tol), 1)
     parts = len(improvable) + 1  # slack coordinate allows under-spending
     n_evals = count_compositions(R, parts)
-    if n_evals > spec.max_evals:
+    if n_evals > _MAX_EVALS:
         r_ok = R
-        while r_ok > 1 and count_compositions(r_ok, parts) > spec.max_evals:
+        while r_ok > 1 and count_compositions(r_ok, parts) > _MAX_EVALS:
             r_ok = r_ok * 3 // 4
         raise GridTooLarge(
-            f"grid needs {n_evals} evaluations (cap {spec.max_evals}); "
+            f"grid needs {n_evals} evaluations (cap {_MAX_EVALS}); "
             f"try resolution <= {r_ok}")
 
     # The float allocations' buffer is here, the route's in its batch.
@@ -308,15 +289,11 @@ def grid_search(inst: Instance, spec: GridSpec, tol: float = 1e-8,
     batch = _batch_route(inst, improvable, tol, rows)
     betas_buf = np.empty((rows, len(improvable)), order="F")
     best_L, best_row, seen = math.inf, None, 0
-    trace: list[tuple[dict, float]] | None = [] if keep_trace else None
     for block in compositions(R, parts, _GRID_ROWS):
         betas = np.multiply(block[:, :-1], inst.budget / R,
                             out=betas_buf[:len(block)])
         ls = batch(betas)
         seen += len(betas)
-        if trace is not None:
-            trace += [({e.id: float(v) for e, v in zip(improvable, row)},
-                       float(L)) for row, L in zip(betas, ls)]
         idx = int(np.argmin(ls))
         if ls[idx] < best_L:
             best_L, best_row = float(ls[idx]), betas[idx].copy()
@@ -324,13 +301,14 @@ def grid_search(inst: Instance, spec: GridSpec, tol: float = 1e-8,
         raise Infeasible("no grid allocation admits a feasible routing")
     alloc = Allocation({e.id: float(best_row[j])
                         for j, e in enumerate(improvable) if best_row[j] > 0.0})
-    return OracleResult(alloc, best_L, seen, trace)
+    return OracleResult(alloc, best_L, seen)
 
 
 def sweep_segment(inst: Instance, beta_from: Allocation, beta_to: Allocation,
                   steps: int, tol: float = 1e-8) -> list[tuple[float, float]]:
     """Delay along the line segment between two allocations."""
     _check_count("steps", steps)
+    _check_tol(tol)
     beta_from.validate_for(inst)
     beta_to.validate_for(inst)
     keys = sorted(set(beta_from.beta) | set(beta_to.beta))

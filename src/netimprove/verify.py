@@ -17,7 +17,8 @@ import numpy as np
 from .core import (Allocation, Commodity, Edge, Instance, _positive_path,
                    edge_delay, path_decompose)
 from .copt import hessian_quadratic_form, relaxed_total_delay
-from .equilibrium import solve_equilibrium, solve_parallel_links_equilibrium
+from .equilibrium import (_solve_paths, solve_equilibrium,
+                          solve_parallel_links_equilibrium)
 from .fptas import run_dp
 from .gadgets import verify_dipole_claim
 from .oracle import GridSpec, enumerate_discretized_minmax, grid_search
@@ -243,9 +244,11 @@ def check_waterfilling_kkt(rng, cases=200) -> CheckResult:
 def check_equilibrium_uniqueness(rng, cases=40, tol=1e-8) -> CheckResult:
     for i in range(cases):
         inst = _random_sp_instance(rng, max_edges=5, exponents=(1.0, 2.0))
-        runs = []
-        for start in ("shortest", "longest", "all"):
-            runs.append(solve_equilibrium(inst, tol=tol, start=start))
+        runs = [_solve_paths(inst, Allocation(), start)
+                for start in ("shortest", "longest", "all")]
+        if None in runs:
+            return CheckResult("equilibrium-uniqueness", False, cases,
+                               f"case {i}: the path engine stalled")
         for e in inst.edges:
             vals = [r.flow.get(e.id) for r in runs]
             if max(vals) - min(vals) > 10 * tol:
@@ -294,7 +297,7 @@ def check_monotone_improvement(rng, cases=60) -> CheckResult:
 
 def check_dipole_claim(rng, cases=3) -> CheckResult:
     for v in (1.0, 2.0, 7.0)[:max(1, cases)]:
-        report = verify_dipole_claim(v, grid_points=1000)
+        report = verify_dipole_claim(v)
         if not report.passed:
             return CheckResult("dipole-claim", False, cases,
                                f"v={v}: {report.message}")

@@ -373,7 +373,7 @@ def test_criterion_7_partition_gadget():
 
     tangency = []
     for v in (1.0, 2.0, 7.0):
-        rep = verify_dipole_claim(v, grid_points=1000, tol=1e-9)
+        rep = verify_dipole_claim(v)
         assert rep.passed, rep.message
         tangency.append(max(rep.tangency_error_low, rep.tangency_error_high))
     elapsed = time.perf_counter() - started

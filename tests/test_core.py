@@ -274,6 +274,15 @@ class TestPathDecompose:
         with pytest.raises(ValidationError, match="not conserved"):
             path_decompose(inst, {"sa": 1.0, "at": 0.25})
 
+    def test_two_commodities_rejected(self):
+        inst = Instance(
+            nodes=("s1", "s2", "t"),
+            edges=(Edge("a", "s1", "t", c=1.0), Edge("b", "s2", "t", c=1.0)),
+            commodities=(Commodity("s1", "t", 1.0), Commodity("s2", "t", 1.0)),
+            budget=0.0)
+        with pytest.raises(ValidationError, match="single commodity"):
+            path_decompose(inst, {"a": 1.0, "b": 1.0})
+
 
 class TestAllocation:
     def test_total_and_default(self):

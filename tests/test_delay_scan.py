@@ -20,9 +20,9 @@ from hypothesis import given, settings, strategies as st
 from netimprove import oracle
 from netimprove.core import (Allocation, Commodity, Edge, Instance,
                              parse_instance)
-from netimprove.equilibrium import (_in_range, dipole_delay_rows,
-                                    length_unit, parallel_links_delay_batch,
-                                    solve_equilibrium,
+from netimprove.equilibrium import (_in_range, _solve_paths,
+                                    dipole_delay_rows, length_unit,
+                                    parallel_links_delay_batch,
                                     solve_parallel_links_equilibrium)
 from netimprove.errors import Infeasible, ValidationError
 from netimprove.oracle import (GridSpec, evaluate_delay, grid_search,
@@ -254,7 +254,7 @@ def _rigid_paths():
 def _dry_paths():
     """An improvable edge of zero conductance, whose path is closed until it
     gets budget, and one of subnormal conductance, whose g crosses 1e-300
-    on the grid: where both are dry, the delay is about 3e300."""
+    on the grid: where both are dry, 1 / g overflows and no path conducts."""
     return _paths([[(0.0, 0.0, 1.0)],
                    [(1e-310, 0.5, 1e-300), (2.0, 0.0, 0.0)]],
                   demand=3.0, budget=2.0)
@@ -264,6 +264,27 @@ GRIDS = [(_twin_dipole, 9), (_twin_paths, 11), (_rigid_dipole, 5),
          (_four_links, 8), (_rigid_paths, 9), (_dry_paths, 10)]
 
 
+def _traced_search(monkeypatch, inst, R):
+    """``grid_search`` with every row it evaluates, in order, as pairs of
+    the row's allocation on the improvable edges and its delay."""
+    trace = []
+    route = oracle._batch_route
+
+    def recording(inst, edges, tol, rows):
+        batch = route(inst, edges, tol, rows)
+
+        def traced(betas):
+            ls = batch(betas)
+            trace.extend(({e.id: float(v) for e, v in zip(edges, row)},
+                          float(L)) for row, L in zip(betas, ls))
+            return ls
+        return traced
+
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_batch_route", recording)
+        return grid_search(inst, GridSpec(resolution=R)), trace
+
+
 @pytest.mark.parametrize("make, R", GRIDS)
 def test_grid_does_not_depend_on_block_size(monkeypatch, make, R):
     # The first run is isolated.  The others take blocks of up to 7 rows,
@@ -271,32 +292,36 @@ def test_grid_does_not_depend_on_block_size(monkeypatch, make, R):
     # all rows, after searches, replays and sweeps on instances of other
     # shapes, none of which may leave a trace.
     inst = make()
-    base = grid_search(inst, GridSpec(resolution=R), keep_trace=True)
+    base, base_trace = _traced_search(monkeypatch, inst, R)
     assert evaluate_delay(inst, base.allocation) == base.delay
     parts = len(inst.improvable_edges()) + 1
     assert len(list(oracle.compositions(R, parts, 7))[-1]) < 7
     if make in (_twin_dipole, _twin_paths):
-        delays = [L for _, L in base.trace]
+        delays = [L for _, L in base_trace]
         best = [r for r, L in enumerate(delays) if L == base.delay]
         assert len(best) > 1 and best[-1] - best[0] > 7  # ties across blocks
-        first = {eid: v for eid, v in base.trace[best[0]][0].items()
+        first = {eid: v for eid, v in base_trace[best[0]][0].items()
                  if v > 0.0}
         assert base.allocation.beta == first  # ties go to the first row
     for rows in (7, 10**9):
         monkeypatch.setattr(oracle, "_GRID_ROWS", rows)
-        for other, r in GRIDS:
-            if other is make:
+        for build, r in GRIDS:
+            if build is make:
                 continue
-            other = other()
-            res = grid_search(other, GridSpec(resolution=r),
-                              keep_trace=rows == 7)
+            other = build()
+            res = (_traced_search(monkeypatch, other, r)[0] if rows == 7
+                   else grid_search(other, GridSpec(resolution=r)))
             evaluate_delay(other, res.allocation)
-            sweep_segment(other, Allocation(), res.allocation, 3)
-            res = grid_search(inst, GridSpec(resolution=R), keep_trace=True)
+            if build is _dry_paths:  # unfunded, no path conducts in range
+                with pytest.raises(Infeasible):
+                    sweep_segment(other, Allocation(), res.allocation, 3)
+            else:
+                sweep_segment(other, Allocation(), res.allocation, 3)
+            res, trace = _traced_search(monkeypatch, inst, R)
             assert res.delay == base.delay
             assert res.allocation == base.allocation
-            assert res.evaluations == base.evaluations == len(base.trace)
-            assert res.trace == base.trace
+            assert res.evaluations == base.evaluations == len(base_trace)
+            assert trace == base_trace
 
 
 def _reference_path_delays(inst, edges, betas, guards=True):
@@ -333,9 +358,9 @@ def _reference_path_delays(inst, edges, betas, guards=True):
 @pytest.mark.parametrize("make, guarded", [(_rigid_paths, False),
                                            (_dry_paths, True)])
 def test_path_conductances_match_the_reference(make, guarded):
-    # Edges with c >= 1e-300 skip both guards, which cannot act on them;
-    # the others keep them.  Both give the guarded loop's floats, and the
-    # guards change the floats only on the instance that keeps them.
+    # Every path's conductance is the plain 1 / sum 1 / g, with no pad or
+    # floor.  The guarded loop's floats differ from it only on the instance
+    # with an edge of c below 1e-300, where a guard can act.
     inst = make()
     edges = inst.improvable_edges()
     assert guarded == any(e.c < 1e-300 for e in inst.edges if not e.rigid)
@@ -343,15 +368,16 @@ def test_path_conductances_match_the_reference(make, guarded):
     betas = np.vstack(list(oracle.compositions(R, len(edges) + 1)))[:, :-1] \
         * (inst.budget / R)
     got = oracle._closed_form(inst, edges, len(betas))(betas)
-    assert np.array_equal(got, _reference_path_delays(inst, edges, betas))
-    plain = _reference_path_delays(inst, edges, betas, guards=False)
-    assert np.array_equal(got, plain) != guarded
+    assert np.array_equal(got, _reference_path_delays(inst, edges, betas,
+                                                      guards=False))
+    guarded_rows = _reference_path_delays(inst, edges, betas)
+    assert np.array_equal(got, guarded_rows) != guarded
 
 
-def test_a_dipole_scans_as_paths_of_one_edge(rng):
+def test_a_dipole_scans_as_paths_of_one_edge(rng, monkeypatch):
     # Random affine dipoles with a rigid link, an improvable link of zero
     # conductance and tied lengths, in a shuffled instance order, searched
-    # over a subset of their improvable links: every grid row is the dipole
+    # over their improvable links: every grid row is the dipole
     # closed form on c + mu * beta with the links in edge-id order, which
     # is the order tied lengths are summed in.
     reordered = 0
@@ -369,16 +395,12 @@ def test_a_dipole_scans_as_paths_of_one_edge(rng):
                         commodities=(Commodity("s", "t",
                                                float(rng.uniform(0.5, 8.0))),),
                         budget=float(rng.uniform(0.5, 3.0)))
-        ids = [e.id for e in inst.edges if e.improvable]
-        subset = tuple(rng.choice(ids, int(rng.integers(1, len(ids) + 1)),
-                                  replace=False))
-        res = grid_search(inst, GridSpec(resolution=6, improvable=subset),
-                          keep_trace=True)
-        got = np.array([L for _, L in res.trace])
+        trace = _traced_search(monkeypatch, inst, 6)[1]
+        got = np.array([L for _, L in trace])
 
         def rows(links):
             c_eff = np.array([[e.c + e.mu * beta.get(e.id, 0.0) for e in links]
-                              for beta, _ in res.trace])
+                              for beta, _ in trace])
             return dipole_delay_rows([e.b for e in links],
                                      [e.rigid for e in links], c_eff,
                                      inst.commodities[0].demand)
@@ -453,7 +475,7 @@ def test_a_prefix_whose_delay_overflows_fails_its_window(tmp_path):
     inst = parse_instance(json.dumps(NEAR))
     beta = Allocation({"b": 1.0})
     closed = solve_parallel_links_equilibrium(inst.edges, beta, 1e10)
-    paths = solve_equilibrium(inst, beta, method="paths")
+    paths = _solve_paths(inst, beta)
     assert closed.average_delay == paths.average_delay == 1e10 + 1.0
     assert closed.common_delay == paths.common_delay
     assert closed.flow.edge_flow == paths.flow.edge_flow

@@ -7,6 +7,8 @@ import pytest
 from netimprove import equilibrium
 from netimprove.core import Allocation, Commodity, Edge, Instance
 from netimprove.equilibrium import (
+    _solve_frank_wolfe,
+    _solve_paths,
     beckmann_potential,
     dipole_links,
     parallel_links_delay_batch,
@@ -154,7 +156,7 @@ class TestSolveEquilibrium:
             inst = make_dipole(params, demand=float(rng.uniform(0.5, 5)),
                                budget=0.0)
             tol = 1e-8
-            runs = [solve_equilibrium(inst, tol=tol, start=s)
+            runs = [_solve_paths(inst, Allocation(), s)
                     for s in ("shortest", "longest", "all")]
             for e in inst.edges:
                 vals = [r.flow.get(e.id) for r in runs]
@@ -162,14 +164,14 @@ class TestSolveEquilibrium:
 
     def test_frank_wolfe_agrees_on_dipole(self, fig2):
         exact = solve_equilibrium(fig2, Allocation({"e1": 1.0, "e2": 1.0}))
-        fw = solve_equilibrium(fig2, Allocation({"e1": 1.0, "e2": 1.0}),
-                               method="frank-wolfe", tol=1e-10)
+        fw = _solve_frank_wolfe(fig2, Allocation({"e1": 1.0, "e2": 1.0}),
+                                1e-10)
         assert fw.average_delay == pytest.approx(exact.average_delay, rel=1e-6)
 
-    def test_frank_wolfe_agrees_on_wheatstone(self, wheatstone):
+    def test_frank_wolfe_agrees_on_wheatstone(self, wheatstone, monkeypatch):
         exact = solve_equilibrium(wheatstone, Allocation({"ab": 1.0}))
-        fw = solve_equilibrium(wheatstone, Allocation({"ab": 1.0}),
-                               method="frank-wolfe", tol=1e-6, max_iters=200000)
+        monkeypatch.setattr(equilibrium, "_FW_ITERS", 200000)
+        fw = _solve_frank_wolfe(wheatstone, Allocation({"ab": 1.0}), 1e-6)
         assert fw.average_delay == pytest.approx(exact.average_delay, rel=1e-4)
 
 
@@ -384,7 +386,7 @@ def test_an_infinite_common_delay_admits_a_shorter_path():
                     commodities=(Commodity("s", "t", 1e10),), budget=1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = solve_equilibrium(inst, Allocation({"b": 1.0}), method="paths")
+        res = _solve_paths(inst, Allocation({"b": 1.0}))
     assert res.average_delay == pytest.approx(1e10 + 1.0, rel=1e-15)
     assert res.flow.edge_flow == pytest.approx({"a": 1e-290, "b": 1e10},
                                                rel=1e-12)
@@ -441,23 +443,23 @@ def _random_two_commodity(rng):
         budget=float(rng.uniform(0.0, 3.0)))
 
 
-def test_path_engine_matches_frank_wolfe_on_random_instances():
+def test_path_engine_matches_frank_wolfe_on_random_instances(monkeypatch):
     # The path route must settle every instance within tol and without a
     # warning.  Frank-Wolfe's certificate bounds the optimal potential from
     # below and its own potential from above, whether or not it reaches its
     # tol in 1,000 steps; where it does, the common delays agree.
     rng = np.random.default_rng(1)
     close = 0
+    monkeypatch.setattr(equilibrium, "_FW_ITERS", 1000)
     for k in range(40):
         inst = (_random_dipole if k % 2 == 0 else _random_two_commodity)(rng)
         w = rng.dirichlet(np.ones(len(inst.edges) + 1))[:-1] * inst.budget
         alloc = Allocation({e.id: float(v) for e, v in zip(inst.edges, w)})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            paths = solve_equilibrium(inst, alloc, method="paths")
+            paths = _solve_paths(inst, alloc)
             warnings.filterwarnings("ignore", message="Frank-Wolfe stopped")
-            fw = solve_equilibrium(inst, alloc, method="frank-wolfe",
-                                   tol=1e-10, max_iters=1000)
+            fw = _solve_frank_wolfe(inst, alloc, 1e-10)
         assert paths.duality_gap <= 1e-8
         phi = beckmann_potential(paths.flow, alloc, inst)
         phi_fw = beckmann_potential(fw.flow, alloc, inst)
@@ -479,7 +481,8 @@ def test_a_total_delay_out_of_range_keeps_its_finite_delay(method):
                     edges=(Edge("a", "s", "t", c=1e-300, b=0.0, mu=1.0),
                            Edge("b", "s", "t", c=1e-300, b=0.0)),
                     commodities=(Commodity("s", "t", 1.6e4),), budget=0.0)
-    res = solve_equilibrium(inst, method=method)
+    res = (_solve_paths(inst, Allocation()) if method == "paths"
+           else solve_equilibrium(inst))
     assert res.average_delay == pytest.approx(8e303, rel=1e-12)
     assert res.duality_gap <= 1e-8
     rows = path_delay_rows(inst, inst.edges[:1], np.zeros((1, 1)))
@@ -503,7 +506,7 @@ def test_crossing_commodities_settle_without_frank_wolfe():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = solve_equilibrium(inst)
-        fw = solve_equilibrium(inst, method="frank-wolfe", tol=1e-10)
+        fw = _solve_frank_wolfe(inst, Allocation(), 1e-10)
     assert res.flow.paths is not None and res.duality_gap <= 1e-8
     assert res.flow.get("c") > 0.0 and res.flow.get("c2") > 0.0
     assert res.common_delay == pytest.approx(fw.common_delay, rel=1e-8)

@@ -1,9 +1,10 @@
-"""Open defects, pinned.
+"""Defects found, pinned.
 
 Each instance under ``data/found/`` is written exactly by
 ``instance_to_json`` (floats round-trip) and reproduces one ``FOUND`` line
 of ``CHANGES.md``, which cites the file.  A strict ``xfail`` holds each
-test until a fix turns it into a pass; that fix removes the marker.
+open one's test until a fix turns it into a pass; that fix removes the
+marker and keeps the test.
 """
 
 import os
@@ -25,9 +26,6 @@ def _load(name):
         return parse_instance(fh.read())
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the grid's per-edge 1e-300 pad gives the gated "
-                   "path a conductance 1e5 times its own")
 def test_evaluate_delay_is_the_rigid_length_beside_a_tiny_gate():
     # Gate a (c=0, mu=1) in series with b (c=1), beside rigid z (b=10), at
     # demand 1e-301: funded with 1e-305, a's g is 1e-305, so the a-b path

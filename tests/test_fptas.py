@@ -165,11 +165,13 @@ class TestRunDp:
         # cap; the merged combine's count is far below it.
         assert _dp_ops_estimate(tree, K, lazy_root=True) < 5e10 < 701 ** 4 / 4
 
-    def test_tiny_ops_cap_refuses(self):
+    def test_tiny_ops_cap_refuses(self, monkeypatch):
         inst = make_dipole([(1, 0, 1), (0.5, 1, 2)], 1.0, 1.0)
         tree = decompose_series_parallel(inst)
-        with pytest.raises(DiscretizationError, match="too large at K=8"):
-            run_dp(inst, tree, 8, ops_cap=100.0)
+        with monkeypatch.context() as m:
+            m.setattr(fptas, "_OPS_CAP", 100.0)
+            with pytest.raises(DiscretizationError, match="too large at K=8"):
+                run_dp(inst, tree, 8)
         run_dp(inst, tree, 8)
 
     def test_reconstruction_realizes_root_value(self, rng):

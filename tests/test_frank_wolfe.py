@@ -8,10 +8,12 @@ import warnings
 import numpy as np
 import pytest
 
-from netimprove import (Allocation, Commodity, Edge, InapplicableError,
+from netimprove import (Allocation, Commodity, Edge,
                         Instance, ValidationError, beckmann_potential,
                         edge_delay, solve_equilibrium)
+from netimprove import equilibrium
 from netimprove.copt import _Relaxation
+from netimprove.equilibrium import _solve_frank_wolfe, _solve_paths
 from netimprove.oracle import (GridSpec, evaluate_delay, grid_search,
                                sweep_segment)
 from test_equilibrium import _random_dipole, _random_two_commodity
@@ -50,7 +52,7 @@ def test_path_route_flows_certify_with_the_potential_kernel():
     # independent certificate, stays within tol too.  These are the
     # instances of test_path_engine_matches_frank_wolfe_on_random_instances.
     for _, inst, alloc in _random_cases(1, 40):
-        res = solve_equilibrium(inst, alloc, method="paths")
+        res = _solve_paths(inst, alloc)
         maps = res.flow.commodity_flows or (res.flow.edge_flow,)
         x = np.array([[fmap.get(e.id, 0.0) for e in inst.edges]
                       for fmap in maps])
@@ -60,12 +62,12 @@ def test_path_route_flows_certify_with_the_potential_kernel():
         assert (val - lower) / val <= 1e-8
 
 
-def test_frank_wolfe_never_reports_a_negative_gap():
+def test_frank_wolfe_never_reports_a_negative_gap(monkeypatch):
+    monkeypatch.setattr(equilibrium, "_FW_ITERS", 200)
     for _, inst, alloc in _random_cases(5, 40):
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", message="Frank-Wolfe stopped")
-            res = solve_equilibrium(inst, alloc, method="frank-wolfe",
-                                    tol=1e-10, max_iters=200)
+            res = _solve_frank_wolfe(inst, alloc, 1e-10)
         assert res.duality_gap >= 0.0
 
 
@@ -120,8 +122,8 @@ def test_frank_wolfe_at_a_tiny_demand_agrees_with_the_path_engine(build,
         inst = _scaled(build(), demand=1e-300)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            paths = solve_equilibrium(inst, alloc, method="paths")
-            fw = solve_equilibrium(inst, alloc, method="frank-wolfe")
+            paths = _solve_paths(inst, alloc)
+            fw = _solve_frank_wolfe(inst, alloc, 1e-8)
         assert fw.common_delay == pytest.approx(paths.common_delay, rel=1e-8)
 
 
@@ -143,14 +145,16 @@ def test_frank_wolfe_at_a_huge_demand_certifies_or_rejects(build, funded,
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             if not certified:
-                with (pytest.raises(InapplicableError, match="stalled")
-                      if method == "paths" else
-                      pytest.raises(ValidationError,
-                                    match="out of floating-point range")):
-                    solve_equilibrium(inst, alloc, method=method)
+                if method == "paths":
+                    assert _solve_paths(inst, alloc) is None  # stalled
+                    continue
+                with pytest.raises(ValidationError,
+                                   match="out of floating-point range"):
+                    _solve_frank_wolfe(inst, alloc, 1e-8)
                 continue
-            res = solve_equilibrium(inst, alloc, method=method)
-            fw = solve_equilibrium(inst, alloc, method="frank-wolfe")
+            res = (_solve_paths(inst, alloc) if method == "paths"
+                   else _solve_frank_wolfe(inst, alloc, 1e-8))
+            fw = _solve_frank_wolfe(inst, alloc, 1e-8)
         assert 0.0 <= res.duality_gap <= 1e-8
         assert all(map(math.isfinite, res.common_delay))
         assert res.common_delay == pytest.approx(fw.common_delay, rel=1e-8)
@@ -178,18 +182,14 @@ def test_a_delay_out_of_range_is_rejected_on_every_route():
         sweep_segment(inst, Allocation(), Allocation({"a": 1.0}), 4)
     for alloc in (Allocation(), Allocation({"a": 1.0})):
         with out_of_range:
-            solve_equilibrium(inst, alloc, method="frank-wolfe")
+            _solve_frank_wolfe(inst, alloc, 1e-8)
 
 
-def test_negative_max_iters_is_rejected():
-    with pytest.raises(ValidationError, match="max_iters"):
-        solve_equilibrium(_fig2(), method="frank-wolfe", max_iters=-4)
-
-
-def test_zero_max_iters_takes_no_step():
+def test_zero_max_iters_takes_no_step(monkeypatch):
     # The all-or-nothing flow at zero flow: all on e2, whose delay is 0.
+    monkeypatch.setattr(equilibrium, "_FW_ITERS", 0)
     with pytest.warns(RuntimeWarning, match="Frank-Wolfe stopped"):
-        res = solve_equilibrium(_fig2(), method="frank-wolfe", max_iters=0)
+        res = _solve_frank_wolfe(_fig2(), Allocation(), 1e-8)
     assert res.iterations == 0
     assert res.flow.edge_flow == {"e2": 40.0}
     assert res.duality_gap > 0.0

@@ -5,9 +5,9 @@ import pytest
 
 from netimprove import equilibrium, oracle
 from netimprove.core import Allocation, Commodity, Edge, Instance
-from netimprove.equilibrium import solve_equilibrium
-from netimprove.errors import (GridTooLarge, InapplicableError, Infeasible,
-                               ValidationError)
+from netimprove.equilibrium import (_solve_frank_wolfe, _solve_paths,
+                                    solve_equilibrium)
+from netimprove.errors import GridTooLarge, Infeasible, ValidationError
 from netimprove.gadgets import build_2ddp_instance
 from netimprove.oracle import (
     GridSpec,
@@ -119,9 +119,10 @@ class TestGridSearch:
         assert res.allocation.total() == 0.0
         assert res.delay == pytest.approx(evaluate_delay(inst, Allocation()))
 
-    def test_too_large_grid_suggests_resolution(self, fig2):
+    def test_too_large_grid_suggests_resolution(self, fig2, monkeypatch):
+        monkeypatch.setattr(oracle, "_MAX_EVALS", 1000)
         with pytest.raises(GridTooLarge, match="resolution"):
-            grid_search(fig2, GridSpec(resolution=10000, max_evals=1000))
+            grid_search(fig2, GridSpec(resolution=10000))
 
     def test_refinement_never_increases(self, rng):
         for _ in range(10):
@@ -151,34 +152,19 @@ class TestGridSearch:
         assert res.allocation.get("e2") == pytest.approx(3.0, abs=1e-12)
         assert closed.allocation.get("e2") == pytest.approx(3.0, abs=1e-12)
 
-    def test_trace_contains_all_points(self, fig2):
-        res = grid_search(fig2, GridSpec(resolution=5), keep_trace=True)
-        assert res.trace is not None
-        assert len(res.trace) == count_compositions(5, 3) == res.evaluations
-
     def test_wheatstone_prefers_zero_budget(self, wheatstone):
         # Funding the cross edge only hurts; the oracle keeps it dry.
         res = grid_search(wheatstone, GridSpec(resolution=20))
         assert res.delay == pytest.approx(1.5, abs=1e-9)
         assert res.allocation.total() == 0.0
 
-    def test_spec_rejects_a_repeated_edge(self, fig2):
-        # A repeated edge would get its column's amount twice in the
-        # conductances, but once in the reported allocation, which then
-        # replays to another delay.
-        with pytest.raises(ValidationError, match="repeats"):
-            GridSpec(resolution=4, improvable=("e1", "e1", "e2"))
-        res = grid_search(fig2, GridSpec(resolution=4, improvable=("e2", "e1")))
-        assert evaluate_delay(fig2, res.allocation) == res.delay
-
     @pytest.mark.parametrize("field, value", [
         ("resolution", 2.5), ("resolution", True), ("resolution", "4"),
-        ("resolution", 0), ("max_evals", 2.5), ("max_evals", False),
-        ("max_evals", 0)])
+        ("resolution", 0)])
     def test_spec_takes_positive_integer_sizes(self, field, value):
         with pytest.raises(ValidationError, match=field):
-            GridSpec(**{"resolution": 4, field: value})
-        assert GridSpec(resolution=np.int64(4), max_evals=np.int32(9))
+            GridSpec(**{field: value})
+        assert GridSpec(resolution=np.int64(4))
 
 
 
@@ -229,6 +215,22 @@ class TestEvaluateDelay:
         assert want == pytest.approx(2.0, rel=1e-12)
         assert evaluate_delay(inst, Allocation()) == pytest.approx(
             want, rel=1e-12)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    def test_every_route_rejects_a_tolerance_that_is_not_positive(
+            self, fig2, wheatstone, tol):
+        # fig2 takes the closed form and wheatstone the path engine; both
+        # reject tol as solve_equilibrium does.
+        positive = pytest.raises(ValidationError, match="tol must be positive")
+        for inst in (fig2, wheatstone):
+            with positive:
+                solve_equilibrium(inst, tol=tol)
+            with positive:
+                evaluate_delay(inst, Allocation(), tol)
+            with positive:
+                grid_search(inst, GridSpec(resolution=4), tol)
+            with positive:
+                sweep_segment(inst, Allocation(), Allocation(), 4, tol)
 
 
 class TestSweep:
@@ -465,7 +467,7 @@ class TestBatchedEngine:
         # Make Newton fail wherever the n = 0.5 link is funded below 0.5:
         # the batch leaves exactly those rows open, and each goes to
         # solve_equilibrium, which warns that the engine stalled and
-        # finishes by Frank-Wolfe within tol; method="paths" raises there.
+        # finishes by Frank-Wolfe within tol; the engine alone gives None.
         inst = _root_edge_at_zero_flow(b=0.6)
         edges, betas = _grid_betas(inst, 4)
         want = _scalar_delays(inst, edges, betas)
@@ -489,8 +491,7 @@ class TestBatchedEngine:
             with pytest.warns(RuntimeWarning,
                               match="path engine stalled; Frank-Wolfe"):
                 res = solve_equilibrium(inst_r, alloc, **kw)
-            with pytest.raises(InapplicableError, match="path engine stalled"):
-                solve_equilibrium(inst_r, alloc, method="paths", **kw)
+            assert _solve_paths(inst_r, alloc) is None
             calls.append((alloc, res))
             return res
 
@@ -518,8 +519,7 @@ class TestBatchedEngine:
             for L, row in zip(rows, betas):
                 alloc = Allocation({e.id: row[j] for j, e in enumerate(edges)})
                 res = solve_equilibrium(inst, alloc)
-                fw = solve_equilibrium(inst, alloc, tol=1e-10,
-                                       method="frank-wolfe")
+                fw = _solve_frank_wolfe(inst, alloc, 1e-10)
                 assert res.average_delay == L
                 assert res.duality_gap <= 1e-8
                 assert res.average_delay == pytest.approx(fw.average_delay,
@@ -578,11 +578,10 @@ class TestBatchedEngine:
             alloc = Allocation({e.id: row[j] for j, e in enumerate(edges)})
             if np.isinf(L):
                 with pytest.raises(Infeasible):
-                    solve_equilibrium(inst, alloc, method="frank-wolfe")
+                    _solve_frank_wolfe(inst, alloc, 1e-8)
                 continue
-            paths = solve_equilibrium(inst, alloc, method="paths")
-            fw = solve_equilibrium(inst, alloc, tol=1e-10,
-                                   method="frank-wolfe")
+            paths = _solve_paths(inst, alloc)
+            fw = _solve_frank_wolfe(inst, alloc, 1e-10)
             assert paths.average_delay == L
             assert fw.average_delay == pytest.approx(L, rel=1e-8)
             assert fw.common_delay == pytest.approx(paths.common_delay,

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from netimprove import verify
 from netimprove.verify import SUITES, run_suites
 
 GOLDEN = Path(__file__).parent / "data" / "verify-seed0.txt"
@@ -38,6 +39,13 @@ def test_same_seed_same_outcome():
     a = run_suites(["minmax-domination"], seed=11, cases=20)
     b = run_suites(["minmax-domination"], seed=11, cases=20)
     assert a == b
+
+
+def test_a_stalled_path_engine_fails_the_uniqueness_suite(monkeypatch):
+    monkeypatch.setattr(verify, "_solve_paths", lambda *args: None)
+    (result,) = run_suites(["equilibrium-uniqueness"], seed=0, cases=3)
+    assert not result.passed
+    assert result.detail == "case 0: the path engine stalled"
 
 
 def test_seed_0_report_matches_the_golden_file():
