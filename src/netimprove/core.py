@@ -323,8 +323,7 @@ class Allocation:
                 raise ValidationError(f"allocation references unknown edge {eid!r}")
             if e.rigid and v > 0.0:
                 raise ValidationError(f"allocation on rigid edge {eid!r}")
-        scale = max(1.0, inst.budget)
-        if self.total() > inst.budget + 1e-9 * scale:
+        if self.total() > inst.budget + 1e-9 * inst.budget:
             raise ValidationError(
                 f"allocation total {self.total()} exceeds budget {inst.budget}")
 
@@ -349,19 +348,18 @@ class FlowState:
 
 
 def check_flow_conservation(inst: Instance, flows: Mapping[str, float],
-                            source: str, sink: str, value: float,
-                            tol: float = 1e-9) -> None:
-    scale = max(1.0, abs(value), *(abs(v) for v in flows.values())) if flows else 1.0
+                            source: str, sink: str, value: float) -> None:
+    tol = 1e-9 * max([abs(value), *map(abs, flows.values())])
     for eid, v in flows.items():
         if eid not in inst.edge_index:
             raise ValidationError(f"flow references unknown edge {eid!r}")
-        if v < -tol * scale:
+        if v < -tol:
             raise ValidationError(f"negative flow on edge {eid!r}")
     for u in inst.nodes:
         net = (sum(flows.get(e.id, 0.0) for e in inst.out_edges[u])
                - sum(flows.get(e.id, 0.0) for e in inst.in_edges[u]))
         want = value if u == source else (-value if u == sink else 0.0)
-        if abs(net - want) > tol * scale:
+        if abs(net - want) > tol:
             raise ValidationError(
                 f"flow not conserved at node {u!r}: net {net}, expected {want}")
 
@@ -384,10 +382,9 @@ def path_decompose(inst: Instance, flow: FlowState | Mapping[str, float]
     residual = {eid: max(0.0, v) for eid, v in fmap.items() if v != 0.0}
     value = (sum(residual.get(e.id, 0.0) for e in inst.out_edges[k.source])
              - sum(residual.get(e.id, 0.0) for e in inst.in_edges[k.source]))
-    check_flow_conservation(inst, fmap, k.source, k.sink, value, tol=1e-9)
+    check_flow_conservation(inst, fmap, k.source, k.sink, value)
 
-    scale = max(1.0, value)
-    eps = 1e-12 * scale
+    eps = 1e-12 * value
     out: list[tuple[tuple[str, ...], float]] = []
     remaining = value
     while remaining > eps:
@@ -404,7 +401,7 @@ def path_decompose(inst: Instance, flow: FlowState | Mapping[str, float]
                 residual[eid] = left
         out.append((tuple(path), amount))
         remaining -= amount
-    if any(v > 1e-7 * scale for v in residual.values()):
+    if any(v > 1e-7 * value for v in residual.values()):
         raise ValidationError("flow contains a positive circulation")
     return out
 

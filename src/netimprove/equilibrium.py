@@ -57,7 +57,8 @@ absorb the residual flow.  The scan is written once, in
 fresh scratch or, for the grid oracle, in its block buffers; a single
 allocation is a batch of one row.  ``dipole_delay_rows`` lays out links, or
 whole paths, for it by ``_scan_layout``: the parallel-paths optimizer and
-the grid oracle use the same scan.
+the grid oracle use the same scan.  A row is finite; inf (or the rigid cap)
+where no link conducts; or nan where one does but the delay is out of range.
 """
 
 from __future__ import annotations
@@ -586,7 +587,7 @@ def _solve_paths(inst: Instance, beta: Allocation,
     paths_out = []
     for j in aset.S:  # commodity by commodity
         w = float(x[j])
-        if w > 1e-13 * batch.dscale:
+        if w > 1e-13 * d[batch.com[j]]:
             paths_out.append((batch.paths[j], w))
             cmap = per_comm[batch.com[j]]
             for eid in batch.paths[j]:
@@ -685,8 +686,9 @@ def parallel_links_delay_batch(c_eff: np.ndarray, b: np.ndarray, d: float,
     delay M_k = (d + sum g b) / sum g of the first k columns is a weighted
     mean of M_{k-1} and b_k, so it falls until the used set is complete and
     never falls again: the least prefix delay, capped, is the equilibrium.
-    A row with no usable column gets ``cap``, which is inf without rigid
-    links.  A single allocation is a batch of one row.
+    A single allocation is a batch of one row.  Each row is finite; inf,
+    or ``cap`` with rigid links, where no column conducts; or nan where a
+    column conducts but the delay is out of floating-point range.
 
     The scan walks the columns, contiguous when ``c_eff`` is F-ordered as
     the grid oracle builds it, with running sums over the rows that add as
@@ -721,6 +723,8 @@ def parallel_links_delay_batch(c_eff: np.ndarray, b: np.ndarray, d: float,
                 np.copyto(M, far[1] / den * u,
                           where=np.isinf(M) & (far[1] >= 2.0 ** -5))
             np.fmin(L if k else cap, M, out=L)  # a nan delay is skipped
+    if not L.max(initial=0.0) < math.inf:  # den: each row's conductance
+        np.copyto(L, np.nan, where=np.isinf(L) & (den > 0.0))
     return L
 
 
@@ -750,13 +754,14 @@ def dipole_delay_rows(lengths, rigid, c_eff: np.ndarray, d: float) -> np.ndarray
     return parallel_links_delay_batch(c_eff, b, d, cap)
 
 
-def _in_range(rows: np.ndarray, conductances: np.ndarray) -> np.ndarray:
-    """The closed form's delays ``rows``; ValidationError for a row that is
-    inf although a link or path has positive conductance (an overflow)."""
-    if (not np.max(rows, initial=0.0) < math.inf
-            and (conductances[np.isinf(rows)] > 0.0).any()):
+def _reported(L: float, infeasible: str) -> float:
+    """The scan's row ``L`` where it is finite; ValidationError where it is
+    nan (out of range), Infeasible(``infeasible``) where it is inf."""
+    if math.isnan(L):
         raise ValidationError("a delay is out of floating-point range")
-    return rows
+    if math.isinf(L):
+        raise Infeasible(infeasible)
+    return L
 
 
 def solve_parallel_links_equilibrium(links, beta: Allocation | None,
@@ -772,11 +777,9 @@ def solve_parallel_links_equilibrium(links, beta: Allocation | None,
             raise UnsupportedDelay(f"link {e.id!r} has exponent {e.n} != 1")
     beta = beta or Allocation()
     c_eff = [effective_conductance(e, beta.get(e.id)) for e in links]
-    G = np.array([c_eff])
-    L = float(_in_range(dipole_delay_rows([e.b for e in links],
-                                          [e.rigid for e in links], G, d), G)[0])
-    if math.isinf(L):
-        raise Infeasible("no usable link")
+    L = _reported(float(dipole_delay_rows(
+        [e.b for e in links], [e.rigid for e in links], np.array([c_eff]),
+        d)[0]), "no usable link")
     flows = [0.0] * len(links)
     residual = d
     for t, e in enumerate(links):

@@ -50,7 +50,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .core import Allocation, Instance, edge_delay
-from .equilibrium import (_in_range, _scan_layout, parallel_links_delay_batch,
+from .equilibrium import (_reported, _scan_layout, parallel_links_delay_batch,
                           path_delay_rows, solve_equilibrium)
 from .errors import (GridTooLarge, Infeasible, NotParallelPaths, PathCapExceeded,
                      UnsupportedDelay, ValidationError)
@@ -178,9 +178,7 @@ def evaluate_delay(inst: Instance, alloc: Allocation, tol: float = 1e-8) -> floa
         return solve_equilibrium(inst, alloc, tol=tol).average_delay
     alloc.validate_for(inst)
     L = float(batch(np.array([[alloc.get(e.id) for e in improvable]]))[0])
-    if math.isinf(L):
-        raise Infeasible("no usable path")
-    return L
+    return _reported(L, "no usable path")
 
 
 def _batch_route(inst: Instance, edges, tol: float, rows: int):
@@ -203,7 +201,7 @@ def _batch_general(inst: Instance, tol: float, edges, betas: np.ndarray
     total = np.zeros(len(betas))
     for j in range(betas.shape[1]):  # Allocation.total's order
         total += betas[:, j]
-    over = np.flatnonzero(total > inst.budget + 1e-9 * max(1.0, inst.budget))
+    over = np.flatnonzero(total > inst.budget + 1e-9 * inst.budget)
     if over.size:
         _allocation(edges, betas[over[0]]).validate_for(inst)
     try:
@@ -259,9 +257,8 @@ def _batch_paths(paths, cols, bufs: _Buffers, betas: np.ndarray) -> np.ndarray:
                 np.divide(1.0, r, out=col)
             else:
                 col.fill(1.0 / acc)
-    c = bufs.c[:n]
-    return _in_range(parallel_links_delay_batch(c, bufs.b, bufs.demand,
-                                                bufs.cap, bufs.rows), c)
+    return parallel_links_delay_batch(bufs.c[:n], bufs.b, bufs.demand,
+                                      bufs.cap, bufs.rows)
 
 
 def grid_search(inst: Instance, spec: GridSpec,
@@ -288,17 +285,21 @@ def grid_search(inst: Instance, spec: GridSpec,
     rows = min(_GRID_ROWS, n_evals)
     batch = _batch_route(inst, improvable, tol, rows)
     betas_buf = np.empty((rows, len(improvable)), order="F")
-    best_L, best_row, seen = math.inf, None, 0
+    best_L, best_row, seen, out_of_range = math.inf, None, 0, False
     for block in compositions(R, parts, _GRID_ROWS):
         betas = np.multiply(block[:, :-1], inst.budget / R,
                             out=betas_buf[:len(block)])
         ls = batch(betas)
         seen += len(betas)
-        idx = int(np.argmin(ls))
+        idx = int(np.argmin(ls))  # the first nan, where there is one
+        if math.isnan(ls[idx]):  # skip the rows out of range
+            out_of_range = True
+            idx = int(np.argmin(np.where(np.isnan(ls), math.inf, ls)))
         if ls[idx] < best_L:
             best_L, best_row = float(ls[idx]), betas[idx].copy()
-    if best_row is None or not math.isfinite(best_L):
-        raise Infeasible("no grid allocation admits a feasible routing")
+    if best_row is None:  # no finite row
+        _reported(math.nan if out_of_range else math.inf,
+                  "no grid allocation admits a feasible routing")
     alloc = Allocation({e.id: float(best_row[j])
                         for j, e in enumerate(improvable) if best_row[j] > 0.0})
     return OracleResult(alloc, best_L, seen)
@@ -317,8 +318,7 @@ def sweep_segment(inst: Instance, beta_from: Allocation, beta_to: Allocation,
                        for k in keys] for lam in lams]).reshape(len(lams), len(keys))
     ls = _batch_route(inst, [inst.edge_index[k] for k in keys], tol,
                       len(betas))(betas)
-    if np.isinf(ls).any():
-        raise Infeasible("no usable path")
+    _reported(float(ls.max()), "no usable path")  # nan first: out of range
     return list(zip(lams, ls.tolist()))
 
 

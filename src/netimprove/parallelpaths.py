@@ -53,8 +53,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import Allocation, Edge, Instance
-from .errors import Infeasible, NotParallelPaths, UnsupportedDelay, ValidationError
-from .equilibrium import _in_range, dipole_delay_rows
+from .errors import NotParallelPaths, UnsupportedDelay, ValidationError
+from .equilibrium import _reported, dipole_delay_rows
 
 __all__ = [
     "PathSpec",
@@ -430,9 +430,9 @@ def solve_parallel_paths(arg: Instance | ParallelPathsInstance,
                 "constant-delay path; optimizer needs congestible paths")
     paths = ppi.paths
     budgets = [0.0] * len(paths)
-    lam = float(_scan(ppi, budgets)[0][0])
+    lam = _scan(ppi, budgets)
     if ppi.budget > 0.0 and any(p.profile.segments for p in paths):
-        if math.isinf(lam):
+        if not math.isfinite(lam):
             # No path conducts unfunded (gates: c = 0, mu > 0) or the delay
             # overflows; (Lbar - b_p)^+ tends to equal weights as Lbar grows.
             budgets, lam = _step(ppi, [1.0] * len(paths))
@@ -458,26 +458,22 @@ def _step(ppi: ParallelPathsInstance, weights: Sequence[float]
     budgets = _allocate_weighted(ppi.paths, weights, ppi.budget)
     if not all(map(math.isfinite, budgets)):
         raise ValidationError("a delay is out of floating-point range")
-    return budgets, float(_scan(ppi, budgets)[0][0])
+    return budgets, _scan(ppi, budgets)
 
 
-def _scan(ppi: ParallelPathsInstance, path_budgets: Sequence[float]
-          ) -> tuple[np.ndarray, np.ndarray]:
-    """The least prefix delay at the given path budgets, as a row of one,
-    and the path conductances."""
+def _scan(ppi: ParallelPathsInstance, path_budgets: Sequence[float]) -> float:
+    """The least prefix delay at the given path budgets, the scan's row:
+    inf where no path conducts, nan where the delay is out of range."""
     G = np.array([[p.profile.conductance(pb)
                    for p, pb in zip(ppi.paths, path_budgets)]])
-    return dipole_delay_rows([p.length for p in ppi.paths],
-                             [p.profile.all_rigid for p in ppi.paths],
-                             G, ppi.demand), G
+    return float(dipole_delay_rows([p.length for p in ppi.paths],
+                                   [p.profile.all_rigid for p in ppi.paths],
+                                   G, ppi.demand)[0])
 
 
 def paths_delay(ppi: ParallelPathsInstance, path_budgets: Sequence[float]) -> float:
     """Equilibrium delay for given path budgets: the least prefix delay."""
-    L = float(_in_range(*_scan(ppi, path_budgets))[0])
-    if math.isinf(L):
-        raise Infeasible("no usable path")
-    return L
+    return _reported(_scan(ppi, path_budgets), "no usable path")
 
 
 class SingleEdgeResult(NamedTuple):
@@ -504,14 +500,13 @@ def best_single_edge_allocation(links: Sequence[Edge], budget: float,
     for r, t in enumerate(picks):
         c_eff[r, t] += links[t].mu * budget
     ls = dipole_delay_rows([e.b for e in links], [e.rigid for e in links],
-                           c_eff, demand).tolist()
-    best_id, best_L = None, ls[0]
-    for L, t in zip(ls, picks):
-        if best_id is None or L < best_L * (1.0 - 1e-15):
+                           c_eff, demand)
+    # With no finite row, the largest is nan where one is out of range.
+    best_id, best_L = None, float(ls.max())
+    for L, t in zip(ls.tolist(), picks):
+        if math.isfinite(L) and (best_id is None
+                                 or L < best_L * (1.0 - 1e-15)):
             best_id, best_L = links[t].id, L
-    if math.isinf(best_L):
-        if c_eff.max() > 0.0:  # a usable link, so the delay overflowed
-            raise ValidationError("a delay is out of floating-point range")
-        raise Infeasible("no usable link")
+    _reported(best_L, "no usable link")
     spent = {best_id: budget} if best_id is not None and budget > 0 else {}
     return SingleEdgeResult(best_id, best_L, Allocation(spent))

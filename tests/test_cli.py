@@ -1,19 +1,21 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from netimprove import cli
 from netimprove.core import Allocation, parse_instance
 from netimprove.oracle import evaluate_delay
 
 from conftest import extreme_dipoles
+from test_found import FOUND
 
 FIG2 = {
     "nodes": ["s", "t"],
@@ -470,8 +472,16 @@ def test_copt_on_a_kkt_system_out_of_range_exits_cleanly(tmp_path):
     assert "DLASCL" not in proc.stderr
 
 
+def _found(name):
+    with open(os.path.join(FOUND, name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 @settings(max_examples=100, deadline=None)
 @given(extreme_dipoles())
+@example(_found("grid-pad-tiny-gate.json"))
+@example(_found("subnormal-series-link.json"))
+@example(_found("unfunded-rows-overflow.json"))
 def test_solve_on_extreme_dipoles_exits_0_2_or_3(doc):
     # Warnings that a result is not certified may be printed; a floating-
     # point warning from numpy may not, nor may anything be raised.
@@ -479,13 +489,17 @@ def test_solve_on_extreme_dipoles_exits_0_2_or_3(doc):
         path = f"{tmp}/dipole.json"
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
-        for alg in (["parallel-links"], ["oracle"], ["parallel-paths"],
-                    ["copt"], ["fptas", "--clamp-k", "--kcap", "64"]):
+        for argv in (["solve", "--alg", "parallel-links"],
+                     ["solve", "--alg", "oracle"],
+                     ["solve", "--alg", "parallel-paths"],
+                     ["solve", "--alg", "copt"],
+                     ["solve", "--alg", "fptas", "--clamp-k", "--kcap", "64"],
+                     ["equilibrium"]):
             with warnings.catch_warnings(record=True) as caught, \
                     contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
                 warnings.simplefilter("always")
-                assert cli.main(["solve", path, "--alg", *alg]) in (0, 2, 3)
+                assert cli.main([*argv, path]) in (0, 2, 3)
             assert not [w for w in caught if "encountered" in str(w.message)]
 
 

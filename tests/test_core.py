@@ -274,6 +274,19 @@ class TestPathDecompose:
         with pytest.raises(ValidationError, match="not conserved"):
             path_decompose(inst, {"sa": 1.0, "at": 0.25})
 
+    def test_a_flow_of_value_1e_20_decomposes(self):
+        # The peeling and conservation tolerances scale with the flow.
+        inst = Instance(
+            nodes=("s", "a", "b", "t"),
+            edges=(Edge("sa", "s", "a", c=1.0), Edge("sb", "s", "b", c=1.0),
+                   Edge("at", "a", "t", c=1.0), Edge("bt", "b", "t", c=1.0)),
+            commodities=(Commodity("s", "t", 1e-20),), budget=0.0)
+        out = path_decompose(inst, {"sa": 3e-21, "at": 3e-21, "sb": 7e-21,
+                                    "bt": 7e-21})
+        assert sorted(out) == [(("sa", "at"), 3e-21), (("sb", "bt"), 7e-21)]
+        with pytest.raises(ValidationError, match="not conserved"):
+            path_decompose(inst, {"sa": 1e-20, "at": 0.25e-20})
+
     def test_two_commodities_rejected(self):
         inst = Instance(
             nodes=("s1", "s2", "t"),

@@ -524,3 +524,26 @@ def test_path_route_warns_when_its_gap_exceeds_tol():
                                             " gap"):
         tight = solve_equilibrium(inst, tol=res.duality_gap / 2)
     assert tight == res
+
+
+@pytest.mark.parametrize("demand", [1e-14, 1e-20])
+def test_paths_listed_at_a_small_demand_carry_it(wheatstone, demand):
+    # Each path is listed against its own commodity's demand, so a demand
+    # far below 1 keeps its paths, beside a commodity of demand 1 too.
+    braess = dataclasses.replace(
+        wheatstone, commodities=(Commodity("s", "t", demand),))
+    res = solve_equilibrium(braess, Allocation({"ab": 1.0}))
+    assert res.flow.edge_flow and res.flow.paths
+    assert sum(w for _, w in res.flow.paths) == pytest.approx(demand,
+                                                              rel=1e-12)
+    two = Instance(nodes=("s1", "s2", "t"),
+                   edges=(Edge("a", "s1", "t", c=1.0), Edge("b", "s1", "t", c=2.0),
+                          Edge("c", "s2", "t", c=1.0)),
+                   commodities=(Commodity("s1", "t", demand),
+                                Commodity("s2", "t", 1.0)), budget=0.0)
+    res = solve_equilibrium(two)
+    first = [w for p, w in res.flow.paths if p[0] in ("a", "b")]
+    assert len(first) == 2
+    assert sum(first) == pytest.approx(demand, rel=1e-12)
+    assert res.flow.commodity_flows[0] == pytest.approx(
+        {"a": demand / 3, "b": 2 * demand / 3}, rel=1e-12)

@@ -7,10 +7,12 @@ open one's test until a fix turns it into a pass; that fix removes the
 marker and keeps the test.
 """
 
+import json
 import os
 
 import pytest
 
+from netimprove import cli
 from netimprove.core import Allocation, parse_instance
 from netimprove.equilibrium import solve_equilibrium
 from netimprove.errors import ValidationError
@@ -47,9 +49,6 @@ def test_subnormal_series_link_gives_its_delay():
                                                                   rel=1e-12)
 
 
-@pytest.mark.xfail(strict=True, raises=ValidationError,
-                   reason="the rows that leave b unfunded are out of range, "
-                   "and the grid raises for its whole block")
 def test_grid_funds_the_link_beside_rows_out_of_range():
     # Funding b gives 1e10 + 1; a alone (g about 1e-300) cannot carry 1e10.
     inst = _load("unfunded-rows-overflow.json")
@@ -57,3 +56,9 @@ def test_grid_funds_the_link_beside_rows_out_of_range():
                                                              rel=1e-12)
     assert grid_search(inst, GridSpec(resolution=4)).delay == pytest.approx(
         1e10 + 1.0, rel=1e-12)
+
+
+def test_solve_oracle_prints_the_funded_delay(capsys):
+    path = os.path.join(FOUND, "unfunded-rows-overflow.json")
+    assert cli.main(["solve", path, "--alg", "oracle"]) == 0
+    assert json.loads(capsys.readouterr().out)["L"] == 1e10 + 1.0

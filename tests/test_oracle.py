@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -169,6 +170,23 @@ class TestGridSearch:
 
 
 class TestEvaluateDelay:
+    @pytest.mark.parametrize("name, edge", [("fig2", "e2"),
+                                            ("wheatstone", "ab")])
+    def test_the_budget_slack_is_relative(self, request, name, edge):
+        # At budget 1e-20 an allocation of 1e-10 is 1e10 times the budget;
+        # every route rejects it, the closed form (fig2) and the path
+        # engine (wheatstone) alike.
+        inst = dataclasses.replace(request.getfixturevalue(name),
+                                   budget=1e-20)
+        over = Allocation({edge: 1e-10})
+        with pytest.raises(ValidationError, match="exceeds budget"):
+            solve_equilibrium(inst, over)
+        with pytest.raises(ValidationError, match="exceeds budget"):
+            evaluate_delay(inst, over)
+        with pytest.raises(ValidationError, match="exceeds budget"):
+            sweep_segment(inst, Allocation(), over, 2)
+        assert evaluate_delay(inst, Allocation({edge: 1e-20})) > 0.0
+
     def test_closed_form_routes_validate_the_edges(self, fig2, pigou):
         # fig2, pigou and the chain take the parallel-paths closed form; it
         # rejects what the general solver rejects.
