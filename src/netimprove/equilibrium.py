@@ -52,13 +52,14 @@ additionally get an exact closed form: with effective conductances g_e the
 common delay over a used set S is (d + sum_S g_e b_e) / sum_S g_e, and over
 the prefixes of the links sorted by length it is least at the used set, so
 no tolerance decides ties.  Rigid links cap the delay at their length and
-absorb the residual flow.  The scan is written once, in
-``parallel_links_delay_batch`` over rows of allocations, which works in
-fresh scratch or, for the grid oracle, in its block buffers; a single
-allocation is a batch of one row.  ``dipole_delay_rows`` lays out links, or
-whole paths, for it by ``_scan_layout``: the parallel-paths optimizer and
-the grid oracle use the same scan.  A row is finite; inf (or the rigid cap)
-where no link conducts; or nan where one does but the delay is out of range.
+absorb the residual flow.  The scan step is written once, in ``_Scan``:
+``parallel_links_delay_batch`` runs it over rows of allocations, a single
+allocation being a batch of one row, and the grid oracle over the rows
+that share a prefix of the columns, then on the rows that differ after
+it.  ``dipole_delay_rows`` lays out links, or whole paths, for it by
+``_scan_layout``: the parallel-paths optimizer and the grid oracle use the
+same scan.  A row is finite; inf (or the rigid cap) where no link conducts;
+or nan where one does but the delay is out of range.
 """
 
 from __future__ import annotations
@@ -677,8 +678,7 @@ def length_unit(c_max: float, b_max: float, count: int) -> float:
 
 
 def parallel_links_delay_batch(c_eff: np.ndarray, b: np.ndarray, d: float,
-                               cap: float = math.inf,
-                               rows: np.ndarray | None = None) -> np.ndarray:
+                               cap: float = math.inf) -> np.ndarray:
     """Common delay of affine parallel links, one row per allocation.
 
     ``c_eff`` has shape (N, m) with columns sorted by ``b`` ascending and
@@ -690,42 +690,72 @@ def parallel_links_delay_batch(c_eff: np.ndarray, b: np.ndarray, d: float,
     or ``cap`` with rigid links, where no column conducts; or nan where a
     column conducts but the delay is out of floating-point range.
 
-    The scan walks the columns, contiguous when ``c_eff`` is F-ordered as
-    the grid oracle builds it, with running sums over the rows that add as
-    a row-wise ``cumsum`` would, and a running minimum of their delays, in
-    fresh scratch or in the leading N columns of ``rows`` (5, >= N), which a
-    grid search reuses block after block; the result is then a view of
-    ``rows[0]``.  A delay that is inf, as where d + sum g b overflows, is
-    taken again in the unit u that keeps that sum finite, if it is at least
-    2^-5 there, as an overflowing sum is: then the terms that u pushes below
-    the normal range do not count.
+    The scan walks the columns, contiguous when ``c_eff`` is F-ordered, one
+    ``_Scan.step`` each, in the length unit of ``c_eff``'s largest entry.
     """
-    rows = np.empty((5, c_eff.shape[0])) if rows is None else rows
-    L, den, num, M, t = rows[:, :c_eff.shape[0]]
-    if c_eff.shape[1] == 0:
-        L.fill(cap)
-        return L
     u = length_unit(max(float(c_eff.max(initial=0.0)), 1.0),
-                    max(float(b[-1]), d), b.size + 1)
-    far = None if u == 1.0 else np.zeros((2, len(L)))  # the sums in unit u
+                    max(float(b[-1]), d), b.size + 1) if b.size else 1.0
+    scan = _Scan.start(c_eff.shape[0], cap, u)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for k, col in enumerate(c_eff.T):
-            if k:
-                den += col
-                num += np.multiply(col, b[k], out=t)
-            else:
-                np.copyto(den, col)
-                np.multiply(col, b[0], out=num)
-            np.divide(np.add(num, d, out=M), den, out=M)
-            if far is not None:
-                far[0] += np.multiply(col, b[k] / u, out=t)
-                np.add(far[0], d / u, out=far[1])
-                np.copyto(M, far[1] / den * u,
-                          where=np.isinf(M) & (far[1] >= 2.0 ** -5))
-            np.fmin(L if k else cap, M, out=L)  # a nan delay is skipped
-    if not L.max(initial=0.0) < math.inf:  # den: each row's conductance
-        np.copyto(L, np.nan, where=np.isinf(L) & (den > 0.0))
-    return L
+            scan.step(col, b[k], d)
+    return scan.delays()
+
+
+class _Scan:
+    """The running state of the used-set scan over rows: the least prefix
+    delay L so far, from ``cap`` on, and the sums den = sum g and
+    num = sum g b, which add as a row-wise ``cumsum`` would.  A delay that
+    is inf, as where d + sum g b overflows, is taken again in the unit u
+    that keeps that sum finite, if it is at least 2^-5 there, as an
+    overflowing sum is: then the terms that u pushes below the normal range
+    do not count.  With u > 1 the state also carries ``far`` = sum g b / u.
+
+    The state lives in ``rows``, (5, N) or with u > 1 (6, N): L, den, num,
+    two scratch rows, and ``far``.  The grid oracle scans the columns that
+    a block of rows share once, then ``take``s the state into a buffer of
+    the rows that differ after them."""
+
+    def __init__(self, rows: np.ndarray, u: float):
+        self.L, self.den, self.num, self.M, self.t = rows[:5]
+        self.far = rows[5] if u != 1.0 else None
+        self.u = u
+
+    @classmethod
+    def start(cls, n: int, cap: float, u: float) -> "_Scan":
+        rows = np.zeros((5 if u == 1.0 else 6, n))
+        rows[0] = cap
+        return cls(rows, u)
+
+    def take(self, idx: np.ndarray, rows: np.ndarray) -> "_Scan":
+        """The state of rows ``idx``, in the leading columns of ``rows``."""
+        kids = _Scan(rows[:, :len(idx)], self.u)
+        for a, out in ((self.L, kids.L), (self.den, kids.den),
+                       (self.num, kids.num), (self.far, kids.far)):
+            if a is not None:  # "clip" writes to out, "raise" buffers it
+                np.take(a, idx, out=out, mode="clip")
+        return kids
+
+    def step(self, col, b: float, d: float) -> None:
+        """Add one column of conductances, an array over the rows or one
+        float for all, of length ``b``; the caller ignores float errors."""
+        M, t = self.M, self.t
+        self.den += col
+        self.num += np.multiply(col, b, out=t)
+        np.divide(np.add(self.num, d, out=M), self.den, out=M)
+        if self.far is not None:
+            self.far += np.multiply(col, b / self.u, out=t)
+            np.add(self.far, d / self.u, out=t)
+            np.copyto(M, t / self.den * self.u,
+                      where=np.isinf(M) & (t >= 2.0 ** -5))
+        np.fmin(self.L, M, out=self.L)  # a nan delay is skipped
+
+    def delays(self) -> np.ndarray:
+        """L, with nan where it is inf although a column conducts."""
+        L = self.L
+        if not L.max(initial=0.0) < math.inf:  # den: each row's conductance
+            np.copyto(L, np.nan, where=np.isinf(L) & (self.den > 0.0))
+        return L
 
 
 def _scan_layout(lengths, rigid) -> tuple[list[int], np.ndarray, float]:

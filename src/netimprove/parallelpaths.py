@@ -35,11 +35,11 @@ edge resistances).  The optimizer works at three levels:
     delay L <= Lbar.  Lbar starts at L(0) and moves to that delay until it
     stops falling, so no window test picks the prefix.
 
-Only affine (n = 1) congestible edges are supported; rigid edges inside a
-path contribute length but no resistance.  Paths that are permanently
-unusable (a zero-conductance edge that no budget can improve) are dropped
-from the optimization; paths consisting solely of rigid edges are not
-supported by the optimizer.
+Only affine (n = 1) edges are supported; rigid edges inside a path
+contribute length but no resistance, and a path of rigid edges alone caps
+the delay at its length, which no allocation changes.  Paths that are
+permanently unusable (a zero-conductance edge that no budget can improve)
+are dropped from the optimization.
 """
 
 from __future__ import annotations
@@ -424,10 +424,6 @@ def solve_parallel_paths(arg: Instance | ParallelPathsInstance,
     if not tol > 0:
         raise ValidationError("tol must be positive")
     ppi = arg if isinstance(arg, ParallelPathsInstance) else as_parallel_paths(arg)
-    for p in ppi.paths:
-        if p.profile.all_rigid:
-            raise UnsupportedDelay(
-                "constant-delay path; optimizer needs congestible paths")
     paths = ppi.paths
     budgets = [0.0] * len(paths)
     lam = _scan(ppi, budgets)

@@ -20,14 +20,15 @@ from hypothesis import given, settings, strategies as st
 from netimprove import oracle
 from netimprove.core import (Allocation, Commodity, Edge, Instance,
                              parse_instance)
-from netimprove.equilibrium import (_solve_paths,
+from netimprove.equilibrium import (_Scan, _solve_paths,
                                     dipole_delay_rows, length_unit,
                                     parallel_links_delay_batch,
                                     solve_parallel_links_equilibrium)
 from netimprove.errors import Infeasible, ValidationError
 from netimprove.oracle import (GridSpec, evaluate_delay, grid_search,
                                sweep_segment)
-from netimprove.parallelpaths import as_parallel_paths
+from netimprove.parallelpaths import (as_parallel_paths,
+                                      best_single_edge_allocation)
 
 from conftest import extreme_dipoles, make_dipole
 
@@ -146,12 +147,30 @@ def test_scan_matches_the_cumsum_reference(rng):
 
 
 def test_scan_in_a_rows_buffer_matches_fresh_scratch(rng):
-    # The grid's block buffers are wider than a short block and hold the
-    # last block's values; the rows come out bit for bit as in fresh scratch.
+    # The grid scans the columns that rows share once, then takes that
+    # state into a buffer wider than a short block that holds the last
+    # block's values, and scans the rest there; the rows come out bit for
+    # bit as one scan of every row in fresh scratch.
     for c, b, d, cap in _cases(rng):
-        want = parallel_links_delay_batch(c, b, d, cap)
-        rows = rng.standard_normal((5, len(c) + 3))
-        got = parallel_links_delay_batch(np.asfortranarray(c), b, d, cap, rows)
+        n, m = c.shape
+        if not m:
+            continue
+        split = int(rng.integers(0, m + 1))
+        idx = np.sort(rng.integers(0, n, 2 * n))
+        full = c[idx]
+        full[:, split:] = rng.permutation(full[:, split:])  # rows differ
+        want = parallel_links_delay_batch(full, b, d, cap)
+        u = length_unit(max(float(full.max()), 1.0), max(float(b[-1]), d),
+                        m + 1)
+        shared = _Scan.start(n, cap, u)
+        rows = rng.standard_normal((6, len(idx) + 3))
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            for k in range(split):
+                shared.step(c[:, k], b[k], d)
+            scan = shared.take(idx, rows)
+            for k in range(split, m):
+                scan.step(full[:, k], b[k], d)
+        got = scan.delays()
         assert got.tobytes() == want.tobytes()
         assert np.shares_memory(got, rows)
 
@@ -186,6 +205,18 @@ def test_scan_of_extreme_dipoles_is_exact_or_rejects(doc):
     got = dipole_delay_rows([e.b for e in links], [e.rigid for e in links],
                             G, d)[0]
     assert _within_4_ulps(got, want)
+
+
+def test_a_conductance_of_negative_zero_conducts_nothing():
+    # Instance validation takes c = -0.0, as -0.0 >= 0.  A first column of
+    # -0.0 must not make d / den a delay of -inf, which would hide the row.
+    got = parallel_links_delay_batch(np.array([[-0.0, 2.0]]),
+                                     np.array([0.0, 1.0]), 1.0)
+    assert got[0] == 1.5
+    links = [Edge("a", "s", "t", c=-0.0, b=0.0),
+             Edge("b", "s", "t", c=1.0, b=1.0, mu=1.0)]
+    best = best_single_edge_allocation(links, 1.0, 1.0)
+    assert (best.edge_id, best.delay) == ("b", 1.5)
 
 
 def test_scan_ties_take_the_shorter_used_set():
@@ -271,20 +302,17 @@ def _traced_search(monkeypatch, inst, R):
     """``grid_search`` with every row it evaluates, in order, as pairs of
     the row's allocation on the improvable edges and its delay."""
     trace = []
-    route = oracle._batch_route
+    offer = oracle._offer
+    edges = inst.improvable_edges()
 
-    def recording(inst, edges, tol, rows):
-        batch = route(inst, edges, tol, rows)
-
-        def traced(betas):
-            ls = batch(betas)
-            trace.extend(({e.id: float(v) for e, v in zip(edges, row)},
-                          float(L)) for row, L in zip(betas, ls))
-            return ls
-        return traced
+    def recording(best, ls, coords):
+        betas = np.multiply(coords(np.arange(len(ls))), inst.budget / R)
+        trace.extend(({e.id: float(v) for e, v in zip(edges, row)},
+                      float(L)) for row, L in zip(betas, ls))
+        return offer(best, ls, coords)
 
     with monkeypatch.context() as m:
-        m.setattr(oracle, "_batch_route", recording)
+        m.setattr(oracle, "_offer", recording)
         return grid_search(inst, GridSpec(resolution=R)), trace
 
 
@@ -303,9 +331,11 @@ def test_grid_does_not_depend_on_block_size(monkeypatch, make, R):
         delays = [L for _, L in base_trace]
         best = [r for r, L in enumerate(delays) if L == base.delay]
         assert len(best) > 1 and best[-1] - best[0] > 7  # ties across blocks
-        first = {eid: v for eid, v in base_trace[best[0]][0].items()
-                 if v > 0.0}
-        assert base.allocation.beta == first  # ties go to the first row
+        edges = inst.improvable_edges()
+        first = min((base_trace[r][0] for r in best),
+                    key=lambda beta: [beta[e.id] for e in edges])
+        assert base.allocation.beta == {eid: v for eid, v in first.items()
+                                        if v > 0.0}  # lexicographically
     for rows in (7, 10**9):
         monkeypatch.setattr(oracle, "_GRID_ROWS", rows)
         for build, r in GRIDS:
@@ -370,7 +400,7 @@ def test_path_conductances_match_the_reference(make, guarded):
     R = 12
     betas = np.vstack(list(oracle.compositions(R, len(edges) + 1)))[:, :-1] \
         * (inst.budget / R)
-    got = oracle._closed_form(inst, edges, len(betas))(betas)
+    got = oracle._closed_form(inst, edges).delays(betas)
     assert np.array_equal(got, _reference_path_delays(inst, edges, betas,
                                                       guards=False))
     guarded_rows = _reference_path_delays(inst, edges, betas)
@@ -419,7 +449,7 @@ def test_a_dipole_of_dead_links_goes_to_the_path_engine():
     # path engine reports it infeasible.
     inst = make_dipole([(0.0, 1.0, 0.0), (0.0, 0.5, 0.0)], demand=1.0,
                        budget=1.0)
-    assert oracle._closed_form(inst, inst.improvable_edges(), 1) is None
+    assert oracle._closed_form(inst, inst.improvable_edges()) is None
     with pytest.raises(Infeasible):
         evaluate_delay(inst, Allocation())
     with pytest.raises(Infeasible):

@@ -215,8 +215,8 @@ class TestEvaluateDelay:
             commodities=fig2.commodities, budget=3.0)
         over = Allocation({"e2": 3.5})
         for inst in (fig2, chain):
-            batch = oracle._closed_form(inst, inst.improvable_edges(), 1)
-            assert batch.func is oracle._batch_paths
+            edges = inst.improvable_edges()
+            assert oracle._closed_form(inst, edges) is not None
             with pytest.raises(ValidationError, match="exceeds budget"):
                 evaluate_delay(inst, over)
 
@@ -428,7 +428,7 @@ class TestBatchedEngine:
     def test_rows_match_the_scalar_solver(self, build, R, affine,
                                           monkeypatch):
         inst = build()
-        assert oracle._closed_form(inst, inst.improvable_edges(), 1) is None
+        assert oracle._closed_form(inst, inst.improvable_edges()) is None
         edges, betas = _grid_betas(inst, R)
         want = _scalar_delays(inst, edges, betas)
         calls = []

@@ -596,3 +596,61 @@ class TestSingleEdgeTies:
         res = best_single_edge_allocation(links, 2.0, 1.0)
         assert res.edge_id == "e2"
         assert res.delay == pytest.approx(0.5, rel=1e-15)
+
+
+class TestRigidPaths:
+    """A constant delay is affine with slope 0: a path of rigid edges alone
+    caps the delay at its length, and the optimum is the least of that cap
+    and the congestible paths' optimum."""
+
+    @staticmethod
+    def _agrees(inst, R):
+        """The exact optimum, which plays its delay and is at most the grid
+        oracle's, and on a dipole the best single-link allocation's."""
+        res = solve_parallel_paths(inst)
+        grid = grid_search(inst, GridSpec(resolution=R))
+        played = evaluate_delay(inst, res.allocation.to_allocation())
+        assert played == pytest.approx(res.delay, rel=1e-12)
+        assert res.delay <= grid.delay * (1.0 + 1e-12)
+        if all(e.tail == "s" and e.head == "t" for e in inst.edges):
+            links = best_single_edge_allocation(inst.edges, inst.budget,
+                                                inst.total_demand)
+            assert res.delay <= links.delay * (1.0 + 1e-12)
+            return res, grid, links
+        return res, grid, None
+
+    @pytest.mark.parametrize("budget", [0.0, 4.0])
+    def test_a_rigid_link_beside_congestible_links(self, budget):
+        inst = make_dipole([(1.0, 0.0, 1.0), (0.5, 0.5, 2.0),
+                            (0.0, 1.5, 0.0, True)], demand=3.0, budget=budget)
+        res, grid, links = self._agrees(inst, 400)
+        if budget == 0.0:  # unfunded, the rigid link caps the delay
+            assert res.delay == grid.delay == links.delay == 1.5
+        else:  # funded, the congestible links beat it
+            assert res.delay < 1.5
+            assert grid.delay == pytest.approx(res.delay, rel=1e-4)
+            assert res.used_paths == 2
+
+    def test_an_all_rigid_dipole_gives_the_shortest_rigid_length(self):
+        inst = make_dipole([(0.0, 2.0, 0.0, True), (0.0, 1.5, 0.0, True),
+                            (0.0, 3.0, 0.0, True)], demand=3.0, budget=2.0)
+        res, grid, links = self._agrees(inst, 4)
+        assert res.delay == grid.delay == links.delay == 1.5
+        assert res.allocation.to_allocation().total() == 0.0
+
+    def test_a_rigid_path_of_several_edges_among_parallel_paths(self):
+        # Unfunded the rigid path, 0.75 + 0.5, caps the delay; funded, the
+        # congestible paths go below it.
+        paths = [[Edge("a1", "s", "ma", c=1.0, b=0.0, mu=1.0),
+                  Edge("a2", "ma", "t", c=2.0, b=0.0)],
+                 [Edge("b", "s", "t", c=0.5, b=0.5, mu=1.0)],
+                 [Edge("z1", "s", "mz", b=0.75, rigid=True),
+                  Edge("z2", "mz", "t", b=0.5, rigid=True)]]
+        for budget, capped in ((0.0, True), (3.0, False)):
+            inst = Instance(nodes=("s", "t", "ma", "mz"),
+                            edges=tuple(e for p in paths for e in p),
+                            commodities=(Commodity("s", "t", 2.0),),
+                            budget=budget)
+            res, grid, _ = self._agrees(inst, 200)
+            assert (res.delay == 1.25) == capped
+            assert grid.delay == pytest.approx(res.delay, rel=1e-4)
