@@ -19,9 +19,11 @@ the minimization:
   sees each delay extended to negative flow as an odd function, so it has
   a root, and a path it drives negative is dropped as the linear solve's
   are (Bertsekas and Gafni 1982).  It runs on rows of allocations at once,
-  grouped by active set: ``path_delay_rows`` feeds it a grid block, and
-  ``solve_equilibrium`` a single row, which it turns into a flow with its
-  certificate, or hands to Frank-Wolfe if the engine stalls.  Each round
+  grouped by active set: ``solve_equilibrium`` feeds it a single row, which
+  it turns into a flow with its certificate, or hands to Frank-Wolfe past
+  the cap or if the engine stalls; ``path_delay_rows`` feeds it a grid
+  block and finishes each row it leaves open by ``solve_equilibrium``.
+  This module alone decides what a row gets past the engine.  Each round
   solves its set afresh, Newton from equal splits, so a row's result
   depends only on the set it settles in.  A grid block's Newton rows use
   that: every 32nd row starts from its shortest paths and the others from
@@ -59,7 +61,9 @@ that share a prefix of the columns, then on the rows that differ after
 it.  ``dipole_delay_rows`` lays out links, or whole paths, for it by
 ``_scan_layout``: the parallel-paths optimizer and the grid oracle use the
 same scan.  A row is finite; inf (or the rigid cap) where no link conducts;
-or nan where one does but the delay is out of range.
+or nan where one does but the delay is out of range.  A row of
+``path_delay_rows`` means the same: finite, inf where a commodity has no
+usable path, or nan out of range.
 """
 
 from __future__ import annotations
@@ -147,30 +151,57 @@ def beckmann_potential(flow: FlowState | dict, beta: Allocation | None,
 # Path-based active-set engine
 
 
-def path_delay_rows(inst: Instance, edges, betas: np.ndarray) -> np.ndarray:
+def path_delay_rows(inst: Instance, edges, betas: np.ndarray,
+                    tol: float = 1e-8) -> np.ndarray:
     """Equilibrium average delay of ``inst`` for each row of allocations.
 
     ``betas`` has shape (N, len(edges)); column j is the amount on
-    ``edges[j]`` and every other edge gets zero.  This is the path engine
-    of ``solve_equilibrium`` run on all rows at once; a Newton row may
-    start from a sampled row's settled set (``_PathBatch.delays``), which
-    gives the same delay in fewer rounds.
-    A row with a commodity that has no usable path gets inf.  A row gets
-    nan, and the caller solves it with ``solve_equilibrium``, where the
-    engine leaves it open (a failed Newton solve, or no Wardrop point in
-    400 rounds; Frank-Wolfe finishes it with a warning) or where a delay is
-    not finite.  Rows carry no gap; ``solve_equilibrium`` reports one row's
-    relative gap in delay units.  Raises
-    PathCapExceeded when a commodity has more than 200 simple paths.  Rows
-    go through in slices of ``_BATCH_ROWS``, which bounds the working
-    arrays whatever the batch size.
+    ``edges[j]``, a non-rigid edge of ``inst``, and every other edge gets
+    zero.  A row's delay is finite; inf where a commodity has no usable
+    path; or nan where it is out of floating-point range.  Raises
+    ValidationError first if a row's total is over the budget.
+
+    The path engine of ``solve_equilibrium`` runs on all rows at once, in
+    slices of ``_BATCH_ROWS``, which bounds the working arrays whatever the
+    batch size; a Newton row may start from a sampled row's settled set
+    (``_PathBatch.delays``), which gives the same delay in fewer rounds.
+    The rows it leaves open (a failed Newton solve, no Wardrop point in 400
+    rounds, or a delay that is not finite), and every row where a commodity
+    has more than ``_PATH_CAP`` simple paths, are solved one by one by
+    ``solve_equilibrium`` at ``tol``, which warns where the engine stalled.
+    Rows carry no gap; ``solve_equilibrium`` reports one row's.
     """
+    if not tol > 0:
+        raise ValidationError("tol must be positive")
     betas = np.asarray(betas, dtype=float)
-    batch = _path_batch(inst)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return np.concatenate(
-            [batch.delays(edges, betas[lo:lo + _BATCH_ROWS])
-             for lo in range(0, len(betas), _BATCH_ROWS)])
+    total = np.zeros(len(betas))
+    for j in range(betas.shape[1]):  # Allocation.total's order
+        total += betas[:, j]
+    over = np.flatnonzero(total > inst.budget + 1e-9 * inst.budget)
+    if over.size:
+        _allocation(edges, betas[over[0]]).validate_for(inst)
+    try:
+        batch = _path_batch(inst)
+    except PathCapExceeded:
+        ls = np.full(len(betas), np.nan)
+    else:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            ls = np.concatenate(
+                [batch.delays(edges, betas[lo:lo + _BATCH_ROWS])
+                 for lo in range(0, len(betas), _BATCH_ROWS)])
+    for r in np.flatnonzero(np.isnan(ls)):
+        try:
+            ls[r] = solve_equilibrium(inst, _allocation(edges, betas[r]),
+                                      tol).average_delay
+        except Infeasible:
+            ls[r] = math.inf
+        except ValidationError:  # its allocation is valid: out of range
+            pass  # the row stays nan
+    return ls
+
+
+def _allocation(edges, row: np.ndarray) -> Allocation:
+    return Allocation({e.id: row[j] for j, e in enumerate(edges)})
 
 
 def _path_batch(inst: Instance) -> "_PathBatch":

@@ -17,7 +17,7 @@ sums stay in cache:
   over the rows that share them (``_Paths.grid``);
 * anything else: ``compositions`` in lexicographic order through
   ``path_delay_rows``, the path engine of ``solve_equilibrium`` on all rows
-  at once; the rows it leaves open are solved by ``solve_equilibrium``.
+  at once, which finishes the rows the engine leaves open.
 
 A path with one non-rigid edge has that edge's g = c + mu * beta as its
 conductance.  Any other path's is 1 / r with r the plain sum of 1 / g over
@@ -25,11 +25,15 @@ its non-rigid edges in path order, inf where a g is zero, with no pad or
 floor.  Paths of tied length are scanned in the order ``as_parallel_paths``
 gives them, by edge ids, so a dipole's tied links are summed in edge-id
 order.  The closed form's grid, ``evaluate_delay`` and ``sweep_segment``
-share that arithmetic and the scan step, so they do not check each other:
-a grid row's delay is the float ``evaluate_delay`` gives its allocation,
-short of a length unit above 1.  The independent checks are Frank-Wolfe on
-``copt``'s edge kernel, which the tests compare with the grid, and that
-kernel's duality gap at the path engine's flows.
+share that arithmetic and the scan step, so they do not check each other.
+``evaluate_delay`` and ``sweep_segment`` read their rows through the route
+the grid takes, so on either route a grid row's delay is the float
+``evaluate_delay`` gives its allocation, short of a length unit above 1 on
+the closed form's.  A row is finite; inf where a commodity has no usable
+path; or nan where it is out of floating-point range, and the search skips
+it.  The independent checks are Frank-Wolfe on ``copt``'s edge kernel,
+which the tests compare with the grid, and that kernel's duality gap at the
+path engine's flows.
 
 Ties break toward the lexicographically smallest composition: ``_offer``
 keeps a block's least delay where it is below the incumbent's, or equal and
@@ -50,10 +54,11 @@ import numpy as np
 
 from .core import Allocation, Instance, edge_delay
 from .equilibrium import (_reported, _Scan, _scan_layout, length_unit,
-                          parallel_links_delay_batch, path_delay_rows,
-                          solve_equilibrium)
-from .errors import (GridTooLarge, Infeasible, NotParallelPaths, PathCapExceeded,
-                     UnsupportedDelay, ValidationError)
+                          parallel_links_delay_batch, path_delay_rows)
+# bench/tracing.py wraps the solver at this name; the oracle calls none.
+from .equilibrium import solve_equilibrium as solve_equilibrium
+from .errors import (GridTooLarge, NotParallelPaths, UnsupportedDelay,
+                     ValidationError)
 from .parallelpaths import as_parallel_paths
 
 _GRID_ROWS = 16_384  # grid rows per batch, so the scan's sums stay in cache
@@ -149,49 +154,23 @@ def _closed_form(inst: Instance, edges) -> _Paths | None:
     return _Paths(ppi, edges)
 
 
+def _rows(inst: Instance, edges, tol: float):
+    """The delays of rows of amounts on ``edges``: the closed form's
+    ``_Paths.delays``, or else ``path_delay_rows`` at ``tol``."""
+    route = _closed_form(inst, edges)
+    if route is None:
+        return partial(path_delay_rows, inst, edges, tol=tol)
+    return route.delays
+
+
 def evaluate_delay(inst: Instance, alloc: Allocation, tol: float = 1e-8) -> float:
     """Equilibrium average delay under ``alloc`` via the cheapest exact route."""
     _check_tol(tol)
-    improvable = inst.improvable_edges()
-    route = _closed_form(inst, improvable)
-    if route is None:
-        return solve_equilibrium(inst, alloc, tol=tol).average_delay
     alloc.validate_for(inst)
+    improvable = inst.improvable_edges()
     row = np.array([[alloc.get(e.id) for e in improvable]])
-    L = float(route.delays(row)[0])
+    L = float(_rows(inst, improvable, tol)(row)[0])
     return _reported(L, "no usable path")
-
-
-def _batch_general(inst: Instance, tol: float, edges, betas: np.ndarray
-                   ) -> np.ndarray:
-    """Exact delay of each row by the batched path engine.
-
-    The rows it leaves open, and every row when a commodity has more simple
-    paths than the engine's cap, are solved one by one by
-    ``solve_equilibrium``, whose errors pass through.  The budget is
-    checked first for the whole block, as ``solve_equilibrium`` checks it
-    per allocation; the callers have checked ``tol`` and the edges."""
-    total = np.zeros(len(betas))
-    for j in range(betas.shape[1]):  # Allocation.total's order
-        total += betas[:, j]
-    over = np.flatnonzero(total > inst.budget + 1e-9 * inst.budget)
-    if over.size:
-        _allocation(edges, betas[over[0]]).validate_for(inst)
-    try:
-        ls = path_delay_rows(inst, edges, betas)
-    except PathCapExceeded:
-        ls = np.full(len(betas), np.nan)
-    for r in np.flatnonzero(np.isnan(ls)):
-        try:
-            ls[r] = solve_equilibrium(inst, _allocation(edges, betas[r]),
-                                      tol=tol).average_delay
-        except Infeasible:
-            ls[r] = math.inf
-    return ls
-
-
-def _allocation(edges, row: np.ndarray) -> Allocation:
-    return Allocation({e.id: row[j] for j, e in enumerate(edges)})
 
 
 def _g(e, beta):
@@ -369,7 +348,7 @@ def _general_grid(inst: Instance, edges, tol: float, R: int):
     for block in compositions(R, len(edges) + 1, _GRID_ROWS):
         betas = np.multiply(block[:, :-1], inst.budget / R,
                             out=betas_buf[:len(block)])
-        yield (_batch_general(inst, tol, edges, betas),
+        yield (path_delay_rows(inst, edges, betas, tol),
                block[:, :-1].__getitem__)
 
 
@@ -446,9 +425,7 @@ def sweep_segment(inst: Instance, beta_from: Allocation, beta_to: Allocation,
     betas = np.array([[(1.0 - lam) * beta_from.get(k) + lam * beta_to.get(k)
                        for k in keys] for lam in lams]).reshape(len(lams), len(keys))
     edges = [inst.edge_index[k] for k in keys]
-    route = _closed_form(inst, edges)
-    ls = (_batch_general(inst, tol, edges, betas) if route is None
-          else route.delays(betas))
+    ls = _rows(inst, edges, tol)(betas)
     _reported(float(ls.max()), "no usable path")  # nan first: out of range
     return list(zip(lams, ls.tolist()))
 

@@ -75,29 +75,14 @@ def postorder(tree: DecompositionTree) -> list[DecompositionTree]:
     return out
 
 
-def decompose_series_parallel(
-    arg: Instance | list[tuple[str, str, str]],
-    source: str | None = None,
-    sink: str | None = None,
-) -> DecompositionTree:
-    """Decompose a two-terminal directed graph, or raise NotSeriesParallel.
-
-    Accepts either a single-commodity Instance (terminals taken from the
-    commodity) or an explicit edge list of (edge_id, tail, head) triples with
-    the terminals given separately.
-    """
-    if isinstance(arg, Instance):
-        if not arg.single_commodity:
-            raise ValidationError("decomposition requires a single commodity")
-        k = arg.commodities[0]
-        source, sink = k.source, k.sink
-        items = [(e.tail, e.head, Leaf(e.id, e.tail, e.head)) for e in arg.edges]
-    else:
-        if source is None or sink is None:
-            raise ValidationError("explicit edge list needs source and sink")
-        items = [(tail, head, Leaf(eid, tail, head)) for eid, tail, head in arg]
-    if not items:
-        raise ValidationError("no edges")
+def decompose_series_parallel(inst: Instance) -> DecompositionTree:
+    """Decompose a single-commodity instance's graph between the
+    commodity's terminals, or raise NotSeriesParallel."""
+    if not inst.single_commodity:
+        raise ValidationError("decomposition requires a single commodity")
+    k = inst.commodities[0]
+    source, sink = k.source, k.sink
+    items = [(e.tail, e.head, Leaf(e.id, e.tail, e.head)) for e in inst.edges]
 
     live: dict[int, tuple[str, str, DecompositionTree]] = {
         i: item for i, item in enumerate(items)
@@ -162,20 +147,16 @@ def decompose_series_parallel(
         f"irreducible remainder with {len(live)} edges: {remainder[:8]}")
 
 
-def check_tree(tree: DecompositionTree, arg: Instance | list[tuple[str, str, str]],
-               source: str | None = None, sink: str | None = None) -> None:
-    """Verify that recomposing ``tree`` reproduces the given graph.
+def check_tree(tree: DecompositionTree, inst: Instance) -> None:
+    """Verify that recomposing ``tree`` reproduces the instance's graph.
 
     Checks the leaf set bijects with the edge set, every leaf keeps its
-    original endpoints, and composition wiring is consistent: series children
-    share the middle vertex, parallel children share both terminals.
+    original endpoints, composition wiring is consistent (series children
+    share the middle vertex, parallel children share both terminals), and
+    the root spans the first commodity's terminals.
     """
-    if isinstance(arg, Instance):
-        k = arg.commodities[0]
-        source, sink = k.source, k.sink
-        edge_map = {e.id: (e.tail, e.head) for e in arg.edges}
-    else:
-        edge_map = {eid: (u, v) for eid, u, v in arg}
+    k = inst.commodities[0]
+    edge_map = {e.id: (e.tail, e.head) for e in inst.edges}
 
     leaf_ids = tree_edge_ids(tree)
     if sorted(leaf_ids) != sorted(edge_map):
@@ -200,5 +181,5 @@ def check_tree(tree: DecompositionTree, arg: Instance | list[tuple[str, str, str
         if got != (node.source, node.sink):
             raise ValidationError("node terminals inconsistent with children")
         ends.append(got)
-    if ends.pop() != (source, sink):
+    if ends.pop() != (k.source, k.sink):
         raise ValidationError("tree terminals do not match graph terminals")

@@ -62,3 +62,35 @@ def test_solve_oracle_prints_the_funded_delay(capsys):
     path = os.path.join(FOUND, "unfunded-rows-overflow.json")
     assert cli.main(["solve", path, "--alg", "oracle"]) == 0
     assert json.loads(capsys.readouterr().out)["L"] == 1e10 + 1.0
+
+
+def test_solve_oracle_skips_the_general_rows_out_of_range(capsys):
+    # Link a (c=1e-300, n=2, mu=0) beside gate b (c=0, b=1, mu=1): the path
+    # engine leaves the rows with b funded below 1 open, and each is out of
+    # range; funding b with the whole budget gives 2.
+    path = os.path.join(FOUND, "general-rows-overflow.json")
+    with pytest.warns(RuntimeWarning, match="path engine stalled"):
+        assert cli.main(["solve", path, "--alg", "oracle",
+                         "--resolution", "4"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["L"] == 2.0 and out["allocation"] == {"b": 1.0}
+
+
+@pytest.mark.xfail(strict=True, raises=ValidationError,
+                   reason="Newton's equal split overflows a's delay, and so "
+                   "does Frank-Wolfe's all-or-nothing step")
+@pytest.mark.filterwarnings("ignore:path engine stalled:RuntimeWarning")
+def test_general_rows_overflow_half_funded_gate():
+    # With b at 0.5, b carries all but about 1e-300 of the demand: L = 3.
+    inst = _load("general-rows-overflow.json")
+    assert solve_equilibrium(inst, Allocation({"b": 0.5})).average_delay == \
+        pytest.approx(3.0, rel=1e-12)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="copt stops with 'a delay is out of floating-point "
+                   "range'")
+def test_solve_copt_on_general_rows_overflow(capsys):
+    path = os.path.join(FOUND, "general-rows-overflow.json")
+    assert cli.main(["solve", path, "--alg", "copt"]) == 0
+    assert json.loads(capsys.readouterr().out)["L"] == pytest.approx(2.0)

@@ -154,8 +154,11 @@ class TestRunDp:
     def test_ops_estimate_charges_the_merged_combine(self):
         # S(P(a, b), c): three leaves, one parallel combine of K+1 passes
         # each sorting (K+1)(2K+2) entries, and a lazy series root.
-        tree = decompose_series_parallel(
-            [("a", "s", "m"), ("b", "s", "m"), ("c", "m", "t")], "s", "t")
+        tree = decompose_series_parallel(Instance(
+            nodes=("s", "m", "t"),
+            edges=(Edge("a", "s", "m"), Edge("b", "s", "m"),
+                   Edge("c", "m", "t")),
+            commodities=(Commodity("s", "t", 1.0),), budget=0.0))
         K = 700
         assert _dp_ops_estimate(tree, K, lazy_root=True) == \
             3 * 701 ** 2 + 701 * 701 * 1402 + 701

@@ -342,6 +342,22 @@ def _scalar_delays(inst, edges, betas):
     return out
 
 
+def _engine_rows(inst, edges, betas):
+    """The path engine's own rows, nan where it leaves a row open."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return equilibrium._path_batch(inst).delays(edges, betas)
+
+
+def _record_scalar_calls(monkeypatch):
+    """The arguments of each row ``path_delay_rows`` hands to
+    ``solve_equilibrium``, recorded as the rows go through."""
+    calls = []
+    monkeypatch.setattr(equilibrium, "solve_equilibrium",
+                        lambda *a, **k: calls.append(a) or
+                        solve_equilibrium(*a, **k))
+    return calls
+
+
 def _quadratic_dipole():
     # Link e3 is long: it carries flow only once the budget on e1 and e2
     # is small, so the used links change across the grid.
@@ -431,11 +447,8 @@ class TestBatchedEngine:
         assert oracle._closed_form(inst, inst.improvable_edges()) is None
         edges, betas = _grid_betas(inst, R)
         want = _scalar_delays(inst, edges, betas)
-        calls = []
-        monkeypatch.setattr(oracle, "solve_equilibrium",
-                            lambda *a, **k: calls.append(a) or
-                            solve_equilibrium(*a, **k))
-        got = oracle._batch_general(inst, 1e-8, edges, betas)
+        calls = _record_scalar_calls(monkeypatch)
+        got = equilibrium.path_delay_rows(inst, edges, betas)
         assert not calls  # no row needed the scalar fallback
         assert np.array_equal(np.isinf(got), np.isinf(want))
         assert np.isfinite(want).any()
@@ -500,21 +513,21 @@ class TestBatchedEngine:
             return z, ok & ~((funded > 0.0) & (funded < 0.5))
 
         monkeypatch.setattr(equilibrium._PathBatch, "_newton", stalling)
-        open_rows = np.isnan(equilibrium.path_delay_rows(inst, edges, betas))
+        open_rows = np.isnan(_engine_rows(inst, edges, betas))
         assert open_rows.tolist() == forced.tolist() and forced.any()
 
         calls = []
 
-        def one_row(inst_r, alloc, **kw):
+        def one_row(inst_r, alloc, *a, **kw):
             with pytest.warns(RuntimeWarning,
                               match="path engine stalled; Frank-Wolfe"):
-                res = solve_equilibrium(inst_r, alloc, **kw)
+                res = solve_equilibrium(inst_r, alloc, *a, **kw)
             assert _solve_paths(inst_r, alloc) is None
             calls.append((alloc, res))
             return res
 
-        monkeypatch.setattr(oracle, "solve_equilibrium", one_row)
-        got = oracle._batch_general(inst, 1e-8, edges, betas)
+        monkeypatch.setattr(equilibrium, "solve_equilibrium", one_row)
+        got = equilibrium.path_delay_rows(inst, edges, betas)
         assert [a for a, _ in calls] == [
             Allocation({e.id: row[j] for j, e in enumerate(edges)})
             for row in betas[forced]]
@@ -530,7 +543,7 @@ class TestBatchedEngine:
         # row agrees with Frank-Wolfe at tol 1e-10 within 1e-10 relative.
         inst = _root_edge_at_zero_flow(b=0.6)
         edges, betas = _grid_betas(inst, 10)
-        rows = equilibrium.path_delay_rows(inst, edges, betas)
+        rows = _engine_rows(inst, edges, betas)
         assert not np.isnan(rows).any()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -571,12 +584,9 @@ class TestBatchedEngine:
                 raise np.linalg.LinAlgError("Singular matrix")
             return real(M, rhs)
 
-        calls = []
         monkeypatch.setattr(np.linalg, "solve", every_other_singular)
-        monkeypatch.setattr(oracle, "solve_equilibrium",
-                            lambda *a, **k: calls.append(a) or
-                            solve_equilibrium(*a, **k))
-        got = oracle._batch_general(inst, 1e-8, edges, betas)
+        calls = _record_scalar_calls(monkeypatch)
+        got = equilibrium.path_delay_rows(inst, edges, betas)
         assert not calls and any(singles)
         assert np.array_equal(np.isinf(got), np.isinf(want))
         fin = np.isfinite(want)
@@ -591,7 +601,7 @@ class TestBatchedEngine:
         inst = build()
         edges, betas = _grid_betas(inst, R)
         rows = betas[np.linspace(0, len(betas) - 1, 4).astype(int)]
-        grid = oracle._batch_general(inst, 1e-8, edges, rows)
+        grid = equilibrium.path_delay_rows(inst, edges, rows)
         for L, row in zip(grid, rows):
             alloc = Allocation({e.id: row[j] for j, e in enumerate(edges)})
             if np.isinf(L):
@@ -637,12 +647,56 @@ class TestBatchedEngine:
         inst = Instance(nodes=tuple(nodes), edges=tuple(edges),
                         commodities=(Commodity("v0", "v8", 1.0),), budget=1.0)
         edges, betas = _grid_betas(inst, 2)
-        calls = []
-        monkeypatch.setattr(oracle, "solve_equilibrium",
-                            lambda *a, **k: calls.append(a) or
-                            solve_equilibrium(*a, **k))
-        got = oracle._batch_general(inst, 1e-6, edges, betas)
+        calls = _record_scalar_calls(monkeypatch)
+        got = equilibrium.path_delay_rows(inst, edges, betas, 1e-6)
         assert len(calls) == len(betas) == 3
-        for r, (inst_r, alloc) in enumerate(calls):
+        for r, (inst_r, alloc, tol) in enumerate(calls):
+            assert tol == 1e-6
             assert got[r] == solve_equilibrium(inst, alloc,
                                                tol=1e-6).average_delay
+
+    def test_bad_input_is_refused_before_the_engine_runs(self, monkeypatch):
+        # A row over the budget, or a tol that is not positive, raises
+        # before any row could be solved and given nan.
+        inst = _braess_rigid()
+        edges, betas = _grid_betas(inst, 4)
+        built = []
+        monkeypatch.setattr(equilibrium, "_path_batch",
+                            lambda inst_r: built.append(inst_r))
+        with pytest.raises(ValidationError, match="tol must be positive"):
+            equilibrium.path_delay_rows(inst, edges, betas, 0.0)
+        betas[3, 0] = 1.5 * inst.budget
+        with pytest.raises(ValidationError, match="exceeds budget"):
+            equilibrium.path_delay_rows(inst, edges, betas)
+        assert not built
+
+    def test_rows_past_the_path_cap_are_solved_one_by_one(self, monkeypatch):
+        # Gate a (s-m, n = 2) then a2 (m-t), beside gate b (s-t): with the
+        # cap at one path, every row goes to solve_equilibrium, which takes
+        # Frank-Wolfe.  The row funding neither gate strands the demand.
+        def gates():
+            return Instance(
+                nodes=("s", "m", "t"),
+                edges=(Edge("a", "s", "m", c=0.0, b=0.0, n=2.0, mu=1.0),
+                       Edge("a2", "m", "t", c=1.0, b=0.5),
+                       Edge("b", "s", "t", c=0.0, b=1.0, mu=1.0)),
+                commodities=(Commodity("s", "t", 1.0),), budget=1.0)
+
+        edges, betas = _grid_betas(gates(), 4)
+        want = equilibrium.path_delay_rows(gates(), edges, betas)
+        calls = _record_scalar_calls(monkeypatch)
+        monkeypatch.setattr(equilibrium, "_PATH_CAP", 1)
+        inst = gates()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = equilibrium.path_delay_rows(inst, edges, betas)
+        assert len(calls) == len(betas) == 15
+        assert np.isinf(got).tolist() == np.isinf(want).tolist()
+        assert np.isinf(got).sum() == 1
+        fin = np.isfinite(want)
+        assert np.allclose(got[fin], want[fin], rtol=1e-12, atol=0.0)
+        res = grid_search(inst, GridSpec(resolution=4))
+        best = int(np.argmin(got))
+        assert res.delay == got[best]
+        assert res.allocation == Allocation(
+            {e.id: betas[best, j] for j, e in enumerate(edges)})

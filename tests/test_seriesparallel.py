@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from netimprove.core import Commodity, Edge, Instance
 from netimprove.errors import NotSeriesParallel, ValidationError
 from netimprove.seriesparallel import (
     Leaf,
@@ -13,21 +14,31 @@ from netimprove.seriesparallel import (
 )
 
 
+def _instance(edges, source="s", sink="t"):
+    """Unit links on the (edge id, tail, head) triples ``edges``, with one
+    commodity from ``source`` to ``sink``."""
+    nodes = dict.fromkeys(n for _, u, v in edges for n in (u, v))
+    return Instance(nodes=tuple(nodes),
+                    edges=tuple(Edge(eid, u, v, c=1.0, b=0.0)
+                                for eid, u, v in edges),
+                    commodities=(Commodity(source, sink, 1.0),), budget=0.0)
+
+
 def test_single_edge_is_leaf():
-    tree = decompose_series_parallel([("e", "s", "t")], "s", "t")
+    tree = decompose_series_parallel(_instance([("e", "s", "t")]))
     assert tree == Leaf("e", "s", "t")
 
 
 def test_two_parallel_edges():
     tree = decompose_series_parallel(
-        [("e1", "s", "t"), ("e2", "s", "t")], "s", "t")
+        _instance([("e1", "s", "t"), ("e2", "s", "t")]))
     assert isinstance(tree, Parallel)
     assert sorted(tree_edge_ids(tree)) == ["e1", "e2"]
 
 
 def test_two_edge_chain_is_series():
     tree = decompose_series_parallel(
-        [("e1", "s", "a"), ("e2", "a", "t")], "s", "t")
+        _instance([("e1", "s", "a"), ("e2", "a", "t")]))
     assert isinstance(tree, Series)
     assert (tree.source, tree.sink) == ("s", "t")
 
@@ -38,10 +49,11 @@ def test_wheatstone_rejected(wheatstone):
 
 
 def test_series_of_dipoles():
-    edges = [("a1", "s", "m"), ("a2", "s", "m"), ("b1", "m", "t"), ("b2", "m", "t")]
-    tree = decompose_series_parallel(edges, "s", "t")
+    inst = _instance([("a1", "s", "m"), ("a2", "s", "m"), ("b1", "m", "t"),
+                      ("b2", "m", "t")])
+    tree = decompose_series_parallel(inst)
     assert isinstance(tree, Series)
-    check_tree(tree, edges, "s", "t")
+    check_tree(tree, inst)
 
 
 def test_instance_entry_point(fig2):
@@ -55,10 +67,10 @@ def test_recomposition_on_random_graphs():
     # decompose them, and check the tree reproduces the edge structure.
     rng = np.random.default_rng(11)
     for trial in range(60):
-        edges, s, t = _random_sp_edges(rng, max_edges=10, trial=trial)
-        tree = decompose_series_parallel(edges, s, t)
-        check_tree(tree, edges, s, t)
-        assert sorted(tree_edge_ids(tree)) == sorted(e[0] for e in edges)
+        inst = _random_sp(rng, max_edges=10, trial=trial)
+        tree = decompose_series_parallel(inst)
+        check_tree(tree, inst)
+        assert sorted(tree_edge_ids(tree)) == sorted(e.id for e in inst.edges)
 
 
 def test_tree_edge_ids_lists_leaves_left_to_right():
@@ -74,12 +86,12 @@ def test_tree_edge_ids_lists_leaves_left_to_right():
     assert tree_edge_ids(tree) == ["a", "b", "c", "d"]
     rng = np.random.default_rng(12)
     for trial in range(40):
-        edges, s, t = _random_sp_edges(rng, max_edges=10, trial=trial)
-        tree = decompose_series_parallel(edges, s, t)
+        tree = decompose_series_parallel(
+            _random_sp(rng, max_edges=10, trial=trial))
         assert tree_edge_ids(tree) == leaves(tree)
 
 
-def _random_sp_edges(rng, max_edges, trial):
+def _random_sp(rng, max_edges, trial):
     counter = [0]
 
     def fresh():
@@ -100,13 +112,8 @@ def _random_sp_edges(rng, max_edges, trial):
             right = build(s, t, budget - budget // 2)
         return left + right
 
-    return build("S", "T", int(rng.integers(2, max_edges + 1))), "S", "T"
-
-
-def test_dead_end_not_series_parallel():
-    with pytest.raises(NotSeriesParallel):
-        decompose_series_parallel(
-            [("e1", "s", "t"), ("e2", "s", "u")], "s", "t")
+    return _instance(build("S", "T", int(rng.integers(2, max_edges + 1))),
+                     "S", "T")
 
 
 def _postorder_reference(node):
@@ -119,8 +126,8 @@ def _postorder_reference(node):
 def test_postorder_matches_recursive_walk():
     rng = np.random.default_rng(5)
     for trial in range(60):
-        edges, s, t = _random_sp_edges(rng, max_edges=12, trial=trial)
-        tree = decompose_series_parallel(edges, s, t)
+        tree = decompose_series_parallel(
+            _random_sp(rng, max_edges=12, trial=trial))
         got = postorder(tree)
         want = _postorder_reference(tree)
         assert [id(node) for node in got] == [id(node) for node in want]
@@ -151,6 +158,10 @@ def test_check_tree_of_a_deep_tree():
     tree = _deep_chain(depth)
     edges = [("e0", "s", "v0")] + [(f"e{i}", f"v{i - 1}", f"v{i}")
                                    for i in range(1, depth + 1)]
-    check_tree(tree, edges, "s", f"v{depth}")
+    end = f"v{depth}"
+    check_tree(tree, _instance(edges, "s", end))
+    # A link back from the end closes a cycle, and a tree rooted at the
+    # end spans every edge but not the commodity's terminals.
+    looped = Series(Leaf("back", end, "s"), tree, end, end)
     with pytest.raises(ValidationError, match="graph terminals"):
-        check_tree(tree, edges, "s", "v0")
+        check_tree(looped, _instance(edges + [("back", end, "s")], "s", end))
