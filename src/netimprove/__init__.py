@@ -51,7 +51,6 @@ from .gadgets import (
 from .oracle import GridSpec, OracleResult, grid_search, sweep_segment
 from .parallelpaths import (
     ParallelPathsInstance,
-    PathAllocation,
     as_parallel_paths,
     best_single_edge_allocation,
     max_path_conductance,

@@ -95,7 +95,7 @@ def cmd_solve(args) -> int:
         certificate = {"edge": pick.edge_id}
     elif args.alg == "parallel-paths":
         res = solve_parallel_paths(inst, tol=args.tol)
-        alloc, delay = res.allocation.to_allocation(), res.delay
+        alloc, delay = res.allocation, res.delay
         certificate = {"used_paths": res.used_paths}
     elif args.alg == "fptas":
         res = solve_fptas(inst, args.eps, tol=args.tol, k_cap=args.kcap,

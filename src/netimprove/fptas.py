@@ -67,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Allocation, Edge, Instance
-from .equilibrium import EquilibriumResult, solve_equilibrium
+from .equilibrium import solve_equilibrium
 from .errors import DiscretizationError, ValidationError
 from .seriesparallel import (
     DecompositionTree,
@@ -93,13 +93,9 @@ _SPLIT_ROWS = 64       # children's budget rows one split step reads
 
 @dataclass(frozen=True)
 class DiscretizationPlan:
-    eps_prime: float
     eps: float
-    nu: float
-    lam: float
     K: int
     clamped: bool
-    eps_prime_effective: float
     certified_factor: float
 
 
@@ -129,32 +125,28 @@ def choose_discretization(inst: Instance, eps_prime: float,
         clamped = True
     eps_eff = 6.0 * nu * m / math.sqrt(K)
     eps_prime_eff = eps_eff if clamped else min(eps_prime, eps_eff)
-    return DiscretizationPlan(
-        eps_prime=eps_prime, eps=eps, nu=nu, lam=1.0 / K, K=K,
-        clamped=clamped, eps_prime_effective=eps_prime_eff,
-        certified_factor=(1.0 + eps_prime_eff) ** 2)
-
-
-@dataclass
-class _DpNode:
-    tree: DecompositionTree
-    values: np.ndarray | None = None      # (K+1, K+1), index [k, l], or
-                                          # (K+1, 1) for l = K at a root column
+    return DiscretizationPlan(eps=eps, K=K, clamped=clamped,
+                              certified_factor=(1.0 + eps_prime_eff) ** 2)
 
 
 @dataclass
 class DpTable:
+    """The filled tables, keyed by ``id`` of the tree node.
+
+    A table is (K+1, K+1), indexed [k, l], or (K+1, 1) for l = K at a
+    root-column node; a lazy root and its leaf children have none.
+    """
+
     K: int
     budget_unit: float
     flow_unit: float
-    nodes: list[_DpNode]
-    index: dict[int, int]
+    tables: dict[int, np.ndarray]
     edges: dict[str, Edge]
     root_value: float = math.nan
     root_split: tuple[int, int] | None = None   # a lazy root's (u, v)
 
-    def values_for(self, tree_node) -> np.ndarray:
-        return self.nodes[self.index[id(tree_node)]].values
+    def values_for(self, tree_node) -> np.ndarray | None:
+        return self.tables.get(id(tree_node))
 
     def rows(self, tree_node, lo: int, hi: int) -> np.ndarray:
         """Budget rows lo..hi-1 of a node's table; a leaf without a table
@@ -309,10 +301,10 @@ def _dp_ops_estimate(tree: DecompositionTree, K: int, lazy_root: bool) -> float:
     return total
 
 
-def run_dp(inst: Instance, tree: DecompositionTree,
-           plan: DiscretizationPlan | int, lazy_root: bool = False) -> DpTable:
-    """Fill the min-max tables bottom-up over the decomposition tree."""
-    K = plan.K if isinstance(plan, DiscretizationPlan) else int(plan)
+def run_dp(inst: Instance, tree: DecompositionTree, K: int,
+           lazy_root: bool = False) -> DpTable:
+    """Fill the min-max tables bottom-up over the decomposition tree at
+    grid size K; ``tree`` must stay alive while the table is read."""
     if K < 1:
         raise ValidationError("the grid needs K >= 1")
     if not inst.single_commodity:
@@ -322,8 +314,8 @@ def run_dp(inst: Instance, tree: DecompositionTree,
             f"dynamic program too large at K={K}; lower the grid cap")
 
     dpt = DpTable(K=K, budget_unit=inst.budget / K,
-                  flow_unit=inst.commodities[0].demand / K, nodes=[],
-                  index={}, edges=inst.edge_index)
+                  flow_unit=inst.commodities[0].demand / K, tables={},
+                  edges=inst.edge_index)
     order = postorder(tree)
     root = order[-1]
     lazy = lazy_root and not isinstance(root, Leaf)
@@ -344,23 +336,20 @@ def run_dp(inst: Instance, tree: DecompositionTree,
                 if isinstance(child, Series):
                     stack.append(child)
     for node in order:
-        entry = _DpNode(tree=node)
-        dpt.index[id(node)] = len(dpt.nodes)
-        dpt.nodes.append(entry)
         if id(node) in unfilled:
             continue
         if isinstance(node, Leaf):
-            entry.values = dpt.rows(node, 0, K + 1)
+            dpt.tables[id(node)] = dpt.rows(node, 0, K + 1)
             continue
         A, B = dpt.values_for(node.left), dpt.values_for(node.right)
         if id(node) not in column:
             combine = (_series_combine if isinstance(node, Series)
                        else _parallel_combine)
-            entry.values = combine(A, B)
+            dpt.tables[id(node)] = combine(A, B)
         elif isinstance(node, Series):
-            entry.values = _series_combine(A[:, -1:], B[:, -1:])
+            dpt.tables[id(node)] = _series_combine(A[:, -1:], B[:, -1:])
         else:
-            entry.values = _parallel_column(A, B)
+            dpt.tables[id(node)] = _parallel_column(A, B)
     if lazy:
         dpt.root_value, u, v = _split(dpt, root, K, K)
         dpt.root_split = (u, v)
@@ -396,17 +385,12 @@ class FptasResult:
     allocation: Allocation
     dp_value: float
     equilibrium_delay: float
-    eps_target: float
-    eps_internal: float
-    certified_factor: float
     plan: DiscretizationPlan
-    discretized_flow: dict[str, float]
-    equilibrium: EquilibriumResult
 
     def to_json_dict(self) -> dict:
         return {
             "dp_value": self.dp_value,
-            "certified_factor": self.certified_factor,
+            "certified_factor": self.plan.certified_factor,
             "K": self.plan.K,
         }
 
@@ -417,15 +401,17 @@ def solve_fptas(inst: Instance, eps_prime: float, tol: float = 1e-8,
     """Run the scheme end to end and play the reconstructed allocation.
 
     The reported delay is the true equilibrium under the reconstructed
-    allocation; the table entry D(G, K, K) certifies it from above.
+    allocation; the table entry D(G, K, K), ``dp_value``, certifies it from
+    above.  The grid, its eps and the certified factor are read from
+    ``plan``.
     """
     if not inst.single_commodity:
         raise ValidationError("the scheme handles a single commodity")
     if tree is None:
         tree = decompose_series_parallel(inst)
     plan = choose_discretization(inst, eps_prime, k_cap, clamp)
-    dpt = run_dp(inst, tree, plan, lazy_root=True)
-    beta_units, flow_units = reconstruct(dpt, tree)
+    dpt = run_dp(inst, tree, plan.K, lazy_root=True)
+    beta_units, _ = reconstruct(dpt, tree)
     beta = {}
     for eid, units in beta_units.items():
         e = inst.edge_index[eid]
@@ -433,17 +419,9 @@ def solve_fptas(inst: Instance, eps_prime: float, tol: float = 1e-8,
             beta[eid] = units * dpt.budget_unit
     alloc = Allocation(beta)
     alloc.validate_for(inst)
-    eq = solve_equilibrium(inst, alloc, tol=tol)
-    fhat = {eid: units * dpt.flow_unit for eid, units in flow_units.items()
-            if units > 0}
     return FptasResult(
         allocation=alloc,
         dp_value=dpt.root_value,
-        equilibrium_delay=eq.average_delay,
-        eps_target=eps_prime,
-        eps_internal=plan.eps,
-        certified_factor=plan.certified_factor,
+        equilibrium_delay=solve_equilibrium(inst, alloc, tol=tol).average_delay,
         plan=plan,
-        discretized_flow=fhat,
-        equilibrium=eq,
     )

@@ -64,14 +64,11 @@ _SQRT2 = math.sqrt(2.0)
 @dataclass(frozen=True)
 class PartitionGadgetParams:
     value: float
-    delta: float
-    lam: float
     c1: float
     c2: float
     mu1: float
     mu2: float
     b1: float
-    b2: float
     demand: float
     alpha: float
     gamma: float
@@ -81,10 +78,10 @@ class PartitionGadgetParams:
         if not (v > 0.0):
             raise ValidationError("item value must be positive")
         return cls(
-            value=v, delta=DELTA, lam=LAM,
+            value=v,
             c1=DELTA / v, c2=(1.0 - DELTA) / v,
             mu1=LAM * v * v, mu2=2.0 * LAM * v * v,
-            b1=(LAM + 2.0) * v, b2=0.0,
+            b1=(LAM + 2.0) * v,
             demand=2.0 * (LAM + 2.0),
             alpha=(1.0 + _SQRT2) * v,
             gamma=2.0 * v * (5.0 * _SQRT2 + 1.0),
@@ -94,7 +91,7 @@ class PartitionGadgetParams:
         return (
             Edge(f"{prefix}long", tail, head, c=self.c1, b=self.b1,
                  n=1.0, mu=1.0 / self.mu1),
-            Edge(f"{prefix}short", tail, head, c=self.c2, b=self.b2,
+            Edge(f"{prefix}short", tail, head, c=self.c2, b=0.0,
                  n=1.0, mu=1.0 / self.mu2),
         )
 
@@ -139,10 +136,8 @@ class DipoleClaimReport:
     passed: bool
     value: float
     min_slack: float
-    argmin_x: float
     tangency_error_low: float
     tangency_error_high: float
-    short_branch_margin: float
     message: str
 
 
@@ -178,8 +173,7 @@ def verify_dipole_claim(v: float) -> DipoleClaimReport:
         problems.append("short-only branch is not strictly above the line")
     return DipoleClaimReport(
         passed=not problems, value=v, min_slack=min_slack,
-        argmin_x=float(xs[i_min]), tangency_error_low=err_low,
-        tangency_error_high=err_high, short_branch_margin=short_margin,
+        tangency_error_low=err_low, tangency_error_high=err_high,
         message="; ".join(problems) if problems else "ok")
 
 

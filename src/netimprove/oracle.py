@@ -84,12 +84,12 @@ class GridSpec:
         _check_count("resolution", self.resolution)
 
 
-def _check_count(name: str, value) -> None:
-    """A grid size must be an integer >= 1; a bool is not taken for one."""
+def _check_count(name: str, value, least: int = 1) -> None:
+    """A count must be an integer >= ``least``; a bool is not taken for one."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValidationError(f"{name} must be >= 1")
+    if value < least:
+        raise ValidationError(f"{name} must be >= {least}")
 
 
 def _check_tol(tol: float) -> None:

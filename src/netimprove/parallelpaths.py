@@ -59,7 +59,6 @@ from .equilibrium import _reported, dipole_delay_rows
 __all__ = [
     "PathSpec",
     "ParallelPathsInstance",
-    "PathAllocation",
     "as_parallel_paths",
     "max_path_conductance",
     "solve_parallel_paths",
@@ -221,21 +220,7 @@ class ParallelPathsInstance:
     paths: tuple[PathSpec, ...]   # sorted by length, unusable paths dropped
     demand: float
     budget: float
-    source: str
-    sink: str
     dropped: tuple[PathSpec, ...] = ()
-
-
-@dataclass(frozen=True)
-class PathAllocation:
-    path_budgets: tuple[float, ...]
-    edge_split: dict[str, float]
-
-    def to_allocation(self) -> Allocation:
-        return Allocation({k: v for k, v in self.edge_split.items() if v > 0.0})
-
-    def total(self) -> float:
-        return sum(self.path_budgets)
 
 
 def as_parallel_paths(inst: Instance) -> ParallelPathsInstance:
@@ -282,7 +267,7 @@ def as_parallel_paths(inst: Instance) -> ParallelPathsInstance:
         raise NotParallelPaths("every path is permanently unusable")
     return ParallelPathsInstance(
         paths=tuple(kept), demand=k.demand, budget=inst.budget,
-        source=k.source, sink=k.sink, dropped=tuple(dropped))
+        dropped=tuple(dropped))
 
 
 def max_path_conductance(edges: Sequence[Edge], budget: float
@@ -409,9 +394,10 @@ def _allocate_weighted(paths: Sequence[PathSpec], weights: Sequence[float],
 
 
 class ParallelPathsResult(NamedTuple):
-    allocation: PathAllocation
+    allocation: Allocation
     delay: float
     used_paths: int
+    path_budgets: tuple[float, ...]
 
 
 def solve_parallel_paths(arg: Instance | ParallelPathsInstance,
@@ -419,7 +405,9 @@ def solve_parallel_paths(arg: Instance | ParallelPathsInstance,
     """Optimal allocation on parallel paths by Dinkelbach's iteration.
 
     The iteration stops once Lbar falls by no more than ``tol`` times the
-    gap between its start and the shortest path's length.
+    gap between its start and the shortest path's length.  The result
+    carries the per-edge ``Allocation``, as every solver's does, and the
+    budget of each kept path in ``ppi.paths`` order.
     """
     if not tol > 0:
         raise ValidationError("tol must be positive")
@@ -440,12 +428,12 @@ def solve_parallel_paths(arg: Instance | ParallelPathsInstance,
                 break
             budgets, lam, fall = trial, m, lam - m
 
-    split = {e.id: 0.0 for p in paths + ppi.dropped for e in p.edges}
+    split = {}
     for p, pb in zip(paths, budgets):
         split.update(p.profile.split(pb))
     delay = paths_delay(ppi, budgets)
     used = max(1, sum(p.length < delay for p in paths))
-    return ParallelPathsResult(PathAllocation(tuple(budgets), split), delay, used)
+    return ParallelPathsResult(Allocation(split), delay, used, tuple(budgets))
 
 
 def _step(ppi: ParallelPathsInstance, weights: Sequence[float]

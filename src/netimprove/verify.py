@@ -21,7 +21,8 @@ from .equilibrium import (_solve_paths, solve_equilibrium,
                           solve_parallel_links_equilibrium)
 from .fptas import run_dp
 from .gadgets import verify_dipole_claim
-from .oracle import GridSpec, enumerate_discretized_minmax, grid_search
+from .oracle import (GridSpec, _check_count, enumerate_discretized_minmax,
+                     grid_search)
 from .parallelpaths import max_path_conductance
 from .seriesparallel import check_tree, decompose_series_parallel
 
@@ -448,7 +449,11 @@ SUITES: dict[str, Callable] = {
 
 def run_suites(names: list[str] | None = None, seed: int = 0,
                cases: int | None = None) -> list[CheckResult]:
-    """Run the selected suites with a fixed seed; results in listed order."""
+    """Run the selected suites with a fixed seed (an integer >= 0) and, if
+    given, ``cases`` cases each (an integer >= 1); results in listed order."""
+    if cases is not None:
+        _check_count("cases", cases)
+    _check_count("seed", seed, least=0)
     selected = names or list(SUITES)
     out = []
     for name in selected:

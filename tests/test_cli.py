@@ -356,6 +356,13 @@ class TestVerify:
         proc = run_cli("verify", "--only", "nope", check=False)
         assert proc.returncode != 0
 
+    @pytest.mark.parametrize("argv", [["--cases", "-5"], ["--cases", "0"],
+                                      ["--seed", "-1"]])
+    def test_bad_case_count_or_seed_exits_2(self, argv, capsys):
+        assert cli.main(["verify", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+
     def test_seeded_determinism(self):
         a = run_cli("verify", "--only", "ratio-mixing", "--seed", "7",
                     "--cases", "200")

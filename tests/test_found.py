@@ -94,3 +94,32 @@ def test_solve_copt_on_general_rows_overflow(capsys):
     path = os.path.join(FOUND, "general-rows-overflow.json")
     assert cli.main(["solve", path, "--alg", "copt"]) == 0
     assert json.loads(capsys.readouterr().out)["L"] == pytest.approx(2.0)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the closed form takes p1e0's overflowing "
+                   "resistance for a closed path and exits 3, 'no usable "
+                   "path'")
+def test_sweep_on_dry_paths_is_out_of_range(tmp_path, capsys):
+    # Gate p0e0 (c=0) beside p1e0 (c=1e-310, mu=1e-300) then p1e1, unfunded:
+    # 1 / 1e-310 overflows, and `netimprove equilibrium` exits 2 here.
+    path = os.path.join(FOUND, "dry-paths-overflow.json")
+    zero = tmp_path / "zero.json"
+    zero.write_text('{"beta": {}}')
+    assert cli.main(["sweep", path, "--from", str(zero), "--to", str(zero),
+                     "--steps", "2"]) == 2
+    assert "out of floating-point range" in capsys.readouterr().err
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="solve_equilibrium at {p0e0: 2} raises: the affine "
+                   "round's matrix holds 1 / g = inf for the subnormal p1e0")
+def test_solve_fptas_on_dry_paths_prints_the_table_optimum(capsys):
+    # The table's root funds p0e0 with the whole budget: p0e0 carries all
+    # but about 1e-310 of the demand 3 at g = 2, so L = 1.5, as the oracle
+    # and parallel-paths print.
+    path = os.path.join(FOUND, "dry-paths-overflow.json")
+    assert cli.main(["solve", path, "--alg", "fptas", "--clamp-k",
+                     "--kcap", "64"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["L"] == 1.5 and out["allocation"] == {"p0e0": 2.0}

@@ -13,7 +13,6 @@ from netimprove.errors import (
 from netimprove.fptas import (
     DpTable,
     _dp_ops_estimate,
-    _DpNode,
     _leaf_values,
     _parallel_column,
     _parallel_combine,
@@ -30,6 +29,7 @@ from netimprove.seriesparallel import (
     Parallel,
     Series,
     decompose_series_parallel,
+    postorder,
 )
 
 from conftest import make_dipole
@@ -45,7 +45,6 @@ class TestChooseDiscretization:
     def test_formulas(self, fig2):
         plan = choose_discretization(fig2, 0.6)
         assert plan.eps == pytest.approx(0.1)
-        assert plan.lam == pytest.approx(0.0025)
         assert plan.K == 400
 
     def test_exponent_scales_epsilon(self, fig2):
@@ -79,7 +78,7 @@ class TestRunDp:
         inst = single_edge_instance()
         tree = decompose_series_parallel(inst)
         dpt = run_dp(inst, tree, 4)
-        vals = dpt.nodes[0].values
+        vals = dpt.values_for(tree)
         assert vals[4, 4] == pytest.approx(0.5)
         assert vals[0, 4] == pytest.approx(1.0)
         assert (vals[:, 0] == 0.0).all()
@@ -147,7 +146,8 @@ class TestRunDp:
         tree = decompose_series_parallel(inst)
         full = run_dp(inst, tree, 12, lazy_root=False)
         lazy = run_dp(inst, tree, 12, lazy_root=True)
-        assert [node.values is None for node in lazy.nodes] == [True] * 3
+        assert [lazy.values_for(node) is None
+                for node in postorder(tree)] == [True] * 3
         assert lazy.root_value == full.root_value
         assert reconstruct(lazy, tree) == reconstruct(full, tree)
 
@@ -268,8 +268,7 @@ def _two_leaf_node(kind, A, B):
     # A node whose children are leaves with tables A and B.
     a, b = Leaf("a", "s", "t"), Leaf("b", "s", "t")
     dpt = DpTable(K=A.shape[0] - 1, budget_unit=1.0, flow_unit=1.0,
-                  nodes=[_DpNode(a, A), _DpNode(b, B)],
-                  index={id(a): 0, id(b): 1}, edges={})
+                  tables={id(a): A, id(b): B}, edges={})
     return dpt, kind(a, b, "s", "t")
 
 
@@ -352,12 +351,13 @@ def test_root_column_tables_match_full_tables(rng, shape):
         assert lazy.root_value == full.root_value
         assert reconstruct(lazy, tree) == reconstruct(full, tree)
         # Root-column nodes hold flow K alone, and it is the full column.
-        for node in lazy.nodes[:-1]:
-            if node.values is not None and node.values.shape[1] == 1:
-                want = full.values_for(node.tree)[:, K:]
-                assert np.array_equal(node.values, want)
-        assert sum(node.values is not None and node.values.shape[1] == 1
-                   for node in lazy.nodes) == sum(
+        for node in postorder(tree)[:-1]:
+            values = lazy.values_for(node)
+            if values is not None and values.shape[1] == 1:
+                want = full.values_for(node)[:, K:]
+                assert np.array_equal(values, want)
+        assert sum(values.shape[1] == 1
+                   for values in lazy.tables.values()) == sum(
             not isinstance(node, Leaf) for node in _series_reach(tree))
 
 
@@ -464,7 +464,7 @@ class TestSolveFptas:
 
     def test_fig2(self, fig2):
         res = solve_fptas(fig2, 0.2)
-        assert res.certified_factor == pytest.approx(1.44)
+        assert res.plan.certified_factor == pytest.approx(1.44)
         assert res.equilibrium_delay <= res.dp_value + 1e-9
         # Oracle optimum is 80; even the squared factor is far from binding.
         assert res.equilibrium_delay <= 80.0 * 1.2
@@ -498,8 +498,11 @@ class TestSolveFptas:
 
     def test_dp_flow_is_a_flow(self):
         inst = make_dipole([(1, 0, 1), (0.5, 1, 2)], 1.0, 1.0)
-        res = solve_fptas(inst, 0.5)
-        assert sum(res.discretized_flow.values()) == pytest.approx(1.0)
+        tree = decompose_series_parallel(inst)
+        dpt = run_dp(inst, tree, choose_discretization(inst, 0.5).K,
+                     lazy_root=True)
+        _, flow_units = reconstruct(dpt, tree)
+        assert sum(flow_units.values()) * dpt.flow_unit == pytest.approx(1.0)
 
 
 def _random_sp_instance(rng, max_edges):

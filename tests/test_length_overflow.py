@@ -46,7 +46,7 @@ def test_every_solver_agrees_without_overflow(name):
                                             inst.total_demand)
         grid = grid_search(inst, GridSpec(resolution=10))
         paths = solve_parallel_paths(inst)
-        played = evaluate_delay(inst, paths.allocation.to_allocation())
+        played = evaluate_delay(inst, paths.allocation)
         equilibrium = solve_equilibrium(inst, links.allocation).average_delay
     for value in (links.delay, grid.delay, paths.delay, played, equilibrium):
         assert value == pytest.approx(delay, rel=1e-12)

@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from netimprove.copt import solve_copt
 from netimprove.core import Allocation, Commodity, Edge, Instance, parse_instance
-from netimprove.equilibrium import dipole_delay_rows, solve_equilibrium
+from netimprove.equilibrium import (dipole_delay_rows, dipole_links,
+                                    solve_equilibrium)
 from netimprove.errors import (NetimproveError, NotParallelPaths,
                                UnsupportedDelay, ValidationError)
+from netimprove.fptas import solve_fptas
 from netimprove.oracle import GridSpec, evaluate_delay, grid_search
 from netimprove.parallelpaths import (
     _allocate_weighted,
@@ -197,7 +200,7 @@ class TestSolveParallelPaths:
     def test_fig2_optimum(self, fig2):
         res = solve_parallel_paths(fig2)
         assert res.delay == pytest.approx(80.0, abs=1e-7)
-        alloc = res.allocation.to_allocation()
+        alloc = res.allocation
         assert alloc.get("e2") == pytest.approx(3.0, abs=1e-7)
         assert alloc.get("e1") == pytest.approx(0.0, abs=1e-9)
 
@@ -267,9 +270,19 @@ class TestSolveParallelPaths:
             assert res.delay <= best + 1e-6
             assert res.delay >= best - 0.2  # grid resolution slack
 
-    def test_allocation_is_valid(self, fig2):
-        res = solve_parallel_paths(fig2)
-        res.allocation.to_allocation().validate_for(fig2)
+
+@pytest.mark.parametrize("solve", [
+    solve_copt,
+    lambda inst: best_single_edge_allocation(
+        dipole_links(inst), inst.budget, inst.commodities[0].demand),
+    solve_parallel_paths,
+    lambda inst: solve_fptas(inst, 0.25, k_cap=64, clamp=True),
+    lambda inst: grid_search(inst, GridSpec(20)),
+], ids=["copt", "parallel-links", "parallel-paths", "fptas", "oracle"])
+def test_every_solver_returns_one_allocation_type(fig2, solve):
+    res = solve(fig2)
+    assert isinstance(res.allocation, Allocation)
+    res.allocation.validate_for(fig2)
 
 
 class TestBestSingleEdge:
@@ -478,10 +491,10 @@ class TestDinkelbachAgainstBisection:
             res = solve_parallel_paths(ppi, tol=1e-11)
             assert res.delay == pytest.approx(ref_delay, rel=1e-12)
             assert res.used_paths == ref_used
-            assert all(b >= 0.0 for b in res.allocation.path_budgets)
+            assert all(b >= 0.0 for b in res.path_budgets)
             assert res.allocation.total() <= inst.budget * (1.0 + 1e-12)
-            res.allocation.to_allocation().validate_for(inst)
-            assert paths_delay(ppi, res.allocation.path_budgets) == res.delay
+            res.allocation.validate_for(inst)
+            assert paths_delay(ppi, res.path_budgets) == res.delay
             seen["multi-edge"] += any(len(p.edges) > 1 for p in ppi.paths)
             seen["dropped"] += bool(ppi.dropped)
             seen["flat tail"] += any(p.profile.flat_level() is not None
@@ -521,7 +534,7 @@ def test_gates_alone_take_the_budget(name):
     grid = grid_search(inst, GridSpec(resolution=20))
     assert res.delay == links.delay == grid.delay == 2.0
     assert res.used_paths == 1
-    assert res.allocation.to_allocation() == Allocation({"e1": 1.0})
+    assert res.allocation == Allocation({"e1": 1.0})
 
 
 def test_a_gate_beside_an_overflowing_link_takes_the_budget():
@@ -531,7 +544,7 @@ def test_a_gate_beside_an_overflowing_link_takes_the_budget():
     res = solve_parallel_paths(inst)
     assert res.delay == best_single_edge_allocation(
         inst.edges, 1.0, 1e10).delay == 1e10 + 1.0
-    assert res.allocation.to_allocation() == Allocation({"e2": 1.0})
+    assert res.allocation == Allocation({"e2": 1.0})
 
 
 # Two links each, at magnitudes far apart, where the optimum spends the
@@ -576,7 +589,7 @@ def test_extreme_dipoles_play_the_reported_delay(doc):
         res = solve_parallel_paths(inst)
     except NetimproveError:
         return
-    played = evaluate_delay(inst, res.allocation.to_allocation())
+    played = evaluate_delay(inst, res.allocation)
     assert played == pytest.approx(res.delay, rel=1e-9, abs=0.0)
 
 
@@ -609,7 +622,7 @@ class TestRigidPaths:
         oracle's, and on a dipole the best single-link allocation's."""
         res = solve_parallel_paths(inst)
         grid = grid_search(inst, GridSpec(resolution=R))
-        played = evaluate_delay(inst, res.allocation.to_allocation())
+        played = evaluate_delay(inst, res.allocation)
         assert played == pytest.approx(res.delay, rel=1e-12)
         assert res.delay <= grid.delay * (1.0 + 1e-12)
         if all(e.tail == "s" and e.head == "t" for e in inst.edges):
@@ -636,7 +649,7 @@ class TestRigidPaths:
                             (0.0, 3.0, 0.0, True)], demand=3.0, budget=2.0)
         res, grid, links = self._agrees(inst, 4)
         assert res.delay == grid.delay == links.delay == 1.5
-        assert res.allocation.to_allocation().total() == 0.0
+        assert res.allocation.total() == 0.0
 
     def test_a_rigid_path_of_several_edges_among_parallel_paths(self):
         # Unfunded the rigid path, 0.75 + 0.5, caps the delay; funded, the

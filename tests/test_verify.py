@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from netimprove import verify
+from netimprove.errors import ValidationError
 from netimprove.verify import SUITES, run_suites
 
 GOLDEN = Path(__file__).parent / "data" / "verify-seed0.txt"
@@ -28,6 +29,15 @@ def test_selected_suites_pass_with_small_case_counts():
         ["ratio-mixing", "delay-monotone", "conductance-concavity",
          "path-domination", "dp-oracle"], seed=3, cases=30)
     assert all(r.passed for r in results), [r for r in results if not r.passed]
+
+
+@pytest.mark.parametrize("bad", [
+    {"cases": -5}, {"cases": 0}, {"cases": True}, {"seed": -1},
+    {"seed": True},
+])
+def test_bad_case_count_or_seed_is_rejected(bad):
+    with pytest.raises(ValidationError, match="must be"):
+        run_suites(["ratio-mixing"], **bad)
 
 
 def test_unknown_suite_raises():
