@@ -37,7 +37,6 @@ from .errors import (
     NetimproveError,
     NotParallelPaths,
     NotSeriesParallel,
-    PathCapExceeded,
     UnsupportedDelay,
     ValidationError,
 )

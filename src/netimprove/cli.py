@@ -21,6 +21,7 @@ from .core import (
     instance_to_json,
     parse_allocation,
     parse_instance,
+    read_json,
 )
 from .copt import solve_copt
 from .equilibrium import dipole_links, solve_equilibrium
@@ -34,10 +35,11 @@ from .verify import run_suites
 ALGORITHMS = ("copt", "parallel-links", "parallel-paths", "fptas", "oracle")
 
 
-def _read(path: str, parse=parse_instance):
+def _read(path: str) -> bytes:
+    """The file's bytes, which ``read_json`` decodes."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse(fh.read())
+        with open(path, "rb") as fh:
+            return fh.read()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
 
@@ -48,18 +50,6 @@ def _write(path: str, text: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc}") from exc
-
-
-def _parse_graph(text: str) -> dict:
-    """Arguments of ``build_2ddp_instance`` from the inner graph JSON:
-    nodes, [tail, head] edges and the four terminals."""
-    try:
-        doc = json.loads(text)
-        return {"inner_nodes": doc["nodes"],
-                "inner_edges": [(u, v) for u, v in doc["edges"]],
-                **{t: doc[t] for t in ("s1", "s2", "t1", "t2")}}
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed graph document: {exc!r}") from exc
 
 
 def _digest(inst: Instance) -> str:
@@ -76,7 +66,7 @@ def _emit(doc: dict, started: float) -> None:
 
 def cmd_solve(args) -> int:
     started = time.perf_counter()
-    inst = _read(args.instance)
+    inst = parse_instance(_read(args.instance))
     params: dict = {"tol": args.tol}
     certificate: dict = {}
     if args.alg == "copt":
@@ -124,8 +114,9 @@ def cmd_solve(args) -> int:
 
 def cmd_equilibrium(args) -> int:
     started = time.perf_counter()
-    inst = _read(args.instance)
-    alloc = _read(args.beta, parse_allocation) if args.beta else Allocation()
+    inst = parse_instance(_read(args.instance))
+    alloc = (parse_allocation(_read(args.beta)) if args.beta
+             else Allocation())
     res = solve_equilibrium(inst, alloc, tol=args.tol)
     _emit(res.to_json_dict(), started)
     return 0
@@ -133,9 +124,9 @@ def cmd_equilibrium(args) -> int:
 
 def cmd_sweep(args) -> int:
     started = time.perf_counter()
-    inst = _read(args.instance)
-    rows = sweep_segment(inst, _read(args.beta_from, parse_allocation),
-                         _read(args.beta_to, parse_allocation), args.steps,
+    inst = parse_instance(_read(args.instance))
+    rows = sweep_segment(inst, parse_allocation(_read(args.beta_from)),
+                         parse_allocation(_read(args.beta_to)), args.steps,
                          tol=args.tol)
     csv = "lambda,L\n" + "".join(f"{lam:.10g},{val:.12g}\n"
                                  for lam, val in rows)
@@ -168,8 +159,11 @@ def cmd_gadget(args) -> int:
             print(f"target={gadget.target!r} applicable={gadget.applicable}",
                   file=sys.stderr)
     else:
-        inst = build_2ddp_instance(**_read(args.graph, _parse_graph),
-                                   big_budget=args.budget)
+        # The inner graph: nodes, [tail, head] edges and the four terminals.
+        inst = read_json(_read(args.graph), lambda doc: build_2ddp_instance(
+            doc["nodes"], [(u, v) for u, v in doc["edges"]],
+            *(doc[t] for t in ("s1", "s2", "t1", "t2")),
+            big_budget=args.budget))
         out = instance_to_json(inst, indent=2)
         if args.out:
             _write(args.out, out)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
 
-from .errors import PathCapExceeded, ValidationError
+from .errors import ValidationError
 
 __all__ = [
     "Edge",
@@ -34,6 +34,7 @@ __all__ = [
     "edge_delay",
     "edge_delay_integral",
     "effective_conductance",
+    "read_json",
     "parse_instance",
     "instance_to_json",
     "parse_allocation",
@@ -178,58 +179,37 @@ class Instance:
     def improvable_edges(self) -> tuple[Edge, ...]:
         return tuple(e for e in self.edges if e.improvable)
 
-    def simple_paths(self, source: str, sink: str, cap: int | None = None) -> tuple[tuple[str, ...], ...]:
-        """All simple source-sink paths as tuples of edge ids, sorted.
+    def simple_paths(self, source: str, sink: str, cap: float = math.inf
+                     ) -> tuple[tuple[str, ...], ...] | None:
+        """All simple source-sink paths as tuples of edge ids, sorted, or
+        None once there are more than ``cap`` of them.
 
-        Returns at most ``cap`` paths; raises PathCapExceeded (a
-        ValidationError) if the cap is exceeded (callers that tolerate
-        truncation should catch it).
+        Depth-first search with an explicit stack of (vertex, out-edge
+        iterator) frames, one per vertex of the current path, so a path of
+        thousands of edges needs no recursion.  No path steps past the sink.
         """
-        key = (source, sink)
-        cache = self._path_cache
-        if key not in cache:
-            cache[key] = _enumerate_simple_paths(self, source, sink, cap)
-        paths = cache[key]
-        if cap is not None and len(paths) > cap:
-            # Cached by an earlier call with a larger cap or none.
-            raise PathCapExceeded(
-                f"more than {cap} simple {source}-{sink} paths")
-        return paths
-
-    @cached_property
-    def _path_cache(self) -> dict:
-        return {}
-
-
-def _enumerate_simple_paths(inst, source, sink, cap):
-    # Depth-first search with an explicit stack of (vertex, out-edge
-    # iterator) frames, one per vertex of the current path, so a path of
-    # thousands of edges needs no recursion.  No path steps past the sink.
-    if source == sink:
-        return ((),)      # the empty path; ``simple_paths`` applies the cap
-    paths: list[tuple[str, ...]] = []
-    path: list[str] = []
-    visited = {source}
-    stack = [(source, iter(inst.out_edges[source]))]
-    while stack:
-        for e in stack[-1][1]:
-            if e.head in visited:
-                continue
-            if e.head == sink:
-                paths.append((*path, e.id))
-                if cap is not None and len(paths) > cap:
-                    raise PathCapExceeded(
-                        f"more than {cap} simple {source}-{sink} paths")
-                continue
-            visited.add(e.head)
-            path.append(e.id)
-            stack.append((e.head, iter(inst.out_edges[e.head])))
-            break
-        else:
-            visited.discard(stack.pop()[0])
-            if path:
-                path.pop()
-    return tuple(sorted(paths))
+        paths: list[tuple[str, ...]] = []
+        path: list[str] = []
+        visited = {source}
+        stack = [(source, iter(self.out_edges[source]))]
+        while stack:
+            for e in stack[-1][1]:
+                if e.head in visited:
+                    continue
+                if e.head == sink:
+                    paths.append((*path, e.id))
+                    if len(paths) > cap:
+                        return None
+                    continue
+                visited.add(e.head)
+                path.append(e.id)
+                stack.append((e.head, iter(self.out_edges[e.head])))
+                break
+            else:
+                visited.discard(stack.pop()[0])
+                if path:
+                    path.pop()
+        return tuple(sorted(paths))
 
 
 def _reachable(inst: Instance, start: str, forward: bool) -> set[str]:
@@ -433,48 +413,41 @@ def _positive_path(inst, residual, source, sink, eps):
 # JSON interface
 
 
-def parse_instance(text: str) -> Instance:
-    """Parse and validate the instance JSON document."""
+def read_json(text: str | bytes, build):
+    """``build`` applied to the JSON document ``text``, the one reader of
+    every input document.  A missing key raises ValidationError naming it,
+    and a document of the wrong shape one saying that it is malformed; a
+    ValidationError of the objects built passes through."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"malformed JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValidationError("instance document must be a JSON object")
-    for key in ("nodes", "edges", "commodities", "budget"):
-        if key not in doc:
-            raise ValidationError(f"missing field {key!r}")
-    edges = []
-    for item in doc["edges"]:
-        try:
-            edges.append(Edge(
-                id=str(item["id"]),
-                tail=str(item["tail"]),
-                head=str(item["head"]),
-                c=float(item.get("c", 0.0)),
-                b=float(item.get("b", 0.0)),
-                n=float(item.get("n", 1.0)),
-                mu=float(item.get("mu", 0.0)),
-                rigid=bool(item.get("rigid", False)),
-            ))
-        except KeyError as exc:
-            raise ValidationError(f"edge record missing field {exc}") from exc
-    commodities = []
-    for item in doc["commodities"]:
-        try:
-            commodities.append(Commodity(
-                source=str(item["source"]),
-                sink=str(item["sink"]),
-                demand=float(item["demand"]),
-            ))
-        except KeyError as exc:
-            raise ValidationError(f"commodity record missing field {exc}") from exc
-    return Instance(
+        return build(json.loads(text))
+    except KeyError as exc:
+        raise ValidationError(f"missing field {exc}") from None
+    except (ValueError, TypeError, AttributeError, OverflowError,
+            RecursionError) as exc:
+        raise ValidationError(f"malformed document: {exc}") from None
+
+
+def parse_instance(text: str | bytes) -> Instance:
+    """Parse and validate the instance JSON document.  ``Edge`` converts
+    c, b, n and mu itself; ``rigid`` must be a JSON boolean."""
+    def edge(item) -> Edge:
+        rigid = item.get("rigid", False)
+        if not isinstance(rigid, bool):
+            raise ValidationError(f"edge {item['id']!r}: rigid must be true "
+                                  "or false")
+        return Edge(id=str(item["id"]), tail=str(item["tail"]),
+                    head=str(item["head"]), c=item.get("c", 0.0),
+                    b=item.get("b", 0.0), n=item.get("n", 1.0),
+                    mu=item.get("mu", 0.0), rigid=rigid)
+
+    return read_json(text, lambda doc: Instance(
         nodes=tuple(str(u) for u in doc["nodes"]),
-        edges=tuple(edges),
-        commodities=tuple(commodities),
-        budget=float(doc["budget"]),
-    )
+        edges=tuple(map(edge, doc["edges"])),
+        commodities=tuple(Commodity(source=str(k["source"]),
+                                    sink=str(k["sink"]),
+                                    demand=float(k["demand"]))
+                          for k in doc["commodities"]),
+        budget=float(doc["budget"])))
 
 
 def instance_to_json(inst: Instance, indent: int | None = None) -> str:
@@ -495,14 +468,9 @@ def instance_to_json(inst: Instance, indent: int | None = None) -> str:
     return json.dumps(doc, indent=indent)
 
 
-def parse_allocation(text: str) -> Allocation:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"malformed JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "beta" not in doc:
-        raise ValidationError('allocation document must be {"beta": {...}}')
-    return Allocation({str(k): float(v) for k, v in doc["beta"].items()})
+def parse_allocation(text: str | bytes) -> Allocation:
+    # .items() refuses a "beta" that is not a JSON object.
+    return read_json(text, lambda doc: Allocation(dict(doc["beta"].items())))
 
 
 def allocation_to_json(alloc: Allocation, indent: int | None = None) -> str:

@@ -85,8 +85,7 @@ from .core import (
     effective_conductance,
 )
 from .copt import _flow_unit, _frank_wolfe, _Relaxation
-from .errors import (Infeasible, PathCapExceeded, UnsupportedDelay,
-                     ValidationError)
+from .errors import Infeasible, UnsupportedDelay, ValidationError
 
 __all__ = [
     "EquilibriumResult",
@@ -180,9 +179,8 @@ def path_delay_rows(inst: Instance, edges, betas: np.ndarray,
     over = np.flatnonzero(total > inst.budget + 1e-9 * inst.budget)
     if over.size:
         _allocation(edges, betas[over[0]]).validate_for(inst)
-    try:
-        batch = _path_batch(inst)
-    except PathCapExceeded:
+    batch = _path_batch(inst)
+    if batch is None:
         ls = np.full(len(betas), np.nan)
     else:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -204,12 +202,18 @@ def _allocation(edges, row: np.ndarray) -> Allocation:
     return Allocation({e.id: row[j] for j, e in enumerate(edges)})
 
 
-def _path_batch(inst: Instance) -> "_PathBatch":
-    """The instance's path engine, built once and kept with its simple
-    paths, so that every solve shares the active sets met."""
-    if _PathBatch not in inst._path_cache:  # never a (source, sink) key
-        inst._path_cache[_PathBatch] = _PathBatch(inst)
-    return inst._path_cache[_PathBatch]
+def _path_batch(inst: Instance) -> "_PathBatch | None":
+    """The instance's path engine, or None where a commodity has more than
+    ``_PATH_CAP`` simple paths; decided once and kept with the instance, as
+    ``cached_property`` keeps a value, so every solve shares the active sets
+    met."""
+    kept = vars(inst)
+    if "_path_batch" not in kept:
+        per_com = [inst.simple_paths(k.source, k.sink, _PATH_CAP)
+                   for k in inst.commodities]
+        kept["_path_batch"] = (None if None in per_com
+                               else _PathBatch(inst, per_com))
+    return kept["_path_batch"]
 
 
 class _Rows(NamedTuple):
@@ -277,7 +281,7 @@ class _PathBatch:
     """The path engine of one instance: its edge arrays, every simple path
     and its edges, and the active sets met so far."""
 
-    def __init__(self, inst: Instance):
+    def __init__(self, inst: Instance, per_com: list):
         edges = inst.edges
         self.pos = {e.id: t for t, e in enumerate(edges)}
         self.c = np.array([e.c for e in edges])
@@ -289,8 +293,6 @@ class _PathBatch:
         self.demands = [k.demand for k in inst.commodities]
         self.total = sum(self.demands)
         self.dscale = max(1.0, max(self.demands))
-        per_com = [inst.simple_paths(k.source, k.sink, cap=_PATH_CAP)
-                   for k in inst.commodities]
         self.paths = [p for ps in per_com for p in ps]
         self.com = np.repeat(np.arange(len(per_com)), list(map(len, per_com)))
         self.path_edges = [[self.pos[eid] for eid in p] for p in self.paths]
@@ -589,8 +591,11 @@ def _solve_paths(inst: Instance, beta: Allocation,
                  start: str = "shortest") -> EquilibriumResult | None:
     """The path engine on one allocation: its flow, path flows and common
     delays, certified by the relative gap, which forms no product of a
-    demand and a delay; None when the engine leaves the row open."""
+    demand and a delay; None past the path cap or when the engine leaves
+    the row open."""
     batch = _path_batch(inst)
+    if batch is None:
+        return None
     G = np.array([[effective_conductance(e, beta.get(e.id))
                    for e in inst.edges]])
     usable, stranded = batch.usable(G)
@@ -653,13 +658,11 @@ def solve_equilibrium(inst: Instance, beta: Allocation | None = None,
         raise ValidationError("tol must be positive")
     beta = beta or Allocation()
     beta.validate_for(inst)
-    try:
-        res = _solve_paths(inst, beta)
-    except PathCapExceeded:
-        return _solve_frank_wolfe(inst, beta, tol)
+    res = _solve_paths(inst, beta)
     if res is None:
-        warnings.warn("path engine stalled; Frank-Wolfe finishes",
-                      RuntimeWarning)
+        if _path_batch(inst) is not None:
+            warnings.warn("path engine stalled; Frank-Wolfe finishes",
+                          RuntimeWarning)
         return _solve_frank_wolfe(inst, beta, tol)
     if res.duality_gap > tol:
         warnings.warn(f"path engine stopped at relative gap "

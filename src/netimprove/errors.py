@@ -14,10 +14,6 @@ class ValidationError(NetimproveError):
     """Malformed or inconsistent instance / allocation / flow data."""
 
 
-class PathCapExceeded(ValidationError):
-    """More simple source-sink paths than the caller's enumeration cap."""
-
-
 class InapplicableError(NetimproveError):
     """The requested algorithm does not apply to this instance."""
 

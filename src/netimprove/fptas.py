@@ -68,7 +68,7 @@ import numpy as np
 
 from .core import Allocation, Edge, Instance
 from .equilibrium import solve_equilibrium
-from .errors import DiscretizationError, ValidationError
+from .errors import DiscretizationError, InapplicableError, ValidationError
 from .seriesparallel import (
     DecompositionTree,
     Leaf,
@@ -113,7 +113,8 @@ def choose_discretization(inst: Instance, eps_prime: float,
     eps = eps_prime / (6.0 * nu)
     lam = eps * eps / (m * m)
     raw = 1.0 / lam
-    K = math.ceil(raw - 1e-9 * max(1.0, raw))  # absorb float noise in 1/lam
+    # Absorb float noise in 1/lam; a huge eps still needs one grid step.
+    K = max(1, math.ceil(raw - 1e-9 * max(1.0, raw)))
     clamped = False
     if K > k_cap:
         if not clamp:
@@ -308,7 +309,7 @@ def run_dp(inst: Instance, tree: DecompositionTree, K: int,
     if K < 1:
         raise ValidationError("the grid needs K >= 1")
     if not inst.single_commodity:
-        raise ValidationError("the scheme handles a single commodity")
+        raise InapplicableError("the scheme handles a single commodity")
     if _dp_ops_estimate(tree, K, lazy_root) > _OPS_CAP:
         raise DiscretizationError(
             f"dynamic program too large at K={K}; lower the grid cap")
@@ -405,8 +406,6 @@ def solve_fptas(inst: Instance, eps_prime: float, tol: float = 1e-8,
     above.  The grid, its eps and the certified factor are read from
     ``plan``.
     """
-    if not inst.single_commodity:
-        raise ValidationError("the scheme handles a single commodity")
     if tree is None:
         tree = decompose_series_parallel(inst)
     plan = choose_discretization(inst, eps_prime, k_cap, clamp)

@@ -447,6 +447,8 @@ def enumerate_discretized_minmax(inst: Instance, K: int) -> np.ndarray:
         raise ValidationError("single-commodity instances only")
     k0 = inst.commodities[0]
     paths = inst.simple_paths(k0.source, k0.sink, cap=64)
+    if paths is None:
+        raise ValidationError("more than 64 simple paths to enumerate")
     edges = inst.edges
     m = len(edges)
     d_unit = k0.demand / K

@@ -79,7 +79,7 @@ def decompose_series_parallel(inst: Instance) -> DecompositionTree:
     """Decompose a single-commodity instance's graph between the
     commodity's terminals, or raise NotSeriesParallel."""
     if not inst.single_commodity:
-        raise ValidationError("decomposition requires a single commodity")
+        raise NotSeriesParallel("the decomposition needs a single commodity")
     k = inst.commodities[0]
     source, sink = k.source, k.sink
     items = [(e.tail, e.head, Leaf(e.id, e.tail, e.head)) for e in inst.edges]

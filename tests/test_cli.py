@@ -437,6 +437,117 @@ def test_unreadable_input_or_unwritable_output_exit_2(tmp_path, argv):
     assert "Traceback" not in proc.stderr
 
 
+def _fig2_with(value, *keys):
+    """FIG2's JSON text with the item at ``keys`` replaced by ``value``."""
+    doc = json.loads(json.dumps(FIG2))
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    return json.dumps(doc)
+
+
+BAD_INSTANCES = {
+    "edges-object": _fig2_with({"e1": FIG2["edges"][0]}, "edges"),
+    "edge-number": _fig2_with(5, "edges", 0),
+    "demand-string": _fig2_with("x", "commodities", 0, "demand"),
+    "demand-null": _fig2_with(None, "commodities", 0, "demand"),
+    "nodes-number": _fig2_with(5, "nodes"),
+    "commodities-number": _fig2_with(5, "commodities"),
+    "budget-list": _fig2_with([3], "budget"),
+    "c-list": _fig2_with([0.1], "edges", 0, "c"),
+    "c-401-digits": _fig2_with(10 ** 400, "edges", 0, "c"),
+    "budget-401-digits": _fig2_with(10 ** 400, "budget"),
+    "demand-401-digits": _fig2_with(10 ** 400, "commodities", 0, "demand"),
+    "deep-nesting": "[" * 100_000,
+    # With mu = 0, bool("no") would make e2 a valid rigid edge.
+    "rigid-no": _fig2_with({"id": "e2", "tail": "s", "head": "t", "c": 0.2,
+                            "rigid": "no"}, "edges", 1),
+}
+BAD_ALLOCATIONS = {"beta-list": '{"beta": []}', "beta-null": '{"beta": null}',
+                   "beta-string": '{"beta": {"e1": "x"}}'}
+
+
+def _exits_2(argv, capsys):
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", [["solve", "--alg", "parallel-links"],
+                                     ["equilibrium"]], ids=["solve", "eq"])
+@pytest.mark.parametrize("text", BAD_INSTANCES.values(), ids=BAD_INSTANCES)
+def test_an_instance_of_the_wrong_shape_exits_2(tmp_path, capsys, command,
+                                                text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    _exits_2([*command, str(path)], capsys)
+
+
+@pytest.mark.parametrize("command", ["equilibrium", "sweep"])
+@pytest.mark.parametrize("text", BAD_ALLOCATIONS.values(),
+                         ids=BAD_ALLOCATIONS)
+def test_an_allocation_of_the_wrong_shape_exits_2(tmp_path, capsys, command,
+                                                  text, fig2_file):
+    bad, zero = tmp_path / "bad.json", tmp_path / "zero.json"
+    bad.write_text(text)
+    zero.write_text('{"beta": {}}')
+    argv = (["equilibrium", "--beta", str(bad)] if command == "equilibrium"
+            else ["sweep", "--from", str(bad), "--to", str(zero)])
+    _exits_2([*argv, fig2_file], capsys)
+
+
+def test_a_graph_of_the_wrong_shape_exits_2(tmp_path, capsys):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"nodes": 5, "edges": [], "s1": "a",
+                                "s2": "b", "t1": "c", "t2": "d"}))
+    _exits_2(["gadget", "tddp", "--graph", str(path)], capsys)
+
+
+@pytest.mark.parametrize("data", [b"[" * 100_000, b'{"nodes": ["\xff"]}'],
+                         ids=["deep-nesting", "not-utf-8"])
+def test_a_document_that_does_not_decode_exits_2(tmp_path, data):
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    proc = run_cli("equilibrium", str(path), check=False)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("alg", ["fptas", "parallel-links", "parallel-paths"])
+def test_two_commodities_are_not_applicable(tmp_path, capsys, alg):
+    # s1->m and s2->m join on m->t: a valid instance no single-commodity
+    # solver handles.
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps({
+        "nodes": ["s1", "s2", "m", "t"],
+        "edges": [{"id": "a", "tail": "s1", "head": "m", "c": 1, "mu": 1},
+                  {"id": "b", "tail": "s2", "head": "m", "c": 1, "mu": 1},
+                  {"id": "c", "tail": "m", "head": "t", "c": 1, "b": 1,
+                   "mu": 1}],
+        "commodities": [{"source": "s1", "sink": "t", "demand": 1},
+                        {"source": "s2", "sink": "t", "demand": 1}],
+        "budget": 1}))
+    assert cli.main(["solve", "--alg", alg, str(path)]) == 3
+    assert capsys.readouterr().err.startswith("not applicable: ")
+
+
+def test_a_huge_eps_takes_one_grid_step(fig2_file, capsys):
+    outs = []
+    for eps in ("1e5", "1e6", "1e300"):
+        assert cli.main(["solve", "--alg", "fptas", "--eps", eps,
+                         fig2_file]) == 0
+        out = json.loads(capsys.readouterr().out)
+        del out["parameters"]["eps"]
+        outs.append(out)
+    assert outs[0] == outs[1] == outs[2]
+    assert outs[0]["L"] == 80.0
+    assert outs[0]["certificate"]["K"] == 1
+    assert outs[0]["certificate"]["certified_factor"] == 169.0
+
+
 # Two links at the scale of their demand 1e-12: both carry flow, at the
 # common delay (1e-12 + 1e-13) / 2.
 SMALL = {"nodes": ["s", "t"],

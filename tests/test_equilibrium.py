@@ -395,17 +395,34 @@ def test_an_infinite_common_delay_admits_a_shorter_path():
 
 def test_auto_takes_frank_wolfe_past_the_path_cap(fig2, monkeypatch):
     # The engine is kept with its instance, so the capped solve takes a fresh
-    # copy; its simple paths are cached first, so the cap must hold for
-    # cached paths too.
+    # copy.
     alloc = Allocation({"e1": 1.0, "e2": 1.0})
     exact = solve_equilibrium(fig2, alloc)
     fresh = dataclasses.replace(fig2)
-    fresh.simple_paths("s", "t")
     monkeypatch.setattr(equilibrium, "_PATH_CAP", 1)
     fw = solve_equilibrium(fresh, alloc, tol=1e-10)
     assert fw.flow.paths is None
     assert exact.flow.paths is not None
     assert fw.average_delay == pytest.approx(exact.average_delay, rel=1e-6)
+
+
+def test_an_instance_past_the_path_cap_is_enumerated_once(fig2, monkeypatch):
+    # The engine keeps its verdict with the instance: a second solve past
+    # the cap goes straight to Frank-Wolfe without a second search.
+    searched = []
+    search = Instance.simple_paths
+    monkeypatch.setattr(Instance, "simple_paths",
+                        lambda self, *args: searched.append(args)
+                        or search(self, *args))
+    monkeypatch.setattr(equilibrium, "_PATH_CAP", 1)
+    fresh = dataclasses.replace(fig2)
+    alloc = Allocation({"e1": 1.0, "e2": 1.0})
+    first = solve_equilibrium(fresh, alloc, tol=1e-10)
+    assert searched == [("s", "t", 1)]
+    second = solve_equilibrium(fresh, alloc, tol=1e-10)
+    assert searched == [("s", "t", 1)]
+    assert first.flow.paths is second.flow.paths is None
+    assert second.average_delay == first.average_delay
 
 
 # ---------------------------------------------------------------------------
