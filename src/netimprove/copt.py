@@ -164,6 +164,14 @@ class _Relaxation:
                          for i, k in enumerate(self.inst.commodities)
                          for u in self.inst.nodes if u != k.sink])
 
+    @functools.cached_property
+    def working_rows(self) -> tuple:
+        """The polish's equality rows and right-hand sides: conservation
+        alone, then with the budget row below."""
+        rows, rhs = self.conservation, self.conservation_rhs
+        return ((rows, rhs), (np.vstack([rows, self.budget_row]),
+                              np.append(rhs, self.budget)))
+
     def conductance(self, beta: np.ndarray) -> np.ndarray:
         g = self.c.copy()
         g[self.imp] += self.mu * beta
@@ -188,7 +196,7 @@ class _Relaxation:
     def stacked_value_grad(self, z: np.ndarray):
         """Objective and gradient in the stacked variables."""
         val, gx, gb = self.value_grad(*self.split(z))
-        return val, np.concatenate([np.tile(gx, self.ncom), gb])
+        return val, np.concatenate((gx,) * self.ncom + (gb,))
 
     def segment(self, x: np.ndarray, beta: np.ndarray, dx: np.ndarray,
                 dbeta: np.ndarray):
@@ -223,30 +231,41 @@ class _Relaxation:
             return d1, d2
         return derivs
 
+    @functools.cached_property
+    def hessian_terms(self) -> tuple[np.ndarray, ...]:
+        """The Hessian's entries that can be nonzero, those between two
+        variables of one edge, each as c * x^a / g^b in the edge's total
+        flow x and conductance g: its flow pairs' hxx, a flow and its
+        budget's hxb, the budget's own hbb.  Returns their flat positions,
+        edges, c, a and b, and which are hxx with n > 1."""
+        n, i, mu, nm = self.n, self.imp, self.mu, self.nm
+        nn1 = n * self.n1
+        e = np.concatenate([np.arange(nm) % self.m, i])
+        u, v = np.nonzero(e[:, None] == e)
+        j = np.maximum(u, v) - nm  # the pair's budget variable, if any
+        src = np.where(j < 0, e[u], self.m + j + self.p * (u == v))
+        c = np.concatenate([nn1, -nn1[i] * mu, nn1[i] * _pow(mu, 2.0)])
+        a = np.concatenate([np.maximum(n - 1.0, 0.0), n[i], n[i] + 1.0])
+        b = np.concatenate([n, n[i] + 1.0, n[i] + 2.0])
+        edge = np.concatenate([np.arange(self.m), i, i])[src]
+        return (u * self.dim + v, edge, c[src], a[src], b[src],
+                (src < self.m) & (n[edge] > 1.0))
+
     def hessian(self, x: np.ndarray, beta: np.ndarray) -> np.ndarray:
-        """Dense Hessian in the stacked variables, from its blocks.
+        """Dense Hessian in the stacked variables: the ``hessian_terms``
+        written into zeros.
 
         Flows are clipped at zero and conductances padded to 1e-12; an edge
         with zero flow and n > 1 has no curvature.
         """
         xt = np.maximum(np.add.reduce(x, 0), 0.0)
         g = np.maximum(self.conductance(beta), 1e-12)
-        n, i, mu = self.n, self.imp, self.mu
-        nn1 = n * self.n1
-        hxx = np.where((xt == 0.0) & (n > 1.0), 0.0,
-                       nn1 * _pow(xt, np.maximum(n - 1.0, 0.0)) / _pow(g, n))
-        xi, gi, ni = xt[i], g[i], n[i]
-        hbb = nn1[i] * _pow(mu, 2.0) * _pow(xi, ni + 1.0) / _pow(gi, ni + 2.0)
-        hxb = -nn1[i] * mu * _pow(xi, ni) / _pow(gi, ni + 1.0)
-        cross = np.zeros((self.m, self.p))
-        cross[i, np.arange(self.p)] = hxb
-        nm = self.nm
-        H = np.zeros((self.dim, self.dim))
-        H[:nm, :nm] = np.tile(np.diag(hxx), (self.ncom, self.ncom))
-        H[:nm, nm:] = np.tile(cross, (self.ncom, 1))
-        H[nm:, :nm] = H[:nm, nm:].T
-        H[nm:, nm:] = np.diag(hbb)
-        return H
+        flat, edge, c, a, b, curved = self.hessian_terms
+        xe = xt[edge]
+        H = np.zeros(self.dim * self.dim)
+        H[flat] = np.where(curved & (xe == 0.0), 0.0,
+                           c * _pow(xe, a) / _pow(g[edge], b))
+        return H.reshape(self.dim, self.dim)
 
     def route(self, costs: np.ndarray, usable: np.ndarray):
         """Each commodity's demand on its shortest path over the ``usable``
@@ -504,6 +523,9 @@ def _newton_polish(kern: _Relaxation, x: np.ndarray, beta: np.ndarray):
     curvature grows as 1 / beta, would ruin the step's conditioning.  With
     no decrease left, the constraint whose multiplier has the wrong sign by
     the widest margin, outside closed gates, leaves; when none has, it stops.
+
+    Each working set's rows are factored (an SVD) once per polish and kept
+    with the KKT matrix's constraint blocks; a step adds the free Hessian in.
     """
     nm, dim, budget = kern.nm, kern.dim, kern.budget
     gate_b = nm + np.flatnonzero(kern.gates)
@@ -514,8 +536,12 @@ def _newton_polish(kern: _Relaxation, x: np.ndarray, beta: np.ndarray):
     pinned = np.zeros(dim + 1, dtype=bool)
     pinned[dim] = kern.p > 0 and z[nm:].sum() >= budget
 
+    frames = {}  # each working set's rows, factored once
+
     def settle(falling):  # a gate's budget closes only with its flow
         low = ~pinned[:dim] & falling & (z <= eps)
+        if not low.any():
+            return
         z[:nm][low[:nm]] = 0.0
         low[gate_b[(z[gate_x] > 0.0).any(axis=1)]] = False
         z[low] = 0.0
@@ -524,21 +550,26 @@ def _newton_polish(kern: _Relaxation, x: np.ndarray, beta: np.ndarray):
     settle(True)
     f, g = kern.stacked_value_grad(z)
     for _ in range(200):
-        free = ~pinned[:dim]
-        rows, rhs = kern.conservation, kern.conservation_rhs
-        if pinned[dim]:
-            rows = np.vstack([rows, kern.budget_row])
-            rhs = np.append(rhs, budget)
-        # Eliminating the pinned variables can leave the rows dependent (a
-        # node whose edges are all pinned); their SVD gives an equivalent
-        # independent set.
-        U, S, Vt = np.linalg.svd(rows[:, free], full_matrices=False)
-        keep = S > 1e-9 * S.max(initial=0.0)
-        Ur, Q = U[:, keep], S[keep, None] * Vt[keep]
+        key = pinned.tobytes()
+        if key not in frames:
+            free = ~pinned[:dim]
+            rows, rhs = kern.working_rows[int(pinned[dim])]
+            # Eliminating the pinned variables can leave the rows dependent
+            # (a node whose edges are all pinned); their SVD gives an
+            # equivalent independent set.
+            U, S, Vt = np.linalg.svd(rows[:, free], full_matrices=False)
+            keep = S > 1e-9 * S.max(initial=0.0)
+            Ur, Q = U[:, keep], S[keep, None] * Vt[keep]
+            fi = np.flatnonzero(free)
+            nf = len(fi)
+            kkt = np.diag(np.repeat([1e-12, 0.0], [nf, len(Q)]))
+            kkt[:nf, nf:], kkt[nf:, :nf] = Q.T, Q
+            frames[key] = free, fi, nf, rows, rhs, Ur, kkt
+        free, fi, nf, rows, rhs, Ur, kkt = frames[key]
         H = kern.hessian(*kern.split(z))
-        kkt = np.block([[H[np.ix_(free, free)] + 1e-12 * np.eye(free.sum()),
-                         Q.T], [Q, np.zeros((len(Q), len(Q)))]])
-        resid = np.concatenate([-g[free], Ur.T @ (rhs - rows @ z)])
+        kkt = kkt.copy()
+        kkt[:nf, :nf] += H[fi[:, None], fi]
+        resid = np.concatenate([-g[fi], Ur.T @ (rhs - rows @ z)])
         try:
             sol = np.linalg.solve(kkt, resid)
         except np.linalg.LinAlgError:
@@ -548,15 +579,15 @@ def _newton_polish(kern: _Relaxation, x: np.ndarray, beta: np.ndarray):
         if not np.isfinite(sol).all():
             break
         d = np.zeros(dim)
-        d[free] = sol[:free.sum()]
-        w = Ur @ sol[free.sum():]
+        d[fi] = sol[:nf]
+        w = Ur @ sol[nf:]
 
         # Ratio test.  A bound that only rounding would cross is left to the
         # clip, as pinning it at a zero step would undo the release that
         # freed it.
         ratio = np.full(dim + 1, np.inf)
         fall = free & (d < -1e-13 * max(1.0, z.max()))
-        ratio[:dim][fall] = z[fall] / -d[fall]
+        np.divide(z, -d, out=ratio[:dim], where=fall)
         rise = float(d[nm:].sum())
         if kern.p and not pinned[dim] and rise > 0.0:
             ratio[dim] = max(budget - z[nm:].sum(), 0.0) / rise
@@ -567,7 +598,7 @@ def _newton_polish(kern: _Relaxation, x: np.ndarray, beta: np.ndarray):
             trial = z + t * d
             if ratio[block] <= t and block < dim:
                 trial[block] = 0.0
-            trial[free] = np.maximum(trial[free], 0.0)
+            np.maximum(trial, 0.0, out=trial, where=free)
             f_new, g_new = kern.stacked_value_grad(trial)
             if f_new <= f + slack:
                 break
@@ -582,9 +613,8 @@ def _newton_polish(kern: _Relaxation, x: np.ndarray, beta: np.ndarray):
             if blocked or pred > slack:
                 continue
 
-        lam = np.zeros(dim + 1)
-        lam[:dim] = np.where(pinned[:dim], g0 + H @ d + rows.T @ w, 0.0)
-        lam[dim] = w[-1] if pinned[dim] else 0.0
+        # w[-1] is the budget row's multiplier while the row is pinned.
+        lam = np.where(pinned, np.append(g0 + H @ d + rows.T @ w, w[-1]), 0.0)
         shut = pinned[gate_b]
         lam[gate_b[shut]] = lam[gate_x[shut]] = 0.0
         worst = int(np.argmin(lam))

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
@@ -43,6 +44,22 @@ __all__ = [
 ]
 
 
+_REAL = (int, float, numbers.Real)  # the abstract class, the slowest check, last
+
+
+def _number(value, what: str, *args) -> float:
+    """``value`` as a float: an int, a float or a numpy real, never a bool
+    or a string; ``what.format(*args)`` names it in the ValidationError
+    (formatted only then)."""
+    if isinstance(value, bool) or not isinstance(value, _REAL):
+        raise ValidationError(f"{what.format(*args)} must be a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{what.format(*args)} is out of "
+                              "floating-point range") from None
+
+
 @dataclass(frozen=True)
 class Edge:
     id: str
@@ -60,11 +77,8 @@ class Edge:
         if self.tail == self.head:
             raise ValidationError(f"edge {self.id!r} is a self-loop")
         for name in ("c", "b", "n", "mu"):  # an int would make int arrays
-            try:
-                object.__setattr__(self, name, float(getattr(self, name)))
-            except OverflowError:
-                raise ValidationError(f"edge {self.id!r}: {name} is out of "
-                                      "floating-point range") from None
+            object.__setattr__(self, name, _number(
+                getattr(self, name), "edge {!r}: {}", self.id, name))
         if not (self.c >= 0.0) or math.isinf(self.c):
             raise ValidationError(f"edge {self.id!r}: conductance must be finite and >= 0")
         if not (self.b >= 0.0) or math.isinf(self.b):
@@ -95,6 +109,7 @@ class Commodity:
     def __post_init__(self):
         if self.source == self.sink:
             raise ValidationError("commodity source and sink must differ")
+        object.__setattr__(self, "demand", _number(self.demand, "demand"))
         if not (self.demand > 0.0) or math.isinf(self.demand):
             raise ValidationError("commodity demand must be positive and finite")
 
@@ -148,6 +163,7 @@ class Instance:
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "edges", tuple(self.edges))
         object.__setattr__(self, "commodities", tuple(self.commodities))
+        object.__setattr__(self, "budget", _number(self.budget, "budget"))
         _validate_instance(self)
 
     @cached_property
@@ -278,7 +294,7 @@ class Allocation:
     def __post_init__(self):
         clean: dict[str, float] = {}
         for eid, v in dict(self.beta).items():
-            v = float(v)
+            v = _number(v, "allocation on {!r}", eid)
             if not math.isfinite(v):
                 raise ValidationError(f"allocation on {eid!r} is not finite")
             if v < 0.0:
@@ -428,8 +444,9 @@ def read_json(text: str | bytes, build):
 
 
 def parse_instance(text: str | bytes) -> Instance:
-    """Parse and validate the instance JSON document.  ``Edge`` converts
-    c, b, n and mu itself; ``rigid`` must be a JSON boolean."""
+    """Parse and validate the instance JSON document.  ``Edge``,
+    ``Commodity`` and ``Instance`` take each number themselves, refusing a
+    string or a boolean; ``rigid`` must be a JSON boolean."""
     def edge(item) -> Edge:
         rigid = item.get("rigid", False)
         if not isinstance(rigid, bool):
@@ -445,9 +462,9 @@ def parse_instance(text: str | bytes) -> Instance:
         edges=tuple(map(edge, doc["edges"])),
         commodities=tuple(Commodity(source=str(k["source"]),
                                     sink=str(k["sink"]),
-                                    demand=float(k["demand"]))
+                                    demand=k["demand"])
                           for k in doc["commodities"]),
-        budget=float(doc["budget"])))
+        budget=doc["budget"]))
 
 
 def instance_to_json(inst: Instance, indent: int | None = None) -> str:

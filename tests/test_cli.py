@@ -498,6 +498,44 @@ def test_an_allocation_of_the_wrong_shape_exits_2(tmp_path, capsys, command,
     _exits_2([*argv, fig2_file], capsys)
 
 
+NUMBERS_AS_TEXT_OR_BOOL = {
+    "c-string": _fig2_with("0.1", "edges", 0, "c"),
+    "b-true": _fig2_with(True, "edges", 0, "b"),
+    "n-string": _fig2_with("1", "edges", 1, "n"),
+    "mu-false": _fig2_with(False, "edges", 1, "mu"),
+    "demand-string": _fig2_with("40", "commodities", 0, "demand"),
+    "budget-true": _fig2_with(True, "budget"),
+}
+
+
+@pytest.mark.parametrize("command", [["solve", "--alg", "parallel-links"],
+                                     ["equilibrium"]], ids=["solve", "eq"])
+@pytest.mark.parametrize("text", NUMBERS_AS_TEXT_OR_BOOL.values(),
+                         ids=NUMBERS_AS_TEXT_OR_BOOL)
+def test_a_string_or_boolean_for_a_number_exits_2(tmp_path, capsys, command,
+                                                  text):
+    # float() would read "0.1" as 0.1 and true as 1.0.
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert cli.main([*command, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "must be a number" in err
+
+
+@pytest.mark.parametrize("command", ["equilibrium", "sweep"])
+def test_a_boolean_allocation_exits_2(tmp_path, capsys, command, fig2_file):
+    bad, zero = tmp_path / "bad.json", tmp_path / "zero.json"
+    bad.write_text('{"beta": {"e1": true}}')
+    zero.write_text('{"beta": {}}')
+    argv = (["equilibrium", "--beta", str(bad)] if command == "equilibrium"
+            else ["sweep", "--from", str(bad), "--to", str(zero)])
+    assert cli.main([*argv, fig2_file]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: allocation on 'e1' must be a number\n"
+
+
 def test_a_graph_of_the_wrong_shape_exits_2(tmp_path, capsys):
     path = tmp_path / "graph.json"
     path.write_text(json.dumps({"nodes": 5, "edges": [], "s1": "a",

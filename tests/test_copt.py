@@ -331,3 +331,79 @@ def test_exact_step_matches_bisection(rng):
         assert abs(gamma - expected) <= 1e-12
         assert len(calls) <= 70
     assert fallback and corner
+
+
+def _block_hessian(kern, x, beta):
+    """The relaxation's Hessian assembled block by block with np.diag and
+    np.tile, for comparison with the index-built one."""
+    pw = np.float_power
+    xt = np.maximum(np.add.reduce(x, 0), 0.0)
+    g = np.maximum(kern.conductance(beta), 1e-12)
+    n, i, mu = kern.n, kern.imp, kern.mu
+    nn1 = n * kern.n1
+    hxx = np.where((xt == 0.0) & (n > 1.0), 0.0,
+                   nn1 * pw(xt, np.maximum(n - 1.0, 0.0)) / pw(g, n))
+    xi, gi, ni = xt[i], g[i], n[i]
+    hbb = nn1[i] * pw(mu, 2.0) * pw(xi, ni + 1.0) / pw(gi, ni + 2.0)
+    hxb = -nn1[i] * mu * pw(xi, ni) / pw(gi, ni + 1.0)
+    cross = np.zeros((kern.m, kern.p))
+    cross[i, np.arange(kern.p)] = hxb
+    nm = kern.nm
+    H = np.zeros((kern.dim, kern.dim))
+    H[:nm, :nm] = np.tile(np.diag(hxx), (kern.ncom, kern.ncom))
+    H[:nm, nm:] = np.tile(cross, (kern.ncom, 1))
+    H[nm:, :nm] = H[:nm, nm:].T
+    H[nm:, nm:] = np.diag(hbb)
+    return H
+
+
+def _two_commodities():
+    """The graph of test_kernel_matches_central_differences."""
+    edges = (Edge("sa", "s", "a", c=0.7, b=0.2, n=2.0, mu=1.3),
+             Edge("st", "s", "t", c=1.1, b=0.5, n=1.0, mu=0.4),
+             Edge("at1", "a", "t", b=1.5, rigid=True),
+             Edge("at2", "a", "t", c=0.9, b=0.1, n=2.0, mu=0.8),
+             Edge("at3", "a", "t", c=1.6, b=0.3, n=1.0))
+    return Instance(nodes=("s", "a", "t"), edges=edges,
+                    commodities=(Commodity("s", "t", 1.0),
+                                 Commodity("a", "t", 2.0)), budget=2.0)
+
+
+def _rigid_and_gate():
+    """A rigid link beside a gate (improvable, c = 0) in series with a
+    link of exponent 3."""
+    edges = (Edge("z", "s", "t", b=4.0, rigid=True),
+             Edge("a", "s", "m", c=0.0, b=0.5, mu=2.0),
+             Edge("b", "m", "t", c=1.2, n=3.0, mu=0.6))
+    return Instance(nodes=("s", "m", "t"), edges=edges,
+                    commodities=(Commodity("s", "t", 2.0),), budget=1.5)
+
+
+def _unimprovable():
+    """No improvable edge: p = 0."""
+    edges = (Edge("e1", "s", "t", c=0.5, b=1.0, n=2.0),
+             Edge("e2", "s", "t", c=2.0, b=0.2))
+    return Instance(nodes=("s", "t"), edges=edges,
+                    commodities=(Commodity("s", "t", 3.0),), budget=1.0)
+
+
+@pytest.mark.parametrize("build", [lambda fig2: fig2,
+                                   lambda fig2: _two_commodities(),
+                                   lambda fig2: _rigid_and_gate(),
+                                   lambda fig2: _unimprovable()],
+                         ids=["one-commodity", "two-commodities",
+                              "rigid-and-gate", "no-improvable-edge"])
+def test_hessian_layout_matches_the_block_assembly(build, fig2, rng):
+    inst = build(fig2)
+    kern = _Relaxation(inst)
+    points = [(np.zeros((kern.ncom, kern.m)), np.zeros(kern.p))]
+    for _ in range(6):
+        x = rng.uniform(0.0, 2.0, size=(kern.ncom, kern.m))
+        x[rng.random(x.shape) < 0.3] = 0.0  # zero flow: no curvature at n > 1
+        beta = rng.uniform(0.0, 1.0, size=kern.p)
+        beta[rng.random(kern.p) < 0.3] = 0.0  # a closed gate's budget
+        points.append((x, beta))
+    for x, beta in points:
+        H = kern.hessian(x, beta)
+        assert H.shape == (kern.dim, kern.dim)
+        assert np.array_equal(H, _block_hessian(kern, x, beta))

@@ -261,3 +261,38 @@ def test_tiny_demand_funds_the_better_link(fig2):
     played = evaluate_delay(inst, res.allocation)
     best = solve_parallel_paths(inst).delay
     assert 0.0 < played <= (4.0 / 3.0) * best
+
+
+def test_polish_through_dependent_rows_and_recurring_working_sets(
+        monkeypatch):
+    # From all the demand on the long path s-m-t, the polish pins both of
+    # its edges, which leaves node m's conservation row empty on the free
+    # variables: the SVD drops a row.  Some working sets recur; their rows
+    # are factored once per polish.
+    edges = (Edge("e1", "s", "t", c=1.0, b=0.0, mu=1.0),
+             Edge("e2", "s", "t", c=0.5, b=0.3, mu=0.5),
+             Edge("sm", "s", "m", c=1.0, b=5.0, mu=0.7),
+             Edge("mt", "m", "t", c=2.0, b=5.0, mu=0.2))
+    inst = Instance(nodes=("s", "m", "t"), edges=edges,
+                    commodities=(Commodity("s", "t", 2.0),), budget=1.0)
+    kern = _Relaxation(inst)
+    svd, factored, steps = np.linalg.svd, [], []
+
+    def counted_svd(a, **kwargs):
+        U, S, Vt = svd(a, **kwargs)
+        factored.append(len(a) - int((S > 1e-9 * S.max(initial=0.0)).sum()))
+        return U, S, Vt
+
+    hessian = _Relaxation.hessian
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(_Relaxation, "hessian", lambda self, x, beta:
+                        steps.append(x) or hessian(self, x, beta))
+    x = np.array([[0.0, 0.0, 2.0, 2.0]])
+    x, beta = _newton_polish(kern, x, np.array([0.0, 0.0, 1.0, 0.0]))
+    monkeypatch.undo()
+    assert max(factored) > 0  # a working set whose rows are dependent
+    assert len(factored) < len(steps)  # and one that recurs
+    value = kern.value_grad(x, beta)[0]
+    assert value <= _reference_objective(inst, value) * (1.0 + 1e-12)
+    assert value == pytest.approx(
+        solve_copt(inst, tol=1e-12).relaxed_objective, rel=1e-12)
